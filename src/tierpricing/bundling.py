@@ -156,44 +156,59 @@ def token_bucket_bundles(weights, flow_ids: Sequence[str], num_bundles: int) -> 
     has budget; the flow's weight is drained from that bundle and any
     overdraft carries into the next bundle's budget. Heavy flows end up
     in bundles of their own, light flows share.
+
+    Bundles fill one after another in the visiting order, so each is a
+    run of that order: it takes its first flow unconditionally and
+    closes at the first running budget <= 0; the last bundle takes the
+    rest. The labels follow the order of ``flow_ids``.
     """
     weights = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(weights)):
+        raise DomainError("token-bucket weights must be finite")
     if np.any(weights <= 0):
         raise DomainError("token-bucket weights must be positive")
     if num_bundles < 1:
         raise DomainError("num_bundles must be >= 1")
     n = len(weights)
-    order = sorted(range(n), key=lambda i: (-weights[i], flow_ids[i]))
-    budget = [weights.sum() / num_bundles] * num_bundles
-    used = [False] * num_bundles
-    assignment: dict[str, int] = {}
-    for i in order:
-        for j in range(num_bundles):
-            if not used[j] or budget[j] > 0:
-                assignment[flow_ids[i]] = j
-                used[j] = True
-                budget[j] -= weights[i]
-                if budget[j] < 0 and j + 1 < num_bundles:
-                    budget[j + 1] += budget[j]
-                    budget[j] = 0.0
-                break
-        else:
-            assignment[flow_ids[i]] = num_bundles - 1
-    return Bundling(assignment=assignment, num_bundles=num_bundles)
+    if len(flow_ids) != n:
+        raise DomainError(f"{len(flow_ids)} flow ids for {n} weights")
+    order = np.lexsort((np.asarray(flow_ids), -weights))
+    visit = weights[order]
+    share = weights.sum() / num_bundles
+    labels = np.empty(n, dtype=np.intp)
+    start, carry = 0, 0.0
+    for j in range(num_bundles - 1):
+        if start == n:
+            break
+        # running budget after each remaining flow, by the same
+        # sequential subtractions as a per-flow loop; the first flow
+        # always enters and the bundle ends with the flow that brings
+        # the budget to <= 0
+        running = np.subtract.accumulate(
+            np.concatenate(([share + carry], visit[start:]))
+        )[1:]
+        closed = np.flatnonzero(running <= 0)
+        end = start + int(closed[0]) + 1 if closed.size else n
+        labels[order[start:end]] = j
+        remainder = running[end - start - 1]
+        carry = remainder if remainder < 0 else 0.0
+        start = end
+    labels[order[start:]] = num_bundles - 1
+    return Bundling(labels, num_bundles)
 
 
 def _cost_division(ctx: ModelContext, num_bundles: int) -> Bundling:
     c_max = float(ctx.c.max())
-    idx = np.minimum((ctx.c * num_bundles / c_max).astype(int), num_bundles - 1)
-    return Bundling(dict(zip(ctx.ids, (int(b) for b in idx))), num_bundles)
+    idx = np.minimum((ctx.c * num_bundles / c_max).astype(np.intp), num_bundles - 1)
+    return Bundling(idx, num_bundles)
 
 
 def _index_division(ctx: ModelContext, num_bundles: int) -> Bundling:
     n = len(ctx.ids)
-    order = sorted(range(n), key=lambda i: (ctx.c[i], ctx.ids[i]))
-    group = math.ceil(n / num_bundles)
-    assignment = {ctx.ids[i]: rank // group for rank, i in enumerate(order)}
-    return Bundling(assignment, num_bundles)
+    order = np.lexsort((np.asarray(ctx.ids), ctx.c))
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = np.arange(n) // math.ceil(n / num_bundles)
+    return Bundling(labels, num_bundles)
 
 
 def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
@@ -217,17 +232,16 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
     for _ in range(num_bundles - len(classes)):
         lab = max(classes, key=lambda l: num_bundles * mass[l] / total - alloc[l])
         alloc[lab] += 1
-    assignment: dict[str, int] = {}
+    ids = np.asarray(ctx.ids)
+    class_of = np.asarray(labels)
+    out = np.empty(len(ids), dtype=np.intp)
     offset = 0
     for lab in classes:
-        members = [i for i, l in enumerate(labels) if l == lab]
-        sub = token_bucket_bundles(
-            weights[members], [ctx.ids[i] for i in members], alloc[lab]
-        )
-        for fid, b in sub.assignment.items():
-            assignment[fid] = offset + b
+        members = np.flatnonzero(class_of == lab)
+        sub = token_bucket_bundles(weights[members], ids[members], alloc[lab])
+        out[members] = offset + sub.labels
         offset += alloc[lab]
-    return Bundling(assignment, num_bundles)
+    return Bundling(out, num_bundles)
 
 
 def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bundling:
@@ -368,9 +382,8 @@ def _quantile_units(ctx: ModelContext, limit: int) -> list[np.ndarray]:
     then potential profit; the tractability device for exhaustive
     search on large flow sets."""
     pot = ctx.potential_profits()
-    n = len(ctx.ids)
-    order = sorted(range(n), key=lambda i: (ctx.c[i], pot[i], ctx.ids[i]))
-    return [np.array(g) for g in np.array_split(np.array(order), limit)]
+    order = np.lexsort((np.asarray(ctx.ids), pot, ctx.c))
+    return np.array_split(order, limit)
 
 
 def optimal_bundles(ctx: ModelContext, num_bundles: int, mode: str = "auto") -> Bundling:
@@ -411,22 +424,21 @@ def optimal_bundles(ctx: ModelContext, num_bundles: int, mode: str = "auto") -> 
     w, x = _unit_stats(ctx, units)
     blocks = _partition_dp(w, x, _unit_scores(ctx, w, x), num_bundles)
     blocks.sort(key=lambda b: (b & -b).bit_length())
-    assignment: dict[str, int] = {}
+    labels = np.empty(n, dtype=np.intp)
     for j, block in enumerate(blocks):
         u = 0
         while block:
             if block & 1:
-                for i in units[u]:
-                    assignment[ctx.ids[i]] = j
+                labels[units[u]] = j
             block >>= 1
             u += 1
-    return Bundling(assignment, num_bundles)
+    return Bundling(labels, num_bundles)
 
 
 def _contiguous_optimal(ctx: ModelContext, num_bundles: int) -> Bundling:
     n = len(ctx.flows)
-    order = sorted(range(n), key=lambda i: (ctx.c[i], ctx.ids[i]))
-    w, x = _unit_stats(ctx, [np.array([i]) for i in order])
+    order = np.lexsort((np.asarray(ctx.ids), ctx.c))
+    w, x = _unit_stats(ctx, [order[rank:rank + 1] for rank in range(n)])
     score_fn = _unit_scores(ctx, w, x)
     w_pre = np.concatenate([[0.0], np.cumsum(w)])
     x_pre = np.concatenate([[0.0], np.cumsum(x)])
@@ -447,7 +459,6 @@ def _contiguous_optimal(ctx: ModelContext, num_bundles: int) -> Bundling:
             else:
                 dp[k, j] = dp[k - 1, j]
                 choice[k, j] = -1
-    assignment: dict[str, int] = {}
     j, k = n, levels
     bounds = []
     while j > 0:
@@ -457,10 +468,10 @@ def _contiguous_optimal(ctx: ModelContext, num_bundles: int) -> Bundling:
         bounds.append((choice[k, j], j))
         j = choice[k, j]
         k -= 1
+    labels = np.empty(n, dtype=np.intp)
     for b, (lo, hi) in enumerate(reversed(bounds)):
-        for rank in range(lo, hi):
-            assignment[ctx.ids[order[rank]]] = b
-    return Bundling(assignment, num_bundles)
+        labels[order[lo:hi]] = b
+    return Bundling(labels, num_bundles)
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +498,22 @@ def evaluate_bundling(ctx: ModelContext, bundling: Bundling) -> TierOutcome:
     a degenerate surplus baseline yields NaN surplus capture rather
     than failing the profit-side result.
     """
-    members: list[list[int]] = [[] for _ in range(bundling.num_bundles)]
-    for i, fid in enumerate(ctx.ids):
-        members[bundling.assignment[fid]].append(i)
-    occupied = [b for b, m in enumerate(members) if m]
+    labels = bundling.labels
+    if len(labels) != len(ctx.ids):
+        raise DomainError(
+            f"bundling has {len(labels)} labels for {len(ctx.ids)} flows"
+        )
+    # each bundle's members in ascending flow order, so that per-bundle
+    # sums add in the same order as the flow list
+    counts = np.bincount(labels, minlength=bundling.num_bundles)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
+    occupied = np.flatnonzero(counts)
     prices = np.full(bundling.num_bundles, np.nan)
     if ctx.model is DemandModel.CED:
-        per_flow = np.empty(len(ctx.ids))
         for b in occupied:
-            m = np.array(members[b])
+            m = members[b]
             prices[b] = ced_bundle_price(ctx.v[m], ctx.c[m], ctx.alpha)
-            per_flow[m] = prices[b]
+        per_flow = prices[labels]
         profit = ced_profit(ctx.v, per_flow, ctx.c, ctx.alpha)
         surplus = ced_consumer_surplus(
             ctx.v, per_flow, ctx.alpha,

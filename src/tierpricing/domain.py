@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Optional
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -237,31 +239,41 @@ class FittedFlow:
             raise DomainError(f"flow {self.flow_id}: fitted cost must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bundling:
     """A partition of flows into price tiers.
 
-    ``assignment`` maps flow_id to a bundle index in [0, num_bundles).
-    Empty bundles are permitted, so the effective tier count can be
-    smaller than ``num_bundles``.
+    ``labels[i]`` is the bundle index, in [0, num_bundles), of the i-th
+    flow in the order the bundling was built from: ``ModelContext.ids``
+    for the strategies, or the ids passed to ``token_bucket_bundles``.
+    ``labels`` is stored as a read-only ``intp`` array. Empty bundles
+    are permitted, so the effective tier count can be smaller than
+    ``num_bundles``. Instances compare by identity; compare labels with
+    ``np.array_equal``.
     """
 
-    assignment: Mapping[str, int]
+    labels: np.ndarray
     num_bundles: int
 
     def __post_init__(self):
         if self.num_bundles < 1:
             raise DomainError(f"num_bundles must be >= 1, got {self.num_bundles}")
-        for fid, b in self.assignment.items():
-            if not 0 <= b < self.num_bundles:
-                raise DomainError(
-                    f"flow {fid}: bundle index {b} outside [0, {self.num_bundles})"
-                )
+        labels = np.array(self.labels, dtype=np.intp)
+        if labels.ndim != 1:
+            raise DomainError(f"labels must be one-dimensional, got shape {labels.shape}")
+        if labels.size and (labels.min() < 0 or labels.max() >= self.num_bundles):
+            bad = int(np.flatnonzero((labels < 0) | (labels >= self.num_bundles))[0])
+            raise DomainError(
+                f"flow {bad}: bundle index {labels[bad]} outside [0, {self.num_bundles})"
+            )
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
     @property
     def effective_bundles(self) -> int:
         """Number of bundles that actually contain flows."""
-        return len(set(self.assignment.values()))
+        counts = np.bincount(self.labels, minlength=self.num_bundles)
+        return int(np.count_nonzero(counts))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bundling import (
+    FULL_PARTITION_LIMIT,
     ModelContext,
     Strategy,
     build_bundles,
@@ -213,13 +214,13 @@ def run_capture_curve(config: ExperimentConfig) -> tuple[list[dict], dict]:
             outcome = evaluate_bundling(ctx, bundling)
             rows.append(_row("bundles", num_bundles, strategy, num_bundles, outcome))
     rows.sort(key=_sort_key)
-    meta = _meta(config, ctx=ctx, rows=rows)
+    meta = _meta(config, len(flows), ctx=ctx, rows=rows)
     meta["cost_model"] = _cost_meta(config, flows, ctx, config.theta)
     return rows, meta
 
 
-def _theta_point(config: ExperimentConfig, theta: float) -> tuple[list[dict], dict]:
-    flows = load_flows(config)
+def _theta_point(config: ExperimentConfig, flows: Sequence[FlowRecord],
+                 theta: float) -> tuple[list[dict], dict]:
     ctx = fit_context(flows, config, theta=theta)
     rows = []
     for strategy in config.strategies:
@@ -242,22 +243,23 @@ def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     validate_config(config)
     if not config.theta_grid:
         raise ConfigError("theta grid must be nonempty")
-    results = _map_jobs(_theta_point, [(config, t) for t in config.theta_grid],
+    flows = load_flows(config)
+    results = _map_jobs(_theta_point,
+                        [(config, flows, t) for t in config.theta_grid],
                         config.workers)
     rows = [r for point_rows, _ in results for r in point_rows]
     norm = max(r["profit"] for r in rows)
     for r in rows:
         r["profit"] = r["profit"] / norm
     rows.sort(key=_sort_key)
-    meta = _meta(config, rows=None)
+    meta = _meta(config, len(flows))
     meta["profit_norm_constant"] = norm
     meta["theta_points"] = [m for _, m in results]
     return rows, meta
 
 
-def _sensitivity_point(config: ExperimentConfig, param: str,
-                       value: float) -> list[dict]:
-    flows = load_flows(config)
+def _sensitivity_point(config: ExperimentConfig, flows: Sequence[FlowRecord],
+                       param: str, value: float) -> list[dict]:
     ctx = fit_context(flows, config, **{param: value})
     rows = []
     for num_bundles in config.bundles:
@@ -265,6 +267,7 @@ def _sensitivity_point(config: ExperimentConfig, param: str,
         outcome = evaluate_bundling(ctx, bundling)
         rows.append(_row(param, value, Strategy.PROFIT_WEIGHTED, num_bundles, outcome))
     return rows
+
 
 def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Worst-case capture per tier count under parameter variation.
@@ -292,9 +295,10 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
             raise ConfigError("s0 sweep applies to the logit model only")
     if not sweeps:
         raise ConfigError("no sweep grids specified")
+    flows = load_flows(config)
     rows = []
     for tag, param, grid, take_max in sweeps:
-        jobs = [(config, param, value) for value in grid]
+        jobs = [(config, flows, param, value) for value in grid]
         per_value = _map_jobs(_sensitivity_point, jobs, config.workers)
         for num_bundles in config.bundles:
             candidates = [
@@ -308,7 +312,7 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
             pick["sweep_param"] = tag
             rows.append(pick)
     rows.sort(key=_sort_key)
-    meta = _meta(config, rows=None)
+    meta = _meta(config, len(flows))
     return rows, meta
 
 
@@ -332,8 +336,11 @@ def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
         return list(pool.map(fn, *zip(*jobs)))
 
 
-def _meta(config: ExperimentConfig, ctx: ModelContext | None = None,
+def _meta(config: ExperimentConfig, n_flows: int, ctx: ModelContext | None = None,
           rows: list[dict] | None = None) -> dict:
+    """Configuration echo and notes; ``n_flows`` is the number of flows
+    the run actually loaded, which ``config.n_flows`` is not under an
+    input CSV."""
     cfg = dataclasses.asdict(config)
     for key, value in cfg.items():
         if isinstance(value, Strategy):
@@ -348,7 +355,7 @@ def _meta(config: ExperimentConfig, ctx: ModelContext | None = None,
             "synthetic flows: demands and distances sampled independently"
         )
     uses_optimal = Strategy.OPTIMAL in config.strategies
-    if uses_optimal and config.optimal_mode == "auto" and config.n_flows > 12:
+    if uses_optimal and config.optimal_mode == "auto" and n_flows > FULL_PARTITION_LIMIT:
         meta["notes"].append(
             "optimal search aggregated flows into quantile buckets"
         )

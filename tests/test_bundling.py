@@ -3,6 +3,8 @@ metric arithmetic."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tierpricing.bundling import (
     ModelContext,
@@ -13,11 +15,19 @@ from tierpricing.bundling import (
     profit_capture,
     token_bucket_bundles,
 )
-from tierpricing.demand_ced import fit_ced
-from tierpricing.demand_logit import fit_logit
+from tierpricing.demand_ced import ced_bundle_price, ced_consumer_surplus, ced_profit, fit_ced
+from tierpricing.demand_logit import (
+    fit_logit,
+    logit_bundle_cost,
+    logit_bundle_valuation,
+    logit_consumer_surplus,
+    logit_profit,
+    logit_solve_prices,
+)
 from tierpricing.domain import (
     Bundling,
     DegenerateBaseline,
+    DemandModel,
     DomainError,
     MissingClassLabels,
     TooManyFlows,
@@ -57,21 +67,19 @@ class TestTokenBucket:
     def test_worked_example(self):
         # demands 30/10/10/10 into two bundles: heavy flow alone
         b = token_bucket_bundles([30.0, 10.0, 10.0, 10.0], ["f1", "f2", "f3", "f4"], 2)
-        assert b.assignment == {"f1": 0, "f2": 1, "f3": 1, "f4": 1}
+        assert b.labels.tolist() == [0, 1, 1, 1]
 
     def test_single_bundle(self):
         b = token_bucket_bundles([5.0, 1.0, 2.0], ["a", "b", "c"], 1)
-        assert set(b.assignment.values()) == {0}
+        assert b.labels.tolist() == [0, 0, 0]
 
     def test_enough_bundles_gives_singletons(self):
         weights = [8.0, 5.0, 3.0, 1.0]
         for extra in (0, 2):
             b = token_bucket_bundles(weights, list("abcd"), len(weights) + extra)
             assert b.effective_bundles == len(weights)
-            counts = {}
-            for bundle in b.assignment.values():
-                counts[bundle] = counts.get(bundle, 0) + 1
-            assert all(c == 1 for c in counts.values())
+            counts = np.bincount(b.labels)
+            assert all(c == 1 for c in counts[counts > 0])
 
     def test_every_flow_assigned(self):
         rng = np.random.default_rng(0)
@@ -81,23 +89,34 @@ class TestTokenBucket:
             ids = [f"f{i}" for i in range(n)]
             num_bundles = int(rng.integers(1, 12))
             b = token_bucket_bundles(weights, ids, num_bundles)
-            assert sorted(b.assignment) == sorted(ids)
+            assert b.labels.shape == (n,)
+            assert np.all((0 <= b.labels) & (b.labels < num_bundles))
             assert b.effective_bundles <= min(num_bundles, n)
 
     def test_ties_break_by_flow_id(self):
         b1 = token_bucket_bundles([2.0, 2.0, 2.0], ["c", "a", "b"], 2)
         b2 = token_bucket_bundles([2.0, 2.0, 2.0], ["a", "b", "c"], 2)
-        assert b1.assignment == b2.assignment
+        assert dict(zip("cab", b1.labels.tolist())) == \
+            dict(zip("abc", b2.labels.tolist()))
 
     def test_uniform_weights_fill_in_id_order(self):
         # equal costs give a round-robin-by-budget fill; count stays <= B
         b = token_bucket_bundles([2.0] * 6, [f"f{i}" for i in range(6)], 3)
         assert b.effective_bundles <= 3
-        assert [b.assignment[f"f{i}"] for i in range(6)] == [0, 0, 1, 1, 2, 2]
+        assert b.labels.tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(DomainError):
             token_bucket_bundles([1.0, 0.0], ["a", "b"], 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_weights(self, bad):
+        with pytest.raises(DomainError):
+            token_bucket_bundles([1.0, bad, 2.0], ["a", "b", "c"], 2)
+
+    def test_rejects_misaligned_ids(self):
+        with pytest.raises(DomainError):
+            token_bucket_bundles([1.0, 2.0], ["a"], 2)
 
 
 class TestDivisionStrategies:
@@ -107,8 +126,8 @@ class TestDivisionStrategies:
         ctx = ced_context(rng, 6)
         object.__setattr__(ctx, "c", np.array([1.0, 4.99, 5.0, 7.0, 10.0, 0.5]))
         b = build_bundles(Strategy.COST_DIVISION, ctx, 2)
-        by_id = [b.assignment[f"f{i:02d}"] for i in range(6)]
-        assert by_id == [0, 0, 1, 1, 1, 0]
+        assert ctx.ids == tuple(f"f{i:02d}" for i in range(6))
+        assert b.labels.tolist() == [0, 0, 1, 1, 1, 0]
 
     def test_cost_division_empty_ranges_allowed(self):
         rng = np.random.default_rng(2)
@@ -125,7 +144,7 @@ class TestDivisionStrategies:
         order = np.argsort(ctx.c, kind="stable")
         sizes = [0, 0, 0, 0]
         for rank, i in enumerate(order):
-            assert b.assignment[ctx.ids[i]] == rank // 25
+            assert b.labels[i] == rank // 25
             sizes[rank // 25] += 1
         assert sizes == [25, 25, 25, 25]
 
@@ -133,10 +152,7 @@ class TestDivisionStrategies:
         rng = np.random.default_rng(4)
         ctx = ced_context(rng, 10)
         b = build_bundles(Strategy.INDEX_DIVISION, ctx, 3)
-        counts = {}
-        for bundle in b.assignment.values():
-            counts[bundle] = counts.get(bundle, 0) + 1
-        assert counts == {0: 4, 1: 4, 2: 2}
+        assert np.bincount(b.labels).tolist() == [4, 4, 2]
 
 
 class TestClassConstrained:
@@ -152,21 +168,23 @@ class TestClassConstrained:
     def test_never_mixes_classes(self):
         rng = np.random.default_rng(5)
         ctx = self._labeled_context(rng)
-        labels = {f.flow_id: f.class_label for f in ctx.flows}
+        labels = [f.class_label for f in ctx.flows]
         for num_bundles in (2, 3, 5):
             b = build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, num_bundles)
             bundle_classes: dict[int, set] = {}
-            for fid, bundle in b.assignment.items():
-                bundle_classes.setdefault(bundle, set()).add(labels[fid])
+            for i, bundle in enumerate(b.labels.tolist()):
+                bundle_classes.setdefault(bundle, set()).add(labels[i])
             assert all(len(cls) == 1 for cls in bundle_classes.values())
 
     def test_each_class_gets_a_bundle(self):
         rng = np.random.default_rng(6)
         ctx = self._labeled_context(rng)
         b = build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, 2)
-        labels = {f.flow_id: f.class_label for f in ctx.flows}
-        seen = {labels[fid] for fid in b.assignment}
-        assert seen == {"customer", "peer"}
+        bundles_of: dict[str, set] = {}
+        for f, bundle in zip(ctx.flows, b.labels.tolist()):
+            bundles_of.setdefault(f.class_label, set()).add(bundle)
+        assert set(bundles_of) == {"customer", "peer"}
+        assert bundles_of["customer"].isdisjoint(bundles_of["peer"])
 
     def test_missing_labels_rejected(self):
         rng = np.random.default_rng(7)
@@ -193,12 +211,11 @@ class TestOptimal:
                 for parts in every_partition(list(range(n))):
                     if len(parts) > num_bundles:
                         continue
-                    assignment = {}
+                    labels = np.empty(n, dtype=int)
                     for j, block in enumerate(parts):
-                        for i in block:
-                            assignment[ctx.ids[i]] = j
+                        labels[block] = j
                     outcome = evaluate_bundling(
-                        ctx, Bundling(assignment, max(num_bundles, len(parts)))
+                        ctx, Bundling(labels, max(num_bundles, len(parts)))
                     )
                     best = max(best, outcome.profit)
                 got = evaluate_bundling(ctx, optimal_bundles(ctx, num_bundles, "full"))
@@ -213,7 +230,7 @@ class TestOptimal:
         ctx = ModelContext.from_ced(fit, 20.0)
         b = optimal_bundles(ctx, 2, "full")
         groups = {}
-        for fid, bundle in b.assignment.items():
+        for fid, bundle in zip(ctx.ids, b.labels.tolist()):
             groups.setdefault(bundle, set()).add(fid)
         assert {frozenset(g) for g in groups.values()} == {
             frozenset({"f0", "f1", "f2"}), frozenset({"f3", "f4", "f5"}),
@@ -298,7 +315,7 @@ class TestOptimal:
         ctx = ced_context(rng, 9)
         b1 = optimal_bundles(ctx, 3, "full")
         b2 = optimal_bundles(ctx, 3, "full")
-        assert b1.assignment == b2.assignment
+        assert np.array_equal(b1.labels, b2.labels)
 
 
 class TestEvaluate:
@@ -306,7 +323,7 @@ class TestEvaluate:
         rng = np.random.default_rng(19)
         for make_ctx in (ced_context, logit_context):
             ctx = make_ctx(rng, 12)
-            singles = Bundling({fid: i for i, fid in enumerate(ctx.ids)}, 12)
+            singles = Bundling(np.arange(12), 12)
             out = evaluate_bundling(ctx, singles)
             assert out.profit_capture == pytest.approx(1.0, abs=1e-9)
 
@@ -314,7 +331,7 @@ class TestEvaluate:
         rng = np.random.default_rng(20)
         for make_ctx in (ced_context, logit_context):
             ctx = make_ctx(rng, 30)
-            whole = Bundling({fid: 0 for fid in ctx.ids}, 1)
+            whole = Bundling(np.zeros(len(ctx.ids), dtype=int), 1)
             out = evaluate_bundling(ctx, whole)
             assert out.profit_capture == pytest.approx(0.0, abs=1e-4)
             assert out.prices[0] == pytest.approx(ctx.p0, rel=1e-4)
@@ -331,7 +348,7 @@ class TestEvaluate:
     def test_empty_bundles_priced_nan(self):
         rng = np.random.default_rng(22)
         ctx = ced_context(rng, 4)
-        b = Bundling({fid: 0 if i < 2 else 2 for i, fid in enumerate(ctx.ids)}, 3)
+        b = Bundling([0, 0, 2, 2], 3)
         out = evaluate_bundling(ctx, b)
         assert np.isnan(out.prices[1])
         assert not np.isnan(out.prices[0])
@@ -354,9 +371,7 @@ class TestEvaluate:
         for strat in (Strategy.DEMAND_WEIGHTED, Strategy.COST_DIVISION):
             bundling = build_bundles(strat, ctx, 4)
             out = evaluate_bundling(ctx, bundling)
-            per_flow = np.array([
-                out.prices[bundling.assignment[fid]] for fid in ctx.ids
-            ])
+            per_flow = np.array(out.prices)[bundling.labels]
             direct = logit_profit(ctx.v, per_flow, ctx.c, ctx.alpha,
                                   ctx.consumer_mass)
             assert out.profit == pytest.approx(direct, rel=1e-12)
@@ -390,5 +405,142 @@ class TestBundlingTotality:
         for strat in strategies:
             for num_bundles in (1, 3, 7):
                 b = build_bundles(strat, ctx, num_bundles)
-                assert sorted(b.assignment) == sorted(ctx.ids)
-                assert all(0 <= i < num_bundles for i in b.assignment.values())
+                assert b.labels.shape == (len(ctx.ids),)
+                assert all(0 <= i < num_bundles for i in b.labels.tolist())
+
+
+# ---------------------------------------------------------------------------
+# Per-flow reference implementations and properties against them
+# ---------------------------------------------------------------------------
+
+
+def reference_token_bucket(weights, flow_ids, num_bundles):
+    """Per-flow token-bucket loop: visit flows by decreasing weight (ties
+    by flow id) and give each to the first bundle that is empty or still
+    has budget. Returns labels in the order of ``flow_ids``."""
+    weights = np.asarray(weights, dtype=float)
+    n = len(weights)
+    order = sorted(range(n), key=lambda i: (-weights[i], flow_ids[i]))
+    budget = [weights.sum() / num_bundles] * num_bundles
+    used = [False] * num_bundles
+    labels = [None] * n
+    for i in order:
+        for j in range(num_bundles):
+            if not used[j] or budget[j] > 0:
+                labels[i] = j
+                used[j] = True
+                budget[j] -= weights[i]
+                if budget[j] < 0 and j + 1 < num_bundles:
+                    budget[j + 1] += budget[j]
+                    budget[j] = 0.0
+                break
+        else:
+            labels[i] = num_bundles - 1
+    return labels
+
+
+def reference_evaluate(ctx, labels, num_bundles):
+    """Per-bundle pricing loop over member lists built flow by flow;
+    returns (prices, profit, surplus, profit capture, surplus capture)."""
+    members = [[] for _ in range(num_bundles)]
+    for i, b in enumerate(labels):
+        members[b].append(i)
+    occupied = [b for b, m in enumerate(members) if m]
+    prices = np.full(num_bundles, np.nan)
+    if ctx.model is DemandModel.CED:
+        per_flow = np.empty(len(labels))
+        for b in occupied:
+            m = np.array(members[b])
+            prices[b] = ced_bundle_price(ctx.v[m], ctx.c[m], ctx.alpha)
+            per_flow[m] = prices[b]
+        profit = ced_profit(ctx.v, per_flow, ctx.c, ctx.alpha)
+        surplus = ced_consumer_surplus(ctx.v, per_flow, ctx.alpha)
+    else:
+        v_b = np.array([logit_bundle_valuation(ctx.v[members[b]], ctx.alpha)
+                        for b in occupied])
+        c_b = np.array([logit_bundle_cost(ctx.c[members[b]], ctx.v[members[b]],
+                                          ctx.alpha) for b in occupied])
+        p_b = logit_solve_prices(v_b, c_b, ctx.alpha)
+        prices[occupied] = p_b
+        profit = logit_profit(v_b, p_b, c_b, ctx.alpha, ctx.consumer_mass)
+        surplus = logit_consumer_surplus(v_b, p_b, ctx.alpha, ctx.consumer_mass)
+    capture = profit_capture(profit, ctx.pi_orig, ctx.pi_max)
+    s_capture = profit_capture(surplus, ctx.cs_orig, ctx.cs_max)
+    return prices, profit, surplus, capture, s_capture
+
+
+TIED_WEIGHTS = (0.25, 0.5, 1.0, 1.5, 3.0, 10.0)
+
+
+@st.composite
+def bucket_cases(draw):
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["tied", "spread", "dominant"]))
+    if kind == "spread":
+        weights = draw(st.lists(
+            st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
+            min_size=n, max_size=n))
+    else:
+        weights = draw(st.lists(st.sampled_from(TIED_WEIGHTS), min_size=n, max_size=n))
+    if kind == "dominant":
+        weights[draw(st.integers(0, n - 1))] = 1e6
+    # short ids from a small alphabet repeat, so id ties occur as well
+    ids = draw(st.lists(st.text("aZ0\u00e9", min_size=1, max_size=3),
+                        min_size=n, max_size=n))
+    num_bundles = draw(st.integers(1, 2 * n + 2))
+    return weights, ids, num_bundles
+
+
+class TestTokenBucketOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(bucket_cases())
+    def test_labels_equal_per_flow_loop(self, case):
+        weights, ids, num_bundles = case
+        b = token_bucket_bundles(weights, ids, num_bundles)
+        expected = reference_token_bucket(weights, ids, num_bundles)
+        assert np.array_equal(b.labels, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bucket_cases())
+    def test_bundles_are_runs_of_the_visiting_order(self, case):
+        weights, ids, num_bundles = case
+        b = token_bucket_bundles(weights, ids, num_bundles)
+        order = sorted(range(len(ids)), key=lambda i: (-weights[i], ids[i]))
+        visited = b.labels[order]
+        assert visited[0] == 0
+        assert np.all(np.diff(visited) >= 0)
+        assert b.effective_bundles <= min(len(ids), num_bundles)
+        assert np.array_equal(np.unique(b.labels), np.arange(b.effective_bundles))
+
+
+@st.composite
+def labelled_contexts(draw):
+    n = draw(st.integers(2, 25))
+    make = draw(st.sampled_from([ced_context, logit_context]))
+    ctx = make(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    num_bundles = draw(st.integers(1, n + 2))
+    labels = draw(st.lists(st.integers(0, num_bundles - 1), min_size=n, max_size=n))
+    return ctx, labels, num_bundles
+
+
+class TestEvaluateOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_contexts())
+    def test_equals_per_bundle_loop(self, case):
+        ctx, labels, num_bundles = case
+        out = evaluate_bundling(ctx, Bundling(labels, num_bundles))
+        prices, profit, surplus, capture, s_capture = reference_evaluate(
+            ctx, labels, num_bundles)
+        assert out.profit == profit
+        assert out.consumer_surplus == surplus
+        assert out.profit_capture == capture
+        assert out.surplus_capture == s_capture
+        got = np.array(out.prices)
+        empty = np.bincount(labels, minlength=num_bundles) == 0
+        assert np.array_equal(np.isnan(got), empty)
+        assert np.array_equal(got[~empty], prices[~empty])
+
+    def test_rejects_labels_of_another_flow_set(self):
+        ctx = ced_context(np.random.default_rng(26), 5)
+        with pytest.raises(DomainError):
+            evaluate_bundling(ctx, Bundling([0, 1, 0], 2))

@@ -386,7 +386,7 @@ class TestPotentialProfit:
         w2 = logit_potential_profit(q * 37.0, 1.1, 0.2, 50.0)
         b1 = token_bucket_bundles(w1, ids, 4)
         b2 = token_bucket_bundles(w2, ids, 4)
-        assert b1.assignment == b2.assignment
+        assert np.array_equal(b1.labels, b2.labels)
 
     def test_profit_weighting_equals_demand_weighting(self):
         from tierpricing.bundling import token_bucket_bundles
@@ -396,8 +396,8 @@ class TestPotentialProfit:
             q = rng.lognormal(1.0, 1.3, size=15)
             ids = [f"f{i}" for i in range(15)]
             w = logit_potential_profit(q, 1.4, 0.3, 10.0)
-            assert token_bucket_bundles(w, ids, 3).assignment == \
-                token_bucket_bundles(q, ids, 3).assignment
+            assert np.array_equal(token_bucket_bundles(w, ids, 3).labels,
+                                  token_bucket_bundles(q, ids, 3).labels)
 
     def test_rejects_nonpositive_demand(self):
         with pytest.raises(DomainError):

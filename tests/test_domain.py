@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from tierpricing.domain import (
@@ -71,15 +72,31 @@ class TestFlowRecord:
 class TestBundling:
     def test_assignment_indices_bounded(self):
         with pytest.raises(DomainError):
-            Bundling({"a": 2}, num_bundles=2)
+            Bundling([2], num_bundles=2)
         with pytest.raises(DomainError):
-            Bundling({"a": -1}, num_bundles=2)
+            Bundling([-1], num_bundles=2)
 
     def test_effective_bundles_counts_nonempty(self):
-        b = Bundling({"a": 0, "b": 0, "c": 3}, num_bundles=5)
+        b = Bundling([0, 0, 3], num_bundles=5)
         assert b.effective_bundles == 2
 
     def test_empty_bundles_permitted(self):
-        b = Bundling({"a": 1}, num_bundles=3)
+        b = Bundling([1], num_bundles=3)
         assert b.num_bundles == 3
         assert b.effective_bundles == 1
+
+    def test_labels_stored_read_only_copy(self):
+        source = np.array([0, 1, 1])
+        b = Bundling(source, num_bundles=2)
+        assert b.labels.dtype == np.intp
+        with pytest.raises(ValueError):
+            b.labels[0] = 1
+        source[0] = 1
+        assert b.labels.tolist() == [0, 1, 1]
+
+    def test_labels_must_be_one_dimensional(self):
+        with pytest.raises(DomainError):
+            Bundling([[0, 1]], num_bundles=2)
+
+    def test_effective_bundles_is_python_int(self):
+        assert type(Bundling([0, 2], num_bundles=4).effective_bundles) is int

@@ -1,6 +1,7 @@
 """End-to-end experiment runs and the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -85,6 +86,18 @@ class TestThetaSweep:
         pi_max = [m["pi_max"] for m in points]
         assert all(a >= b - 1e-9 * abs(a) for a, b in zip(pi_max, pi_max[1:]))
 
+    def test_parallel_run_writes_serial_bytes(self, tmp_path):
+        cfg = small_config(theta_grid=(0.0, 0.5))
+        written = []
+        for workers in (1, 2):
+            rows, meta = run_theta_sweep(dataclasses.replace(cfg, workers=workers))
+            meta["config"].pop("workers")
+            out = tmp_path / f"{workers}.csv"
+            write_results(str(out), rows, meta)
+            written.append((out.read_bytes(),
+                            (tmp_path / f"{workers}.csv.meta.json").read_bytes()))
+        assert written[0] == written[1]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             run_theta_sweep(small_config(theta_grid=()))
@@ -105,8 +118,7 @@ class TestThetaSweep:
         with pytest.raises(DegenerateBaseline):
             evaluate_bundling(ctx, bundling)
         for b in range(2):
-            members = [i for i, fid in enumerate(ctx.ids)
-                       if bundling.assignment[fid] == b]
+            members = np.flatnonzero(bundling.labels == b)
             price = ced_bundle_price(ctx.v[members], ctx.c[members], ctx.alpha)
             assert price == pytest.approx(ctx.p0, rel=1e-12)
 
@@ -124,13 +136,14 @@ class TestSensitivity:
             assert value == pytest.approx(cap[num_bundles], rel=1e-12)
 
     def test_min_not_above_any_grid_point(self):
-        from tierpricing.experiments import _sensitivity_point
+        from tierpricing.experiments import _sensitivity_point, load_flows
 
         cfg = small_config(alpha_grid=(1.3, 2.0, 4.0), p0_grid=(), s0_grid=())
         rows, _ = run_sensitivity_sweep(cfg)
         mins = {r["num_bundles"]: r["profit_capture"] for r in rows}
+        flows = load_flows(cfg)
         for value in cfg.alpha_grid:
-            for row in _sensitivity_point(cfg, "alpha", value):
+            for row in _sensitivity_point(cfg, flows, "alpha", value):
                 assert mins[row["num_bundles"]] <= row["profit_capture"] + 1e-12
 
     def test_s0_sweep_reports_max(self):
@@ -147,6 +160,24 @@ class TestSensitivity:
     def test_ced_alpha_grid_validated(self):
         with pytest.raises(ConfigError):
             run_sensitivity_sweep(small_config(alpha_grid=(0.9, 2.0)))
+
+    def test_flows_loaded_once_per_sweep(self, monkeypatch):
+        from tierpricing import experiments
+
+        calls = []
+        load = experiments.load_flows
+
+        def counting(config):
+            calls.append(config)
+            return load(config)
+
+        monkeypatch.setattr(experiments, "load_flows", counting)
+        cfg = small_config(alpha_grid=(1.2, 2.0), p0_grid=(10.0, 20.0), s0_grid=(),
+                           theta_grid=(0.0, 0.5))
+        run_sensitivity_sweep(cfg)
+        assert len(calls) == 1
+        run_theta_sweep(cfg)
+        assert len(calls) == 2
 
     def test_parallel_workers_match_serial(self):
         cfg = small_config(strategies=(Strategy.PROFIT_WEIGHTED,),
@@ -290,6 +321,21 @@ class TestCli:
         # two pure classes: the constrained split beats mixing at B=2
         assert by_key[("class-profit-weighted", "2")] >= \
             by_key[("profit-weighted", "2")]
+
+    @pytest.mark.parametrize("rows, n_flows, noted", [(5, "10000", False),
+                                                       (20, "5", True)])
+    def test_aggregation_note_follows_loaded_flows(self, tmp_path, rows,
+                                                   n_flows, noted):
+        flows = tmp_path / "flows.csv"
+        res = run_cli("synth", "--n-flows", str(rows), "--seed", "2",
+                      "--out", str(flows))
+        assert res.returncode == 0, res.stderr
+        out = tmp_path / "capture.csv"
+        res = run_cli("capture", "--input", str(flows), "--n-flows", n_flows,
+                      "--bundles", "1,2", "--strategy", "optimal", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        notes = json.loads((tmp_path / "capture.csv.meta.json").read_text())["notes"]
+        assert any("quantile buckets" in note for note in notes) is noted
 
     def test_sensitivity_cli(self, tmp_path):
         out = tmp_path / "sens.csv"
