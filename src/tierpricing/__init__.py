@@ -17,9 +17,8 @@ from .bundling import (
 )
 from .cost_models import (
     class_labels,
-    classify_region,
+    classify_regions,
     realize_costs,
-    relative_cost,
     relative_costs,
     split_by_dest_type,
     with_fit,
@@ -55,8 +54,8 @@ from .domain import (
     CostKind,
     CostModelSpec,
     DemandModel,
-    FittedFlow,
-    FlowRecord,
+    FittedTable,
+    FlowTable,
     MarketParams,
     PricingError,
     TierOutcome,

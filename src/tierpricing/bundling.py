@@ -49,7 +49,7 @@ from .domain import (
     DegenerateBaseline,
     DemandModel,
     DomainError,
-    FittedFlow,
+    FittedTable,
     MissingClassLabels,
     TierOutcome,
     TooManyFlows,
@@ -72,36 +72,32 @@ class Strategy(str, Enum):
     CLASS_PROFIT_WEIGHTED = "class-profit-weighted"
 
 
-@dataclass(frozen=True)
-class ModelContext:
+@dataclass(frozen=True, eq=False)
+class ModelContext(FittedTable):
     """A fitted market plus the cached pricing baselines every capture
     metric is measured against: profit and surplus at the blended rate
-    (original) and at per-flow pricing (maximum)."""
+    (original) and at per-flow pricing (maximum).
+
+    The per-flow arrays (``ids``, ``q``, ``d``, ``v``, ``c``,
+    ``class_labels``) are those of ``FittedTable``; every strategy and
+    ``Bundling`` follows their flow order."""
 
     model: DemandModel
-    flows: tuple[FittedFlow, ...]
     alpha: float
     p0: float
     s0: float | None = None
     consumer_mass: float | None = None
     gamma: float | None = None
     cs_unit_price_offset: bool = False
-    ids: tuple[str, ...] = field(init=False, repr=False)
-    q: np.ndarray = field(init=False, repr=False)
-    v: np.ndarray = field(init=False, repr=False)
-    c: np.ndarray = field(init=False, repr=False)
     pi_orig: float = field(init=False)
     pi_max: float = field(init=False)
     cs_orig: float = field(init=False)
     cs_max: float = field(init=False)
 
     def __post_init__(self):
+        super().__post_init__()
         set_ = object.__setattr__
-        set_(self, "ids", tuple(f.flow_id for f in self.flows))
-        set_(self, "q", np.array([f.q for f in self.flows]))
-        set_(self, "v", np.array([f.v for f in self.flows]))
-        set_(self, "c", np.array([f.c for f in self.flows]))
-        uniform = np.full(len(self.flows), self.p0)
+        uniform = np.full(len(self.ids), self.p0)
         if self.model is DemandModel.CED:
             per_flow = ced_optimal_price(self.c, self.alpha)
             offset = self.cs_unit_price_offset
@@ -124,12 +120,14 @@ class ModelContext:
     @classmethod
     def from_ced(cls, fit: CedFit, p0: float,
                  cs_unit_price_offset: bool = False) -> "ModelContext":
-        return cls(DemandModel.CED, fit.flows, fit.alpha, p0, gamma=fit.gamma,
+        return cls(fit.ids, fit.q, fit.d, fit.v, fit.c, fit.class_labels,
+                   DemandModel.CED, fit.alpha, p0, gamma=fit.gamma,
                    cs_unit_price_offset=cs_unit_price_offset)
 
     @classmethod
     def from_logit(cls, fit: LogitFit, p0: float) -> "ModelContext":
-        return cls(DemandModel.LOGIT, fit.flows, fit.alpha, p0,
+        return cls(fit.ids, fit.q, fit.d, fit.v, fit.c, fit.class_labels,
+                   DemandModel.LOGIT, fit.alpha, p0,
                    s0=fit.s0, consumer_mass=fit.consumer_mass, gamma=fit.gamma)
 
     def potential_profits(self) -> np.ndarray:
@@ -205,20 +203,22 @@ def _cost_division(ctx: ModelContext, num_bundles: int) -> Bundling:
 
 def _index_division(ctx: ModelContext, num_bundles: int) -> Bundling:
     n = len(ctx.ids)
-    order = np.lexsort((np.asarray(ctx.ids), ctx.c))
+    order = np.lexsort((ctx.ids, ctx.c))
     labels = np.empty(n, dtype=np.intp)
     labels[order] = np.arange(n) // math.ceil(n / num_bundles)
     return Bundling(labels, num_bundles)
 
 
 def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
-    labels = [f.class_label for f in ctx.flows]
-    if any(lab is None for lab in labels):
+    class_of = ctx.class_labels
+    if class_of is None or np.equal(class_of, None).any():
         raise MissingClassLabels("class-constrained bundling requires class labels")
     weights = ctx.potential_profits()
-    mass: dict[str, float] = {}
-    for lab, w in zip(labels, weights):
-        mass[lab] = mass.get(lab, 0.0) + float(w)
+    # classes in order of first appearance; each class's mass adds its
+    # members' weights one by one in flow order
+    members = {lab: np.flatnonzero(class_of == lab)
+               for lab in dict.fromkeys(class_of.tolist())}
+    mass = {lab: float(np.add.accumulate(weights[m])[-1]) for lab, m in members.items()}
     classes = sorted(mass, key=lambda lab: (-mass[lab], lab))
     if num_bundles < len(classes):
         # No class-pure partition exists with fewer bundles than classes.
@@ -232,21 +232,19 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
     for _ in range(num_bundles - len(classes)):
         lab = max(classes, key=lambda l: num_bundles * mass[l] / total - alloc[l])
         alloc[lab] += 1
-    ids = np.asarray(ctx.ids)
-    class_of = np.asarray(labels)
-    out = np.empty(len(ids), dtype=np.intp)
+    out = np.empty(len(ctx.ids), dtype=np.intp)
     offset = 0
     for lab in classes:
-        members = np.flatnonzero(class_of == lab)
-        sub = token_bucket_bundles(weights[members], ids[members], alloc[lab])
-        out[members] = offset + sub.labels
+        m = members[lab]
+        sub = token_bucket_bundles(weights[m], ctx.ids[m], alloc[lab])
+        out[m] = offset + sub.labels
         offset += alloc[lab]
     return Bundling(out, num_bundles)
 
 
 def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bundling:
     """Construct a tier partition with the given strategy."""
-    if not ctx.flows:
+    if len(ctx.ids) == 0:
         raise DomainError("cannot bundle an empty flow set")
     if strategy is Strategy.OPTIMAL:
         return optimal_bundles(ctx, num_bundles)
@@ -382,7 +380,7 @@ def _quantile_units(ctx: ModelContext, limit: int) -> list[np.ndarray]:
     then potential profit; the tractability device for exhaustive
     search on large flow sets."""
     pot = ctx.potential_profits()
-    order = np.lexsort((np.asarray(ctx.ids), pot, ctx.c))
+    order = np.lexsort((ctx.ids, pot, ctx.c))
     return np.array_split(order, limit)
 
 
@@ -399,7 +397,7 @@ def optimal_bundles(ctx: ModelContext, num_bundles: int, mode: str = "auto") -> 
       * ``contiguous`` optimal among partitions contiguous in the cost
                        ordering (O(n^2 * B) dynamic program).
     """
-    n = len(ctx.flows)
+    n = len(ctx.ids)
     if n == 0:
         raise DomainError("cannot bundle an empty flow set")
     if mode == "contiguous":
@@ -436,8 +434,8 @@ def optimal_bundles(ctx: ModelContext, num_bundles: int, mode: str = "auto") -> 
 
 
 def _contiguous_optimal(ctx: ModelContext, num_bundles: int) -> Bundling:
-    n = len(ctx.flows)
-    order = np.lexsort((np.asarray(ctx.ids), ctx.c))
+    n = len(ctx.ids)
+    order = np.lexsort((ctx.ids, ctx.c))
     w, x = _unit_stats(ctx, [order[rank:rank + 1] for rank in range(n)])
     score_fn = _unit_scores(ctx, w, x)
     w_pre = np.concatenate([[0.0], np.cumsum(w)])

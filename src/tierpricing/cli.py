@@ -271,13 +271,13 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     config = _config_from_args(args)
     flows = load_flows(config)
     ctx = fit_context(flows, config)
-    write_fitted_csv(config.out, ctx.flows)
+    write_fitted_csv(config.out, ctx)
     params = market_params(config)
     if params.model is DemandModel.LOGIT:
         params = MarketParams(params.model, params.alpha, params.p0,
                               s0=params.s0, consumer_mass=ctx.consumer_mass)
     write_params_csv(f"{config.out}.params.csv", params)
-    log.info("wrote %d fitted flows to %s", len(ctx.flows), config.out)
+    log.info("wrote %d fitted flows to %s", len(ctx), config.out)
 
 
 def main(argv: list[str] | None = None) -> int:

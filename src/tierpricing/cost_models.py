@@ -13,17 +13,26 @@ Four models:
 * regional:  metro -> 1, national -> 2**theta, international -> 3**theta
 * dest-type: f(d) = d * m, customer m=1, peer m=2, unlabeled
              m = theta*1 + (1-theta)*2 (theta = customer traffic share)
+
+Every function takes a ``FlowTable`` and works on whole columns; the
+results are bit-identical to evaluating each flow on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
 
 import numpy as np
 
-from .domain import CostKind, CostModelSpec, DomainError, FlowRecord, NonPositiveCost
+from .domain import (
+    REGIONS,
+    CostKind,
+    CostModelSpec,
+    DomainError,
+    FlowTable,
+    NonPositiveCost,
+)
 
 # Clamp for the concave pre-base cost at tiny normalized distances.
 CONCAVE_EPS = 0.05
@@ -34,70 +43,74 @@ METRO_MAX_MILES = 10.0
 NATIONAL_MAX_MILES = 100.0
 
 
-def classify_region(flow: FlowRecord) -> str:
-    """Region of a flow: the explicit label if present, else by distance
-    (< 10 miles metro, < 100 national, international beyond)."""
-    if flow.region is not None:
-        return flow.region
-    if flow.distance_miles < METRO_MAX_MILES:
-        return "metro"
-    if flow.distance_miles < NATIONAL_MAX_MILES:
-        return "national"
-    return "international"
+def _region_codes(flows: FlowTable) -> np.ndarray:
+    """Index into REGIONS of each flow's region (see classify_regions)."""
+    d = flows.distance
+    codes = (d >= METRO_MAX_MILES).astype(np.intp) + (d >= NATIONAL_MAX_MILES)
+    if flows.region is not None:
+        for code, name in enumerate(REGIONS):
+            codes[flows.region == name] = code
+    return codes
 
 
-def dest_type_multiplier(flow: FlowRecord, theta: float) -> float:
-    """Destination-type cost multiplier: customer 1, peer 2, or the
-    expected mixture theta*1 + (1-theta)*2 when the label is absent."""
-    if flow.dest_type == "customer":
-        return 1.0
-    if flow.dest_type == "peer":
-        return 2.0
-    return theta * 1.0 + (1.0 - theta) * 2.0
+def classify_regions(flows: FlowTable) -> np.ndarray:
+    """Region name of each flow, as an object array: the explicit label
+    if present, else by distance (< 10 miles metro, < 100 national,
+    international beyond)."""
+    return np.array(REGIONS, dtype=object)[_region_codes(flows)]
 
 
-def relative_cost(spec: CostModelSpec, flow: FlowRecord, d_max: float) -> float:
-    """Pre-gamma relative cost of one flow, including the base term.
-
-    ``d_max`` must be the maximum distance over the flow set; it anchors
-    the concave normalization and the linear/concave base cost.
-    """
-    d = flow.distance_miles
-    if spec.kind is CostKind.LINEAR:
-        return d + spec.theta * d_max
-    if spec.kind is CostKind.CONCAVE:
-        return _concave_pre_base(spec, d, d_max) + spec.theta * _concave_base_ref(spec)
-    if spec.kind is CostKind.REGIONAL:
-        region = classify_region(flow)
-        return {"metro": 1.0, "national": 2.0 ** spec.theta,
-                "international": 3.0 ** spec.theta}[region]
-    return d * dest_type_multiplier(flow, spec.theta)
-
-
-def _concave_pre_base(spec: CostModelSpec, d: float, d_max: float) -> float:
+def _concave_pre_base(spec: CostModelSpec, d: np.ndarray, d_max: float) -> np.ndarray:
     if d_max <= 0:
-        return spec.concave_c
+        return np.full(len(d), spec.concave_c)
     norm = d / d_max
-    if norm <= 0:
-        return CONCAVE_EPS
-    raw = spec.concave_a * math.log(norm, spec.concave_b) + spec.concave_c
-    return max(CONCAVE_EPS, raw)
+    pre = np.full(len(d), CONCAVE_EPS)
+    pos = norm > 0
+    # math.log, not np.log: the two differ in the last bit on some
+    # inputs, and math.log(x, b) is exactly math.log(x) / math.log(b)
+    logs = np.array([math.log(x) for x in norm[pos].tolist()], dtype=float)
+    raw = spec.concave_a * (logs / math.log(spec.concave_b)) + spec.concave_c
+    pre[pos] = np.maximum(CONCAVE_EPS, raw)
+    return pre
+
 
 def _concave_base_ref(spec: CostModelSpec) -> float:
     # pre-base cost at d = d_max, where the shape fit is anchored
     return max(CONCAVE_EPS, spec.concave_c)
 
 
-def relative_costs(spec: CostModelSpec, flows: Sequence[FlowRecord]) -> np.ndarray:
-    """Relative costs for a flow set, floored at 1e-6 of the maximum.
+def _dest_type_multipliers(flows: FlowTable, theta: float) -> np.ndarray:
+    """Destination-type cost multiplier: customer 1, peer 2, or the
+    expected mixture theta*1 + (1-theta)*2 when the label is absent."""
+    mult = np.full(len(flows), theta * 1.0 + (1.0 - theta) * 2.0)
+    if flows.dest_type is not None:
+        mult[flows.dest_type == "customer"] = 1.0
+        mult[flows.dest_type == "peer"] = 2.0
+    return mult
 
-    Raises NonPositiveCost when the configuration yields no positive
-    cost at all (e.g. all distances zero with theta = 0).
+
+def relative_costs(spec: CostModelSpec, flows: FlowTable) -> np.ndarray:
+    """Pre-gamma relative cost of each flow, including the base term,
+    floored at 1e-6 of the maximum.
+
+    The maximum distance over the flow set anchors the concave
+    normalization and the linear/concave base cost. Raises
+    NonPositiveCost when the configuration yields no positive cost at
+    all (e.g. all distances zero with theta = 0).
     """
-    if not flows:
+    if len(flows) == 0:
         return np.empty(0)
-    d_max = max(f.distance_miles for f in flows)
-    rel = np.array([relative_cost(spec, f, d_max) for f in flows])
+    d = flows.distance
+    d_max = float(d.max())
+    if spec.kind is CostKind.LINEAR:
+        rel = d + spec.theta * d_max
+    elif spec.kind is CostKind.CONCAVE:
+        rel = _concave_pre_base(spec, d, d_max) + spec.theta * _concave_base_ref(spec)
+    elif spec.kind is CostKind.REGIONAL:
+        steps = np.array([1.0, 2.0 ** spec.theta, 3.0 ** spec.theta])
+        rel = steps[_region_codes(flows)]
+    else:
+        rel = d * _dest_type_multipliers(flows, spec.theta)
     top = rel.max()
     if not top > 0:
         raise NonPositiveCost(f"{spec.kind.value} cost model produced no positive cost")
@@ -115,12 +128,12 @@ def realize_costs(rel, gamma: float) -> np.ndarray:
     return np.maximum(c, COST_FLOOR_REL * top)
 
 
-def with_fit(spec: CostModelSpec, flows: Sequence[FlowRecord], gamma: float) -> CostModelSpec:
+def with_fit(spec: CostModelSpec, flows: FlowTable, gamma: float) -> CostModelSpec:
     """Copy of ``spec`` carrying the fitted gamma and the derived base
     cost beta = theta * gamma * (maximum pre-base relative cost); zero
     for the label-based models, which have no base term."""
     if spec.kind is CostKind.LINEAR:
-        base_ref = max(f.distance_miles for f in flows)
+        base_ref = float(flows.distance.max())
     elif spec.kind is CostKind.CONCAVE:
         base_ref = _concave_base_ref(spec)
     else:
@@ -128,38 +141,54 @@ def with_fit(spec: CostModelSpec, flows: Sequence[FlowRecord], gamma: float) -> 
     return replace(spec, gamma=gamma, beta=spec.theta * gamma * base_ref)
 
 
-def class_labels(spec: CostModelSpec, flows: Sequence[FlowRecord]) -> list[str | None]:
+def class_labels(spec: CostModelSpec, flows: FlowTable) -> np.ndarray | None:
     """Bundling class of each flow under this cost model.
 
     Regional pricing classes by region, destination-type pricing by the
-    explicit label (None when unlabeled); distance-only models have no
-    classes.
+    explicit label (None per unlabeled flow, or None overall when no
+    flow is labeled); distance-only models have no classes (None).
     """
     if spec.kind is CostKind.REGIONAL:
-        return [classify_region(f) for f in flows]
+        return classify_regions(flows)
     if spec.kind is CostKind.DEST_TYPE:
-        return [f.dest_type for f in flows]
-    return [None] * len(flows)
+        return flows.dest_type
+    return None
 
 
-def split_by_dest_type(flows: Sequence[FlowRecord], theta: float) -> list[FlowRecord]:
+def split_by_dest_type(flows: FlowTable, theta: float) -> FlowTable:
     """Split unlabeled flows into customer/peer subflows.
 
     theta is the customer share of each flow's traffic; the complement
-    goes to peers. Labeled flows pass through unchanged. Used when the
+    goes to peers. Each unlabeled flow becomes ``<id>/cust`` then
+    ``<id>/peer`` (a part with zero share is left out) in its place;
+    labeled flows pass through unchanged. Used when the
     class-constrained bundler needs pure destination-type classes.
     """
     if not 0.0 <= theta <= 1.0:
         raise DomainError(f"customer share theta must be in [0,1], got {theta}")
-    out: list[FlowRecord] = []
-    for f in flows:
-        if f.dest_type is not None:
-            out.append(f)
-            continue
-        if theta > 0.0:
-            out.append(FlowRecord(f.flow_id + "/cust", theta * f.demand_mbps,
-                                  f.distance_miles, f.region, "customer"))
-        if theta < 1.0:
-            out.append(FlowRecord(f.flow_id + "/peer", (1.0 - theta) * f.demand_mbps,
-                                  f.distance_miles, f.region, "peer"))
-    return out
+    parts = []
+    if theta > 0.0:
+        parts.append(("/cust", theta, "customer"))
+    if theta < 1.0:
+        parts.append(("/peer", 1.0 - theta, "peer"))
+    suffixes, shares, labels = zip(*parts)
+    suffixes, shares = np.array(suffixes), np.array(shares)
+    n = len(flows)
+    labeled = (np.zeros(n, dtype=bool) if flows.dest_type is None
+               else ~np.equal(flows.dest_type, None))
+    counts = np.where(labeled, 1, len(parts))
+    src = np.repeat(np.arange(n), counts)
+    # position of each output row among its source flow's parts
+    slot = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+    split = ~labeled[src]
+    demand = flows.demand[src]
+    dest_type = np.array(labels, dtype=object)[slot]
+    if flows.dest_type is not None:
+        dest_type[~split] = flows.dest_type[src[~split]]
+    return FlowTable(
+        ids=np.where(split, np.char.add(flows.ids[src], suffixes[slot]), flows.ids[src]),
+        demand=np.where(split, shares[slot] * demand, demand),
+        distance=flows.distance[src],
+        region=None if flows.region is None else flows.region[src],
+        dest_type=dest_type,
+    )

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .cost_models import realize_costs
-from .domain import DomainError, EmptyBundle, FittedFlow, NonPositiveGamma
+from .domain import DomainError, EmptyBundle, FittedTable, NonPositiveGamma
 
 
 def ced_demand(v, p, alpha: float):
@@ -136,12 +136,12 @@ def bundle_profit_closed_form(w_sum, x_sum, alpha: float):
         * np.asarray(x_sum, dtype=float) ** (1.0 - alpha)
 
 
-@dataclass(frozen=True)
-class CedFit:
-    """A fitted constant-elasticity market: flows with (q, d, v, c),
-    the global alpha, and the cost scaling gamma."""
+@dataclass(frozen=True, eq=False)
+class CedFit(FittedTable):
+    """A fitted constant-elasticity market: the per-flow arrays
+    (ids, q, d, v, c, class labels), the global alpha, and the cost
+    scaling gamma."""
 
-    flows: tuple[FittedFlow, ...]
     alpha: float
     gamma: float
 
@@ -158,19 +158,12 @@ def fit_ced(
     """Fit valuations and the cost scaling for one market snapshot.
 
     ``rel_costs`` are the pre-gamma relative costs f(d) of the chosen
-    cost model, aligned with ``q`` and ``d``.
+    cost model, aligned with ``q`` and ``d``; ``labels`` are the
+    flows' bundling classes (None when the cost model has none).
     """
     if not alpha > 1.0:
         raise DomainError(f"CED requires alpha > 1, got {alpha}")
-    q = np.asarray(q, dtype=float)
-    d = np.asarray(d, dtype=float)
     v = ced_fit_valuations(q, p0, alpha)
     gamma = ced_fit_gamma(v, rel_costs, p0, alpha)
     c = realize_costs(rel_costs, gamma)
-    if labels is None:
-        labels = [None] * len(flow_ids)
-    flows = tuple(
-        FittedFlow(fid, float(qi), float(di), float(vi), float(ci), lab)
-        for fid, qi, di, vi, ci, lab in zip(flow_ids, q, d, v, c, labels)
-    )
-    return CedFit(flows=flows, alpha=alpha, gamma=gamma)
+    return CedFit(flow_ids, q, d, v, c, labels, alpha=alpha, gamma=gamma)

@@ -28,7 +28,7 @@ from .cost_models import realize_costs
 from .domain import (
     DomainError,
     EmptyBundle,
-    FittedFlow,
+    FittedTable,
     NoConvergence,
     NonPositiveGamma,
     OverflowGuard,
@@ -261,13 +261,12 @@ def logit_potential_profit(q, alpha: float, s0: float, consumer_mass: float):
     return consumer_mass * (1.0 - s0) * q / (alpha * s0)
 
 
-@dataclass(frozen=True)
-class LogitFit:
-    """A fitted logit market: flows with (q, d, v, c), alpha, gamma,
-    the non-buying share s0 at the blended rate, and the consumer mass
-    K = sum(q)/(1-s0)."""
+@dataclass(frozen=True, eq=False)
+class LogitFit(FittedTable):
+    """A fitted logit market: the per-flow arrays (ids, q, d, v, c,
+    class labels), alpha, gamma, the non-buying share s0 at the blended
+    rate, and the consumer mass K = sum(q)/(1-s0)."""
 
-    flows: tuple[FittedFlow, ...]
     alpha: float
     gamma: float
     s0: float
@@ -288,16 +287,9 @@ def fit_logit(
     if not alpha > 0.0:
         raise DomainError(f"logit requires alpha > 0, got {alpha}")
     q = np.asarray(q, dtype=float)
-    d = np.asarray(d, dtype=float)
     v = logit_fit_valuations(q, p0, alpha, s0)
     gamma = logit_fit_gamma(v, rel_costs, p0, alpha)
     c = realize_costs(rel_costs, gamma)
     consumer_mass = float(np.sum(q) / (1.0 - s0))
-    if labels is None:
-        labels = [None] * len(flow_ids)
-    flows = tuple(
-        FittedFlow(fid, float(qi), float(di), float(vi), float(ci), lab)
-        for fid, qi, di, vi, ci, lab in zip(flow_ids, q, d, v, c, labels)
-    )
-    return LogitFit(flows=flows, alpha=alpha, gamma=gamma, s0=s0,
+    return LogitFit(flow_ids, q, d, v, c, labels, alpha=alpha, gamma=gamma, s0=s0,
                     consumer_mass=consumer_mass)

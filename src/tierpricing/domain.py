@@ -1,8 +1,12 @@
 """Core value types and exceptions shared across the pricing engine.
 
-All types are immutable after construction and safe to share between
-concurrent workers. Units are fixed throughout the package: demand in
-Mbit/s, distance in miles, money in $/Mbps/month.
+Flows are held column-wise: a ``FlowTable`` keeps one array per field
+(ids, demand, distance and the optional labels), and the fitted
+markets and ``Bundling`` keep arrays aligned with the same flow order.
+There is no per-flow object. All types are immutable after
+construction (their arrays are read-only; writable inputs are copied)
+and safe to share between concurrent workers. Units are fixed throughout the package:
+demand in Mbit/s, distance in miles, money in $/Mbps/month.
 """
 
 from __future__ import annotations
@@ -123,31 +127,98 @@ DEST_TYPES = ("customer", "peer")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One ingested traffic flow.
+def _frozen_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only one-dimensional array of ``dtype``.
 
-    ``demand_mbps`` is the billed volume of the flow (95th-percentile
-    style), ``distance_miles`` the distance its traffic covers. Region
-    and destination-type labels are optional; when absent they are
-    inferred from distance or treated as a mixture by the cost models.
+    An array that is already read-only and of that type is shared, so
+    the tables built from one another (flows, fit, context) hold one
+    copy of each column; anything else is copied.
+    """
+    if (isinstance(values, np.ndarray) and not values.flags.writeable
+            and values.dtype.type is np.dtype(dtype).type):
+        out = values
+    else:
+        out = np.array(values, dtype=dtype)
+        out.flags.writeable = False
+    if out.ndim != 1:
+        raise DomainError(f"expected a one-dimensional array, got shape {out.shape}")
+    return out
+
+
+def _first(bad: np.ndarray) -> int | None:
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
+def _labels_column(ids: np.ndarray, values, allowed: tuple[str, ...] | None,
+                   name: str) -> np.ndarray | None:
+    """Read-only object array of labels (from ``allowed``, unless that
+    is None) or None; a column without any label is stored as None."""
+    if values is None:
+        return None
+    column = _frozen_array(values, object)
+    if len(column) != len(ids):
+        raise DomainError(f"{len(column)} {name} labels for {len(ids)} flows")
+    absent = np.equal(column, None)
+    if absent.all():
+        return None
+    if allowed is None:
+        return column
+    known = absent.copy()
+    for label in allowed:
+        known |= column == label
+    bad = _first(~known)
+    if bad is not None:
+        raise DomainError(f"flow {ids[bad]}: unknown {name} {column[bad]!r}")
+    return column
+
+
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """The ingested traffic flows, one array element per flow.
+
+    ``ids`` is a unicode array of flow ids; ``demand`` is the billed
+    volume of each flow in Mbit/s (95th-percentile style) and
+    ``distance`` the miles its traffic covers, both float64. ``region``
+    and ``dest_type`` are None when no flow carries that label, else
+    object arrays holding a label or None per flow; unlabeled flows
+    are classed by distance or treated as a mixture by the cost
+    models. Every array is read-only (a writable input is copied), so
+    a table can be shared freely. Instances compare by identity.
     """
 
-    flow_id: str
-    demand_mbps: float
-    distance_miles: float
-    region: Optional[str] = None
-    dest_type: Optional[str] = None
+    ids: np.ndarray
+    demand: np.ndarray
+    distance: np.ndarray
+    region: Optional[np.ndarray] = None
+    dest_type: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.demand_mbps < 0:
-            raise DomainError(f"flow {self.flow_id}: negative demand {self.demand_mbps}")
-        if self.distance_miles < 0:
-            raise DomainError(f"flow {self.flow_id}: negative distance {self.distance_miles}")
-        if self.region is not None and self.region not in REGIONS:
-            raise DomainError(f"flow {self.flow_id}: unknown region {self.region!r}")
-        if self.dest_type is not None and self.dest_type not in DEST_TYPES:
-            raise DomainError(f"flow {self.flow_id}: unknown dest_type {self.dest_type!r}")
+        set_ = object.__setattr__
+        ids = _frozen_array(self.ids, np.str_)
+        demand = _frozen_array(self.demand, np.float64)
+        distance = _frozen_array(self.distance, np.float64)
+        if not len(ids) == len(demand) == len(distance):
+            raise DomainError(
+                f"{len(ids)} flow ids, {len(demand)} demands and "
+                f"{len(distance)} distances"
+            )
+        for name, values in (("demand", demand), ("distance", distance)):
+            bad = _first(~np.isfinite(values))
+            if bad is not None:
+                raise DomainError(f"flow {ids[bad]}: non-finite {name} {values[bad]}")
+            bad = _first(values < 0)
+            if bad is not None:
+                raise DomainError(f"flow {ids[bad]}: negative {name} {values[bad]}")
+        set_(self, "ids", ids)
+        set_(self, "demand", demand)
+        set_(self, "distance", distance)
+        set_(self, "region", _labels_column(ids, self.region, REGIONS, "region"))
+        set_(self, "dest_type",
+             _labels_column(ids, self.dest_type, DEST_TYPES, "dest_type"))
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -220,23 +291,43 @@ class CostModelSpec:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
 
 
-@dataclass(frozen=True)
-class FittedFlow:
-    """A flow after model fitting: observed demand q, distance d,
-    valuation coefficient v and realized unit cost c."""
+@dataclass(frozen=True, eq=False)
+class FittedTable:
+    """Flows after model fitting, one array element per flow.
 
-    flow_id: str
-    q: float
-    d: float
-    v: float
-    c: float
-    class_label: Optional[str] = None
+    ``ids`` are the flow ids, ``q`` the observed demand, ``d`` the
+    distance, ``v`` the valuation coefficient and ``c`` the realized
+    unit cost (float64, q and c positive). ``class_labels`` is None
+    when no flow has a bundling class, else an object array holding a
+    class name or None per flow. Every array is read-only (a writable
+    input is copied). Instances compare by identity.
+    """
+
+    ids: np.ndarray
+    q: np.ndarray
+    d: np.ndarray
+    v: np.ndarray
+    c: np.ndarray
+    class_labels: Optional[np.ndarray]
 
     def __post_init__(self):
-        if not self.q > 0:
-            raise DomainError(f"flow {self.flow_id}: fitted demand must be > 0")
-        if not self.c > 0:
-            raise DomainError(f"flow {self.flow_id}: fitted cost must be > 0")
+        set_ = object.__setattr__
+        ids = _frozen_array(self.ids, np.str_)
+        set_(self, "ids", ids)
+        for name in ("q", "d", "v", "c"):
+            values = _frozen_array(getattr(self, name), np.float64)
+            if len(values) != len(ids):
+                raise DomainError(f"{len(values)} fitted {name} values for {len(ids)} flows")
+            set_(self, name, values)
+        set_(self, "class_labels",
+             _labels_column(ids, self.class_labels, None, "class"))
+        for name, values in (("demand", self.q), ("cost", self.c)):
+            bad = _first(~(values > 0))
+            if bad is not None:
+                raise DomainError(f"flow {ids[bad]}: fitted {name} must be > 0")
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True, eq=False)

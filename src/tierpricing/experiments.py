@@ -28,7 +28,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bundling import (
     FULL_PARTITION_LIMIT,
@@ -46,11 +46,11 @@ from .domain import (
     CostKind,
     CostModelSpec,
     DemandModel,
-    FlowRecord,
+    FlowTable,
     MarketParams,
     validate_params,
 )
-from .ingestion import flow_arrays, preset_moments, read_flows_csv, synth_generate
+from .ingestion import preset_moments, read_flows_csv, synth_generate
 
 log = logging.getLogger(__name__)
 
@@ -132,7 +132,7 @@ def market_params(config: ExperimentConfig) -> MarketParams:
     return MarketParams(config.demand_model, config.alpha, config.p0, s0=s0)
 
 
-def load_flows(config: ExperimentConfig) -> list[FlowRecord]:
+def load_flows(config: ExperimentConfig) -> FlowTable:
     """Load or synthesize the flow set (never mutates inputs)."""
     if config.input_csv is not None:
         flows = read_flows_csv(config.input_csv)
@@ -140,7 +140,7 @@ def load_flows(config: ExperimentConfig) -> list[FlowRecord]:
         flows = synth_generate(
             preset_moments(config.preset, n_flows=config.n_flows, seed=config.seed)
         )
-    if not flows:
+    if len(flows) == 0:
         raise ConfigError("flow set is empty after ingestion")
     if config.split_dest_type and config.cost_kind is CostKind.DEST_TYPE:
         flows = split_by_dest_type(flows, config.theta)
@@ -148,7 +148,7 @@ def load_flows(config: ExperimentConfig) -> list[FlowRecord]:
 
 
 def fit_context(
-    flows: Sequence[FlowRecord],
+    flows: FlowTable,
     config: ExperimentConfig,
     *,
     alpha: float | None = None,
@@ -165,7 +165,7 @@ def fit_context(
     spec = CostModelSpec(kind=config.cost_kind, theta=theta)
     rel = relative_costs(spec, flows)
     labels = class_labels(spec, flows)
-    ids, q, d = flow_arrays(flows)
+    ids, q, d = flows.ids, flows.demand, flows.distance
     if config.demand_model is DemandModel.CED:
         fit = fit_ced(ids, q, d, rel, p0, alpha, labels)
         return ModelContext.from_ced(
@@ -219,7 +219,7 @@ def run_capture_curve(config: ExperimentConfig) -> tuple[list[dict], dict]:
     return rows, meta
 
 
-def _theta_point(config: ExperimentConfig, flows: Sequence[FlowRecord],
+def _theta_point(config: ExperimentConfig, flows: FlowTable,
                  theta: float) -> tuple[list[dict], dict]:
     ctx = fit_context(flows, config, theta=theta)
     rows = []
@@ -258,7 +258,7 @@ def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     return rows, meta
 
 
-def _sensitivity_point(config: ExperimentConfig, flows: Sequence[FlowRecord],
+def _sensitivity_point(config: ExperimentConfig, flows: FlowTable,
                        param: str, value: float) -> list[dict]:
     ctx = fit_context(flows, config, **{param: value})
     rows = []
@@ -316,7 +316,7 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     return rows, meta
 
 
-def _cost_meta(config: ExperimentConfig, flows, ctx: ModelContext,
+def _cost_meta(config: ExperimentConfig, flows: FlowTable, ctx: ModelContext,
                theta: float) -> dict:
     spec = with_fit(CostModelSpec(kind=config.cost_kind, theta=theta),
                     flows, ctx.gamma)

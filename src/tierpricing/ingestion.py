@@ -1,10 +1,17 @@
 """Flow CSV ingestion and moment-matched synthetic flow generation.
 
+Both sources produce a ``FlowTable``: one array per column, in the
+order the flows were first seen (CSV) or generated (synthetic). The
+CSV reader is the only per-row code; it builds the arrays once, after
+the last row.
+
 The input format is a UTF-8 CSV with header
 ``flow_id,demand_mbps,distance_miles,region,dest_type`` ('.' decimal
-separator; the last two columns may be blank). Rows sharing a flow_id
-are aggregated (demands summed, distance demand-weighted); zero-demand
-rows are dropped with a counted warning.
+separator; the last two columns may be blank). A missing or
+non-numeric field, a non-finite or a negative value is a ParseError
+naming the line. Rows sharing a flow_id are aggregated (demands
+summed, distance demand-weighted); zero-demand rows are dropped with a
+counted warning.
 
 The synthetic generator stands in for proprietary traffic datasets: it
 draws demands and distances from independent lognormals and calibrates
@@ -18,15 +25,15 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .domain import (
     DomainError,
-    FittedFlow,
-    FlowRecord,
+    FittedTable,
+    FlowTable,
     MarketParams,
     DemandModel,
     MissingColumn,
@@ -90,20 +97,26 @@ def preset_moments(name: str, n_flows: int | None = None, seed: int | None = Non
 # ---------------------------------------------------------------------------
 
 
-def _parse_float(text: str, column: str, line: int) -> float:
+def _parse_float(text: str | None, column: str, line: int) -> float:
+    if text is None:
+        raise ParseError(f"line {line}: missing {column} value", line=line)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"line {line}: bad {column} value {text!r}", line=line)
+    if not math.isfinite(value):
+        raise ParseError(f"line {line}: non-finite {column} value {text!r}", line=line)
+    return value
 
 
-def read_flows_csv(path) -> list[FlowRecord]:
+def read_flows_csv(path) -> FlowTable:
     """Parse a flow CSV, aggregating duplicate flow ids.
 
     Duplicate ids have their demands summed and distances averaged with
     demand weights (so re-reading never double-counts a flow recorded
     by several routers); the first non-blank label of each kind wins.
     Zero-demand rows are dropped and counted in a single warning.
+    Flows keep the order of their first row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -144,54 +157,67 @@ def read_flows_csv(path) -> list[FlowRecord]:
                 slot["dest_type"] = slot["dest_type"] or dest_type
     if dropped:
         log.warning("%s: dropped %d zero-demand rows", path, dropped)
-    return [
-        FlowRecord(fid, s["demand"], s["distance"], s["region"], s["dest_type"])
-        for fid, s in acc.items()
-    ]
+    slots = acc.values()
+    return FlowTable(
+        ids=list(acc),
+        demand=[s["demand"] for s in slots],
+        distance=[s["distance"] for s in slots],
+        region=[s["region"] for s in slots],
+        dest_type=[s["dest_type"] for s in slots],
+    )
 
 
-def write_flows_csv(path, flows: Iterable[FlowRecord]) -> None:
+def _labels(column: np.ndarray | None, n: int) -> list:
+    return [None] * n if column is None else column.tolist()
+
+
+def write_flows_csv(path, flows: FlowTable) -> None:
     """Write flows in the input CSV format; floats use repr so a
     read-back reproduces them bit-identically."""
+    n = len(flows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FLOW_COLUMNS)
-        for f in flows:
-            writer.writerow([
-                f.flow_id, repr(f.demand_mbps), repr(f.distance_miles),
-                f.region or "", f.dest_type or "",
-            ])
+        # tolist() gives Python floats, whose repr is the plain number
+        writer.writerows(
+            (fid, repr(q), repr(d), region or "", dest_type or "")
+            for fid, q, d, region, dest_type in zip(
+                flows.ids.tolist(), flows.demand.tolist(), flows.distance.tolist(),
+                _labels(flows.region, n), _labels(flows.dest_type, n),
+            )
+        )
 
 
-def write_fitted_csv(path, flows: Iterable[FittedFlow]) -> None:
+def write_fitted_csv(path, fitted: FittedTable) -> None:
+    """Write fitted flows (a fit or a ``ModelContext``); floats use repr
+    so a read-back reproduces them bit-identically."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FITTED_COLUMNS)
-        for f in flows:
-            writer.writerow([
-                f.flow_id, repr(f.q), repr(f.d), repr(f.v), repr(f.c),
-                f.class_label or "",
-            ])
+        writer.writerows(
+            (fid, repr(q), repr(d), repr(v), repr(c), label or "")
+            for fid, q, d, v, c, label in zip(
+                fitted.ids.tolist(), fitted.q.tolist(), fitted.d.tolist(),
+                fitted.v.tolist(), fitted.c.tolist(),
+                _labels(fitted.class_labels, len(fitted)),
+            )
+        )
 
 
-def read_fitted_csv(path) -> list[FittedFlow]:
+def read_fitted_csv(path) -> FittedTable:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in FITTED_COLUMNS[:-1]:
             if col not in header:
                 raise MissingColumn(f"missing column {col!r} in {path}")
-        out = []
+        columns: dict[str, list] = {col: [] for col in FITTED_COLUMNS}
         for line, row in enumerate(reader, start=2):
-            out.append(FittedFlow(
-                row["flow_id"],
-                _parse_float(row["q"], "q", line),
-                _parse_float(row["d"], "d", line),
-                _parse_float(row["v"], "v", line),
-                _parse_float(row["c"], "c", line),
-                (row.get("class_label") or "").strip() or None,
-            ))
-    return out
+            columns["flow_id"].append(row["flow_id"])
+            for col in ("q", "d", "v", "c"):
+                columns[col].append(_parse_float(row[col], col, line))
+            columns["class_label"].append((row.get("class_label") or "").strip() or None)
+    return FittedTable(*columns.values())
 
 
 def write_params_csv(path, params: MarketParams) -> None:
@@ -267,7 +293,7 @@ def _calibrated_lognormal(z: np.ndarray, cv: float) -> np.ndarray:
     return np.exp(sigma * z)
 
 
-def synth_generate(moments: DatasetMoments) -> list[FlowRecord]:
+def synth_generate(moments: DatasetMoments) -> FlowTable:
     """Generate flows whose sample moments match ``moments``.
 
     Demands and distances are independent lognormals (the reference
@@ -299,15 +325,5 @@ def synth_generate(moments: DatasetMoments) -> list[FlowRecord]:
             residual=abs(got - target) / target,
         )
     width = len(str(n - 1))
-    return [
-        FlowRecord(f"synth-{i:0{width}d}", float(q[i]), float(d[i]))
-        for i in range(n)
-    ]
-
-
-def flow_arrays(flows: Sequence[FlowRecord]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Split flow records into (ids, demand, distance) arrays."""
-    ids = [f.flow_id for f in flows]
-    q = np.array([f.demand_mbps for f in flows])
-    d = np.array([f.distance_miles for f in flows])
-    return ids, q, d
+    ids = np.char.add("synth-", np.char.zfill(np.arange(n).astype(str), width))
+    return FlowTable(ids, q, d)

@@ -126,7 +126,7 @@ class TestDivisionStrategies:
         ctx = ced_context(rng, 6)
         object.__setattr__(ctx, "c", np.array([1.0, 4.99, 5.0, 7.0, 10.0, 0.5]))
         b = build_bundles(Strategy.COST_DIVISION, ctx, 2)
-        assert ctx.ids == tuple(f"f{i:02d}" for i in range(6))
+        assert ctx.ids.tolist() == [f"f{i:02d}" for i in range(6)]
         assert b.labels.tolist() == [0, 0, 1, 1, 1, 0]
 
     def test_cost_division_empty_ranges_allowed(self):
@@ -168,7 +168,7 @@ class TestClassConstrained:
     def test_never_mixes_classes(self):
         rng = np.random.default_rng(5)
         ctx = self._labeled_context(rng)
-        labels = [f.class_label for f in ctx.flows]
+        labels = ctx.class_labels.tolist()
         for num_bundles in (2, 3, 5):
             b = build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, num_bundles)
             bundle_classes: dict[int, set] = {}
@@ -181,8 +181,8 @@ class TestClassConstrained:
         ctx = self._labeled_context(rng)
         b = build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, 2)
         bundles_of: dict[str, set] = {}
-        for f, bundle in zip(ctx.flows, b.labels.tolist()):
-            bundles_of.setdefault(f.class_label, set()).add(bundle)
+        for label, bundle in zip(ctx.class_labels.tolist(), b.labels.tolist()):
+            bundles_of.setdefault(label, set()).add(bundle)
         assert set(bundles_of) == {"customer", "peer"}
         assert bundles_of["customer"].isdisjoint(bundles_of["peer"])
 
@@ -544,3 +544,62 @@ class TestEvaluateOracle:
         ctx = ced_context(np.random.default_rng(26), 5)
         with pytest.raises(DomainError):
             evaluate_bundling(ctx, Bundling([0, 1, 0], 2))
+
+
+def reference_class_constrained(ctx, num_bundles):
+    """Per-flow class-constrained loop: class masses summed flow by flow,
+    bundles allocated to classes by largest remainder, and each class
+    token-bucketed on its own. Returns labels in flow order."""
+    classes_of = ctx.class_labels.tolist()
+    weights = ctx.potential_profits()
+    mass = {}
+    for lab, w in zip(classes_of, weights):
+        mass[lab] = mass.get(lab, 0.0) + float(w)
+    classes = sorted(mass, key=lambda lab: (-mass[lab], lab))
+    ids = ctx.ids.tolist()
+    if num_bundles < len(classes):
+        return reference_token_bucket(weights, ids, num_bundles)
+    total = sum(mass.values())
+    alloc = {lab: 1 for lab in classes}
+    for _ in range(num_bundles - len(classes)):
+        lab = max(classes, key=lambda l: num_bundles * mass[l] / total - alloc[l])
+        alloc[lab] += 1
+    labels = [None] * len(ids)
+    offset = 0
+    for lab in classes:
+        members = [i for i, other in enumerate(classes_of) if other == lab]
+        sub = reference_token_bucket(weights[members], [ids[i] for i in members],
+                                     alloc[lab])
+        for i, b in zip(members, sub):
+            labels[i] = offset + b
+        offset += alloc[lab]
+    return labels
+
+
+@st.composite
+def classed_contexts(draw):
+    n = draw(st.integers(2, 30))
+    names = draw(st.sampled_from([("peer", "customer"),
+                                  ("metro", "national", "international")]))
+    labels = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+    # the markets of ced_context / logit_context, with class labels
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.lognormal(1.0, 1.2, size=n)
+    d = rng.uniform(1.0, 100.0, size=n)
+    rel = d + 0.1 * d.max()
+    ids = [f"f{i:02d}" for i in range(n)]
+    if draw(st.booleans()):
+        ctx = ModelContext.from_ced(fit_ced(ids, q, d, rel, 20.0, 1.5, labels), 20.0)
+    else:
+        ctx = ModelContext.from_logit(
+            fit_logit(ids, q, d, rel, 20.0, 1.1, 0.2, labels), 20.0)
+    return ctx, draw(st.integers(1, n + 2))
+
+
+class TestClassConstrainedOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(classed_contexts())
+    def test_labels_equal_per_flow_loop(self, case):
+        ctx, num_bundles = case
+        b = build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, num_bundles)
+        assert np.array_equal(b.labels, reference_class_constrained(ctx, num_bundles))

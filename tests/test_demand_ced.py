@@ -209,9 +209,7 @@ class TestFitting:
             f_d = rng.uniform(0.2, 30.0, size=80)
             p0 = 20.0
             fit = fit_ced([f"f{i}" for i in range(80)], q, q * 0 + 1.0, f_d, p0, alpha)
-            v = np.array([f.v for f in fit.flows])
-            c = np.array([f.c for f in fit.flows])
-            assert ced_bundle_price(v, c, alpha) == pytest.approx(p0, rel=1e-6)
+            assert ced_bundle_price(fit.v, fit.c, alpha) == pytest.approx(p0, rel=1e-6)
 
 
 class TestPotentialProfit:

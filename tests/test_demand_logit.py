@@ -304,8 +304,7 @@ class TestFitting:
         q = rng.lognormal(0.5, 1.0, size=30)
         d = rng.uniform(1, 100, size=30)
         fit = fit_logit([f"f{i}" for i in range(30)], q, d, d + 5.0, 20.0, 1.1, 0.2)
-        v = np.array([f.v for f in fit.flows])
-        demand = logit_demand(v, np.full(30, 20.0), 1.1, fit.consumer_mass)
+        demand = logit_demand(fit.v, np.full(30, 20.0), 1.1, fit.consumer_mass)
         np.testing.assert_allclose(demand, q, rtol=1e-9)
 
 

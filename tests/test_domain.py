@@ -9,7 +9,8 @@ from tierpricing.domain import (
     Bundling,
     DemandModel,
     DomainError,
-    FlowRecord,
+    FittedTable,
+    FlowTable,
     InvalidAlpha,
     InvalidPrice,
     InvalidShare,
@@ -48,25 +49,83 @@ class TestValidateParams:
             validate_params(MarketParams(DemandModel.CED, alpha=2.0, p0=p0))
 
 
+def _table(demand=(1.0, 2.0, 3.0), distance=(10.0, 20.0, 30.0), **kw):
+    return FlowTable(["f", "g", "h"][:len(demand)], list(demand), list(distance), **kw)
+
+
 class TestFlowRecord:
+    """Per-flow checks of a FlowTable; errors name the first bad flow."""
+
     def test_rejects_negative_demand(self):
-        with pytest.raises(DomainError):
-            FlowRecord("f", -1.0, 10.0)
+        with pytest.raises(DomainError, match="flow g: negative demand"):
+            _table(demand=(1.0, -1.0, -2.0))
 
     def test_rejects_negative_distance(self):
-        with pytest.raises(DomainError):
-            FlowRecord("f", 1.0, -10.0)
+        with pytest.raises(DomainError, match="flow h: negative distance"):
+            _table(distance=(10.0, 20.0, -10.0))
 
     def test_rejects_unknown_labels(self):
-        with pytest.raises(DomainError):
-            FlowRecord("f", 1.0, 10.0, region="continental")
-        with pytest.raises(DomainError):
-            FlowRecord("f", 1.0, 10.0, dest_type="transit")
+        with pytest.raises(DomainError, match="flow g: unknown region 'continental'"):
+            _table(region=[None, "continental", "metro"])
+        with pytest.raises(DomainError, match="flow f: unknown dest_type 'transit'"):
+            _table(dest_type=["transit", "peer", None])
 
     def test_immutable(self):
-        flow = FlowRecord("f", 1.0, 10.0)
+        flows = _table()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            flow.demand_mbps = 2.0
+            flows.demand = np.ones(3)
+        for column in (flows.ids, flows.demand, flows.distance):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(DomainError, match="flow g: non-finite demand"):
+            _table(demand=(1.0, bad, 2.0))
+        with pytest.raises(DomainError, match="flow f: non-finite distance"):
+            _table(distance=(bad, 1.0, bad))
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(DomainError):
+            FlowTable(["f", "g"], [1.0, 2.0, 3.0], [1.0, 2.0])
+        with pytest.raises(DomainError):
+            _table(region=["metro"])
+
+    def test_columns_are_copies_and_unlabeled_columns_are_none(self):
+        demand = np.array([1.0, 2.0, 3.0])
+        flows = _table(demand=demand, region=[None, None, None],
+                       dest_type=[None, "peer", None])
+        demand[0] = 9.0
+        assert flows.demand.tolist() == [1.0, 2.0, 3.0]
+        assert flows.ids.dtype.kind == "U"
+        assert flows.region is None
+        assert flows.dest_type.tolist() == [None, "peer", None]
+        assert len(flows) == 3
+
+
+class TestFittedTable:
+    def test_read_only_columns_are_shared(self):
+        flows = _table()
+        fitted = FittedTable(flows.ids, flows.demand, flows.distance,
+                             np.ones(3), np.ones(3), None)
+        assert fitted.ids is flows.ids
+        assert fitted.q is flows.demand
+        assert not fitted.v.flags.writeable
+
+
+    def test_rejects_nonpositive_demand_and_cost(self):
+        ones = np.ones(3)
+        with pytest.raises(DomainError, match="flow g: fitted demand"):
+            FittedTable(["f", "g", "h"], [1.0, 0.0, 1.0], ones, ones, ones, None)
+        with pytest.raises(DomainError, match="flow h: fitted cost"):
+            FittedTable(["f", "g", "h"], ones, ones, ones, [1.0, 1.0, float("nan")], None)
+
+    def test_rejects_misaligned_arrays(self):
+        ones = np.ones(3)
+        with pytest.raises(DomainError):
+            FittedTable(["f", "g"], ones, ones, ones, ones, None)
+        with pytest.raises(DomainError):
+            FittedTable(["f", "g", "h"], ones, ones, ones, ones, ["metro"])
 
 
 class TestBundling:

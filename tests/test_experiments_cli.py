@@ -3,12 +3,14 @@
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import tierpricing
 from tierpricing.bundling import Strategy
 from tierpricing.domain import ConfigError, CostKind, DemandModel
 from tierpricing.experiments import (
@@ -108,9 +110,10 @@ class TestThetaSweep:
         # and per-bundle pricing reproduces the blended profit exactly
         from tierpricing.bundling import build_bundles, evaluate_bundling
         from tierpricing.demand_ced import ced_bundle_price
-        from tierpricing.domain import DegenerateBaseline, FlowRecord
+        from tierpricing.domain import DegenerateBaseline, FlowTable
 
-        flows = [FlowRecord(f"f{i}", 10.0, float(5 + 10 * i)) for i in range(8)]
+        flows = FlowTable([f"f{i}" for i in range(8)], np.full(8, 10.0),
+                          [float(5 + 10 * i) for i in range(8)])
         cfg = small_config(cost_kind=CostKind.REGIONAL, theta=0.0)
         ctx = fit_context(flows, cfg)
         assert ctx.pi_max == pytest.approx(ctx.pi_orig, rel=1e-12)
@@ -212,9 +215,13 @@ class TestWriteResults:
 
 
 def run_cli(*args):
+    # the child imports the same tierpricing as this process, also when
+    # pytest put src/ on sys.path without setting PYTHONPATH
+    src = os.path.dirname(os.path.dirname(tierpricing.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "tierpricing.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -237,6 +244,7 @@ class TestCli:
 
         fitted = read_fitted_csv(out)
         assert len(fitted) == 50
+        assert len(fitted.ids) == len(fitted.v) == 50
         params = read_params_csv(f"{out}.params.csv")
         assert params.consumer_mass is not None
 
@@ -295,6 +303,20 @@ class TestCli:
                       "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 3
         assert "numerical" in res.stderr.lower()
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("row", ["c,5", "c,nan,10", "c,3,inf"])
+    def test_malformed_input_row_is_a_config_error(self, tmp_path, row):
+        # a short row, or a non-finite value the fit would turn into
+        # a nonsensical gamma, is reported against its line
+        flows = tmp_path / "flows.csv"
+        flows.write_text("flow_id,demand_mbps,distance_miles\na,5,10\nb,2,30\n"
+                         f"{row}\n", encoding="utf-8")
+        res = run_cli("capture", "--input", str(flows), "--bundles", "1,2",
+                      "--strategy", "cost-division", "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 2, res.stderr
+        assert "line 4" in res.stderr
+        assert "Traceback" not in res.stderr
         assert not (tmp_path / "x.csv").exists()
 
     def test_theta_sweep_cli(self, tmp_path):

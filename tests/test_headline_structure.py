@@ -23,9 +23,8 @@ from tierpricing.bundling import (
 )
 from tierpricing.cost_models import class_labels, relative_costs, split_by_dest_type
 from tierpricing.demand_ced import fit_ced
-from tierpricing.domain import CostKind, CostModelSpec, FlowRecord
+from tierpricing.domain import CostKind, CostModelSpec, FlowTable
 from tierpricing.experiments import ExperimentConfig, fit_context, load_flows
-from tierpricing.ingestion import flow_arrays
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +38,10 @@ def eu_aligned(eu_independent):
     """Same marginals, comonotone alignment: the largest demand rides
     the shortest distance (the structure real transit data leans to)."""
     flows, _ = eu_independent
-    ids, q, d = flow_arrays(flows)
-    q_sorted = np.sort(q)[::-1]
-    d_sorted = np.sort(d)
+    q_sorted = np.sort(flows.demand)[::-1]
+    d_sorted = np.sort(flows.distance)
     rel = d_sorted + 0.2 * d_sorted.max()
-    fit = fit_ced(ids, q_sorted, d_sorted, rel, 20.0, 1.1)
+    fit = fit_ced(flows.ids, q_sorted, d_sorted, rel, 20.0, 1.1)
     return ModelContext.from_ced(fit, 20.0)
 
 
@@ -103,17 +101,15 @@ class TestTwoClassMarkets:
         # destination-type pricing with two pure classes: refusing to mix
         # classes dominates the unconstrained heuristic at two tiers
         rng = np.random.default_rng(5)
-        base = [
-            FlowRecord(f"f{i:04d}", float(rng.lognormal(2, 1.5)),
-                       float(rng.lognormal(3.5, 0.6)))
-            for i in range(400)
-        ]
+        draws = [(rng.lognormal(2, 1.5), rng.lognormal(3.5, 0.6)) for _ in range(400)]
+        base = FlowTable([f"f{i:04d}" for i in range(400)],
+                         [q for q, _ in draws], [d for _, d in draws])
         for theta in (0.3, 0.5, 0.7):
             flows = split_by_dest_type(base, theta)
             spec = CostModelSpec(CostKind.DEST_TYPE, theta=theta)
             rel = relative_costs(spec, flows)
-            ids, q, d = flow_arrays(flows)
-            fit = fit_ced(ids, q, d, rel, 20.0, 1.1, class_labels(spec, flows))
+            fit = fit_ced(flows.ids, flows.demand, flows.distance, rel, 20.0, 1.1,
+                          class_labels(spec, flows))
             ctx = ModelContext.from_ced(fit, 20.0)
             constrained = evaluate_bundling(
                 ctx, build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, 2)

@@ -1,13 +1,15 @@
 """CSV ingestion, round trips, and synthetic moment matching."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tierpricing.domain import (
     DemandModel,
     DomainError,
-    FittedFlow,
-    FlowRecord,
+    FittedTable,
+    FlowTable,
     MarketParams,
     MissingColumn,
     ParseError,
@@ -15,7 +17,6 @@ from tierpricing.domain import (
 from tierpricing.ingestion import (
     DatasetMoments,
     SYNTH_PRESETS,
-    flow_arrays,
     preset_moments,
     read_fitted_csv,
     read_flows_csv,
@@ -25,6 +26,16 @@ from tierpricing.ingestion import (
     write_flows_csv,
     write_params_csv,
 )
+
+
+def columns(table) -> dict:
+    """Every column of a FlowTable or FittedTable, as Python lists (None
+    for an absent label column), for exact comparison."""
+    out = {}
+    for field in dataclasses.fields(table):
+        value = getattr(table, field.name)
+        out[field.name] = None if value is None else value.tolist()
+    return out
 
 
 class TestReadFlows:
@@ -41,8 +52,8 @@ class TestReadFlows:
         ))
         flows = read_flows_csv(path)
         assert len(flows) == 1
-        assert flows[0].demand_mbps == pytest.approx(7.0)
-        assert flows[0].distance_miles == pytest.approx(10.0)
+        assert flows.demand[0] == pytest.approx(7.0)
+        assert flows.distance[0] == pytest.approx(10.0)
 
     def test_duplicate_distance_demand_weighted(self, tmp_path):
         path = self._write(tmp_path, (
@@ -51,7 +62,7 @@ class TestReadFlows:
             "a,3,40,,\n"
         ))
         flows = read_flows_csv(path)
-        assert flows[0].distance_miles == pytest.approx(30.0)
+        assert flows.distance[0] == pytest.approx(30.0)
 
     def test_zero_demand_dropped_with_warning(self, tmp_path, caplog):
         path = self._write(tmp_path, (
@@ -62,7 +73,7 @@ class TestReadFlows:
         ))
         with caplog.at_level("WARNING"):
             flows = read_flows_csv(path)
-        assert [f.flow_id for f in flows] == ["c"]
+        assert flows.ids.tolist() == ["c"]
         assert "2" in caplog.text
 
     def test_labels_honored(self, tmp_path):
@@ -70,13 +81,13 @@ class TestReadFlows:
             "flow_id,demand_mbps,distance_miles,region,dest_type\n"
             "a,5,500,metro,peer\n"
         ))
-        flow = read_flows_csv(path)[0]
-        assert flow.region == "metro"
-        assert flow.dest_type == "peer"
+        flows = read_flows_csv(path)
+        assert flows.region.tolist() == ["metro"]
+        assert flows.dest_type.tolist() == ["peer"]
 
     def test_optional_columns_may_be_absent(self, tmp_path):
         path = self._write(tmp_path, "flow_id,demand_mbps,distance_miles\na,5,10\n")
-        assert read_flows_csv(path)[0].region is None
+        assert read_flows_csv(path).region is None
 
     def test_missing_required_column(self, tmp_path):
         path = self._write(tmp_path, "flow_id,demand_mbps\na,5\n")
@@ -93,31 +104,60 @@ class TestReadFlows:
             read_flows_csv(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("row", ["b,5", "b", "b,,10", "b,5,"])
+    def test_missing_field_reports_line(self, tmp_path, row):
+        path = self._write(tmp_path, f"flow_id,demand_mbps,distance_miles\na,5,10\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            read_flows_csv(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("row", ["b,nan,10", "b,3,inf", "b,-inf,10", "b,3,NaN"])
+    def test_non_finite_value_reports_line(self, tmp_path, row):
+        path = self._write(tmp_path, f"flow_id,demand_mbps,distance_miles\na,5,10\n{row}\n")
+        with pytest.raises(ParseError, match="line 3: non-finite") as err:
+            read_flows_csv(path)
+        assert err.value.line == 3
+
+    def test_flows_keep_first_row_order(self, tmp_path):
+        path = self._write(tmp_path, (
+            "flow_id,demand_mbps,distance_miles,region,dest_type\n"
+            "b,1,10,,\n"
+            "a,2,20,,peer\n"
+            "b,3,10,national,\n"
+        ))
+        flows = read_flows_csv(path)
+        assert flows.ids.tolist() == ["b", "a"]
+        assert flows.demand.tolist() == [4.0, 2.0]
+        assert flows.region.tolist() == ["national", None]
+        assert flows.dest_type.tolist() == [None, "peer"]
+
 
 class TestRoundTrips:
     def test_flows_bit_identical(self, tmp_path):
         rng = np.random.default_rng(2)
-        flows = [
-            FlowRecord(f"f{i}", float(rng.lognormal(1, 1.7)), float(rng.uniform(0, 900)),
-                       region="metro" if i % 3 == 0 else None,
-                       dest_type="peer" if i % 2 else None)
-            for i in range(50)
-        ]
+        n = 50
+        flows = FlowTable(
+            [f"f{i}" for i in range(n)], rng.lognormal(1, 1.7, size=n),
+            rng.uniform(0, 900, size=n),
+            region=["metro" if i % 3 == 0 else None for i in range(n)],
+            dest_type=["peer" if i % 2 else None for i in range(n)],
+        )
         path = tmp_path / "flows.csv"
         write_flows_csv(path, flows)
-        assert read_flows_csv(path) == flows
+        assert columns(read_flows_csv(path)) == columns(flows)
 
     def test_fitted_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
-        fitted = [
-            FittedFlow(f"f{i}", float(rng.lognormal(1, 1.5)), float(rng.uniform(1, 900)),
-                       float(rng.uniform(1, 40)), float(rng.uniform(0.1, 10)),
-                       class_label="national" if i % 2 else None)
-            for i in range(40)
-        ]
+        n = 40
+        fitted = FittedTable(
+            [f"f{i}" for i in range(n)], rng.lognormal(1, 1.5, size=n),
+            rng.uniform(1, 900, size=n), rng.uniform(1, 40, size=n),
+            rng.uniform(0.1, 10, size=n),
+            ["national" if i % 2 else None for i in range(n)],
+        )
         path = tmp_path / "fitted.csv"
         write_fitted_csv(path, fitted)
-        assert read_fitted_csv(path) == fitted
+        assert columns(read_fitted_csv(path)) == columns(fitted)
 
     def test_params_bit_identical(self, tmp_path):
         for params in (
@@ -145,7 +185,8 @@ class TestSynth:
     @pytest.mark.parametrize("preset", ["eu-isp", "internet2"])
     def test_sample_moments_within_tolerance(self, preset):
         moments = preset_moments(preset, n_flows=10_000, seed=7)
-        _, q, d = flow_arrays(synth_generate(moments))
+        flows = synth_generate(moments)
+        q, d = flows.demand, flows.distance
         assert q.sum() == pytest.approx(moments.aggregate_gbps * 1000.0, rel=1e-9)
         assert q.std() / q.mean() == pytest.approx(moments.cv_demand, rel=0.05)
         assert d.std() / d.mean() == pytest.approx(moments.cv_distance, rel=0.05)
@@ -156,19 +197,20 @@ class TestSynth:
         m = preset_moments("eu-isp", n_flows=500, seed=42)
         a = synth_generate(m)
         b = synth_generate(m)
-        assert a == b
+        assert columns(a) == columns(b)
+        assert a.ids.tolist() == [f"synth-{i:03d}" for i in range(500)]
 
     def test_seeds_differ(self):
         a = synth_generate(preset_moments("eu-isp", n_flows=100, seed=1))
         b = synth_generate(preset_moments("eu-isp", n_flows=100, seed=2))
-        assert a != b
+        assert columns(a) != columns(b)
 
     def test_degenerate_cv_gives_constant_values(self):
         m = DatasetMoments(n_flows=50, weighted_avg_distance_miles=10.0,
                            cv_distance=0.0, aggregate_gbps=1.0, cv_demand=0.0, seed=0)
-        _, q, d = flow_arrays(synth_generate(m))
-        np.testing.assert_allclose(q, 1000.0 / 50)
-        np.testing.assert_allclose(d, 10.0)
+        flows = synth_generate(m)
+        np.testing.assert_allclose(flows.demand, 1000.0 / 50)
+        np.testing.assert_allclose(flows.distance, 10.0)
 
     def test_moment_validation(self):
         with pytest.raises(DomainError):
