@@ -2,7 +2,7 @@
 
 Six strategies partition flows into price tiers:
 
-* optimal           exhaustive search over set partitions (the oracle)
+* optimal           exact search over cost-contiguous partitions (the oracle)
 * demand-weighted   token buckets weighted by observed demand
 * cost-weighted     token buckets weighted by 1/cost
 * profit-weighted   token buckets weighted by standalone profit
@@ -22,6 +22,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,14 +53,9 @@ from .domain import (
     FittedTable,
     MissingClassLabels,
     TierOutcome,
-    TooManyFlows,
 )
 
 log = logging.getLogger(__name__)
-
-# Exhaustive search over all set partitions is limited to this many
-# units; beyond it flows are aggregated into quantile buckets first.
-FULL_PARTITION_LIMIT = 12
 
 
 class Strategy(str, Enum):
@@ -80,7 +76,8 @@ class ModelContext(FittedTable):
 
     The per-flow arrays (``ids``, ``q``, ``d``, ``v``, ``c``,
     ``class_labels``) are those of ``FittedTable``; every strategy and
-    ``Bundling`` follows their flow order."""
+    ``Bundling`` follows their flow order. The cost order and the
+    optimal search's DP are computed on first use and kept."""
 
     model: DemandModel
     alpha: float
@@ -116,6 +113,16 @@ class ModelContext(FittedTable):
             set_(self, "pi_max", logit_profit(self.v, per_flow, self.c, self.alpha, k))
             set_(self, "cs_orig", logit_consumer_surplus(self.v, uniform, self.alpha, k))
             set_(self, "cs_max", logit_consumer_surplus(self.v, per_flow, self.alpha, k))
+
+    @cached_property
+    def cost_order(self) -> np.ndarray:
+        """Flow indices by ascending cost, ties by flow id; the order
+        of index-division and of the optimal search."""
+        return np.lexsort((self.ids, self.c))
+
+    @cached_property
+    def _optimum(self) -> "_ContiguousOptimum":
+        return _ContiguousOptimum(self)
 
     @classmethod
     def from_ced(cls, fit: CedFit, p0: float,
@@ -203,9 +210,8 @@ def _cost_division(ctx: ModelContext, num_bundles: int) -> Bundling:
 
 def _index_division(ctx: ModelContext, num_bundles: int) -> Bundling:
     n = len(ctx.ids)
-    order = np.lexsort((ctx.ids, ctx.c))
     labels = np.empty(n, dtype=np.intp)
-    labels[order] = np.arange(n) // math.ceil(n / num_bundles)
+    labels[ctx.cost_order] = np.arange(n) // math.ceil(n / num_bundles)
     return Bundling(labels, num_bundles)
 
 
@@ -264,212 +270,124 @@ def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bu
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive optimal search
+# Exact optimal search
 # ---------------------------------------------------------------------------
 #
-# Both demand models admit a per-bundle sufficient statistic (w, x):
-#   CED:   w = v**alpha, x = c * v**alpha, bundle profit from (W, X)
-#   logit: w = exp(alpha*(v - vmax)), x = c * w; the jointly-solved
-#          partition profit is strictly increasing in the total score
+# Both demand models admit a per-bundle sufficient statistic (W, X), the
+# sums of per-flow w and x = c * w:
+#   CED:   w = v**alpha; the bundle profit is kappa * W**alpha * X**(1-alpha)
+#   logit: w = exp(alpha*(v - vmax)); the jointly-solved partition profit
+#          is strictly increasing in the total score
 #          sum_b W_b * exp(-alpha * X_b / W_b), so maximizing the score
 #          maximizes profit.
-# Partition search therefore reduces to maximizing an additive subset
-# score, done exactly with a subset-sum dynamic program.
+# Each score is W_b * g(X_b / W_b) with g convex and X_b / W_b the
+# w-weighted mean cost of the bundle. Some optimal partition is then
+# contiguous in unit cost (Chakravarty, Orlin and Rothblum, Operations
+# Research 30(5), 1982). As sum_i w_i * g(c_i) is fixed, maximizing the
+# score minimizes the w-weighted Bregman divergence of g between each
+# cost and its bundle's mean: one-dimensional Bregman clustering, whose
+# range costs satisfy the quadrangle inequality (Gronlund et al., "Fast
+# exact k-means, k-medians and Bregman divergence clustering in 1D",
+# 2017). So the best start of a prefix's last block is non-decreasing in
+# the prefix end, and a divide-and-conquer DP over the cost order solves
+# each block count exactly in O(n log n) score evaluations.
 
 
-def _unit_scores(ctx: ModelContext, w: np.ndarray, x: np.ndarray):
-    if ctx.model is DemandModel.CED:
-        base = lambda W, X: bundle_profit_closed_form(W, X, ctx.alpha)
-    else:
-        base = lambda W, X: W * np.exp(-ctx.alpha * X / W)
+class _ContiguousOptimum:
+    """Exact best partitions of one context into k cost-contiguous
+    blocks, k = 1, 2, ...; each layer of the DP is computed once and kept,
+    so every block count of a run shares one DP."""
 
-    def guarded(W, X):
+    def __init__(self, ctx: ModelContext):
+        self.order = ctx.cost_order
+        v, c = ctx.v[self.order], ctx.c[self.order]
+        if ctx.model is DemandModel.CED:
+            w = v ** ctx.alpha
+        else:
+            w = np.exp(ctx.alpha * (v - v.max()))
+        self.model, self.alpha = ctx.model, ctx.alpha
+        self.w_pre = np.concatenate(([0.0], np.cumsum(w)))
+        self.x_pre = np.concatenate(([0.0], np.cumsum(c * w)))
+        n = len(w)
+        # value[j]: best score of the cost-ordered prefix [0, j) in as many
+        # blocks as there are layers; starts[k-1][j]: where the last block
+        # of that prefix's best k-block partition starts
+        self.value = np.concatenate(([-np.inf], self._score(0, np.arange(1, n + 1))))
+        self.starts = [np.zeros(n + 1, dtype=np.intp)]
+
+    def _score(self, i, j):
+        """Score of the cost-ordered flow range [i, j)."""
+        W = self.w_pre[j] - self.w_pre[i]
+        X = self.x_pre[j] - self.x_pre[i]
         # a zero-weight range (underflowed exponentials) contributes nothing
-        W = np.asarray(W, dtype=float)
-        X = np.asarray(X, dtype=float)
         ok = W > 0
+        W = np.where(ok, W, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            res = base(np.where(ok, W, 1.0), X)
-        return np.where(ok, res, 0.0)
+            if self.model is DemandModel.CED:
+                score = bundle_profit_closed_form(W, X, self.alpha)
+            else:
+                score = W * np.exp(-self.alpha * X / W)
+        return np.where(ok, score, 0.0)
 
-    return guarded
+    def _add_layer(self) -> None:
+        k = len(self.starts) + 1
+        n = len(self.value) - 1
+        value = np.full(n + 1, -np.inf)
+        start = np.zeros(n + 1, dtype=np.intp)
+        # nodes of one recursion depth: prefix ends lo..hi, whose best
+        # starts lie in first..last; one numpy pass per depth
+        lo, hi = np.array([k]), np.array([n])
+        first, last = np.array([k - 1]), np.array([n - 1])
+        while lo.size:
+            mid = (lo + hi) // 2
+            sizes = np.minimum(last, mid - 1) - first + 1
+            node = np.repeat(np.arange(mid.size), sizes)
+            offsets = np.cumsum(sizes) - sizes
+            i = np.arange(node.size) - offsets[node] + first[node]
+            cand = self.value[i] + self._score(i, mid[node])
+            best = np.maximum.reduceat(cand, offsets)
+            hit = np.where(cand == best[node], np.arange(cand.size), cand.size)
+            arg = i[np.minimum.reduceat(hit, offsets)]  # leftmost best start
+            value[mid] = best
+            start[mid] = arg
+            left, right = lo < mid, mid < hi
+            lo, hi, first, last = (
+                np.concatenate((lo[left], mid[right] + 1)),
+                np.concatenate((mid[left] - 1, hi[right])),
+                np.concatenate((first[left], arg[right])),
+                np.concatenate((arg[left], last[right])),
+            )
+        self.value = value
+        self.starts.append(start)
 
-
-def _unit_stats(ctx: ModelContext, members: Sequence[np.ndarray]):
-    if ctx.model is DemandModel.CED:
-        w_flow = ctx.v ** ctx.alpha
-    else:
-        w_flow = np.exp(ctx.alpha * (ctx.v - ctx.v.max()))
-    x_flow = ctx.c * w_flow
-    w = np.array([w_flow[m].sum() for m in members])
-    x = np.array([x_flow[m].sum() for m in members])
-    return w, x
-
-
-_pairs_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _submask_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (mask, submask) pairs where the submask contains the mask's
-    lowest set bit; the canonical block-enumeration order of the DP."""
-    if n in _pairs_cache:
-        return _pairs_cache[n]
-    masks, subs = [], []
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        rest = mask ^ low
-        t = rest
-        while True:
-            masks.append(mask)
-            subs.append(low | t)
-            if t == 0:
-                break
-            t = (t - 1) & rest
-    pair = (np.array(masks, dtype=np.int64), np.array(subs, dtype=np.int64))
-    _pairs_cache[n] = pair
-    return pair
-
-
-def _partition_dp(w, x, score_fn, max_blocks: int):
-    """Exact maximum of the additive subset score over partitions into
-    at most ``max_blocks`` blocks; returns the blocks as bitmasks."""
-    n = len(w)
-    size = 1 << n
-    w_mask = np.zeros(size)
-    x_mask = np.zeros(size)
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        w_mask[mask] = w_mask[mask ^ low] + w[i]
-        x_mask[mask] = x_mask[mask ^ low] + x[i]
-    score = np.full(size, -np.inf)
-    score[1:] = score_fn(w_mask[1:], x_mask[1:])
-    masks, subs = _submask_pairs(n)
-    rest = masks ^ subs
-    levels = min(max_blocks, n)
-    dp = np.full((levels + 1, size), -np.inf)
-    dp[0, 0] = 0.0
-    for k in range(1, levels + 1):
-        cur = dp[k - 1].copy()
-        np.maximum.at(cur, masks, score[subs] + dp[k - 1][rest])
-        dp[k] = cur
-    blocks = []
-    mask = size - 1
-    k = levels
-    while mask:
-        while k > 1 and dp[k - 1][mask] == dp[k][mask]:
-            k -= 1
-        low = mask & -mask
-        rem = mask ^ low
-        t = rem
-        while True:
-            s = low | t
-            if score[s] + dp[k - 1][mask ^ s] == dp[k][mask]:
-                blocks.append(s)
-                mask ^= s
-                k -= 1
-                break
-            if t == 0:
-                raise AssertionError("partition DP backtrack failed")
-            t = (t - 1) & rem
-    return blocks
+    def labels(self, num_blocks: int) -> np.ndarray:
+        """Flow labels of the best partition into ``num_blocks`` (at most
+        the flow count) blocks, numbered in cost order."""
+        while len(self.starts) < num_blocks:
+            self._add_layer()
+        cuts = [len(self.order)]
+        for start in reversed(self.starts[:num_blocks]):
+            cuts.append(int(start[cuts[-1]]))
+        labels = np.empty(len(self.order), dtype=np.intp)
+        labels[self.order] = np.repeat(np.arange(num_blocks), -np.diff(cuts)[::-1])
+        return labels
 
 
-def _quantile_units(ctx: ModelContext, limit: int) -> list[np.ndarray]:
-    """Aggregate flows into ``limit`` quantile buckets ordered by cost
-    then potential profit; the tractability device for exhaustive
-    search on large flow sets."""
-    pot = ctx.potential_profits()
-    order = np.lexsort((ctx.ids, pot, ctx.c))
-    return np.array_split(order, limit)
+def optimal_bundles(ctx: ModelContext, num_bundles: int) -> Bundling:
+    """Most profitable partition into at most ``num_bundles`` bundles,
+    exact at any flow count.
 
-
-def optimal_bundles(ctx: ModelContext, num_bundles: int, mode: str = "auto") -> Bundling:
-    """Most profitable partition into at most ``num_bundles`` bundles.
-
-    Modes:
-      * ``full``       exhaustive over all set partitions; requires at
-                       most FULL_PARTITION_LIMIT flows.
-      * ``auto``       ``full`` when small enough, else flows are first
-                       aggregated into FULL_PARTITION_LIMIT quantile
-                       buckets by (cost, potential profit) and the
-                       search runs over buckets.
-      * ``contiguous`` optimal among partitions contiguous in the cost
-                       ordering (O(n^2 * B) dynamic program).
+    Splitting a bundle never lowers profit, so the search looks for the
+    best partition into exactly min(num_bundles, n) cost-contiguous
+    bundles (cost ties broken by flow id); bundles are numbered in cost
+    order.
     """
     n = len(ctx.ids)
     if n == 0:
         raise DomainError("cannot bundle an empty flow set")
-    if mode == "contiguous":
-        return _contiguous_optimal(ctx, num_bundles)
-    if mode == "full":
-        if n > FULL_PARTITION_LIMIT:
-            raise TooManyFlows(
-                f"full partition search limited to {FULL_PARTITION_LIMIT} flows, got {n}"
-            )
-        units = [np.array([i]) for i in range(n)]
-    elif mode == "auto":
-        if n <= FULL_PARTITION_LIMIT:
-            units = [np.array([i]) for i in range(n)]
-        else:
-            units = _quantile_units(ctx, FULL_PARTITION_LIMIT)
-            log.info(
-                "optimal search: %d flows aggregated into %d quantile buckets",
-                n, len(units),
-            )
-    else:
-        raise DomainError(f"unknown optimal mode {mode!r}")
-    w, x = _unit_stats(ctx, units)
-    blocks = _partition_dp(w, x, _unit_scores(ctx, w, x), num_bundles)
-    blocks.sort(key=lambda b: (b & -b).bit_length())
-    labels = np.empty(n, dtype=np.intp)
-    for j, block in enumerate(blocks):
-        u = 0
-        while block:
-            if block & 1:
-                labels[units[u]] = j
-            block >>= 1
-            u += 1
-    return Bundling(labels, num_bundles)
-
-
-def _contiguous_optimal(ctx: ModelContext, num_bundles: int) -> Bundling:
-    n = len(ctx.ids)
-    order = np.lexsort((ctx.ids, ctx.c))
-    w, x = _unit_stats(ctx, [order[rank:rank + 1] for rank in range(n)])
-    score_fn = _unit_scores(ctx, w, x)
-    w_pre = np.concatenate([[0.0], np.cumsum(w)])
-    x_pre = np.concatenate([[0.0], np.cumsum(x)])
-    levels = min(num_bundles, n)
-    neg = -np.inf
-    dp = np.full((levels + 1, n + 1), neg)
-    dp[0, 0] = 0.0
-    choice = np.zeros((levels + 1, n + 1), dtype=int)
-    for k in range(1, levels + 1):
-        dp[k, 0] = 0.0
-        for j in range(1, n + 1):
-            i = np.arange(j)
-            cand = dp[k - 1, i] + score_fn(w_pre[j] - w_pre[i], x_pre[j] - x_pre[i])
-            best = int(np.argmax(cand))
-            if cand[best] >= dp[k - 1, j]:
-                dp[k, j] = cand[best]
-                choice[k, j] = best
-            else:
-                dp[k, j] = dp[k - 1, j]
-                choice[k, j] = -1
-    j, k = n, levels
-    bounds = []
-    while j > 0:
-        if choice[k, j] == -1:
-            k -= 1
-            continue
-        bounds.append((choice[k, j], j))
-        j = choice[k, j]
-        k -= 1
-    labels = np.empty(n, dtype=np.intp)
-    for b, (lo, hi) in enumerate(reversed(bounds)):
-        labels[order[lo:hi]] = b
-    return Bundling(labels, num_bundles)
+    if num_bundles < 1:
+        raise DomainError("num_bundles must be >= 1")
+    return Bundling(ctx._optimum.labels(min(num_bundles, n)), num_bundles)
 
 
 # ---------------------------------------------------------------------------

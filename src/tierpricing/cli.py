@@ -8,9 +8,15 @@ Subcommands:
 * ``theta-sweep``  capture curves across cost-model tuning values
 * ``sensitivity``  worst-case capture over parameter grids
 
+The ``optimal`` strategy is exact at any flow count: a dynamic program
+over the flows in cost order, which some optimal partition follows
+(Chakravarty, Orlin and Rothblum, Operations Research 30(5), 1982; see
+``tierpricing.bundling``).
+
 Options may also come from an INI config file (section
 ``[tierpricing]``, keys named like the long options with dashes or
-underscores); explicit flags win. Exit codes: 0 success, 2
+underscores); explicit flags win, and a key that names no option of any
+subcommand is a configuration error. Exit codes: 0 success, 2
 configuration error, 3 numerical failure.
 """
 
@@ -133,9 +139,8 @@ def _add_common(parser: argparse.ArgumentParser, *, sweep: str | None = None) ->
                      help="tier counts: comma list or range like 1..8")
     run.add_argument("--strategy", dest="strategies", type=_parse_strategies,
                      default=None,
-                     help="comma list of bundling strategies")
-    run.add_argument("--optimal-mode", choices=("auto", "full", "contiguous"),
-                     default="auto")
+                     help="comma list of bundling strategies; optimal is "
+                          "the exact cost-contiguous optimum")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--out", required=True, help="output CSV path")
     if sweep in (None, "theta"):
@@ -217,10 +222,15 @@ def _apply_config_file(argv: list[str], args: argparse.Namespace,
     }
     alias = {"strategy": "strategies", "cost_model": "cost_kind", "input": "input_csv",
              "synth_preset": "preset"}
+    # a key of another subcommand is accepted, so one file can serve all
+    known = {action.dest for sub in parser.sub_map.values() for action in sub._actions}
+    known -= {"help", "config"}
     defaults = {}
     for key, raw in ini.items("tierpricing"):
         key = key.replace("-", "_")
         dest = alias.get(key, key)
+        if dest not in known:
+            raise ConfigError(f"{path}: unknown config key {key!r}")
         convert = converters.get(key, str)
         try:
             defaults[dest] = convert(raw)
@@ -250,7 +260,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         strategies=tuple(strategies),
         out=args.out,
         workers=args.workers,
-        optimal_mode=args.optimal_mode,
         split_dest_type=args.split_dest_type,
         cs_unit_price_offset=args.cs_unit_price_offset,
     )

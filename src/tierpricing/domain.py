@@ -77,10 +77,6 @@ class MissingClassLabels(PricingError):
     """Class-constrained bundling requested on unlabeled flows."""
 
 
-class TooManyFlows(PricingError):
-    """Exhaustive partition search requested beyond its size limit."""
-
-
 class DegenerateBaseline(PricingError):
     """Capture metric undefined: maximum and original profit coincide."""
 

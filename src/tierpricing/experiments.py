@@ -30,14 +30,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bundling import (
-    FULL_PARTITION_LIMIT,
-    ModelContext,
-    Strategy,
-    build_bundles,
-    evaluate_bundling,
-    optimal_bundles,
-)
+from .bundling import ModelContext, Strategy, build_bundles, evaluate_bundling
+from .bundling import optimal_bundles  # noqa: F401  bench/traced_cli.py patches this name
 from .cost_models import class_labels, relative_costs, split_by_dest_type, with_fit
 from .demand_ced import fit_ced
 from .demand_logit import fit_logit
@@ -98,7 +92,6 @@ class ExperimentConfig:
     s0_grid: tuple[float, ...] = (0.05, 0.2, 0.5, 0.9)
     out: str = "results.csv"
     workers: int = 1
-    optimal_mode: str = "auto"
     split_dest_type: bool = False
     cs_unit_price_offset: bool = False
 
@@ -117,8 +110,6 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"bundle counts must be >= 1, got {config.bundles}")
     if config.n_flows < 1:
         raise ConfigError(f"n_flows must be >= 1, got {config.n_flows}")
-    if config.optimal_mode not in ("auto", "full", "contiguous"):
-        raise ConfigError(f"unknown optimal mode {config.optimal_mode!r}")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
     if config.demand_model is DemandModel.CED:
@@ -175,12 +166,6 @@ def fit_context(
     return ModelContext.from_logit(fit, p0)
 
 
-def _build(strategy: Strategy, ctx: ModelContext, num_bundles: int, mode: str):
-    if strategy is Strategy.OPTIMAL:
-        return optimal_bundles(ctx, num_bundles, mode=mode)
-    return build_bundles(strategy, ctx, num_bundles)
-
-
 def _row(sweep_param: str, sweep_value: float, strategy: Strategy,
          num_bundles: int, outcome) -> dict:
     return {
@@ -210,11 +195,11 @@ def run_capture_curve(config: ExperimentConfig) -> tuple[list[dict], dict]:
     rows = []
     for strategy in config.strategies:
         for num_bundles in config.bundles:
-            bundling = _build(strategy, ctx, num_bundles, config.optimal_mode)
+            bundling = build_bundles(strategy, ctx, num_bundles)
             outcome = evaluate_bundling(ctx, bundling)
             rows.append(_row("bundles", num_bundles, strategy, num_bundles, outcome))
     rows.sort(key=_sort_key)
-    meta = _meta(config, len(flows), ctx=ctx, rows=rows)
+    meta = _meta(config, ctx=ctx, rows=rows)
     meta["cost_model"] = _cost_meta(config, flows, ctx, config.theta)
     return rows, meta
 
@@ -225,7 +210,7 @@ def _theta_point(config: ExperimentConfig, flows: FlowTable,
     rows = []
     for strategy in config.strategies:
         for num_bundles in config.bundles:
-            bundling = _build(strategy, ctx, num_bundles, config.optimal_mode)
+            bundling = build_bundles(strategy, ctx, num_bundles)
             outcome = evaluate_bundling(ctx, bundling)
             rows.append(_row("theta", theta, strategy, num_bundles, outcome))
     point_meta = {"theta": theta, "pi_orig": ctx.pi_orig, "pi_max": ctx.pi_max,
@@ -252,7 +237,7 @@ def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     for r in rows:
         r["profit"] = r["profit"] / norm
     rows.sort(key=_sort_key)
-    meta = _meta(config, len(flows))
+    meta = _meta(config)
     meta["profit_norm_constant"] = norm
     meta["theta_points"] = [m for _, m in results]
     return rows, meta
@@ -312,7 +297,7 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
             pick["sweep_param"] = tag
             rows.append(pick)
     rows.sort(key=_sort_key)
-    meta = _meta(config, len(flows))
+    meta = _meta(config)
     return rows, meta
 
 
@@ -336,11 +321,10 @@ def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
         return list(pool.map(fn, *zip(*jobs)))
 
 
-def _meta(config: ExperimentConfig, n_flows: int, ctx: ModelContext | None = None,
+def _meta(config: ExperimentConfig, ctx: ModelContext | None = None,
           rows: list[dict] | None = None) -> dict:
-    """Configuration echo and notes; ``n_flows`` is the number of flows
-    the run actually loaded, which ``config.n_flows`` is not under an
-    input CSV."""
+    """Configuration echo and notes, plus the baselines and prices of
+    a capture run."""
     cfg = dataclasses.asdict(config)
     for key, value in cfg.items():
         if isinstance(value, Strategy):
@@ -353,11 +337,6 @@ def _meta(config: ExperimentConfig, n_flows: int, ctx: ModelContext | None = Non
     if config.input_csv is None:
         meta["notes"].append(
             "synthetic flows: demands and distances sampled independently"
-        )
-    uses_optimal = Strategy.OPTIMAL in config.strategies
-    if uses_optimal and config.optimal_mode == "auto" and n_flows > FULL_PARTITION_LIMIT:
-        meta["notes"].append(
-            "optimal search aggregated flows into quantile buckets"
         )
     if ctx is not None:
         meta["baselines"] = {

@@ -115,7 +115,7 @@ def test_a3_oracle_dominance_and_monotonicity():
             ctx = ModelContext.from_logit(fit, 20.0)
         previous = -np.inf
         for num_bundles in range(1, n + 1):
-            best = evaluate_bundling(ctx, optimal_bundles(ctx, num_bundles, "full"))
+            best = evaluate_bundling(ctx, optimal_bundles(ctx, num_bundles))
             slack = 1e-9 * abs(best.profit)
             if best.profit < previous - slack:
                 violations += 1

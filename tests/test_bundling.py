@@ -1,9 +1,10 @@
-"""Bundling strategies, exhaustive-search oracle checks, and capture
+"""Bundling strategies, oracle checks of the exact optimal search
+(brute-force enumeration and an O(n^2 B) dynamic program), and capture
 metric arithmetic."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tierpricing.bundling import (
@@ -15,7 +16,13 @@ from tierpricing.bundling import (
     profit_capture,
     token_bucket_bundles,
 )
-from tierpricing.demand_ced import ced_bundle_price, ced_consumer_surplus, ced_profit, fit_ced
+from tierpricing.demand_ced import (
+    bundle_profit_closed_form,
+    ced_bundle_price,
+    ced_consumer_surplus,
+    ced_profit,
+    fit_ced,
+)
 from tierpricing.demand_logit import (
     fit_logit,
     logit_bundle_cost,
@@ -30,8 +37,11 @@ from tierpricing.domain import (
     DemandModel,
     DomainError,
     MissingClassLabels,
-    TooManyFlows,
 )
+
+
+# few distinct distances, so that many flows share a unit cost
+TIED_DISTANCES = (5.0, 10.0, 50.0)
 
 
 def every_partition(items):
@@ -47,20 +57,28 @@ def every_partition(items):
         yield [[first]] + smaller
 
 
-def ced_context(rng, n, alpha=1.5, p0=20.0):
+def ced_context(rng, n, alpha=1.5, p0=20.0, tied=False):
     q = rng.lognormal(1.0, 1.2, size=n)
-    d = rng.uniform(1.0, 100.0, size=n)
+    d = rng.choice(TIED_DISTANCES, n) if tied else rng.uniform(1.0, 100.0, size=n)
     rel = d + 0.1 * d.max()
     fit = fit_ced([f"f{i:02d}" for i in range(n)], q, d, rel, p0, alpha)
     return ModelContext.from_ced(fit, p0)
 
 
-def logit_context(rng, n, alpha=1.1, p0=20.0, s0=0.2):
+def logit_context(rng, n, alpha=1.1, p0=20.0, s0=0.2, tied=False):
     q = rng.lognormal(1.0, 1.2, size=n)
-    d = rng.uniform(1.0, 100.0, size=n)
+    d = rng.choice(TIED_DISTANCES, n) if tied else rng.uniform(1.0, 100.0, size=n)
     rel = d + 0.1 * d.max()
     fit = fit_logit([f"f{i:02d}" for i in range(n)], q, d, rel, p0, alpha, s0)
     return ModelContext.from_logit(fit, p0)
+
+
+def tied_ced_context(rng, n):
+    return ced_context(rng, n, tied=True)
+
+
+def tied_logit_context(rng, n):
+    return logit_context(rng, n, tied=True)
 
 
 class TestTokenBucket:
@@ -200,7 +218,8 @@ class TestClassConstrained:
 
 
 class TestOptimal:
-    @pytest.mark.parametrize("make_ctx", [ced_context, logit_context])
+    @pytest.mark.parametrize("make_ctx", [ced_context, logit_context,
+                                          tied_ced_context, tied_logit_context])
     def test_matches_brute_force_enumeration(self, make_ctx):
         rng = np.random.default_rng(9)
         for trial in range(4):
@@ -214,12 +233,9 @@ class TestOptimal:
                     labels = np.empty(n, dtype=int)
                     for j, block in enumerate(parts):
                         labels[block] = j
-                    outcome = evaluate_bundling(
-                        ctx, Bundling(labels, max(num_bundles, len(parts)))
-                    )
-                    best = max(best, outcome.profit)
-                got = evaluate_bundling(ctx, optimal_bundles(ctx, num_bundles, "full"))
-                assert got.profit == pytest.approx(best, rel=1e-9)
+                    best = max(best, partition_profit(ctx, labels))
+                got = partition_profit(ctx, optimal_bundles(ctx, num_bundles).labels)
+                assert got == pytest.approx(best, rel=1e-9)
 
     def test_two_cost_classes_recovered(self):
         # flows forming two (v, c) classes split exactly on the class line
@@ -228,7 +244,7 @@ class TestOptimal:
         d = np.array([1.0, 1.0, 1.0, 50.0, 50.0, 50.0])
         fit = fit_ced(ids, q, d, d, 20.0, 2.0)
         ctx = ModelContext.from_ced(fit, 20.0)
-        b = optimal_bundles(ctx, 2, "full")
+        b = optimal_bundles(ctx, 2)
         groups = {}
         for fid, bundle in zip(ctx.ids, b.labels.tolist()):
             groups.setdefault(bundle, set()).add(fid)
@@ -239,14 +255,14 @@ class TestOptimal:
     def test_single_bundle_trivial(self):
         rng = np.random.default_rng(10)
         ctx = ced_context(rng, 5)
-        b = optimal_bundles(ctx, 1, "full")
+        b = optimal_bundles(ctx, 1)
         assert b.effective_bundles == 1
 
     def test_enough_bundles_reaches_per_flow_max(self):
         rng = np.random.default_rng(11)
         for make_ctx in (ced_context, logit_context):
             ctx = make_ctx(rng, 6)
-            out = evaluate_bundling(ctx, optimal_bundles(ctx, 6, "full"))
+            out = evaluate_bundling(ctx, optimal_bundles(ctx, 6))
             assert out.profit == pytest.approx(ctx.pi_max, rel=1e-9)
             assert out.profit_capture == pytest.approx(1.0, abs=1e-9)
 
@@ -260,9 +276,7 @@ class TestOptimal:
                 n = int(rng.integers(4, 11))
                 ctx = make_ctx(rng, n)
                 for num_bundles in (2, 3):
-                    best = evaluate_bundling(
-                        ctx, optimal_bundles(ctx, num_bundles, "full")
-                    ).profit
+                    best = evaluate_bundling(ctx, optimal_bundles(ctx, num_bundles)).profit
                     for strat in heuristics:
                         got = evaluate_bundling(
                             ctx, build_bundles(strat, ctx, num_bundles)
@@ -274,48 +288,62 @@ class TestOptimal:
         for make_ctx in (ced_context, logit_context):
             ctx = make_ctx(rng, 8)
             profits = [
-                evaluate_bundling(ctx, optimal_bundles(ctx, k, "full")).profit
+                evaluate_bundling(ctx, optimal_bundles(ctx, k)).profit
                 for k in range(1, 9)
             ]
             diffs = np.diff(profits)
             assert np.all(diffs >= -1e-9 * abs(profits[-1]))
 
-    def test_contiguous_not_above_full(self):
+    def test_equals_brute_force_at_eight_flows(self):
         rng = np.random.default_rng(14)
         ctx = ced_context(rng, 8)
+        partitions = list(every_partition(list(range(8))))
+        profits = []
+        for parts in partitions:
+            labels = np.empty(8, dtype=int)
+            for j, block in enumerate(parts):
+                labels[block] = j
+            profits.append(evaluate_bundling(ctx, Bundling(labels, len(parts))).profit)
         for num_bundles in (2, 3, 4):
-            full = evaluate_bundling(ctx, optimal_bundles(ctx, num_bundles, "full"))
-            contig = evaluate_bundling(
-                ctx, optimal_bundles(ctx, num_bundles, "contiguous")
-            )
-            assert contig.profit <= full.profit + 1e-9 * abs(full.profit)
+            best = max(p for p, parts in zip(profits, partitions)
+                       if len(parts) <= num_bundles)
+            got = evaluate_bundling(ctx, optimal_bundles(ctx, num_bundles))
+            assert got.profit == pytest.approx(best, rel=1e-9)
 
     def test_contiguous_handles_larger_sets(self):
         rng = np.random.default_rng(15)
         ctx = ced_context(rng, 200)
-        out = evaluate_bundling(ctx, optimal_bundles(ctx, 4, "contiguous"))
+        out = evaluate_bundling(ctx, optimal_bundles(ctx, 4))
         assert 0.0 <= out.profit_capture <= 1.0 + 1e-12
-
-    def test_auto_aggregates_beyond_limit(self):
-        rng = np.random.default_rng(16)
-        ctx = ced_context(rng, 40)
-        b = optimal_bundles(ctx, 3, "auto")
-        assert b.effective_bundles <= 3
-        out = evaluate_bundling(ctx, b)
-        assert out.profit <= ctx.pi_max
-
-    def test_full_mode_size_guard(self):
-        rng = np.random.default_rng(17)
-        ctx = ced_context(rng, 14)
-        with pytest.raises(TooManyFlows):
-            optimal_bundles(ctx, 2, "full")
 
     def test_deterministic(self):
         rng = np.random.default_rng(18)
         ctx = ced_context(rng, 9)
-        b1 = optimal_bundles(ctx, 3, "full")
-        b2 = optimal_bundles(ctx, 3, "full")
+        b1 = optimal_bundles(ctx, 3)
+        b2 = optimal_bundles(ctx, 3)
         assert np.array_equal(b1.labels, b2.labels)
+
+    def test_more_bundles_than_flows(self):
+        ctx = ced_context(np.random.default_rng(16), 3)
+        b = optimal_bundles(ctx, 5)
+        assert b.num_bundles == 5
+        assert b.labels[ctx.cost_order].tolist() == [0, 1, 2]
+
+    def test_rejects_nonpositive_bundle_count(self):
+        ctx = ced_context(np.random.default_rng(17), 3)
+        with pytest.raises(DomainError):
+            optimal_bundles(ctx, 0)
+
+    def test_answers_do_not_depend_on_request_order(self):
+        # the DP's layers are cached on the context and grown on demand
+        rng = np.random.default_rng(19)
+        for make_ctx in (ced_context, logit_context):
+            seed = int(rng.integers(2**32))
+            up = make_ctx(np.random.default_rng(seed), 40)
+            down = make_ctx(np.random.default_rng(seed), 40)
+            ascending = {k: optimal_bundles(up, k).labels for k in range(1, 9)}
+            for k in range(8, 0, -1):
+                assert np.array_equal(optimal_bundles(down, k).labels, ascending[k])
 
 
 class TestEvaluate:
@@ -439,9 +467,9 @@ def reference_token_bucket(weights, flow_ids, num_bundles):
     return labels
 
 
-def reference_evaluate(ctx, labels, num_bundles):
+def reference_pricing(ctx, labels, num_bundles):
     """Per-bundle pricing loop over member lists built flow by flow;
-    returns (prices, profit, surplus, profit capture, surplus capture)."""
+    returns (prices, profit, surplus)."""
     members = [[] for _ in range(num_bundles)]
     for i, b in enumerate(labels):
         members[b].append(i)
@@ -464,6 +492,19 @@ def reference_evaluate(ctx, labels, num_bundles):
         prices[occupied] = p_b
         profit = logit_profit(v_b, p_b, c_b, ctx.alpha, ctx.consumer_mass)
         surplus = logit_consumer_surplus(v_b, p_b, ctx.alpha, ctx.consumer_mass)
+    return prices, profit, surplus
+
+
+def partition_profit(ctx, labels):
+    """Profit of a partition at its bundles' optimal prices; unlike the
+    captures it is defined when every flow has the same cost."""
+    return reference_pricing(ctx, labels, max(labels) + 1)[1]
+
+
+def reference_evaluate(ctx, labels, num_bundles):
+    """``reference_pricing`` plus the two captures; returns (prices,
+    profit, surplus, profit capture, surplus capture)."""
+    prices, profit, surplus = reference_pricing(ctx, labels, num_bundles)
     capture = profit_capture(profit, ctx.pi_orig, ctx.pi_max)
     s_capture = profit_capture(surplus, ctx.cs_orig, ctx.cs_max)
     return prices, profit, surplus, capture, s_capture
@@ -603,3 +644,138 @@ class TestClassConstrainedOracle:
         ctx, num_bundles = case
         b = build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, num_bundles)
         assert np.array_equal(b.labels, reference_class_constrained(ctx, num_bundles))
+
+
+def reference_contiguous_optimal(ctx, num_bundles):
+    """O(n^2 B) dynamic program over the cost order (ties by flow id):
+    the best partition into at most ``num_bundles`` cost-contiguous
+    blocks, every block end searched against every block start. Scores a
+    block by its sufficient statistics W = sum w, X = sum c*w, as the
+    optimal search does. Returns labels in flow order."""
+    n = len(ctx.ids)
+    order = sorted(range(n), key=lambda i: (ctx.c[i], ctx.ids[i]))
+    v, c = ctx.v[order], ctx.c[order]
+    if ctx.model is DemandModel.CED:
+        w = v ** ctx.alpha
+    else:
+        w = np.exp(ctx.alpha * (v - v.max()))
+    w_pre = np.concatenate([[0.0], np.cumsum(w)])
+    x_pre = np.concatenate([[0.0], np.cumsum(c * w)])
+
+    def score(W, X):
+        ok = W > 0
+        W = np.where(ok, W, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if ctx.model is DemandModel.CED:
+                s = bundle_profit_closed_form(W, X, ctx.alpha)
+            else:
+                s = W * np.exp(-ctx.alpha * X / W)
+        return np.where(ok, s, 0.0)
+
+    levels = min(num_bundles, n)
+    dp = np.full((levels + 1, n + 1), -np.inf)
+    dp[0, 0] = 0.0
+    choice = np.zeros((levels + 1, n + 1), dtype=int)
+    for k in range(1, levels + 1):
+        dp[k, 0] = 0.0
+        for j in range(1, n + 1):
+            i = np.arange(j)
+            cand = dp[k - 1, i] + score(w_pre[j] - w_pre[i], x_pre[j] - x_pre[i])
+            best = int(np.argmax(cand))
+            if cand[best] >= dp[k - 1, j]:
+                dp[k, j] = cand[best]
+                choice[k, j] = best
+            else:
+                dp[k, j] = dp[k - 1, j]
+                choice[k, j] = -1
+    j, k = n, levels
+    bounds = []
+    while j > 0:
+        if choice[k, j] == -1:
+            k -= 1
+            continue
+        bounds.append((choice[k, j], j))
+        j = choice[k, j]
+        k -= 1
+    labels = np.empty(n, dtype=int)
+    for b, (lo, hi) in enumerate(reversed(bounds)):
+        labels[order[lo:hi]] = b
+    return labels
+
+
+@st.composite
+def optimal_cases(draw, max_flows=300):
+    n = draw(st.integers(1, max_flows))
+    make = draw(st.sampled_from([ced_context, logit_context]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ctx = make(np.random.default_rng(seed), n, tied=draw(st.booleans()))
+    return ctx, draw(st.integers(1, 10))
+
+
+HEURISTICS = [s for s in Strategy
+              if s not in (Strategy.OPTIMAL, Strategy.CLASS_PROFIT_WEIGHTED)]
+
+
+class TestOptimalOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(optimal_cases())
+    def test_profit_equals_quadratic_dp(self, case):
+        ctx, num_bundles = case
+        got = partition_profit(ctx, optimal_bundles(ctx, num_bundles).labels)
+        ref = partition_profit(ctx, reference_contiguous_optimal(ctx, num_bundles))
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("make_ctx", [ced_context, logit_context,
+                                          tied_ced_context, tied_logit_context])
+    def test_profit_equals_quadratic_dp_at_300_flows(self, make_ctx):
+        ctx = make_ctx(np.random.default_rng(28), 300)
+        got = partition_profit(ctx, optimal_bundles(ctx, 10).labels)
+        ref = partition_profit(ctx, reference_contiguous_optimal(ctx, 10))
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("make_ctx", [ced_context, logit_context])
+    def test_single_flow(self, make_ctx):
+        ctx = make_ctx(np.random.default_rng(27), 1)
+        for num_bundles in (1, 3):
+            b = optimal_bundles(ctx, num_bundles)
+            assert b.labels.tolist() == [0]
+            assert np.array_equal(b.labels, reference_contiguous_optimal(ctx, num_bundles))
+
+    @settings(max_examples=60, deadline=None)
+    @given(optimal_cases(max_flows=60))
+    def test_not_below_any_heuristic(self, case):
+        ctx, num_bundles = case
+        best = partition_profit(ctx, optimal_bundles(ctx, num_bundles).labels)
+        for strategy in HEURISTICS:
+            got = partition_profit(ctx, build_bundles(strategy, ctx, num_bundles).labels)
+            assert got <= best + 1e-12 * abs(best)
+
+    @settings(max_examples=60, deadline=None)
+    @given(optimal_cases(max_flows=60))
+    def test_profit_nondecreasing_in_bundle_count(self, case):
+        ctx, top = case
+        profits = [partition_profit(ctx, optimal_bundles(ctx, k).labels)
+                   for k in range(1, top + 1)]
+        assert all(b >= a - 1e-12 * abs(a) for a, b in zip(profits, profits[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(optimal_cases())
+    def test_labels_contiguous_in_cost_order(self, case):
+        ctx, num_bundles = case
+        n = len(ctx.ids)
+        order = sorted(range(n), key=lambda i: (ctx.c[i], ctx.ids[i]))
+        ranked = optimal_bundles(ctx, num_bundles).labels[order]
+        # blocks numbered 0, 1, ... from the cheapest, none empty
+        assert ranked[0] == 0
+        assert np.all(np.diff(ranked) >= 0)
+        assert ranked[-1] == min(num_bundles, n) - 1
+        assert len(np.unique(ranked)) == min(num_bundles, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(optimal_cases(max_flows=60))
+    def test_capture_one_with_a_bundle_per_distinct_cost(self, case):
+        ctx, _ = case
+        distinct = len(np.unique(ctx.c))
+        assume(distinct >= 2)
+        out = evaluate_bundling(ctx, optimal_bundles(ctx, distinct))
+        assert out.profit_capture == pytest.approx(1.0, abs=1e-9)

@@ -344,20 +344,29 @@ class TestCli:
         assert by_key[("class-profit-weighted", "2")] >= \
             by_key[("profit-weighted", "2")]
 
-    @pytest.mark.parametrize("rows, n_flows, noted", [(5, "10000", False),
-                                                       (20, "5", True)])
-    def test_aggregation_note_follows_loaded_flows(self, tmp_path, rows,
-                                                   n_flows, noted):
+    def test_sidecar_has_no_optimal_note(self, tmp_path):
+        # the optimal search is exact at any flow count: nothing to caveat
         flows = tmp_path / "flows.csv"
-        res = run_cli("synth", "--n-flows", str(rows), "--seed", "2",
-                      "--out", str(flows))
+        res = run_cli("synth", "--n-flows", "20", "--seed", "2", "--out", str(flows))
         assert res.returncode == 0, res.stderr
         out = tmp_path / "capture.csv"
-        res = run_cli("capture", "--input", str(flows), "--n-flows", n_flows,
-                      "--bundles", "1,2", "--strategy", "optimal", "--out", str(out))
+        res = run_cli("capture", "--input", str(flows), "--bundles", "1,2",
+                      "--strategy", "optimal", "--out", str(out))
         assert res.returncode == 0, res.stderr
-        notes = json.loads((tmp_path / "capture.csv.meta.json").read_text())["notes"]
-        assert any("quantile buckets" in note for note in notes) is noted
+        meta = json.loads((tmp_path / "capture.csv.meta.json").read_text())
+        assert not any("optimal" in note for note in meta["notes"])
+        assert "optimal_mode" not in meta["config"]
+
+    @pytest.mark.parametrize("line", ["bundels = 1,2", "optimal_mode = full"])
+    def test_unknown_config_key_is_a_config_error(self, tmp_path, line):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[tierpricing]\nn_flows = 20\n{line}\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        res = run_cli("capture", "--config", str(ini), "--strategy", "cost-division",
+                      "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert repr(line.split(" = ")[0]) in res.stderr
+        assert not out.exists()
 
     def test_sensitivity_cli(self, tmp_path):
         out = tmp_path / "sens.csv"

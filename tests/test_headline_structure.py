@@ -2,7 +2,7 @@
 
 The headline result that a handful of tiers captures most attainable
 profit holds on the synthetic fixture for every cost-aware strategy and
-for the exhaustive search. Profit-weighted bundling additionally needs
+for the exact optimal search. Profit-weighted bundling additionally needs
 demand and cost to be aligned: its token-bucket order is essentially a
 demand order at low price sensitivity, so on independently sampled
 demand/distance data its bundles mix all cost levels and capture almost
@@ -49,9 +49,7 @@ class TestFewTiersSuffice:
     def test_exhaustive_search_reaches_headline_at_four_tiers(self, eu_independent):
         _, ctx = eu_independent
         capture = {
-            num_bundles: evaluate_bundling(
-                ctx, optimal_bundles(ctx, num_bundles, "auto")
-            ).profit_capture
+            num_bundles: evaluate_bundling(ctx, optimal_bundles(ctx, num_bundles)).profit_capture
             for num_bundles in (2, 4, 8)
         }
         assert capture[4] >= 0.85
