@@ -344,18 +344,28 @@ class TestCli:
         assert by_key[("class-profit-weighted", "2")] >= \
             by_key[("profit-weighted", "2")]
 
-    def test_sidecar_has_no_optimal_note(self, tmp_path):
-        # the optimal search is exact at any flow count: nothing to caveat
+    @pytest.mark.parametrize("rows, n_flows, more_flows_than_tiers",
+                             [(5, "10000", False), (20, "5", True)])
+    def test_aggregation_note_follows_loaded_flows(self, tmp_path, rows, n_flows,
+                                                   more_flows_than_tiers):
+        # the optimal search runs on the flows of --input, not --n-flows, and
+        # is exact at any flow count: the sidecar carries no optimal note
         flows = tmp_path / "flows.csv"
-        res = run_cli("synth", "--n-flows", "20", "--seed", "2", "--out", str(flows))
+        res = run_cli("synth", "--n-flows", str(rows), "--seed", "2",
+                      "--out", str(flows))
         assert res.returncode == 0, res.stderr
         out = tmp_path / "capture.csv"
-        res = run_cli("capture", "--input", str(flows), "--bundles", "1,2",
-                      "--strategy", "optimal", "--out", str(out))
+        res = run_cli("capture", "--input", str(flows), "--n-flows", n_flows,
+                      "--bundles", "1,2,6", "--strategy", "optimal", "--out", str(out))
         assert res.returncode == 0, res.stderr
         meta = json.loads((tmp_path / "capture.csv.meta.json").read_text())
         assert not any("optimal" in note for note in meta["notes"])
         assert "optimal_mode" not in meta["config"]
+        with open(out, newline="") as fh:
+            six = [r for r in csv.DictReader(fh) if r["num_bundles"] == "6"][0]
+        assert int(six["effective_bundles"]) == (6 if more_flows_than_tiers else rows)
+        # one tier per flow reaches the per-flow maximum exactly
+        assert (float(six["profit_capture"]) < 1.0) is more_flows_than_tiers
 
     @pytest.mark.parametrize("line", ["bundels = 1,2", "optimal_mode = full"])
     def test_unknown_config_key_is_a_config_error(self, tmp_path, line):
