@@ -23,14 +23,13 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .demand_ced import (
     CedFit,
     bundle_profit_closed_form,
-    ced_bundle_price,
     ced_consumer_surplus,
     ced_optimal_price,
     ced_potential_profit,
@@ -76,8 +75,19 @@ class ModelContext(FittedTable):
 
     The per-flow arrays (``ids``, ``q``, ``d``, ``v``, ``c``,
     ``class_labels``) are those of ``FittedTable``; every strategy and
-    ``Bundling`` follows their flow order. The cost order and the
-    optimal search's DP are computed on first use and kept."""
+    ``Bundling`` follows their flow order. Whatever does not depend on
+    the tier count is computed on first use and kept, so every B and
+    every strategy of a run shares it:
+
+    * ``cost_order``, the order of index-division and of the optimal
+      search, and the search's DP;
+    * ``id_order`` and, per token-bucket weight vector (demand q, 1/c,
+      potential profit), its visiting order and weight sum
+      (``visiting_order``); class-profit-weighted restricts the profit
+      order to each class (``class_visits``);
+    * ``potential_profits()``;
+    * under CED, the per-flow terms w = v**alpha and c*w of bundle
+      prices and surplus (``ced_terms``)."""
 
     model: DemandModel
     alpha: float
@@ -124,6 +134,74 @@ class ModelContext(FittedTable):
     def _optimum(self) -> "_ContiguousOptimum":
         return _ContiguousOptimum(self)
 
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """Flow indices by ascending flow id (ties by index); the
+        tie-break of every token-bucket visiting order."""
+        return np.argsort(self.ids, kind="stable")
+
+    @cached_property
+    def _potential_profits(self) -> np.ndarray:
+        if self.model is DemandModel.CED:
+            weights = ced_potential_profit(self.v, self.c, self.alpha)
+        else:
+            weights = logit_potential_profit(
+                self.q, self.alpha, self.s0, self.consumer_mass)
+        weights = np.asarray(weights)
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
+    def _visits(self) -> dict:
+        return {}
+
+    def visiting_order(self, strategy: Strategy) -> "_Visit":
+        """The token-bucket visiting order of the demand-, cost- or
+        profit-weighted strategy (class-profit-weighted shares the
+        profit order), computed once per weight vector."""
+        if strategy is Strategy.CLASS_PROFIT_WEIGHTED:
+            strategy = Strategy.PROFIT_WEIGHTED
+        if strategy not in self._visits:
+            if strategy is Strategy.DEMAND_WEIGHTED:
+                weights = self.q
+            elif strategy is Strategy.COST_WEIGHTED:
+                weights = 1.0 / self.c
+            elif strategy is Strategy.PROFIT_WEIGHTED:
+                weights = self.potential_profits()
+            else:
+                raise DomainError(f"{strategy.value} is not a token-bucket strategy")
+            weights = _bucket_weights(weights)
+            order = _visiting_order(weights, self.id_order)
+            self._visits[strategy] = _Visit(order, weights[order], weights.sum())
+        return self._visits[strategy]
+
+    @cached_property
+    def class_visits(self) -> dict:
+        """Per flow class, in order of first appearance: the class's
+        profit mass (its members' potential profits added one by one in
+        flow order) and the profit visiting order restricted to it, with
+        the class's own weight sum."""
+        class_of = self.class_labels
+        if class_of is None or np.equal(class_of, None).any():
+            raise MissingClassLabels("class-constrained bundling requires class labels")
+        weights = self.potential_profits()
+        profit = self.visiting_order(Strategy.PROFIT_WEIGHTED)
+        out = {}
+        for lab in dict.fromkeys(class_of.tolist()):
+            inside = class_of == lab
+            members = weights[inside]
+            keep = inside[profit.order]
+            out[lab] = (float(np.add.accumulate(members)[-1]),
+                        _Visit(profit.order[keep], profit.weights[keep], members.sum()))
+        return out
+
+    @cached_property
+    def ced_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-flow w = v**alpha and x = c*w of the CED bundle prices
+        (alpha*sum x / ((alpha-1)*sum w)) and of the surplus."""
+        w = self.v ** self.alpha
+        return w, self.c * w
+
     @classmethod
     def from_ced(cls, fit: CedFit, p0: float,
                  cs_unit_price_offset: bool = False) -> "ModelContext":
@@ -138,18 +216,78 @@ class ModelContext(FittedTable):
                    s0=fit.s0, consumer_mass=fit.consumer_mass, gamma=fit.gamma)
 
     def potential_profits(self) -> np.ndarray:
-        """Standalone profit of each flow; the profit-weighted bundler's
-        weights."""
-        if self.model is DemandModel.CED:
-            return np.asarray(ced_potential_profit(self.v, self.c, self.alpha))
-        return np.asarray(
-            logit_potential_profit(self.q, self.alpha, self.s0, self.consumer_mass)
-        )
+        """Standalone profit of each flow (read-only, computed once);
+        the profit-weighted bundler's weights."""
+        return self._potential_profits
 
 
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
+
+
+class _Visit(NamedTuple):
+    """A token-bucket visiting order: flow indices by decreasing weight
+    (ties by ascending flow id, then index), the weights in that order,
+    and the weight sum in flow order."""
+
+    order: np.ndarray
+    weights: np.ndarray
+    total: float
+
+
+def _bucket_weights(weights) -> np.ndarray:
+    weights = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(weights)):
+        raise DomainError("token-bucket weights must be finite")
+    if np.any(weights <= 0):
+        raise DomainError("token-bucket weights must be positive")
+    return weights
+
+
+def _visiting_order(weights: np.ndarray, id_order: np.ndarray) -> np.ndarray:
+    """Flow indices by decreasing weight, ties by the stable id order
+    ``id_order``: the permutation of ``np.lexsort((ids, -weights))``."""
+    return id_order[np.argsort(-weights[id_order], kind="stable")]
+
+
+# the first window of the drain's scan; it doubles until the budget closes
+_FIRST_WINDOW = 64
+
+
+def _drain(visit: np.ndarray, share: float, num_bundles: int) -> np.ndarray:
+    """Bundle index of each position of a visiting order whose weights
+    are ``visit``, draining a budget of ``share`` per bundle.
+
+    Bundles fill one after another, so each is a run of the visiting
+    order: it takes its first flow unconditionally and closes at the
+    first running budget <= 0, and any overdraft carries into the next
+    bundle's budget; the last bundle takes the rest.
+    """
+    n = len(visit)
+    ranked = np.full(n, num_bundles - 1, dtype=np.intp)
+    start, carry = 0, 0.0
+    for j in range(num_bundles - 1):
+        if start == n:
+            break
+        # running budget after each flow, by the same sequential
+        # subtractions as a per-flow loop; the scan goes on from the
+        # last running value over a window that doubles until the
+        # budget closes or the flows run out
+        budget, end, width = share + carry, start, _FIRST_WINDOW
+        while True:
+            window = visit[end:end + width]
+            running = np.subtract.accumulate(np.concatenate(([budget], window)))[1:]
+            closed = np.flatnonzero(running <= 0)
+            if closed.size or end + window.size == n:
+                break
+            budget, end, width = running[-1], end + window.size, 2 * width
+        stop = end + int(closed[0]) + 1 if closed.size else n
+        ranked[start:stop] = j
+        remainder = running[stop - end - 1]
+        carry = remainder if remainder < 0 else 0.0
+        start = stop
+    return ranked
 
 
 def token_bucket_bundles(weights, flow_ids: Sequence[str], num_bundles: int) -> Bundling:
@@ -165,40 +303,22 @@ def token_bucket_bundles(weights, flow_ids: Sequence[str], num_bundles: int) -> 
     Bundles fill one after another in the visiting order, so each is a
     run of that order: it takes its first flow unconditionally and
     closes at the first running budget <= 0; the last bundle takes the
-    rest. The labels follow the order of ``flow_ids``.
+    rest. The labels follow the order of ``flow_ids``. The strategies
+    drain the same way from their context's cached visiting orders.
     """
-    weights = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(weights)):
-        raise DomainError("token-bucket weights must be finite")
-    if np.any(weights <= 0):
-        raise DomainError("token-bucket weights must be positive")
-    if num_bundles < 1:
-        raise DomainError("num_bundles must be >= 1")
+    weights = _bucket_weights(weights)
     n = len(weights)
     if len(flow_ids) != n:
         raise DomainError(f"{len(flow_ids)} flow ids for {n} weights")
-    order = np.lexsort((np.asarray(flow_ids), -weights))
-    visit = weights[order]
-    share = weights.sum() / num_bundles
-    labels = np.empty(n, dtype=np.intp)
-    start, carry = 0, 0.0
-    for j in range(num_bundles - 1):
-        if start == n:
-            break
-        # running budget after each remaining flow, by the same
-        # sequential subtractions as a per-flow loop; the first flow
-        # always enters and the bundle ends with the flow that brings
-        # the budget to <= 0
-        running = np.subtract.accumulate(
-            np.concatenate(([share + carry], visit[start:]))
-        )[1:]
-        closed = np.flatnonzero(running <= 0)
-        end = start + int(closed[0]) + 1 if closed.size else n
-        labels[order[start:end]] = j
-        remainder = running[end - start - 1]
-        carry = remainder if remainder < 0 else 0.0
-        start = end
-    labels[order[start:]] = num_bundles - 1
+    order = _visiting_order(weights, np.argsort(np.asarray(flow_ids), kind="stable"))
+    return _bucket_bundling(_Visit(order, weights[order], weights.sum()), num_bundles)
+
+
+def _bucket_bundling(visit: _Visit, num_bundles: int) -> Bundling:
+    if num_bundles < 1:
+        raise DomainError("num_bundles must be >= 1")
+    labels = np.empty(len(visit.order), dtype=np.intp)
+    labels[visit.order] = _drain(visit.weights, visit.total / num_bundles, num_bundles)
     return Bundling(labels, num_bundles)
 
 
@@ -216,15 +336,8 @@ def _index_division(ctx: ModelContext, num_bundles: int) -> Bundling:
 
 
 def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
-    class_of = ctx.class_labels
-    if class_of is None or np.equal(class_of, None).any():
-        raise MissingClassLabels("class-constrained bundling requires class labels")
-    weights = ctx.potential_profits()
-    # classes in order of first appearance; each class's mass adds its
-    # members' weights one by one in flow order
-    members = {lab: np.flatnonzero(class_of == lab)
-               for lab in dict.fromkeys(class_of.tolist())}
-    mass = {lab: float(np.add.accumulate(weights[m])[-1]) for lab, m in members.items()}
+    visits = ctx.class_visits
+    mass = {lab: m for lab, (m, _) in visits.items()}
     classes = sorted(mass, key=lambda lab: (-mass[lab], lab))
     if num_bundles < len(classes):
         # No class-pure partition exists with fewer bundles than classes.
@@ -232,7 +345,7 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
             "class-constrained bundling needs >= %d bundles, got %d; "
             "falling back to profit-weighted", len(classes), num_bundles,
         )
-        return token_bucket_bundles(weights, ctx.ids, num_bundles)
+        return _bucket_bundling(ctx.visiting_order(Strategy.PROFIT_WEIGHTED), num_bundles)
     total = sum(mass.values())
     alloc = {lab: 1 for lab in classes}
     for _ in range(num_bundles - len(classes)):
@@ -241,9 +354,9 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
     out = np.empty(len(ctx.ids), dtype=np.intp)
     offset = 0
     for lab in classes:
-        m = members[lab]
-        sub = token_bucket_bundles(weights[m], ctx.ids[m], alloc[lab])
-        out[m] = offset + sub.labels
+        _, visit = visits[lab]
+        out[visit.order] = offset + _drain(visit.weights, visit.total / alloc[lab],
+                                           alloc[lab])
         offset += alloc[lab]
     return Bundling(out, num_bundles)
 
@@ -254,12 +367,9 @@ def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bu
         raise DomainError("cannot bundle an empty flow set")
     if strategy is Strategy.OPTIMAL:
         return optimal_bundles(ctx, num_bundles)
-    if strategy is Strategy.DEMAND_WEIGHTED:
-        return token_bucket_bundles(ctx.q, ctx.ids, num_bundles)
-    if strategy is Strategy.COST_WEIGHTED:
-        return token_bucket_bundles(1.0 / ctx.c, ctx.ids, num_bundles)
-    if strategy is Strategy.PROFIT_WEIGHTED:
-        return token_bucket_bundles(ctx.potential_profits(), ctx.ids, num_bundles)
+    if strategy in (Strategy.DEMAND_WEIGHTED, Strategy.COST_WEIGHTED,
+                    Strategy.PROFIT_WEIGHTED):
+        return _bucket_bundling(ctx.visiting_order(strategy), num_bundles)
     if strategy is Strategy.COST_DIVISION:
         return _cost_division(ctx, num_bundles)
     if strategy is Strategy.INDEX_DIVISION:
@@ -410,6 +520,17 @@ def evaluate_bundling(ctx: ModelContext, bundling: Bundling) -> TierOutcome:
     """Price each bundle optimally and measure profit, surplus and the
     capture metrics against the context's cached baselines.
 
+    Members are grouped by one stable argsort of the labels (as
+    ``uint8`` up to 256 bundles, which numpy radix-sorts to the same
+    permutation), gathered once, and each bundle is summed over its
+    contiguous slice, so per-bundle sums add in flow order as a
+    per-bundle loop does. Under CED the bundle prices and the surplus
+    use the context's cached w = v**alpha and c*w, raising only the
+    bundle prices to the power 1 - alpha; the profit keeps the per-flow
+    (v/p)**alpha term. Every sum adds in the order ``ced_bundle_price``,
+    ``ced_profit``, ``ced_consumer_surplus`` and the logit aggregates
+    use, so the results are bit-identical to theirs.
+
     Empty bundles are skipped for pricing and reported with NaN price;
     a degenerate surplus baseline yields NaN surplus capture rather
     than failing the profit-side result.
@@ -419,34 +540,36 @@ def evaluate_bundling(ctx: ModelContext, bundling: Bundling) -> TierOutcome:
         raise DomainError(
             f"bundling has {len(labels)} labels for {len(ctx.ids)} flows"
         )
-    # each bundle's members in ascending flow order, so that per-bundle
-    # sums add in the same order as the flow list
-    counts = np.bincount(labels, minlength=bundling.num_bundles)
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
+    num_bundles = bundling.num_bundles
+    keys = labels.astype(np.uint8) if num_bundles <= 256 else labels
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(labels, minlength=num_bundles)
+    ends = np.cumsum(counts)
     occupied = np.flatnonzero(counts)
-    prices = np.full(bundling.num_bundles, np.nan)
+    slices = [slice(ends[b] - counts[b], ends[b]) for b in occupied]
+    prices = np.full(num_bundles, np.nan)
+    alpha = ctx.alpha
     if ctx.model is DemandModel.CED:
-        for b in occupied:
-            m = members[b]
-            prices[b] = ced_bundle_price(ctx.v[m], ctx.c[m], ctx.alpha)
+        w, x = ctx.ced_terms
+        w_b, x_b = w[order], x[order]
+        for b, part in zip(occupied, slices):
+            prices[b] = alpha * np.sum(x_b[part]) / ((alpha - 1.0) * np.sum(w_b[part]))
         per_flow = prices[labels]
-        profit = ced_profit(ctx.v, per_flow, ctx.c, ctx.alpha)
-        surplus = ced_consumer_surplus(
-            ctx.v, per_flow, ctx.alpha,
-            unit_price_offset=ctx.cs_unit_price_offset,
-        )
+        profit = ced_profit(ctx.v, per_flow, ctx.c, alpha)
+        # ced_consumer_surplus with v**alpha cached and p**(1-alpha) per bundle
+        gross = w * (prices ** (1.0 - alpha))[labels]
+        if ctx.cs_unit_price_offset:
+            surplus = float(np.sum(alpha * gross / (alpha - 1.0) - per_flow))
+        else:
+            surplus = float(np.sum(gross) / (alpha - 1.0))
     else:
-        v_b = np.array([
-            logit_bundle_valuation(ctx.v[members[b]], ctx.alpha) for b in occupied
-        ])
-        c_b = np.array([
-            logit_bundle_cost(ctx.c[members[b]], ctx.v[members[b]], ctx.alpha)
-            for b in occupied
-        ])
-        p_b = logit_solve_prices(v_b, c_b, ctx.alpha)
+        v, c = ctx.v[order], ctx.c[order]
+        v_b = np.array([logit_bundle_valuation(v[part], alpha) for part in slices])
+        c_b = np.array([logit_bundle_cost(c[part], v[part], alpha) for part in slices])
+        p_b = logit_solve_prices(v_b, c_b, alpha)
         prices[occupied] = p_b
-        profit = logit_profit(v_b, p_b, c_b, ctx.alpha, ctx.consumer_mass)
-        surplus = logit_consumer_surplus(v_b, p_b, ctx.alpha, ctx.consumer_mass)
+        profit = logit_profit(v_b, p_b, c_b, alpha, ctx.consumer_mass)
+        surplus = logit_consumer_surplus(v_b, p_b, alpha, ctx.consumer_mass)
     capture = profit_capture(profit, ctx.pi_orig, ctx.pi_max)
     try:
         s_capture = profit_capture(surplus, ctx.cs_orig, ctx.cs_max)

@@ -142,7 +142,8 @@ def _add_common(parser: argparse.ArgumentParser, *, sweep: str | None = None) ->
                      help="comma list of bundling strategies; optimal is "
                           "the exact cost-contiguous optimum")
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--out", required=True, help="output CSV path")
+    run.add_argument("--out", help="output CSV path (required, here or as out "
+                                   "in the config file)")
     if sweep in (None, "theta"):
         run.add_argument("--theta-grid", type=_parse_floats,
                          default=(0.0, 0.2, 0.5, 1.0))
@@ -168,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=sorted(SYNTH_PRESETS), default="eu-isp")
     p_synth.add_argument("--n-flows", type=int, default=10_000)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--out", required=True)
+    p_synth.add_argument("--out", help="output CSV path (required, here or as out "
+                                       "in the config file)")
 
     p_fit = sub.add_parser("fit", help="fit a demand model and write fitted flows")
     _add_common(p_fit, sweep="none")
@@ -296,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(argv, args, parser)
+        if args.out is None:
+            # --out is optional to argparse so that the config file can set it
+            parser.sub_map[args.command].error("the following arguments are required: --out")
         if args.command == "synth":
             _cmd_synth(args)
             return 0

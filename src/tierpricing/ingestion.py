@@ -324,6 +324,19 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
             "weighted-mean distance scaling did not converge",
             residual=abs(got - target) / target,
         )
+    return FlowTable(_synth_ids(n), q, d)
+
+
+def _synth_ids(n: int) -> np.ndarray:
+    """Ids ``synth-<i>`` for i in 0..n-1, the index zero-padded to the
+    width of n-1: one code point per column of a ``uint32`` matrix,
+    viewed as a unicode array."""
+    prefix = "synth-"
     width = len(str(n - 1))
-    ids = np.char.add("synth-", np.char.zfill(np.arange(n).astype(str), width))
-    return FlowTable(ids, q, d)
+    codes = np.empty((n, len(prefix) + width), dtype=np.uint32)
+    codes[:, :len(prefix)] = [ord(ch) for ch in prefix]
+    index = np.arange(n, dtype=np.uint32)
+    for col in range(codes.shape[1] - 1, len(prefix) - 1, -1):
+        index, digit = np.divmod(index, 10)
+        codes[:, col] = ord("0") + digit
+    return codes.view(np.dtype(("U", codes.shape[1]))).reshape(n)

@@ -57,12 +57,12 @@ def every_partition(items):
         yield [[first]] + smaller
 
 
-def ced_context(rng, n, alpha=1.5, p0=20.0, tied=False):
+def ced_context(rng, n, alpha=1.5, p0=20.0, tied=False, offset=False):
     q = rng.lognormal(1.0, 1.2, size=n)
     d = rng.choice(TIED_DISTANCES, n) if tied else rng.uniform(1.0, 100.0, size=n)
     rel = d + 0.1 * d.max()
     fit = fit_ced([f"f{i:02d}" for i in range(n)], q, d, rel, p0, alpha)
-    return ModelContext.from_ced(fit, p0)
+    return ModelContext.from_ced(fit, p0, cs_unit_price_offset=offset)
 
 
 def logit_context(rng, n, alpha=1.1, p0=20.0, s0=0.2, tied=False):
@@ -75,6 +75,11 @@ def logit_context(rng, n, alpha=1.1, p0=20.0, s0=0.2, tied=False):
 
 def tied_ced_context(rng, n):
     return ced_context(rng, n, tied=True)
+
+
+def offset_ced_context(rng, n):
+    """A CED market whose surplus subtracts the unit price."""
+    return ced_context(rng, n, offset=True)
 
 
 def tied_logit_context(rng, n):
@@ -482,7 +487,8 @@ def reference_pricing(ctx, labels, num_bundles):
             prices[b] = ced_bundle_price(ctx.v[m], ctx.c[m], ctx.alpha)
             per_flow[m] = prices[b]
         profit = ced_profit(ctx.v, per_flow, ctx.c, ctx.alpha)
-        surplus = ced_consumer_surplus(ctx.v, per_flow, ctx.alpha)
+        surplus = ced_consumer_surplus(ctx.v, per_flow, ctx.alpha,
+                                       unit_price_offset=ctx.cs_unit_price_offset)
     else:
         v_b = np.array([logit_bundle_valuation(ctx.v[members[b]], ctx.alpha)
                         for b in occupied])
@@ -557,18 +563,26 @@ class TestTokenBucketOracle:
 @st.composite
 def labelled_contexts(draw):
     n = draw(st.integers(2, 25))
-    make = draw(st.sampled_from([ced_context, logit_context]))
+    make = draw(st.sampled_from([ced_context, offset_ced_context, logit_context]))
     ctx = make(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
     num_bundles = draw(st.integers(1, n + 2))
     labels = draw(st.lists(st.integers(0, num_bundles - 1), min_size=n, max_size=n))
     return ctx, labels, num_bundles
 
 
+def large_bundle_labels(rng, n, num_bundles):
+    """Labels of ``n`` flows, shuffled: bundles of 1, 128, 129 and 1000
+    members (numpy's pairwise sums work in blocks of 128), one empty
+    bundle, and the other flows spread at random over the rest."""
+    sizes = [1, 128, 129, 1000]
+    labels = np.concatenate([np.full(size, b) for b, size in enumerate(sizes)]
+                            + [rng.integers(len(sizes) + 1, num_bundles,
+                                            n - sum(sizes))])
+    return rng.permutation(labels).tolist()
+
+
 class TestEvaluateOracle:
-    @settings(max_examples=150, deadline=None)
-    @given(labelled_contexts())
-    def test_equals_per_bundle_loop(self, case):
-        ctx, labels, num_bundles = case
+    def assert_equals_reference(self, ctx, labels, num_bundles):
         out = evaluate_bundling(ctx, Bundling(labels, num_bundles))
         prices, profit, surplus, capture, s_capture = reference_evaluate(
             ctx, labels, num_bundles)
@@ -580,6 +594,23 @@ class TestEvaluateOracle:
         empty = np.bincount(labels, minlength=num_bundles) == 0
         assert np.array_equal(np.isnan(got), empty)
         assert np.array_equal(got[~empty], prices[~empty])
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_contexts())
+    def test_equals_per_bundle_loop(self, case):
+        self.assert_equals_reference(*case)
+
+    # 300 bundles exceed the uint8 labels that evaluation sorts up to 256
+    @pytest.mark.parametrize("num_bundles", [8, 300])
+    @pytest.mark.parametrize("make_ctx", [ced_context, offset_ced_context,
+                                          logit_context])
+    def test_equals_per_bundle_loop_at_5000_flows(self, make_ctx, num_bundles):
+        rng = np.random.default_rng(29)
+        ctx = make_ctx(rng, 5000)
+        labels = large_bundle_labels(rng, 5000, num_bundles)
+        counts = np.bincount(labels, minlength=num_bundles)
+        assert counts.max() > 128 and counts[4] == 0
+        self.assert_equals_reference(ctx, labels, num_bundles)
 
     def test_rejects_labels_of_another_flow_set(self):
         ctx = ced_context(np.random.default_rng(26), 5)
@@ -644,6 +675,62 @@ class TestClassConstrainedOracle:
         ctx, num_bundles = case
         b = build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, num_bundles)
         assert np.array_equal(b.labels, reference_class_constrained(ctx, num_bundles))
+
+
+BUCKET_STRATEGIES = {
+    Strategy.DEMAND_WEIGHTED: lambda ctx: ctx.q,
+    Strategy.COST_WEIGHTED: lambda ctx: 1.0 / ctx.c,
+    Strategy.PROFIT_WEIGHTED: lambda ctx: ctx.potential_profits(),
+}
+
+
+@st.composite
+def bucket_queries(draw):
+    """A class-labelled market, possibly with tied demands and costs, of
+    up to 60 flows or of 2000 to 2500 (where the drain's window doubles),
+    and a list of (strategy, bundle count) queries in any order."""
+    n = draw(st.one_of(st.integers(1, 60), st.integers(2000, 2500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q = rng.choice((1.0, 2.0, 5.0), n)
+        d = rng.choice(TIED_DISTANCES, n)
+    else:
+        q = rng.lognormal(1.0, 1.2, size=n)
+        d = rng.uniform(1.0, 100.0, size=n)
+    rel = d + 0.1 * d.max()
+    labels = rng.choice(("peer", "customer", "metro"), n).tolist()
+    ids = [f"f{i:02d}" for i in range(n)]
+    if draw(st.booleans()):
+        ctx = ModelContext.from_ced(fit_ced(ids, q, d, rel, 20.0, 1.5, labels), 20.0)
+    else:
+        ctx = ModelContext.from_logit(
+            fit_logit(ids, q, d, rel, 20.0, 1.1, 0.2, labels), 20.0)
+    top = 2 * n + 2 if n <= 60 else 12
+    queries = draw(st.lists(
+        st.tuples(st.sampled_from([*BUCKET_STRATEGIES, Strategy.CLASS_PROFIT_WEIGHTED]),
+                  st.integers(1, top)),
+        min_size=1, max_size=6))
+    return ctx, queries
+
+
+class TestTokenBucketContextOracle:
+    """The strategies drain their context's cached visiting orders; each
+    answer equals the per-flow loop on the context's own weights and ids,
+    whatever was asked of the context before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bucket_queries())
+    def test_strategies_equal_per_flow_loops(self, case):
+        ctx, queries = case
+        ids = ctx.ids.tolist()
+        for strategy, num_bundles in queries:
+            got = build_bundles(strategy, ctx, num_bundles).labels
+            if strategy is Strategy.CLASS_PROFIT_WEIGHTED:
+                expected = reference_class_constrained(ctx, num_bundles)
+            else:
+                weights = BUCKET_STRATEGIES[strategy](ctx)
+                expected = reference_token_bucket(weights, ids, num_bundles)
+            assert np.array_equal(got, expected), (strategy, num_bundles)
 
 
 def reference_contiguous_optimal(ctx, num_bundles):

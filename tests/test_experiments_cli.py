@@ -378,6 +378,31 @@ class TestCli:
         assert repr(line.split(" = ")[0]) in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["capture", "synth"])
+    @pytest.mark.parametrize("in_file, flag", [(True, False), (True, True),
+                                               (False, False)])
+    def test_out_from_config_file(self, tmp_path, command, in_file, flag):
+        from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        ini = tmp_path / "run.ini"
+        ini.write_text("[tierpricing]\nn_flows = 20\n"
+                       + (f"out = {from_file}\n" if in_file else ""), encoding="utf-8")
+        args = [command, "--config", str(ini)]
+        if command == "capture":
+            args += ["--bundles", "1,2", "--strategy", "cost-division"]
+        if flag:
+            args += ["--out", str(from_flag)]
+        res = run_cli(*args)
+        if not (in_file or flag):
+            # no out anywhere: argparse's own error and exit code
+            assert res.returncode == 2
+            assert "the following arguments are required: --out" in res.stderr
+            assert list(tmp_path.iterdir()) == [ini]
+            return
+        assert res.returncode == 0, res.stderr
+        written = from_flag if flag else from_file
+        assert written.exists()
+        assert not (from_file if flag else from_flag).exists()
+
     def test_sensitivity_cli(self, tmp_path):
         out = tmp_path / "sens.csv"
         res = run_cli("sensitivity", "--n-flows", "40", "--bundles", "2",

@@ -17,6 +17,7 @@ from tierpricing.domain import (
 from tierpricing.ingestion import (
     DatasetMoments,
     SYNTH_PRESETS,
+    _synth_ids,
     preset_moments,
     read_fitted_csv,
     read_flows_csv,
@@ -170,6 +171,13 @@ class TestRoundTrips:
             assert read_params_csv(path) == params
 
 
+def reference_synth_ids(n):
+    """The synthetic ids by numpy string operations: ``synth-`` plus the
+    index zero-padded to the width of n-1."""
+    width = len(str(n - 1))
+    return np.char.add("synth-", np.char.zfill(np.arange(n).astype(str), width))
+
+
 class TestSynth:
     def test_presets_carry_published_moments(self):
         eu = SYNTH_PRESETS["eu-isp"]
@@ -204,6 +212,21 @@ class TestSynth:
         a = synth_generate(preset_moments("eu-isp", n_flows=100, seed=1))
         b = synth_generate(preset_moments("eu-isp", n_flows=100, seed=2))
         assert columns(a) != columns(b)
+
+    # n where the zero-padded index width changes, and the 200k-flow
+    # size of the capture-logit benchmark
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 1001, 200_000])
+    def test_ids_equal_string_reference(self, n):
+        got = _synth_ids(n)
+        expected = reference_synth_ids(n)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_generated_flows_carry_the_ids(self):
+        for n in (1, 10, 11):
+            m = DatasetMoments(n_flows=n, weighted_avg_distance_miles=10.0,
+                               cv_distance=0.0, aggregate_gbps=1.0, cv_demand=0.0)
+            assert np.array_equal(synth_generate(m).ids, reference_synth_ids(n))
 
     def test_degenerate_cv_gives_constant_values(self):
         m = DatasetMoments(n_flows=50, weighted_avg_distance_miles=10.0,

@@ -15,17 +15,25 @@ import tierpricing
 TRACED_CLI = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
 
 
+STRATEGIES = ("optimal", "demand-weighted", "cost-weighted", "profit-weighted",
+              "cost-division", "index-division")
+
+
 def test_traced_capture_records_every_build(tmp_path):
     src = os.path.dirname(os.path.dirname(tierpricing.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    spans = tmp_path / "spans.json"
-    res = subprocess.run(
-        [sys.executable, str(TRACED_CLI), str(spans), "run-0",
-         "capture", "--n-flows", "200", "--seed", "7", "--bundles", "1..3",
-         "--strategy", "optimal,index-division", "--out", str(tmp_path / "x.csv")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert res.returncode == 0, res.stderr
-    names = [span["name"] for span in json.loads(spans.read_text())["spans"]]
-    assert names.count("build.optimal") == 3
-    assert names.count("build.index-division") == 3
+    for model in ("ced", "logit"):
+        spans = tmp_path / f"spans-{model}.json"
+        res = subprocess.run(
+            [sys.executable, str(TRACED_CLI), str(spans), f"run-{model}",
+             "capture", "--demand-model", model, "--n-flows", "300", "--seed", "7",
+             "--bundles", "1..8", "--strategy", ",".join(STRATEGIES),
+             "--out", str(tmp_path / f"{model}.csv")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        # 97 means a wrapped function is gone
+        assert res.returncode == 0, (model, res.returncode, res.stderr)
+        names = [span["name"] for span in json.loads(spans.read_text())["spans"]]
+        for strategy in STRATEGIES:
+            assert names.count(f"build.{strategy}") == 8, (model, strategy)
+        assert names.count("evaluate") == 8 * len(STRATEGIES)
