@@ -38,8 +38,7 @@ from .demand_ced import (
 from .demand_logit import (
     LogitFit,
     fit_logit,
-    logit_bundle_cost,
-    logit_bundle_valuation,
+    logit_bundle_aggregate,
     logit_consumer_surplus,
     logit_demand,
     logit_fit_gamma,

@@ -37,8 +37,7 @@ from .demand_ced import (
 )
 from .demand_logit import (
     LogitFit,
-    logit_bundle_cost,
-    logit_bundle_valuation,
+    logit_bundle_aggregate,
     logit_consumer_surplus,
     logit_potential_profit,
     logit_profit,
@@ -85,7 +84,7 @@ class ModelContext(FittedTable):
       potential profit), its visiting order and weight sum
       (``visiting_order``); class-profit-weighted restricts the profit
       order to each class (``class_visits``);
-    * ``potential_profits()``;
+    * ``potential_profits``;
     * under CED, the per-flow terms w = v**alpha and c*w of bundle
       prices and surplus (``ced_terms``)."""
 
@@ -141,7 +140,9 @@ class ModelContext(FittedTable):
         return np.argsort(self.ids, kind="stable")
 
     @cached_property
-    def _potential_profits(self) -> np.ndarray:
+    def potential_profits(self) -> np.ndarray:
+        """Standalone profit of each flow (read-only); the
+        profit-weighted bundler's weights."""
         if self.model is DemandModel.CED:
             weights = ced_potential_profit(self.v, self.c, self.alpha)
         else:
@@ -167,7 +168,7 @@ class ModelContext(FittedTable):
             elif strategy is Strategy.COST_WEIGHTED:
                 weights = 1.0 / self.c
             elif strategy is Strategy.PROFIT_WEIGHTED:
-                weights = self.potential_profits()
+                weights = self.potential_profits
             else:
                 raise DomainError(f"{strategy.value} is not a token-bucket strategy")
             weights = _bucket_weights(weights)
@@ -184,7 +185,7 @@ class ModelContext(FittedTable):
         class_of = self.class_labels
         if class_of is None or np.equal(class_of, None).any():
             raise MissingClassLabels("class-constrained bundling requires class labels")
-        weights = self.potential_profits()
+        weights = self.potential_profits
         profit = self.visiting_order(Strategy.PROFIT_WEIGHTED)
         out = {}
         for lab in dict.fromkeys(class_of.tolist()):
@@ -214,11 +215,6 @@ class ModelContext(FittedTable):
         return cls(fit.ids, fit.q, fit.d, fit.v, fit.c, fit.class_labels,
                    DemandModel.LOGIT, fit.alpha, p0,
                    s0=fit.s0, consumer_mass=fit.consumer_mass, gamma=fit.gamma)
-
-    def potential_profits(self) -> np.ndarray:
-        """Standalone profit of each flow (read-only, computed once);
-        the profit-weighted bundler's weights."""
-        return self._potential_profits
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +560,8 @@ def evaluate_bundling(ctx: ModelContext, bundling: Bundling) -> TierOutcome:
             surplus = float(np.sum(gross) / (alpha - 1.0))
     else:
         v, c = ctx.v[order], ctx.c[order]
-        v_b = np.array([logit_bundle_valuation(v[part], alpha) for part in slices])
-        c_b = np.array([logit_bundle_cost(c[part], v[part], alpha) for part in slices])
+        aggregates = [logit_bundle_aggregate(v[part], c[part], alpha) for part in slices]
+        v_b, c_b = (np.array(column) for column in zip(*aggregates))
         p_b = logit_solve_prices(v_b, c_b, alpha)
         prices[occupied] = p_b
         profit = logit_profit(v_b, p_b, c_b, alpha, ctx.consumer_mass)

@@ -14,16 +14,19 @@ over the flows in cost order, which some optimal partition follows
 ``tierpricing.bundling``).
 
 Options may also come from an INI config file (section
-``[tierpricing]``, keys named like the long options with dashes or
-underscores); explicit flags win, and a key that names no option of any
-subcommand is a configuration error. Exit codes: 0 success, 2
-configuration error, 3 numerical failure.
+``[tierpricing]``); explicit flags win. A key is a long option or its
+dest, with dashes or underscores, and its value is converted by that
+option's own type; switches follow configparser's boolean rule
+(1/yes/true/on, 0/no/false/off). A key that names no option of any
+subcommand, or a value that does not convert, is a configuration error.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import logging
 import sys
 
@@ -110,15 +113,31 @@ def _parse_strategies(text: str) -> tuple[Strategy, ...]:
     return tuple(out)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, sweep: str | None = None) -> None:
+COMMANDS = {
+    "synth": "generate a synthetic flow CSV",
+    "fit": "fit a demand model and write fitted flows",
+    "capture": "capture curves over tier counts",
+    "theta-sweep": "capture across cost tuning values",
+    "sensitivity": "worst-case capture over grids",
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """Declare the options of one subcommand, each in one place."""
     parser.add_argument("--config", help="INI config file ([tierpricing] section)")
+    parser.add_argument("--out", help="output CSV path (required, here or as out "
+                                      "in the config file)")
     src = parser.add_argument_group("input")
-    src.add_argument("--input", dest="input_csv", help="flow CSV to load")
+    if command != "synth":
+        src.add_argument("--input", dest="input_csv",
+                         help="flow CSV to load in place of the synthetic preset")
     src.add_argument("--synth-preset", dest="preset",
                      choices=sorted(SYNTH_PRESETS), default="eu-isp",
-                     help="synthetic dataset preset (ignored with --input)")
+                     help="synthetic dataset preset")
     src.add_argument("--n-flows", type=int, default=10_000)
     src.add_argument("--seed", type=int, default=0)
+    if command == "synth":
+        return
     model = parser.add_argument_group("model")
     model.add_argument("--demand-model", type=DemandModel, default=DemandModel.CED,
                        choices=[m.value for m in DemandModel])
@@ -142,12 +161,10 @@ def _add_common(parser: argparse.ArgumentParser, *, sweep: str | None = None) ->
                      help="comma list of bundling strategies; optimal is "
                           "the exact cost-contiguous optimum")
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--out", help="output CSV path (required, here or as out "
-                                   "in the config file)")
-    if sweep in (None, "theta"):
+    if command == "theta-sweep":
         run.add_argument("--theta-grid", type=_parse_floats,
                          default=(0.0, 0.2, 0.5, 1.0))
-    if sweep in (None, "sensitivity"):
+    if command == "sensitivity":
         run.add_argument("--alpha-grid", type=_parse_floats,
                          default=(1.1, 2.0, 5.0, 10.0))
         run.add_argument("--p0-grid", type=_parse_floats,
@@ -162,31 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Counterfactual tiered-pricing engine for transit traffic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic flow CSV")
-    p_synth.add_argument("--config", help="INI config file")
-    p_synth.add_argument("--synth-preset", dest="preset",
-                         choices=sorted(SYNTH_PRESETS), default="eu-isp")
-    p_synth.add_argument("--n-flows", type=int, default=10_000)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--out", help="output CSV path (required, here or as out "
-                                       "in the config file)")
-
-    p_fit = sub.add_parser("fit", help="fit a demand model and write fitted flows")
-    _add_common(p_fit, sweep="none")
-
-    p_capture = sub.add_parser("capture", help="capture curves over tier counts")
-    _add_common(p_capture, sweep="none")
-
-    p_theta = sub.add_parser("theta-sweep", help="capture across cost tuning values")
-    _add_common(p_theta, sweep="theta")
-
-    p_sens = sub.add_parser("sensitivity", help="worst-case capture over grids")
-    _add_common(p_sens, sweep="sensitivity")
     # config-file defaults must target the active subparser: subcommands
     # parse into a fresh namespace that overrides parent-level defaults
-    parser.sub_map = {"synth": p_synth, "fit": p_fit, "capture": p_capture,
-                      "theta-sweep": p_theta, "sensitivity": p_sens}
+    parser.sub_map = {}
+    for command, help_text in COMMANDS.items():
+        parser.sub_map[command] = sub.add_parser(command, help=help_text)
+        _add_options(parser.sub_map[command], command)
     return parser
 
 
@@ -201,73 +199,41 @@ def _apply_config_file(argv: list[str], args: argparse.Namespace,
         raise ConfigError(f"cannot read config file {path}")
     if not ini.has_section("tierpricing"):
         raise ConfigError(f"{path} has no [tierpricing] section")
-    converters = {
-        "bundles": _parse_bundles,
-        "strategies": _parse_strategies,
-        "strategy": _parse_strategies,
-        "theta_grid": _parse_floats,
-        "alpha_grid": _parse_floats,
-        "p0_grid": _parse_floats,
-        "s0_grid": _parse_floats,
-        "demand_model": DemandModel,
-        "cost_model": CostKind,
-        "cost_kind": CostKind,
-        "n_flows": int,
-        "seed": int,
-        "workers": int,
-        "alpha": float,
-        "p0": float,
-        "theta": float,
-        "s0": float,
-        "split_dest_type": lambda v: v.lower() in ("1", "true", "yes"),
-        "cs_unit_price_offset": lambda v: v.lower() in ("1", "true", "yes"),
-    }
-    alias = {"strategy": "strategies", "cost_model": "cost_kind", "input": "input_csv",
-             "synth_preset": "preset"}
-    # a key of another subcommand is accepted, so one file can serve all
-    known = {action.dest for sub in parser.sub_map.values() for action in sub._actions}
-    known -= {"help", "config"}
+    # every key resolves through the subcommands' own options: a long
+    # option or a dest, with dashes or underscores; a key of another
+    # subcommand is accepted, so one file can serve all
+    actions = {}
+    for sub in parser.sub_map.values():
+        for action in sub._actions:
+            if action.dest in ("help", "config"):
+                continue
+            names = [opt[2:] for opt in action.option_strings if opt.startswith("--")]
+            for name in (action.dest, *names):
+                actions[name.replace("-", "_")] = action
     defaults = {}
-    for key, raw in ini.items("tierpricing"):
-        key = key.replace("-", "_")
-        dest = alias.get(key, key)
-        if dest not in known:
+    for name, raw in ini.items("tierpricing"):
+        key = name.replace("-", "_")
+        action = actions.get(key)
+        if action is None:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        convert = converters.get(key, str)
         try:
-            defaults[dest] = convert(raw)
-        except Exception as exc:
+            if isinstance(action, argparse._StoreTrueAction):
+                value = ini.getboolean("tierpricing", name)
+            else:
+                value = (action.type or str)(raw)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
             raise ConfigError(f"config key {key}: {exc}") from exc
+        defaults[action.dest] = value
     parser.sub_map[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    strategies = args.strategies
-    if strategies is None:
-        strategies = (Strategy.PROFIT_WEIGHTED,) if args.command == "theta-sweep" \
-            else DEFAULT_STRATEGIES
-    kwargs = dict(
-        demand_model=args.demand_model,
-        cost_kind=args.cost_kind,
-        theta=args.theta,
-        alpha=args.alpha,
-        p0=args.p0,
-        s0=args.s0,
-        input_csv=args.input_csv,
-        preset=args.preset,
-        n_flows=args.n_flows,
-        seed=args.seed,
-        bundles=tuple(args.bundles),
-        strategies=tuple(strategies),
-        out=args.out,
-        workers=args.workers,
-        split_dest_type=args.split_dest_type,
-        cs_unit_price_offset=args.cs_unit_price_offset,
-    )
-    for grid in ("theta_grid", "alpha_grid", "p0_grid", "s0_grid"):
-        if hasattr(args, grid):
-            kwargs[grid] = tuple(getattr(args, grid))
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    kwargs = {k: v for k, v in vars(args).items() if k in fields}
+    if kwargs["strategies"] is None:
+        kwargs["strategies"] = (Strategy.PROFIT_WEIGHTED,) \
+            if args.command == "theta-sweep" else DEFAULT_STRATEGIES
     return ExperimentConfig(**kwargs)
 
 

@@ -100,7 +100,6 @@ def logit_solve_prices(
     v,
     c,
     alpha: float,
-    consumer_mass: float = 1.0,
     tol: float = 1e-8,
     max_iter: int = 100_000,
     p_init=None,
@@ -113,9 +112,6 @@ def logit_solve_prices(
     small). Falls back to gradient ascent with a backtracking line
     search if the fixed point stalls. Raises NoConvergence with the
     last residual attached when the budget runs out.
-
-    Prices do not depend on consumer_mass; it is accepted so call sites
-    can pass the fitted market context uniformly.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -225,26 +221,20 @@ def logit_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     return float(gamma)
 
 
-def logit_bundle_valuation(v, alpha: float) -> float:
-    """Valuation of a bundle sold at one price:
-    ln(sum_i exp(alpha*v_i))/alpha (log-sum-exp aggregate)."""
+def logit_bundle_aggregate(v, c, alpha: float) -> tuple[float, float]:
+    """Valuation and unit cost of a bundle sold at one price: the
+    log-sum-exp ln(sum_i exp(alpha*v_i))/alpha and the valuation-weighted
+    mean cost sum(c_i*exp(alpha*v_i)) / sum(exp(alpha*v_i)), from one
+    max-shifted exponential."""
     v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        raise EmptyBundle("cannot aggregate an empty bundle")
-    shift = float(np.max(alpha * v))
-    return float((shift + np.log(np.sum(np.exp(alpha * v - shift)))) / alpha)
-
-
-def logit_bundle_cost(c, v, alpha: float) -> float:
-    """Valuation-weighted mean unit cost of a bundle:
-    sum(c_i*exp(alpha*v_i)) / sum(exp(alpha*v_i))."""
     c = np.asarray(c, dtype=float)
-    v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise EmptyBundle("cannot aggregate an empty bundle")
-    shift = float(np.max(alpha * v))
-    e = np.exp(alpha * v - shift)
-    return float(np.sum(c * e) / np.sum(e))
+    x = alpha * v
+    shift = float(np.max(x))
+    e = np.exp(x - shift)
+    total = np.sum(e)
+    return float((shift + np.log(total)) / alpha), float(np.sum(c * e) / total)
 
 
 def logit_potential_profit(q, alpha: float, s0: float, consumer_mass: float):

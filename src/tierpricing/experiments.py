@@ -10,6 +10,13 @@ Three table-producing runs mirror the headline questions:
 * sensitivity sweep  worst-case (best-case for the non-buying share)
                      profit capture per tier count over parameter grids
 
+All three walk one engine: ``_sweep`` loads the flows once and maps
+each grid point, the configuration with one field replaced, through
+``_grid_point``, which fits one context and evaluates every (strategy,
+tier count) on it. A capture curve is a one-point sweep; the theta
+sweep normalizes the profits of its points and the sensitivity sweep
+picks the extreme point per tier count.
+
 All runs write a long-format CSV with the fixed header
 ``sweep_param,sweep_value,strategy,num_bundles,effective_bundles,
 profit,profit_capture,consumer_surplus,surplus_capture`` plus a JSON
@@ -116,6 +123,16 @@ def validate_config(config: ExperimentConfig) -> None:
         bad = [a for a in config.alpha_grid if a <= 1.0]
         if bad:
             raise ConfigError(f"CED alpha grid must stay above 1, got {bad}")
+    # a repeated value would give repeated rows under one sidecar key
+    for name, values in (("bundle counts", config.bundles),
+                         ("strategies", config.strategies),
+                         ("theta grid", config.theta_grid),
+                         ("alpha grid", config.alpha_grid),
+                         ("p0 grid", config.p0_grid),
+                         ("s0 grid", config.s0_grid)):
+        if len(set(values)) != len(values):
+            shown = ", ".join(str(getattr(v, "value", v)) for v in values)
+            raise ConfigError(f"{name} must not repeat, got {shown}")
 
 
 def market_params(config: ExperimentConfig) -> MarketParams:
@@ -138,32 +155,19 @@ def load_flows(config: ExperimentConfig) -> FlowTable:
     return flows
 
 
-def fit_context(
-    flows: FlowTable,
-    config: ExperimentConfig,
-    *,
-    alpha: float | None = None,
-    p0: float | None = None,
-    s0: float | None = None,
-    theta: float | None = None,
-) -> ModelContext:
-    """Fit the configured demand model on the flows; keyword overrides
-    support sweeps over single parameters."""
-    alpha = config.alpha if alpha is None else alpha
-    p0 = config.p0 if p0 is None else p0
-    s0 = config.s0 if s0 is None else s0
-    theta = config.theta if theta is None else theta
-    spec = CostModelSpec(kind=config.cost_kind, theta=theta)
+def fit_context(flows: FlowTable, config: ExperimentConfig) -> ModelContext:
+    """Fit the configured demand model on the flows."""
+    spec = CostModelSpec(kind=config.cost_kind, theta=config.theta)
     rel = relative_costs(spec, flows)
     labels = class_labels(spec, flows)
     ids, q, d = flows.ids, flows.demand, flows.distance
     if config.demand_model is DemandModel.CED:
-        fit = fit_ced(ids, q, d, rel, p0, alpha, labels)
+        fit = fit_ced(ids, q, d, rel, config.p0, config.alpha, labels)
         return ModelContext.from_ced(
-            fit, p0, cs_unit_price_offset=config.cs_unit_price_offset
+            fit, config.p0, cs_unit_price_offset=config.cs_unit_price_offset
         )
-    fit = fit_logit(ids, q, d, rel, p0, alpha, s0, labels)
-    return ModelContext.from_logit(fit, p0)
+    fit = fit_logit(ids, q, d, rel, config.p0, config.alpha, config.s0, labels)
+    return ModelContext.from_logit(fit, config.p0)
 
 
 def _row(sweep_param: str, sweep_value: float, strategy: Strategy,
@@ -183,6 +187,50 @@ def _row(sweep_param: str, sweep_value: float, strategy: Strategy,
 
 
 # ---------------------------------------------------------------------------
+# Engine
+# ---------------------------------------------------------------------------
+
+
+def _grid_point(config: ExperimentConfig, flows: FlowTable,
+                strategies: tuple[Strategy, ...],
+                param: str) -> tuple[list[dict], dict]:
+    """Fit one context at ``config`` and evaluate every (strategy, B).
+
+    Each row is tagged with ``param`` and its value in ``config``, or
+    with the row's own tier count when ``param`` is "bundles". Returns
+    the rows and the point's baselines and fitted cost model.
+    """
+    ctx = fit_context(flows, config)
+    rows = []
+    for strategy in strategies:
+        for num_bundles in config.bundles:
+            bundling = build_bundles(strategy, ctx, num_bundles)
+            outcome = evaluate_bundling(ctx, bundling)
+            value = num_bundles if param == "bundles" else getattr(config, param)
+            rows.append(_row(param, value, strategy, num_bundles, outcome))
+    point = {
+        "baselines": {"pi_orig": ctx.pi_orig, "pi_max": ctx.pi_max,
+                      "cs_orig": ctx.cs_orig, "cs_max": ctx.cs_max},
+        "cost_model": _cost_meta(config, flows, ctx),
+    }
+    return rows, point
+
+
+def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],
+           strategies: tuple[Strategy, ...]) -> list[tuple[list[dict], dict]]:
+    """Load the flows once and evaluate every grid point, in order.
+
+    A point (param, value) is ``config`` with that field replaced; all
+    points form one job list, so ``config.workers`` processes share
+    them.
+    """
+    flows = load_flows(config)
+    jobs = [(dataclasses.replace(config, **{param: value}), flows, strategies, param)
+            for param, value in points]
+    return _map_jobs(_grid_point, jobs, config.workers)
+
+
+# ---------------------------------------------------------------------------
 # Runs
 # ---------------------------------------------------------------------------
 
@@ -190,32 +238,11 @@ def _row(sweep_param: str, sweep_value: float, strategy: Strategy,
 def run_capture_curve(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Capture-vs-tier-count table for every configured strategy."""
     validate_config(config)
-    flows = load_flows(config)
-    ctx = fit_context(flows, config)
-    rows = []
-    for strategy in config.strategies:
-        for num_bundles in config.bundles:
-            bundling = build_bundles(strategy, ctx, num_bundles)
-            outcome = evaluate_bundling(ctx, bundling)
-            rows.append(_row("bundles", num_bundles, strategy, num_bundles, outcome))
+    [(rows, point)] = _sweep(config, [("bundles", config.bundles)], config.strategies)
     rows.sort(key=_sort_key)
-    meta = _meta(config, ctx=ctx, rows=rows)
-    meta["cost_model"] = _cost_meta(config, flows, ctx, config.theta)
+    meta = _meta(config, rows)
+    meta.update(point)
     return rows, meta
-
-
-def _theta_point(config: ExperimentConfig, flows: FlowTable,
-                 theta: float) -> tuple[list[dict], dict]:
-    ctx = fit_context(flows, config, theta=theta)
-    rows = []
-    for strategy in config.strategies:
-        for num_bundles in config.bundles:
-            bundling = build_bundles(strategy, ctx, num_bundles)
-            outcome = evaluate_bundling(ctx, bundling)
-            rows.append(_row("theta", theta, strategy, num_bundles, outcome))
-    point_meta = {"theta": theta, "pi_orig": ctx.pi_orig, "pi_max": ctx.pi_max,
-                  "cost_model": _cost_meta(config, flows, ctx, theta)}
-    return rows, point_meta
 
 
 def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
@@ -228,10 +255,8 @@ def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     validate_config(config)
     if not config.theta_grid:
         raise ConfigError("theta grid must be nonempty")
-    flows = load_flows(config)
-    results = _map_jobs(_theta_point,
-                        [(config, flows, t) for t in config.theta_grid],
-                        config.workers)
+    results = _sweep(config, [("theta", t) for t in config.theta_grid],
+                     config.strategies)
     rows = [r for point_rows, _ in results for r in point_rows]
     norm = max(r["profit"] for r in rows)
     for r in rows:
@@ -239,19 +264,12 @@ def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     rows.sort(key=_sort_key)
     meta = _meta(config)
     meta["profit_norm_constant"] = norm
-    meta["theta_points"] = [m for _, m in results]
+    meta["theta_points"] = [
+        {"theta": theta, "pi_orig": point["baselines"]["pi_orig"],
+         "pi_max": point["baselines"]["pi_max"], "cost_model": point["cost_model"]}
+        for theta, (_, point) in zip(config.theta_grid, results)
+    ]
     return rows, meta
-
-
-def _sensitivity_point(config: ExperimentConfig, flows: FlowTable,
-                       param: str, value: float) -> list[dict]:
-    ctx = fit_context(flows, config, **{param: value})
-    rows = []
-    for num_bundles in config.bundles:
-        bundling = build_bundles(Strategy.PROFIT_WEIGHTED, ctx, num_bundles)
-        outcome = evaluate_bundling(ctx, bundling)
-        rows.append(_row(param, value, Strategy.PROFIT_WEIGHTED, num_bundles, outcome))
-    return rows
 
 
 def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
@@ -280,30 +298,26 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
             raise ConfigError("s0 sweep applies to the logit model only")
     if not sweeps:
         raise ConfigError("no sweep grids specified")
-    flows = load_flows(config)
+    points = [(param, value) for _, param, grid, _ in sweeps for value in grid]
+    evaluated = [r for point_rows, _ in
+                 _sweep(config, points, (Strategy.PROFIT_WEIGHTED,))
+                 for r in point_rows]
     rows = []
-    for tag, param, grid, take_max in sweeps:
-        jobs = [(config, flows, param, value) for value in grid]
-        per_value = _map_jobs(_sensitivity_point, jobs, config.workers)
+    for tag, param, _, take_max in sweeps:
         for num_bundles in config.bundles:
-            candidates = [
-                r for point in per_value for r in point
-                if r["num_bundles"] == num_bundles
-            ]
+            candidates = [r for r in evaluated if r["sweep_param"] == param
+                          and r["num_bundles"] == num_bundles]
             pick = (max if take_max else min)(
                 candidates, key=lambda r: r["profit_capture"]
             )
-            pick = dict(pick)
-            pick["sweep_param"] = tag
-            rows.append(pick)
+            rows.append({**pick, "sweep_param": tag})
     rows.sort(key=_sort_key)
-    meta = _meta(config)
-    return rows, meta
+    return rows, _meta(config)
 
 
-def _cost_meta(config: ExperimentConfig, flows: FlowTable, ctx: ModelContext,
-               theta: float) -> dict:
-    spec = with_fit(CostModelSpec(kind=config.cost_kind, theta=theta),
+def _cost_meta(config: ExperimentConfig, flows: FlowTable,
+               ctx: ModelContext) -> dict:
+    spec = with_fit(CostModelSpec(kind=config.cost_kind, theta=config.theta),
                     flows, ctx.gamma)
     return {"kind": spec.kind.value, "theta": spec.theta,
             "gamma": spec.gamma, "beta": spec.beta}
@@ -321,10 +335,8 @@ def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
         return list(pool.map(fn, *zip(*jobs)))
 
 
-def _meta(config: ExperimentConfig, ctx: ModelContext | None = None,
-          rows: list[dict] | None = None) -> dict:
-    """Configuration echo and notes, plus the baselines and prices of
-    a capture run."""
+def _meta(config: ExperimentConfig, rows: list[dict] | None = None) -> dict:
+    """Configuration echo and notes, plus the prices of a capture run."""
     cfg = dataclasses.asdict(config)
     for key, value in cfg.items():
         if isinstance(value, Strategy):
@@ -338,11 +350,6 @@ def _meta(config: ExperimentConfig, ctx: ModelContext | None = None,
         meta["notes"].append(
             "synthetic flows: demands and distances sampled independently"
         )
-    if ctx is not None:
-        meta["baselines"] = {
-            "pi_orig": ctx.pi_orig, "pi_max": ctx.pi_max,
-            "cs_orig": ctx.cs_orig, "cs_max": ctx.cs_max,
-        }
     if rows is not None:
         meta["prices"] = {
             f"{r['strategy']}/B={r['num_bundles']}": [

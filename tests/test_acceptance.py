@@ -51,8 +51,8 @@ def eu_flows():
 
 
 def eu_context(eu_flows, **overrides) -> ModelContext:
-    config = ExperimentConfig(n_flows=10_000, seed=7)
-    return fit_context(eu_flows, config, **overrides)
+    config = ExperimentConfig(n_flows=10_000, seed=7, **overrides)
+    return fit_context(eu_flows, config)
 
 
 def random_fitted_ced(rng, n=100):

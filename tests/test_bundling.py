@@ -25,8 +25,7 @@ from tierpricing.demand_ced import (
 )
 from tierpricing.demand_logit import (
     fit_logit,
-    logit_bundle_cost,
-    logit_bundle_valuation,
+    logit_bundle_aggregate,
     logit_consumer_surplus,
     logit_profit,
     logit_solve_prices,
@@ -490,10 +489,10 @@ def reference_pricing(ctx, labels, num_bundles):
         surplus = ced_consumer_surplus(ctx.v, per_flow, ctx.alpha,
                                        unit_price_offset=ctx.cs_unit_price_offset)
     else:
-        v_b = np.array([logit_bundle_valuation(ctx.v[members[b]], ctx.alpha)
-                        for b in occupied])
-        c_b = np.array([logit_bundle_cost(ctx.c[members[b]], ctx.v[members[b]],
-                                          ctx.alpha) for b in occupied])
+        aggregates = [logit_bundle_aggregate(ctx.v[members[b]], ctx.c[members[b]],
+                                             ctx.alpha) for b in occupied]
+        v_b = np.array([valuation for valuation, _ in aggregates])
+        c_b = np.array([cost for _, cost in aggregates])
         p_b = logit_solve_prices(v_b, c_b, ctx.alpha)
         prices[occupied] = p_b
         profit = logit_profit(v_b, p_b, c_b, ctx.alpha, ctx.consumer_mass)
@@ -623,7 +622,7 @@ def reference_class_constrained(ctx, num_bundles):
     bundles allocated to classes by largest remainder, and each class
     token-bucketed on its own. Returns labels in flow order."""
     classes_of = ctx.class_labels.tolist()
-    weights = ctx.potential_profits()
+    weights = ctx.potential_profits
     mass = {}
     for lab, w in zip(classes_of, weights):
         mass[lab] = mass.get(lab, 0.0) + float(w)
@@ -680,7 +679,7 @@ class TestClassConstrainedOracle:
 BUCKET_STRATEGIES = {
     Strategy.DEMAND_WEIGHTED: lambda ctx: ctx.q,
     Strategy.COST_WEIGHTED: lambda ctx: 1.0 / ctx.c,
-    Strategy.PROFIT_WEIGHTED: lambda ctx: ctx.potential_profits(),
+    Strategy.PROFIT_WEIGHTED: lambda ctx: ctx.potential_profits,
 }
 
 

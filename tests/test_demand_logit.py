@@ -9,8 +9,7 @@ from tierpricing.demand_logit import (
     _gradient_ascent,
     _profit_gradient,
     fit_logit,
-    logit_bundle_cost,
-    logit_bundle_valuation,
+    logit_bundle_aggregate,
     logit_consumer_surplus,
     logit_demand,
     logit_fit_gamma,
@@ -105,8 +104,7 @@ class TestProfit:
         rng = np.random.default_rng(4)
         v, c, alpha = random_instance(rng, 2)
         p = float(np.max(c)) + 1.0
-        collapsed_v = logit_bundle_valuation(v, alpha)
-        collapsed_c = logit_bundle_cost(c, v, alpha)
+        collapsed_v, collapsed_c = logit_bundle_aggregate(v, c, alpha)
         whole = logit_profit(v, [p, p], c, alpha, 7.0)
         single = logit_profit([collapsed_v], [p], [collapsed_c], alpha, 7.0)
         assert single == pytest.approx(whole, rel=1e-12)
@@ -312,51 +310,63 @@ class TestBundleAggregates:
     def test_identical_flows_gain_log_n(self):
         alpha = 1.7
         v = np.full(5, 3.0)
-        assert logit_bundle_valuation(v, alpha) == pytest.approx(
-            3.0 + np.log(5) / alpha, rel=1e-12
-        )
+        valuation, _ = logit_bundle_aggregate(v, np.ones(5), alpha)
+        assert valuation == pytest.approx(3.0 + np.log(5) / alpha, rel=1e-12)
 
     def test_singleton_identity(self):
-        assert logit_bundle_valuation([4.2], 1.3) == pytest.approx(4.2, rel=1e-15)
-        assert logit_bundle_cost([2.5], [4.2], 1.3) == 2.5
+        valuation, cost = logit_bundle_aggregate([4.2], [2.5], 1.3)
+        assert valuation == pytest.approx(4.2, rel=1e-15)
+        assert cost == 2.5
 
     def test_total_purchase_share_preserved(self):
         rng = np.random.default_rng(18)
         v, c, alpha = random_instance(rng, 9)
         p0 = 4.0
         s, s0 = logit_shares(v, np.full(9, p0), alpha)
-        v_all = logit_bundle_valuation(v, alpha)
+        v_all, _ = logit_bundle_aggregate(v, c, alpha)
         s_b, s0_b = logit_shares([v_all], [p0], alpha)
         assert s_b[0] == pytest.approx(s.sum(), rel=1e-12)
         assert s0_b == pytest.approx(s0, rel=1e-12)
 
     def test_equal_valuations_mean_cost(self):
         c = np.array([1.0, 5.0, 3.0])
-        assert logit_bundle_cost(c, np.full(3, 2.0), 1.1) == pytest.approx(c.mean())
+        _, cost = logit_bundle_aggregate(np.full(3, 2.0), c, 1.1)
+        assert cost == pytest.approx(c.mean())
 
     def test_dominant_valuation_takes_cost(self):
         c = np.array([1.0, 9.0])
         v = np.array([50.0, 1.0])
-        assert logit_bundle_cost(c, v, 2.0) == pytest.approx(1.0, abs=1e-10)
+        _, cost = logit_bundle_aggregate(v, c, 2.0)
+        assert cost == pytest.approx(1.0, abs=1e-10)
 
     def test_cost_within_bounds(self):
         rng = np.random.default_rng(19)
         v, c, alpha = random_instance(rng, 11)
-        agg = logit_bundle_cost(c, v, alpha)
+        _, agg = logit_bundle_aggregate(v, c, alpha)
         assert c.min() <= agg <= c.max()
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyBundle):
-            logit_bundle_valuation([], 1.0)
-        with pytest.raises(EmptyBundle):
-            logit_bundle_cost([], [], 1.0)
+            logit_bundle_aggregate([], [], 1.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_separate_sums_bit_for_bit(self, seed):
+        # one shared exponential gives exactly the numbers of the
+        # valuation and the cost each computed on its own
+        rng = np.random.default_rng(seed)
+        v, c, alpha = random_instance(rng, int(rng.integers(1, 3000)))
+        v = v + 800.0 / alpha  # exp(alpha*v) overflows without the shift
+        shift = float(np.max(alpha * v))
+        valuation = float((shift + np.log(np.sum(np.exp(alpha * v - shift)))) / alpha)
+        e = np.exp(alpha * v - shift)
+        assert logit_bundle_aggregate(v, c, alpha) == (
+            valuation, float(np.sum(c * e) / np.sum(e)))
 
     def test_bundle_of_everything_price_matches_shared_price_solve(self):
         # solving the aggregate == constraining the original to one price
         rng = np.random.default_rng(20)
         v, c, alpha = random_instance(rng, 7)
-        v_all = logit_bundle_valuation(v, alpha)
-        c_all = logit_bundle_cost(c, v, alpha)
+        v_all, c_all = logit_bundle_aggregate(v, c, alpha)
         p_bundle = logit_solve_prices([v_all], [c_all], alpha, tol=1e-12)[0]
         # shared-price profit of the original system, maximized numerically
         from scipy.optimize import minimize_scalar

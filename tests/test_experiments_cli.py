@@ -126,6 +126,27 @@ class TestThetaSweep:
             assert price == pytest.approx(ctx.p0, rel=1e-12)
 
 
+class TestGridPoint:
+    @pytest.mark.parametrize("model", [DemandModel.CED, DemandModel.LOGIT])
+    @pytest.mark.parametrize("param, value", [("alpha", 2.5), ("p0", 35.0),
+                                              ("s0", 0.4), ("theta", 0.7)])
+    def test_context_fitted_at_the_replaced_field(self, model, param, value):
+        from tierpricing.cost_models import realize_costs, relative_costs
+        from tierpricing.domain import CostModelSpec
+        from tierpricing.experiments import load_flows
+
+        cfg = small_config(demand_model=model)
+        flows = load_flows(cfg)
+        ctx = fit_context(flows, dataclasses.replace(cfg, **{param: value}))
+        if param == "theta":
+            rel = relative_costs(CostModelSpec(kind=cfg.cost_kind, theta=value), flows)
+            np.testing.assert_array_equal(ctx.c, realize_costs(rel, ctx.gamma))
+        elif param == "s0" and model is DemandModel.CED:
+            assert ctx.s0 is None
+        else:
+            assert getattr(ctx, param) == value
+
+
 class TestSensitivity:
     def test_degenerate_grid_matches_capture_run(self):
         cfg = small_config(strategies=(Strategy.PROFIT_WEIGHTED,),
@@ -139,15 +160,40 @@ class TestSensitivity:
             assert value == pytest.approx(cap[num_bundles], rel=1e-12)
 
     def test_min_not_above_any_grid_point(self):
-        from tierpricing.experiments import _sensitivity_point, load_flows
+        from tierpricing.experiments import _grid_point, load_flows
 
         cfg = small_config(alpha_grid=(1.3, 2.0, 4.0), p0_grid=(), s0_grid=())
         rows, _ = run_sensitivity_sweep(cfg)
         mins = {r["num_bundles"]: r["profit_capture"] for r in rows}
         flows = load_flows(cfg)
         for value in cfg.alpha_grid:
-            for row in _sensitivity_point(cfg, flows, "alpha", value):
+            point = dataclasses.replace(cfg, alpha=value)
+            point_rows, _ = _grid_point(point, flows, (Strategy.PROFIT_WEIGHTED,), "alpha")
+            for row in point_rows:
                 assert mins[row["num_bundles"]] <= row["profit_capture"] + 1e-12
+
+    def test_each_row_is_the_extreme_point_of_its_own_grid(self):
+        from tierpricing.experiments import _grid_point, load_flows
+
+        cfg = small_config(demand_model=DemandModel.LOGIT, n_flows=40,
+                           alpha_grid=(0.8, 2.0), p0_grid=(15.0, 30.0),
+                           s0_grid=(0.1, 0.3, 0.6))
+        rows, _ = run_sensitivity_sweep(cfg)
+        flows = load_flows(cfg)
+        for tag, param, grid, pick in (("alpha-min", "alpha", cfg.alpha_grid, min),
+                                       ("p0-min", "p0", cfg.p0_grid, min),
+                                       ("s0-max", "s0", cfg.s0_grid, max)):
+            points = [_grid_point(dataclasses.replace(cfg, **{param: value}), flows,
+                                  (Strategy.PROFIT_WEIGHTED,), param)[0]
+                      for value in grid]
+            for num_bundles in cfg.bundles:
+                [row] = [r for r in rows if r["sweep_param"] == tag
+                         and r["num_bundles"] == num_bundles]
+                candidates = [r for point in points for r in point
+                              if r["num_bundles"] == num_bundles]
+                best = pick(candidates, key=lambda r: r["profit_capture"])
+                assert row == {**best, "sweep_param": tag}
+                assert row["sweep_value"] in grid
 
     def test_s0_sweep_reports_max(self):
         cfg = small_config(demand_model=DemandModel.LOGIT, n_flows=40,
@@ -377,6 +423,68 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert repr(line.split(" = ")[0]) in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, args", [
+        ("capture", ["--bundles", "2,1,2"]),
+        ("capture", ["--strategy", "cost-division,profit-weighted,cost-division"]),
+        ("theta-sweep", ["--theta-grid", "0,0.5,0"]),
+        ("sensitivity", ["--alpha-grid", "1.5,1.5", "--p0-grid", "10"]),
+        ("sensitivity", ["--alpha-grid", "1.5", "--p0-grid", "10,20,10"]),
+        ("sensitivity", ["--demand-model", "logit", "--s0-grid", "0.2,0.4,0.2"]),
+    ])
+    def test_repeated_run_value_is_a_config_error(self, tmp_path, command, args):
+        # a repeat would write repeated rows under one sidecar prices key
+        out = tmp_path / "x.csv"
+        res = run_cli(command, "--n-flows", "30", "--bundles", "1,2",
+                      "--strategy", "cost-division", *args, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "must not repeat" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["split_dest_type", "cs-unit-price-offset"])
+    @pytest.mark.parametrize("raw, value", [("on", True), ("off", False),
+                                            ("Yes", True), ("0", False),
+                                            ("onn", None)])
+    def test_config_file_boolean(self, tmp_path, key, raw, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[tierpricing]\n{key} = {raw}\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        res = run_cli("capture", "--config", str(ini), "--n-flows", "30",
+                      "--cost-model", "dest-type", "--theta", "0.4",
+                      "--bundles", "1,2", "--strategy", "cost-division",
+                      "--out", str(out))
+        if value is None:
+            assert res.returncode == 2, res.stderr
+            assert "Not a boolean" in res.stderr
+            assert not out.exists()
+            return
+        assert res.returncode == 0, res.stderr
+        meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+        assert meta["config"][key.replace("-", "_")] is value
+
+    @pytest.mark.parametrize("line, dest, value", [
+        ("cost-model = concave", "cost_kind", "concave"),
+        ("cost_kind = concave", "cost_kind", "concave"),
+        ("synth-preset = cdn", "preset", "cdn"),
+        ("strategies = cost-division", "strategies", ["cost-division"]),
+        ("theta-grid = 0.1,0.3", "theta_grid", [0.1, 0.3]),
+    ])
+    def test_config_key_long_option_or_dest(self, tmp_path, line, dest, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[tierpricing]\nn_flows = 30\nbundles = 1,2\n{line}\n",
+                       encoding="utf-8")
+        out = tmp_path / "x.csv"
+        res = run_cli("theta-sweep", "--config", str(ini), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+        assert meta["config"][dest] == value
+
+    def test_config_value_converted_by_option_type(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[tierpricing]\nn_flows = many\n", encoding="utf-8")
+        res = run_cli("capture", "--config", str(ini), "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 2, res.stderr
+        assert "config key n_flows" in res.stderr
 
     @pytest.mark.parametrize("command", ["capture", "synth"])
     @pytest.mark.parametrize("in_file, flag", [(True, False), (True, True),
