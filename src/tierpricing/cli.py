@@ -25,7 +25,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import logging
 import sys
@@ -44,7 +43,6 @@ from .domain import (
     PricingError,
 )
 from .experiments import (
-    DEFAULT_STRATEGIES,
     ExperimentConfig,
     fit_context,
     load_flows,
@@ -123,7 +121,12 @@ COMMANDS = {
 
 
 def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
-    """Declare the options of one subcommand, each in one place."""
+    """Declare the options of one subcommand, each in one place.
+
+    No option has a default here: the parser leaves out what is not
+    given (``argparse.SUPPRESS``) and ``ExperimentConfig`` fills in its
+    own field defaults.
+    """
     parser.add_argument("--config", help="INI config file ([tierpricing] section)")
     parser.add_argument("--out", help="output CSV path (required, here or as out "
                                       "in the config file)")
@@ -131,22 +134,21 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     if command != "synth":
         src.add_argument("--input", dest="input_csv",
                          help="flow CSV to load in place of the synthetic preset")
-    src.add_argument("--synth-preset", dest="preset",
-                     choices=sorted(SYNTH_PRESETS), default="eu-isp",
+    src.add_argument("--synth-preset", dest="preset", choices=sorted(SYNTH_PRESETS),
                      help="synthetic dataset preset")
-    src.add_argument("--n-flows", type=int, default=10_000)
-    src.add_argument("--seed", type=int, default=0)
+    src.add_argument("--n-flows", type=int)
+    src.add_argument("--seed", type=int)
     if command == "synth":
         return
     model = parser.add_argument_group("model")
-    model.add_argument("--demand-model", type=DemandModel, default=DemandModel.CED,
+    model.add_argument("--demand-model", type=DemandModel,
                        choices=[m.value for m in DemandModel])
     model.add_argument("--cost-model", dest="cost_kind", type=CostKind,
-                       default=CostKind.LINEAR, choices=[k.value for k in CostKind])
-    model.add_argument("--alpha", type=float, default=1.1)
-    model.add_argument("--p0", type=float, default=20.0)
-    model.add_argument("--theta", type=float, default=0.2)
-    model.add_argument("--s0", type=float, default=0.2)
+                       choices=[k.value for k in CostKind])
+    model.add_argument("--alpha", type=float)
+    model.add_argument("--p0", type=float)
+    model.add_argument("--theta", type=float)
+    model.add_argument("--s0", type=float)
     model.add_argument("--split-dest-type", action="store_true",
                        help="split unlabeled flows into customer/peer subflows "
                             "(dest-type cost model only)")
@@ -154,23 +156,18 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
                        help="alternative surplus convention subtracting the unit "
                             "price instead of the total payment")
     run = parser.add_argument_group("run")
-    run.add_argument("--bundles", type=_parse_bundles, default=(1, 2, 3, 4, 5, 6, 7, 8),
+    run.add_argument("--bundles", type=_parse_bundles,
                      help="tier counts: comma list or range like 1..8")
     run.add_argument("--strategy", dest="strategies", type=_parse_strategies,
-                     default=None,
                      help="comma list of bundling strategies; optimal is "
                           "the exact cost-contiguous optimum")
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=int)
     if command == "theta-sweep":
-        run.add_argument("--theta-grid", type=_parse_floats,
-                         default=(0.0, 0.2, 0.5, 1.0))
+        run.add_argument("--theta-grid", type=_parse_floats)
     if command == "sensitivity":
-        run.add_argument("--alpha-grid", type=_parse_floats,
-                         default=(1.1, 2.0, 5.0, 10.0))
-        run.add_argument("--p0-grid", type=_parse_floats,
-                         default=(5.0, 10.0, 20.0, 30.0))
-        run.add_argument("--s0-grid", type=_parse_floats,
-                         default=(0.05, 0.2, 0.5, 0.9))
+        run.add_argument("--alpha-grid", type=_parse_floats)
+        run.add_argument("--p0-grid", type=_parse_floats)
+        run.add_argument("--s0-grid", type=_parse_floats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     # parse into a fresh namespace that overrides parent-level defaults
     parser.sub_map = {}
     for command, help_text in COMMANDS.items():
-        parser.sub_map[command] = sub.add_parser(command, help=help_text)
+        parser.sub_map[command] = sub.add_parser(
+            command, help=help_text, argument_default=argparse.SUPPRESS)
         _add_options(parser.sub_map[command], command)
     return parser
 
@@ -194,6 +192,8 @@ def _apply_config_file(argv: list[str], args: argparse.Namespace,
     path = getattr(args, "config", None)
     if not path:
         return args
+    import configparser
+
     ini = configparser.ConfigParser()
     if not ini.read(path):
         raise ConfigError(f"cannot read config file {path}")
@@ -229,23 +229,23 @@ def _apply_config_file(argv: list[str], args: argparse.Namespace,
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The given options over the ``ExperimentConfig`` defaults; a theta
+    sweep defaults to profit-weighted bundling alone."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     kwargs = {k: v for k, v in vars(args).items() if k in fields}
-    if kwargs["strategies"] is None:
-        kwargs["strategies"] = (Strategy.PROFIT_WEIGHTED,) \
-            if args.command == "theta-sweep" else DEFAULT_STRATEGIES
+    if args.command == "theta-sweep":
+        kwargs.setdefault("strategies", (Strategy.PROFIT_WEIGHTED,))
     return ExperimentConfig(**kwargs)
 
 
-def _cmd_synth(args: argparse.Namespace) -> None:
-    moments = preset_moments(args.preset, n_flows=args.n_flows, seed=args.seed)
+def _cmd_synth(config: ExperimentConfig) -> None:
+    moments = preset_moments(config.preset, n_flows=config.n_flows, seed=config.seed)
     flows = synth_generate(moments)
-    write_flows_csv(args.out, flows)
-    log.info("wrote %d flows to %s", len(flows), args.out)
+    write_flows_csv(config.out, flows)
+    log.info("wrote %d flows to %s", len(flows), config.out)
 
 
-def _cmd_fit(args: argparse.Namespace) -> None:
-    config = _config_from_args(args)
+def _cmd_fit(config: ExperimentConfig) -> None:
     flows = load_flows(config)
     ctx = fit_context(flows, config)
     write_fitted_csv(config.out, ctx)
@@ -264,16 +264,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(argv, args, parser)
-        if args.out is None:
+        if "out" not in args:
             # --out is optional to argparse so that the config file can set it
             parser.sub_map[args.command].error("the following arguments are required: --out")
+        config = _config_from_args(args)
         if args.command == "synth":
-            _cmd_synth(args)
+            _cmd_synth(config)
             return 0
         if args.command == "fit":
-            _cmd_fit(args)
+            _cmd_fit(config)
             return 0
-        config = _config_from_args(args)
         runner = {
             "capture": run_capture_curve,
             "theta-sweep": run_theta_sweep,

@@ -89,11 +89,28 @@ def logit_consumer_surplus(v, p, alpha: float, consumer_mass: float) -> float:
     return float(consumer_mass * (EULER_GAMMA + lse) / alpha)
 
 
-def _markup_residual(p, v, c, alpha):
-    """Residual of the optimality condition p = c + 1/(alpha*s0(p))."""
-    _, s0 = logit_shares(v, p, alpha)
+def _markup_residual(p, v, c, alpha, buf):
+    """Target c + 1/(alpha*s0(p)) of the optimality condition
+    p = c + 1/(alpha*s0(p)), and the residual max|p - target|.
+
+    One step of the price solver, doing only the work its fixed point
+    needs: s0 without the share vector, one max for both the overflow
+    guard and the shift, and every temporary in ``buf`` (float, shaped
+    like ``p``). The arithmetic is that of ``logit_shares``, bit for
+    bit, so the solver's iterates equal those of the plain formula."""
+    x = np.multiply(alpha, np.subtract(v, p, out=buf), out=buf)
+    x_max = np.maximum.reduce(x, axis=None)
+    if x_max > MAX_SAFE_EXPONENT:
+        raise OverflowGuard(
+            f"max exponent alpha*(v-p) = {x_max:.3g} exceeds safe range"
+        )
+    shift = max(float(x_max), 0.0)
+    e = np.exp(np.subtract(x, shift, out=buf), out=buf)
+    outside = np.exp(-shift)
+    s0 = float(outside / (np.add.reduce(e, axis=None) + outside))
     target = c + 1.0 / (alpha * s0)
-    return target, float(np.max(np.abs(p - target)))
+    gap = np.absolute(np.subtract(p, target, out=buf), out=buf)
+    return target, float(np.maximum.reduce(gap, axis=None))
 
 
 def logit_solve_prices(
@@ -120,12 +137,13 @@ def logit_solve_prices(
     if tol <= 0:
         raise DomainError("tol must be positive")
     p = np.array(p_init, dtype=float) if p_init is not None else c + 1.0 / alpha
+    buf = np.empty_like(p)
     lam = 0.5
     best_p, best_res = p, np.inf
     fp_budget = max(1, max_iter // 2)
     residual = np.inf
     for it in range(fp_budget):
-        target, residual = _markup_residual(p, v, c, alpha)
+        target, residual = _markup_residual(p, v, c, alpha, buf)
         if residual < tol:
             return p
         if residual < best_res:
@@ -133,10 +151,10 @@ def logit_solve_prices(
         elif lam > 1e-4:
             lam *= 0.5
             p = best_p
-            target, residual = _markup_residual(p, v, c, alpha)
+            target, residual = _markup_residual(p, v, c, alpha, buf)
         p = (1.0 - lam) * p + lam * target
     p = _gradient_ascent(best_p, v, c, alpha, tol, max_iter - fp_budget)
-    _, residual = _markup_residual(p, v, c, alpha)
+    _, residual = _markup_residual(p, v, c, alpha, buf)
     if residual >= tol:
         raise NoConvergence(
             f"price solver stalled after {max_iter} iterations "
@@ -156,12 +174,13 @@ def _gradient_ascent(p, v, c, alpha, tol, budget):
     """Backtracking gradient ascent on profit; fallback for instances
     where the damped fixed point fails to contract."""
     p = p.copy()
+    buf = np.empty_like(p)
     value = logit_profit(v, p, c, alpha, 1.0)
     step = 1.0
     for _ in range(max(budget, 1)):
         grad = _profit_gradient(p, v, c, alpha)
         gnorm = float(np.max(np.abs(grad)))
-        _, residual = _markup_residual(p, v, c, alpha)
+        _, residual = _markup_residual(p, v, c, alpha, buf)
         if residual < tol:
             break
         while step > 1e-12:

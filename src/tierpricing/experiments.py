@@ -11,11 +11,11 @@ Three table-producing runs mirror the headline questions:
                      profit capture per tier count over parameter grids
 
 All three walk one engine: ``_sweep`` loads the flows once and maps
-each grid point, the configuration with one field replaced, through
-``_grid_point``, which fits one context and evaluates every (strategy,
-tier count) on it. A capture curve is a one-point sweep; the theta
-sweep normalizes the profits of its points and the sensitivity sweep
-picks the extreme point per tier count.
+each distinct grid point, the configuration with one field replaced,
+through ``_grid_point``, which fits one context and evaluates every
+(strategy, tier count) on it. A capture curve is a one-point sweep;
+the theta sweep normalizes the profits of its points and the
+sensitivity sweep picks the extreme point per tier count.
 
 All runs write a long-format CSV with the fixed header
 ``sweep_param,sweep_value,strategy,num_bundles,effective_bundles,
@@ -33,7 +33,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -150,13 +149,15 @@ def load_flows(config: ExperimentConfig) -> FlowTable:
         )
     if len(flows) == 0:
         raise ConfigError("flow set is empty after ingestion")
-    if config.split_dest_type and config.cost_kind is CostKind.DEST_TYPE:
-        flows = split_by_dest_type(flows, config.theta)
     return flows
 
 
 def fit_context(flows: FlowTable, config: ExperimentConfig) -> ModelContext:
-    """Fit the configured demand model on the flows."""
+    """Fit the configured demand model on the flows, first split into
+    customer/peer subflows at the configured theta when the dest-type
+    cost model asks for it."""
+    if config.split_dest_type and config.cost_kind is CostKind.DEST_TYPE:
+        flows = split_by_dest_type(flows, config.theta)
     spec = CostModelSpec(kind=config.cost_kind, theta=config.theta)
     rel = relative_costs(spec, flows)
     labels = class_labels(spec, flows)
@@ -170,11 +171,8 @@ def fit_context(flows: FlowTable, config: ExperimentConfig) -> ModelContext:
     return ModelContext.from_logit(fit, config.p0)
 
 
-def _row(sweep_param: str, sweep_value: float, strategy: Strategy,
-         num_bundles: int, outcome) -> dict:
+def _row(strategy: Strategy, num_bundles: int, outcome) -> dict:
     return {
-        "sweep_param": sweep_param,
-        "sweep_value": float(sweep_value),
         "strategy": strategy.value,
         "num_bundles": num_bundles,
         "effective_bundles": outcome.effective_bundles,
@@ -192,13 +190,11 @@ def _row(sweep_param: str, sweep_value: float, strategy: Strategy,
 
 
 def _grid_point(config: ExperimentConfig, flows: FlowTable,
-                strategies: tuple[Strategy, ...],
-                param: str) -> tuple[list[dict], dict]:
+                strategies: tuple[Strategy, ...]) -> tuple[list[dict], dict]:
     """Fit one context at ``config`` and evaluate every (strategy, B).
 
-    Each row is tagged with ``param`` and its value in ``config``, or
-    with the row's own tier count when ``param`` is "bundles". Returns
-    the rows and the point's baselines and fitted cost model.
+    Returns the rows, not yet tagged with a sweep parameter, and the
+    point's baselines and fitted cost model.
     """
     ctx = fit_context(flows, config)
     rows = []
@@ -206,8 +202,7 @@ def _grid_point(config: ExperimentConfig, flows: FlowTable,
         for num_bundles in config.bundles:
             bundling = build_bundles(strategy, ctx, num_bundles)
             outcome = evaluate_bundling(ctx, bundling)
-            value = num_bundles if param == "bundles" else getattr(config, param)
-            rows.append(_row(param, value, strategy, num_bundles, outcome))
+            rows.append(_row(strategy, num_bundles, outcome))
     point = {
         "baselines": {"pi_orig": ctx.pi_orig, "pi_max": ctx.pi_max,
                       "cs_orig": ctx.cs_orig, "cs_max": ctx.cs_max},
@@ -220,14 +215,26 @@ def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],
            strategies: tuple[Strategy, ...]) -> list[tuple[list[dict], dict]]:
     """Load the flows once and evaluate every grid point, in order.
 
-    A point (param, value) is ``config`` with that field replaced; all
-    points form one job list, so ``config.workers`` processes share
-    them.
+    A point (param, value) is ``config`` with that field replaced. Each
+    distinct replaced config is evaluated once (the base market recurs
+    in every grid that holds its own value), and all of them form one
+    job list, so ``config.workers`` processes share them. A point's
+    rows are then tagged with ``param`` and ``value``, or with each
+    row's own tier count when ``param`` is "bundles".
     """
     flows = load_flows(config)
-    jobs = [(dataclasses.replace(config, **{param: value}), flows, strategies, param)
-            for param, value in points]
-    return _map_jobs(_grid_point, jobs, config.workers)
+    configs = [dataclasses.replace(config, **{param: value}) for param, value in points]
+    distinct = list(dict.fromkeys(configs))
+    results = dict(zip(distinct, _map_jobs(
+        _grid_point, [(point, flows, strategies) for point in distinct], config.workers)))
+    tagged = []
+    for (param, value), point in zip(points, configs):
+        rows, meta = results[point]
+        tagged.append(([{"sweep_param": param,
+                         "sweep_value": float(r["num_bundles"] if param == "bundles"
+                                              else value),
+                         **r} for r in rows], meta))
+    return tagged
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +338,9 @@ def _sort_key(row: dict):
 def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
+    # imported here: it pulls in multiprocessing, which serial runs skip
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*jobs)))
 

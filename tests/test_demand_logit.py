@@ -3,9 +3,12 @@ simulation, fitting round trips, bundle aggregation identities."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tierpricing.demand_logit import (
     EULER_GAMMA,
+    MAX_SAFE_EXPONENT,
     _gradient_ascent,
     _profit_gradient,
     fit_logit,
@@ -216,6 +219,152 @@ class TestSolver:
             fd = (logit_profit(v, up, c, alpha, 1.0)
                   - logit_profit(v, down, c, alpha, 1.0)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+# The solver's fixed point as first written: each step goes through
+# logit_shares and the full share vector. logit_solve_prices computes
+# the same iterates with less work and must match it bit for bit.
+def reference_markup_residual(p, v, c, alpha):
+    _, s0 = logit_shares(v, p, alpha)
+    target = c + 1.0 / (alpha * s0)
+    return target, float(np.max(np.abs(p - target)))
+
+
+def reference_gradient_ascent(p, v, c, alpha, tol, budget):
+    p = p.copy()
+    value = logit_profit(v, p, c, alpha, 1.0)
+    step = 1.0
+    for _ in range(max(budget, 1)):
+        grad = _profit_gradient(p, v, c, alpha)
+        gnorm = float(np.max(np.abs(grad)))
+        _, residual = reference_markup_residual(p, v, c, alpha)
+        if residual < tol:
+            break
+        while step > 1e-12:
+            trial = p + step * grad
+            trial_value = logit_profit(v, trial, c, alpha, 1.0)
+            if trial_value > value + 1e-4 * step * gnorm ** 2:
+                p, value = trial, trial_value
+                step *= 2.0
+                break
+            step *= 0.5
+        else:
+            break
+    return p
+
+
+def reference_solve_prices(v, c, alpha, tol=1e-8, max_iter=100_000, p_init=None):
+    v = np.asarray(v, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if v.size == 0:
+        return np.empty(0)
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    p = np.array(p_init, dtype=float) if p_init is not None else c + 1.0 / alpha
+    lam = 0.5
+    best_p, best_res = p, np.inf
+    fp_budget = max(1, max_iter // 2)
+    for _ in range(fp_budget):
+        target, residual = reference_markup_residual(p, v, c, alpha)
+        if residual < tol:
+            return p
+        if residual < best_res:
+            best_p, best_res = p, residual
+        elif lam > 1e-4:
+            lam *= 0.5
+            p = best_p
+            target, residual = reference_markup_residual(p, v, c, alpha)
+        p = (1.0 - lam) * p + lam * target
+    p = reference_gradient_ascent(best_p, v, c, alpha, tol, max_iter - fp_budget)
+    _, residual = reference_markup_residual(p, v, c, alpha)
+    if residual >= tol:
+        raise NoConvergence(
+            f"price solver stalled after {max_iter} iterations "
+            f"(residual {residual:.3g})",
+            residual=residual,
+        )
+    return p
+
+
+def outcome(solve, *args, **kwargs):
+    """Prices, or the type, message and residual of the error raised."""
+    try:
+        return solve(*args, **kwargs)
+    except (NoConvergence, OverflowGuard) as exc:
+        return type(exc), str(exc), getattr(exc, "residual", None)
+
+
+def assert_same_outcome(*args, **kwargs):
+    got = outcome(logit_solve_prices, *args, **kwargs)
+    want = outcome(reference_solve_prices, *args, **kwargs)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    return want
+
+
+def stall_market(seed):
+    """A small market on which the solver exhausts its budget."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 31))
+    q = rng.lognormal(1.0, 1.5, n)
+    d = rng.uniform(1, 100, n)
+    fit = fit_logit([f"f{i}" for i in range(n)], q, d, d, 20.0, 1.1, 0.2)
+    return fit.v, fit.c, fit.alpha
+
+
+@st.composite
+def solver_inputs(draw):
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    spread = draw(st.sampled_from([1.0, 10.0, 60.0]))
+    v = rng.uniform(-spread, spread, n) + draw(st.floats(-50.0, 50.0))
+    c = rng.uniform(0.0, 8.0, n)
+    alpha = draw(st.floats(0.05, 12.0))
+    kwargs = {}
+    tols = [1e-6, 1e-10]
+    if draw(st.booleans()):
+        kwargs["max_iter"] = draw(st.sampled_from([1, 2, 3, 50, 400]))
+        # out of reach: the budget runs out, through the gradient ascent
+        tols += [1e-13, 1e-15]
+    if draw(st.booleans()):
+        kwargs["tol"] = draw(st.sampled_from(tols))
+    if draw(st.booleans()):
+        kwargs["p_init"] = c + rng.uniform(0.0, 5.0, n)
+    return v, c, alpha, kwargs
+
+
+class TestSolverOracle:
+    """logit_solve_prices against reference_solve_prices: equal prices
+    (np.array_equal), or the same exception with the same message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(solver_inputs())
+    def test_same_outcome_as_reference(self, inputs):
+        v, c, alpha, kwargs = inputs
+        assert_same_outcome(v, c, alpha, **kwargs)
+
+    def test_same_prices_at_5000_flows(self):
+        rng = np.random.default_rng(7)
+        q = rng.lognormal(1.0, 1.2, 5000)
+        d = rng.uniform(1, 100, 5000)
+        fit = fit_logit([f"f{i}" for i in range(5000)], q, d, d + 10.0,
+                        20.0, 1.1, 0.2)
+        prices = assert_same_outcome(fit.v, fit.c, fit.alpha)
+        assert isinstance(prices, np.ndarray) and prices.shape == (5000,)
+
+    @pytest.mark.parametrize("seed", [286, 1009, 1657])
+    def test_stalled_market_raises_the_same_residual(self, seed):
+        error, message, residual = assert_same_outcome(*stall_market(seed))
+        assert error is NoConvergence and residual >= 1e-8
+        assert message.startswith("price solver stalled after 100000 iterations")
+
+    def test_overflow_raises_the_same_message(self):
+        v = np.array([MAX_SAFE_EXPONENT + 50.0, 1.0])
+        error, message, _ = assert_same_outcome(v, np.array([1.0, 2.0]), 1.0)
+        assert error is OverflowGuard and "exceeds safe range" in message
 
 
 class TestConsumerSurplus:

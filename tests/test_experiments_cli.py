@@ -100,6 +100,26 @@ class TestThetaSweep:
                             (tmp_path / f"{workers}.csv.meta.json").read_bytes()))
         assert written[0] == written[1]
 
+    def test_split_dest_type_follows_the_swept_theta(self):
+        cfg = small_config(cost_kind=CostKind.DEST_TYPE, split_dest_type=True,
+                           n_flows=200, theta=0.2, theta_grid=(0.2, 0.8),
+                           strategies=(Strategy.PROFIT_WEIGHTED,
+                                       Strategy.CLASS_PROFIT_WEIGHTED))
+        rows, meta = run_theta_sweep(cfg)
+        norm = meta["profit_norm_constant"]
+        for theta in cfg.theta_grid:
+            capture, _ = run_capture_curve(dataclasses.replace(cfg, theta=theta))
+            swept = {(r["strategy"], r["num_bundles"]): r for r in rows
+                     if r["sweep_value"] == theta}
+            assert len(swept) == len(capture) == 6
+            for want in capture:
+                got = swept[want["strategy"], want["num_bundles"]]
+                assert got == {**want, "sweep_param": "theta", "sweep_value": theta,
+                               "profit": want["profit"] / norm}
+        captures = {r["sweep_value"]: r["profit_capture"] for r in rows
+                    if r["strategy"] == "profit-weighted" and r["num_bundles"] == 3}
+        assert captures[0.2] != captures[0.8]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             run_theta_sweep(small_config(theta_grid=()))
@@ -168,7 +188,7 @@ class TestSensitivity:
         flows = load_flows(cfg)
         for value in cfg.alpha_grid:
             point = dataclasses.replace(cfg, alpha=value)
-            point_rows, _ = _grid_point(point, flows, (Strategy.PROFIT_WEIGHTED,), "alpha")
+            point_rows, _ = _grid_point(point, flows, (Strategy.PROFIT_WEIGHTED,))
             for row in point_rows:
                 assert mins[row["num_bundles"]] <= row["profit_capture"] + 1e-12
 
@@ -183,14 +203,14 @@ class TestSensitivity:
         for tag, param, grid, pick in (("alpha-min", "alpha", cfg.alpha_grid, min),
                                        ("p0-min", "p0", cfg.p0_grid, min),
                                        ("s0-max", "s0", cfg.s0_grid, max)):
-            points = [_grid_point(dataclasses.replace(cfg, **{param: value}), flows,
-                                  (Strategy.PROFIT_WEIGHTED,), param)[0]
+            points = [(value, _grid_point(dataclasses.replace(cfg, **{param: value}),
+                                          flows, (Strategy.PROFIT_WEIGHTED,))[0])
                       for value in grid]
             for num_bundles in cfg.bundles:
                 [row] = [r for r in rows if r["sweep_param"] == tag
                          and r["num_bundles"] == num_bundles]
-                candidates = [r for point in points for r in point
-                              if r["num_bundles"] == num_bundles]
+                candidates = [{**r, "sweep_value": value} for value, point in points
+                              for r in point if r["num_bundles"] == num_bundles]
                 best = pick(candidates, key=lambda r: r["profit_capture"])
                 assert row == {**best, "sweep_param": tag}
                 assert row["sweep_value"] in grid
@@ -228,6 +248,36 @@ class TestSensitivity:
         run_theta_sweep(cfg)
         assert len(calls) == 2
 
+    def test_duplicated_point_fitted_once_and_tagged_per_point(self, monkeypatch):
+        # p0 = 20 and s0 = 0.2 are both the base logit market
+        from tierpricing import experiments
+
+        fits = []
+        fit = experiments.fit_context
+
+        def counting(flows, config):
+            fits.append(config)
+            return fit(flows, config)
+
+        monkeypatch.setattr(experiments, "fit_context", counting)
+        cfg = small_config(demand_model=DemandModel.LOGIT, n_flows=40)
+        points = [("alpha", 2.0), ("p0", 20.0), ("s0", 0.2), ("bundles", cfg.bundles)]
+        results = experiments._sweep(cfg, points, (Strategy.PROFIT_WEIGHTED,))
+        assert fits == [dataclasses.replace(cfg, alpha=2.0), cfg]
+        (_, alpha), (p0_rows, p0), (s0_rows, s0), (b_rows, b) = results
+        assert p0 == s0 == b != alpha
+        assert len(p0_rows) == len(s0_rows) == len(b_rows) == len(cfg.bundles)
+        for p0_row, s0_row, b_row in zip(p0_rows, s0_rows, b_rows):
+            assert p0_row is not s0_row
+            assert (p0_row["sweep_param"], p0_row["sweep_value"]) == ("p0", 20.0)
+            assert (s0_row["sweep_param"], s0_row["sweep_value"]) == ("s0", 0.2)
+            assert (b_row["sweep_param"], b_row["sweep_value"]) == \
+                ("bundles", b_row["num_bundles"])
+            tags = {"sweep_param", "sweep_value"}
+            rest = {k: v for k, v in p0_row.items() if k not in tags}
+            assert rest == {k: v for k, v in s0_row.items() if k not in tags}
+            assert rest == {k: v for k, v in b_row.items() if k not in tags}
+
     def test_parallel_workers_match_serial(self):
         cfg = small_config(strategies=(Strategy.PROFIT_WEIGHTED,),
                            alpha_grid=(1.2, 2.0), p0_grid=(), s0_grid=())
@@ -260,15 +310,19 @@ class TestWriteResults:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def run_cli(*args):
+def run_python(*args):
     # the child imports the same tierpricing as this process, also when
     # pytest put src/ on sys.path without setting PYTHONPATH
     src = os.path.dirname(os.path.dirname(tierpricing.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "tierpricing.cli", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "tierpricing.cli", *args)
 
 
 class TestCli:
@@ -520,3 +574,24 @@ class TestCli:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["sweep_param"] for r in rows} == {"alpha-min", "p0-min"}
+
+    @pytest.mark.parametrize("command", ["synth", "fit", "capture", "theta-sweep",
+                                         "sensitivity"])
+    def test_bare_parse_is_the_config_default(self, command):
+        from tierpricing.cli import _config_from_args, build_parser
+
+        args = build_parser().parse_args([command, "--out", "x.csv"])
+        config = _config_from_args(args)
+        default = ExperimentConfig(out="x.csv")
+        if command == "theta-sweep":
+            default = dataclasses.replace(default, strategies=(Strategy.PROFIT_WEIGHTED,))
+        for field in dataclasses.fields(ExperimentConfig):
+            assert getattr(config, field.name) == getattr(default, field.name), field.name
+
+    def test_import_skips_process_pool_and_configparser(self):
+        # both are imported only by the runs that use them
+        res = run_python("-c", "import sys, tierpricing.cli; print(sorted(m for m in "
+                         "('multiprocessing', 'concurrent.futures.process', "
+                         "'configparser') if m in sys.modules))")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
