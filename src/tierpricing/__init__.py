@@ -16,12 +16,12 @@ from .bundling import (
     token_bucket_bundles,
 )
 from .cost_models import (
+    base_cost,
     class_labels,
     classify_regions,
     realize_costs,
     relative_costs,
     split_by_dest_type,
-    with_fit,
 )
 from .demand_ced import (
     CedFit,
@@ -55,10 +55,8 @@ from .domain import (
     DemandModel,
     FittedTable,
     FlowTable,
-    MarketParams,
     PricingError,
     TierOutcome,
-    validate_params,
 )
 from .experiments import (
     ExperimentConfig,

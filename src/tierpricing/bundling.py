@@ -1,6 +1,7 @@
 """Tier construction and evaluation.
 
-Six strategies partition flows into price tiers:
+Six default strategies plus class-profit-weighted partition flows into
+price tiers:
 
 * optimal           exact search over cost-contiguous partitions (the oracle)
 * demand-weighted   token buckets weighted by observed demand

@@ -35,7 +35,6 @@ from .domain import (
     CostKind,
     DegenerateBaseline,
     DemandModel,
-    MarketParams,
     NoConvergence,
     NonPositiveCost,
     NonPositiveGamma,
@@ -46,10 +45,10 @@ from .experiments import (
     ExperimentConfig,
     fit_context,
     load_flows,
-    market_params,
     run_capture_curve,
     run_sensitivity_sweep,
     run_theta_sweep,
+    validate_config,
     write_results,
 )
 from .ingestion import (
@@ -246,14 +245,11 @@ def _cmd_synth(config: ExperimentConfig) -> None:
 
 
 def _cmd_fit(config: ExperimentConfig) -> None:
+    validate_config(config)
     flows = load_flows(config)
     ctx = fit_context(flows, config)
     write_fitted_csv(config.out, ctx)
-    params = market_params(config)
-    if params.model is DemandModel.LOGIT:
-        params = MarketParams(params.model, params.alpha, params.p0,
-                              s0=params.s0, consumer_mass=ctx.consumer_mass)
-    write_params_csv(f"{config.out}.params.csv", params)
+    write_params_csv(f"{config.out}.params.csv", ctx)
     log.info("wrote %d fitted flows to %s", len(ctx), config.out)
 
 

@@ -9,7 +9,8 @@ yields the final cost.
 Four models:
 
 * linear:    f(d) = d + theta * d_max           (base = theta * d_max)
-* concave:   f(d) = max(eps, a*log_b(d/d_max) + c) + theta * base_ref
+* concave:   f(d) = max(eps, a*log_b(d/d_max) + c) + theta * c, with the
+             fitted shape (a, b, c) = (0.5, 6, 1)
 * regional:  metro -> 1, national -> 2**theta, international -> 3**theta
 * dest-type: f(d) = d * m, customer m=1, peer m=2, unlabeled
              m = theta*1 + (1-theta)*2 (theta = customer traffic share)
@@ -21,7 +22,6 @@ results are bit-identical to evaluating each flow on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -34,6 +34,11 @@ from .domain import (
     NonPositiveCost,
 )
 
+# Fitted concave shape a*log_b(d/d_max) + c; c is also the pre-base
+# cost at d = d_max, which anchors the concave base term.
+CONCAVE_A = 0.5
+CONCAVE_B = 6.0
+CONCAVE_C = 1.0
 # Clamp for the concave pre-base cost at tiny normalized distances.
 CONCAVE_EPS = 0.05
 # Relative floor protecting 1/c weights from blowup at d = 0.
@@ -60,23 +65,18 @@ def classify_regions(flows: FlowTable) -> np.ndarray:
     return np.array(REGIONS, dtype=object)[_region_codes(flows)]
 
 
-def _concave_pre_base(spec: CostModelSpec, d: np.ndarray, d_max: float) -> np.ndarray:
+def _concave_pre_base(d: np.ndarray, d_max: float) -> np.ndarray:
     if d_max <= 0:
-        return np.full(len(d), spec.concave_c)
+        return np.full(len(d), CONCAVE_C)
     norm = d / d_max
     pre = np.full(len(d), CONCAVE_EPS)
     pos = norm > 0
     # math.log, not np.log: the two differ in the last bit on some
     # inputs, and math.log(x, b) is exactly math.log(x) / math.log(b)
     logs = np.array([math.log(x) for x in norm[pos].tolist()], dtype=float)
-    raw = spec.concave_a * (logs / math.log(spec.concave_b)) + spec.concave_c
+    raw = CONCAVE_A * (logs / math.log(CONCAVE_B)) + CONCAVE_C
     pre[pos] = np.maximum(CONCAVE_EPS, raw)
     return pre
-
-
-def _concave_base_ref(spec: CostModelSpec) -> float:
-    # pre-base cost at d = d_max, where the shape fit is anchored
-    return max(CONCAVE_EPS, spec.concave_c)
 
 
 def _dest_type_multipliers(flows: FlowTable, theta: float) -> np.ndarray:
@@ -105,7 +105,7 @@ def relative_costs(spec: CostModelSpec, flows: FlowTable) -> np.ndarray:
     if spec.kind is CostKind.LINEAR:
         rel = d + spec.theta * d_max
     elif spec.kind is CostKind.CONCAVE:
-        rel = _concave_pre_base(spec, d, d_max) + spec.theta * _concave_base_ref(spec)
+        rel = _concave_pre_base(d, d_max) + spec.theta * CONCAVE_C
     elif spec.kind is CostKind.REGIONAL:
         steps = np.array([1.0, 2.0 ** spec.theta, 3.0 ** spec.theta])
         rel = steps[_region_codes(flows)]
@@ -128,17 +128,17 @@ def realize_costs(rel, gamma: float) -> np.ndarray:
     return np.maximum(c, COST_FLOOR_REL * top)
 
 
-def with_fit(spec: CostModelSpec, flows: FlowTable, gamma: float) -> CostModelSpec:
-    """Copy of ``spec`` carrying the fitted gamma and the derived base
-    cost beta = theta * gamma * (maximum pre-base relative cost); zero
-    for the label-based models, which have no base term."""
+def base_cost(spec: CostModelSpec, flows: FlowTable, gamma: float) -> float:
+    """The distance-independent base cost beta = theta * gamma *
+    (maximum pre-base relative cost) under the fitted gamma; zero for
+    the label-based models, which have no base term."""
     if spec.kind is CostKind.LINEAR:
         base_ref = float(flows.distance.max())
     elif spec.kind is CostKind.CONCAVE:
-        base_ref = _concave_base_ref(spec)
+        base_ref = CONCAVE_C
     else:
         base_ref = 0.0
-    return replace(spec, gamma=gamma, beta=spec.theta * gamma * base_ref)
+    return spec.theta * gamma * base_ref
 
 
 def class_labels(spec: CostModelSpec, flows: FlowTable) -> np.ndarray | None:

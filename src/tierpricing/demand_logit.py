@@ -205,6 +205,8 @@ def logit_fit_valuations(q, p0: float, alpha: float, s0: float) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0):
         raise DomainError("observed demand must be positive")
+    if p0 <= 0:
+        raise DomainError("p0 must be positive")
     if not 0.0 < s0 < 1.0:
         raise DomainError(f"s0 must be in (0,1), got {s0}")
     s = q * (1.0 - s0) / np.sum(q)

@@ -27,18 +27,6 @@ class PricingError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidAlpha(PricingError):
-    """Price-sensitivity parameter outside the demand model's domain."""
-
-
-class InvalidShare(PricingError):
-    """Non-buying market share outside (0, 1)."""
-
-
-class InvalidPrice(PricingError):
-    """Blended rate or evaluation price outside its domain."""
-
-
 class DomainError(PricingError):
     """Numeric argument outside a formula's domain."""
 
@@ -218,61 +206,12 @@ class FlowTable:
 
 
 @dataclass(frozen=True)
-class MarketParams:
-    """Demand-model selection plus its calibration parameters.
-
-    ``alpha`` is the price sensitivity, ``p0`` the blended rate the
-    market currently pays, ``s0`` the non-buying market share (logit
-    only) and ``consumer_mass`` the total consumer count K (logit only,
-    derived at fit time so demand = K * share reproduces observations).
-    """
-
-    model: DemandModel
-    alpha: float
-    p0: float
-    s0: Optional[float] = None
-    consumer_mass: Optional[float] = None
-
-
-def validate_params(params: MarketParams) -> None:
-    """Raise unless all MarketParams invariants hold.
-
-    CED requires alpha > 1, logit alpha > 0; p0 must be positive and a
-    logit s0 must lie strictly inside (0, 1).
-    """
-    if params.model is DemandModel.CED:
-        if not params.alpha > 1.0:
-            raise InvalidAlpha(f"CED requires alpha > 1, got {params.alpha}")
-    else:
-        if not params.alpha > 0.0:
-            raise InvalidAlpha(f"logit requires alpha > 0, got {params.alpha}")
-    if not params.p0 > 0.0:
-        raise InvalidPrice(f"p0 must be positive, got {params.p0}")
-    if params.model is DemandModel.LOGIT:
-        if params.s0 is None or not 0.0 < params.s0 < 1.0:
-            raise InvalidShare(f"logit requires s0 in (0,1), got {params.s0}")
-        if params.consumer_mass is not None and not params.consumer_mass > 0.0:
-            raise InvalidShare(f"consumer_mass must be positive, got {params.consumer_mass}")
-
-
-@dataclass(frozen=True)
 class CostModelSpec:
-    """Cost-model selection plus tuning and fitted scaling.
-
-    ``theta`` is the model-specific tuning knob; ``gamma`` converts
-    relative costs to $/Mbps/month and is None until fitted. ``beta``
-    is the derived distance-independent base cost (linear/concave
-    only; zero elsewhere). The concave constants default to the fitted
-    shape (0.5, 6, 1) used throughout.
-    """
+    """Cost-model selection plus its tuning knob ``theta``; the fitted
+    scaling gamma lives on the fit."""
 
     kind: CostKind
     theta: float = 0.0
-    gamma: Optional[float] = None
-    beta: float = 0.0
-    concave_a: float = 0.5
-    concave_b: float = 6.0
-    concave_c: float = 1.0
 
     def __post_init__(self):
         if self.theta < 0:
@@ -281,10 +220,6 @@ class CostModelSpec:
             raise DomainError(
                 f"destination-type theta is a traffic fraction in [0,1], got {self.theta}"
             )
-        if self.gamma is not None and not self.gamma > 0:
-            raise NonPositiveGamma(f"gamma must be positive, got {self.gamma}")
-        if self.beta < 0:
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True, eq=False)

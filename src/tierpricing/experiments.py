@@ -38,7 +38,7 @@ from typing import Iterable
 
 from .bundling import ModelContext, Strategy, build_bundles, evaluate_bundling
 from .bundling import optimal_bundles  # noqa: F401  bench/traced_cli.py patches this name
-from .cost_models import class_labels, relative_costs, split_by_dest_type, with_fit
+from .cost_models import base_cost, class_labels, relative_costs, split_by_dest_type
 from .demand_ced import fit_ced
 from .demand_logit import fit_logit
 from .domain import (
@@ -46,9 +46,8 @@ from .domain import (
     CostKind,
     CostModelSpec,
     DemandModel,
+    DomainError,
     FlowTable,
-    MarketParams,
-    validate_params,
 )
 from .ingestion import preset_moments, read_flows_csv, synth_generate
 
@@ -103,25 +102,34 @@ class ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Raise ConfigError on any inconsistent setting."""
-    try:
-        validate_params(market_params(config))
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+    """Raise ConfigError on any inconsistent setting.
+
+    CED requires alpha > 1, logit alpha > 0; p0 must be positive and a
+    logit s0 must lie strictly inside (0, 1). Theta must suit the cost
+    model (see ``CostModelSpec``).
+    """
+    if config.demand_model is DemandModel.CED:
+        if not config.alpha > 1.0:
+            raise ConfigError(f"CED requires alpha > 1, got {config.alpha}")
+    elif not config.alpha > 0.0:
+        raise ConfigError(f"logit requires alpha > 0, got {config.alpha}")
+    if not config.p0 > 0.0:
+        raise ConfigError(f"p0 must be positive, got {config.p0}")
+    if config.demand_model is DemandModel.LOGIT and (
+            config.s0 is None or not 0.0 < config.s0 < 1.0):
+        raise ConfigError(f"logit requires s0 in (0,1), got {config.s0}")
     if config.input_csv is None and config.preset is None:
         raise ConfigError("either an input CSV or a synthetic preset is required")
-    if config.theta < 0:
-        raise ConfigError(f"theta must be >= 0, got {config.theta}")
+    try:
+        CostModelSpec(kind=config.cost_kind, theta=config.theta)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     if not config.bundles or any(b < 1 for b in config.bundles):
         raise ConfigError(f"bundle counts must be >= 1, got {config.bundles}")
     if config.n_flows < 1:
         raise ConfigError(f"n_flows must be >= 1, got {config.n_flows}")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if config.demand_model is DemandModel.CED:
-        bad = [a for a in config.alpha_grid if a <= 1.0]
-        if bad:
-            raise ConfigError(f"CED alpha grid must stay above 1, got {bad}")
     # a repeated value would give repeated rows under one sidecar key
     for name, values in (("bundle counts", config.bundles),
                          ("strategies", config.strategies),
@@ -132,11 +140,6 @@ def validate_config(config: ExperimentConfig) -> None:
         if len(set(values)) != len(values):
             shown = ", ".join(str(getattr(v, "value", v)) for v in values)
             raise ConfigError(f"{name} must not repeat, got {shown}")
-
-
-def market_params(config: ExperimentConfig) -> MarketParams:
-    s0 = config.s0 if config.demand_model is DemandModel.LOGIT else None
-    return MarketParams(config.demand_model, config.alpha, config.p0, s0=s0)
 
 
 def load_flows(config: ExperimentConfig) -> FlowTable:
@@ -216,15 +219,18 @@ def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],
     """Load the flows once and evaluate every grid point, in order.
 
     A point (param, value) is ``config`` with that field replaced. Each
-    distinct replaced config is evaluated once (the base market recurs
-    in every grid that holds its own value), and all of them form one
-    job list, so ``config.workers`` processes share them. A point's
-    rows are then tagged with ``param`` and ``value``, or with each
-    row's own tier count when ``param`` is "bundles".
+    distinct replaced config is validated before the flows are loaded
+    and evaluated once (the base market recurs in every grid that holds
+    its own value), and all of them form one job list, so
+    ``config.workers`` processes share them. A point's rows are then
+    tagged with ``param`` and ``value``, or with each row's own tier
+    count when ``param`` is "bundles".
     """
-    flows = load_flows(config)
     configs = [dataclasses.replace(config, **{param: value}) for param, value in points]
     distinct = list(dict.fromkeys(configs))
+    for point in distinct:
+        validate_config(point)
+    flows = load_flows(config)
     results = dict(zip(distinct, _map_jobs(
         _grid_point, [(point, flows, strategies) for point in distinct], config.workers)))
     tagged = []
@@ -244,7 +250,6 @@ def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],
 
 def run_capture_curve(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Capture-vs-tier-count table for every configured strategy."""
-    validate_config(config)
     [(rows, point)] = _sweep(config, [("bundles", config.bundles)], config.strategies)
     rows.sort(key=_sort_key)
     meta = _meta(config, rows)
@@ -324,10 +329,9 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
 
 def _cost_meta(config: ExperimentConfig, flows: FlowTable,
                ctx: ModelContext) -> dict:
-    spec = with_fit(CostModelSpec(kind=config.cost_kind, theta=config.theta),
-                    flows, ctx.gamma)
+    spec = CostModelSpec(kind=config.cost_kind, theta=config.theta)
     return {"kind": spec.kind.value, "theta": spec.theta,
-            "gamma": spec.gamma, "beta": spec.beta}
+            "gamma": ctx.gamma, "beta": base_cost(spec, flows, ctx.gamma)}
 
 
 def _sort_key(row: dict):

@@ -27,6 +27,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,12 +35,13 @@ from .domain import (
     DomainError,
     FittedTable,
     FlowTable,
-    MarketParams,
-    DemandModel,
     MissingColumn,
     NoConvergence,
     ParseError,
 )
+
+if TYPE_CHECKING:
+    from .bundling import ModelContext
 
 log = logging.getLogger(__name__)
 
@@ -220,36 +222,17 @@ def read_fitted_csv(path) -> FittedTable:
     return FittedTable(*columns.values())
 
 
-def write_params_csv(path, params: MarketParams) -> None:
+def write_params_csv(path, ctx: ModelContext) -> None:
+    """Write the market parameters of a fitted ``ModelContext``; s0 and
+    the consumer mass are blank under CED."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PARAMS_COLUMNS)
         writer.writerow([
-            params.model.value, repr(params.alpha), repr(params.p0),
-            "" if params.s0 is None else repr(params.s0),
-            "" if params.consumer_mass is None else repr(params.consumer_mass),
+            ctx.model.value, repr(ctx.alpha), repr(ctx.p0),
+            "" if ctx.s0 is None else repr(ctx.s0),
+            "" if ctx.consumer_mass is None else repr(ctx.consumer_mass),
         ])
-
-
-def read_params_csv(path) -> MarketParams:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in PARAMS_COLUMNS[:3]:
-            if col not in header:
-                raise MissingColumn(f"missing column {col!r} in {path}")
-        row = next(iter(reader), None)
-        if row is None:
-            raise ParseError("params CSV has no data row", line=2)
-    s0 = (row.get("s0") or "").strip()
-    mass = (row.get("consumer_mass") or "").strip()
-    return MarketParams(
-        model=DemandModel(row["model"]),
-        alpha=_parse_float(row["alpha"], "alpha", 2),
-        p0=_parse_float(row["p0"], "p0", 2),
-        s0=_parse_float(s0, "s0", 2) if s0 else None,
-        consumer_mass=_parse_float(mass, "consumer_mass", 2) if mass else None,
-    )
 
 
 # ---------------------------------------------------------------------------

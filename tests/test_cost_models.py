@@ -10,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tierpricing.cost_models import (
+    CONCAVE_A,
+    CONCAVE_B,
+    CONCAVE_C,
     CONCAVE_EPS,
     COST_FLOOR_REL,
     METRO_MAX_MILES,
     NATIONAL_MAX_MILES,
+    base_cost,
     class_labels,
     classify_regions,
     realize_costs,
     relative_costs,
     split_by_dest_type,
-    with_fit,
 )
 from tierpricing.domain import (
     DEST_TYPES,
@@ -87,13 +90,13 @@ def reference_dest_type_multiplier(flow: Flow, theta: float) -> float:
     return theta * 1.0 + (1.0 - theta) * 2.0
 
 
-def _reference_concave_pre_base(spec: CostModelSpec, d: float, d_max: float) -> float:
+def _reference_concave_pre_base(d: float, d_max: float) -> float:
     if d_max <= 0:
-        return spec.concave_c
+        return CONCAVE_C
     norm = d / d_max
     if norm <= 0:
         return CONCAVE_EPS
-    raw = spec.concave_a * math.log(norm, spec.concave_b) + spec.concave_c
+    raw = CONCAVE_A * math.log(norm, CONCAVE_B) + CONCAVE_C
     return max(CONCAVE_EPS, raw)
 
 
@@ -102,8 +105,8 @@ def reference_relative_cost(spec: CostModelSpec, flow: Flow, d_max: float) -> fl
     if spec.kind is CostKind.LINEAR:
         return d + spec.theta * d_max
     if spec.kind is CostKind.CONCAVE:
-        base_ref = max(CONCAVE_EPS, spec.concave_c)
-        return _reference_concave_pre_base(spec, d, d_max) + spec.theta * base_ref
+        base_ref = max(CONCAVE_EPS, CONCAVE_C)
+        return _reference_concave_pre_base(d, d_max) + spec.theta * base_ref
     if spec.kind is CostKind.REGIONAL:
         return {"metro": 1.0, "national": 2.0 ** spec.theta,
                 "international": 3.0 ** spec.theta}[reference_classify_region(flow)]
@@ -258,24 +261,24 @@ class TestRealizeAndFloor:
             relative_costs(spec, _flows([0.0, 0.0]))
 
 
-class TestWithFit:
+class TestBaseCost:
+    """The base cost beta under a fitted gamma."""
+
     def test_linear_beta_from_max_distance(self):
         spec = CostModelSpec(CostKind.LINEAR, theta=0.1)
-        fitted = with_fit(spec, _flows([1.0, 10.0, 100.0]), gamma=1.0)
-        assert fitted.gamma == 1.0
-        assert fitted.beta == pytest.approx(10.0)
-        assert type(fitted.beta) is float
+        beta = base_cost(spec, _flows([1.0, 10.0, 100.0]), gamma=1.0)
+        assert beta == pytest.approx(10.0)
+        assert type(beta) is float
 
-    def test_concave_beta_anchored_at_unit_shape(self):
+    def test_concave_model_beta_anchored_at_unit_shape(self):
         spec = CostModelSpec(CostKind.CONCAVE, theta=0.4)
-        fitted = with_fit(spec, _flows([1.0, 50.0]), gamma=2.5)
-        assert fitted.beta == pytest.approx(0.4 * 2.5 * 1.0)
+        beta = base_cost(spec, _flows([1.0, 50.0]), gamma=2.5)
+        assert beta == pytest.approx(0.4 * 2.5 * 1.0)
 
     def test_label_models_have_no_base(self):
         for kind in (CostKind.REGIONAL, CostKind.DEST_TYPE):
             spec = CostModelSpec(kind, theta=0.5)
-            fitted = with_fit(spec, _flows([1.0, 50.0]), gamma=3.0)
-            assert fitted.beta == 0.0
+            assert base_cost(spec, _flows([1.0, 50.0]), gamma=3.0) == 0.0
 
 
 class TestClassLabels:
@@ -334,12 +337,7 @@ unit_thetas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 def specs(draw):
     kind = draw(st.sampled_from(list(CostKind)))
     theta = draw(unit_thetas if kind is CostKind.DEST_TYPE else st.floats(0.0, 3.0))
-    return CostModelSpec(
-        kind, theta=theta,
-        concave_a=draw(st.floats(0.05, 2.0)),
-        concave_b=draw(st.sampled_from([2.0, math.e, 6.0, 10.0])),
-        concave_c=draw(st.floats(-1.0, 2.0)),
-    )
+    return CostModelSpec(kind, theta=theta)
 
 
 def _outcome(fn):
@@ -380,19 +378,15 @@ class TestArraysMatchReference:
 
     def test_concave_edge_cases(self):
         # norm <= 0 (a zero distance), the CONCAVE_EPS clamp, and
-        # d_max = 0, where every flow takes concave_c unclamped
+        # d_max = 0, where every flow takes CONCAVE_C
         spec = CostModelSpec(CostKind.CONCAVE, theta=0.5)
-        low_c = CostModelSpec(CostKind.CONCAVE, theta=0.5, concave_c=0.02)
-        for spec_ in (spec, low_c):
-            for ds in ([0.0, 1e-9, 3.0, 400.0], [0.0, 0.0]):
-                flows = [Flow(f"f{i}", 1.0, d) for i, d in enumerate(ds)]
-                assert np.array_equal(relative_costs(spec_, table(flows)),
-                                      reference_relative_costs(spec_, flows))
+        for ds in ([0.0, 1e-9, 3.0, 400.0], [0.0, 0.0]):
+            flows = [Flow(f"f{i}", 1.0, d) for i, d in enumerate(ds)]
+            assert np.array_equal(relative_costs(spec, table(flows)),
+                                  reference_relative_costs(spec, flows))
         rel = relative_costs(spec, _flows([0.0, 1e-9, 400.0]))
         assert rel[0] == rel[1] == CONCAVE_EPS + 0.5
         assert np.array_equal(relative_costs(spec, _flows([0.0, 0.0])), [1.5, 1.5])
-        assert np.array_equal(relative_costs(low_c, _flows([0.0, 0.0])),
-                              [0.02 + 0.5 * CONCAVE_EPS] * 2)
 
     def test_concave_matches_reference_on_many_distances(self):
         # numpy's log and the C library's differ in the last bit on a

@@ -7,46 +7,55 @@ import pytest
 
 from tierpricing.domain import (
     Bundling,
+    ConfigError,
     DemandModel,
     DomainError,
     FittedTable,
     FlowTable,
-    InvalidAlpha,
-    InvalidPrice,
-    InvalidShare,
-    MarketParams,
-    validate_params,
 )
+from tierpricing.experiments import ExperimentConfig, validate_config
+
+
+def _market(model, **kw):
+    return ExperimentConfig(demand_model=model, **kw)
+
+
+def _rejected(config, message):
+    with pytest.raises(ConfigError) as info:
+        validate_config(config)
+    assert str(info.value) == message
 
 
 class TestValidateParams:
+    """The market-parameter checks of ``validate_config``."""
+
     def test_ced_reference_settings_ok(self):
-        validate_params(MarketParams(DemandModel.CED, alpha=1.1, p0=20.0))
+        validate_config(_market(DemandModel.CED, alpha=1.1, p0=20.0))
 
     def test_ced_alpha_boundary_rejected(self):
-        with pytest.raises(InvalidAlpha):
-            validate_params(MarketParams(DemandModel.CED, alpha=1.0, p0=20.0))
+        _rejected(_market(DemandModel.CED, alpha=1.0, p0=20.0),
+                  "CED requires alpha > 1, got 1.0")
 
     def test_logit_reference_settings_ok(self):
-        validate_params(MarketParams(DemandModel.LOGIT, alpha=1.1, p0=20.0, s0=0.2))
+        validate_config(_market(DemandModel.LOGIT, alpha=1.1, p0=20.0, s0=0.2))
 
     def test_logit_alpha_positive_required(self):
-        with pytest.raises(InvalidAlpha):
-            validate_params(MarketParams(DemandModel.LOGIT, alpha=0.0, p0=20.0, s0=0.2))
+        _rejected(_market(DemandModel.LOGIT, alpha=0.0, p0=20.0, s0=0.2),
+                  "logit requires alpha > 0, got 0.0")
 
     def test_logit_small_alpha_ok(self):
         # logit admits the 0 < alpha <= 1 range CED excludes
-        validate_params(MarketParams(DemandModel.LOGIT, alpha=0.5, p0=20.0, s0=0.2))
+        validate_config(_market(DemandModel.LOGIT, alpha=0.5, p0=20.0, s0=0.2))
 
     @pytest.mark.parametrize("s0", [0.0, 1.0, -0.1, 1.5, None])
     def test_logit_share_domain(self, s0):
-        with pytest.raises(InvalidShare):
-            validate_params(MarketParams(DemandModel.LOGIT, alpha=1.1, p0=20.0, s0=s0))
+        _rejected(_market(DemandModel.LOGIT, alpha=1.1, p0=20.0, s0=s0),
+                  f"logit requires s0 in (0,1), got {s0}")
 
     @pytest.mark.parametrize("p0", [0.0, -5.0])
     def test_price_positive_required(self, p0):
-        with pytest.raises(InvalidPrice):
-            validate_params(MarketParams(DemandModel.CED, alpha=2.0, p0=p0))
+        _rejected(_market(DemandModel.CED, alpha=2.0, p0=p0),
+                  f"p0 must be positive, got {p0}")
 
 
 def _table(demand=(1.0, 2.0, 3.0), distance=(10.0, 20.0, 30.0), **kw):

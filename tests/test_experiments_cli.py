@@ -17,6 +17,7 @@ from tierpricing.experiments import (
     ExperimentConfig,
     OUTPUT_COLUMNS,
     fit_context,
+    load_flows,
     run_capture_curve,
     run_sensitivity_sweep,
     run_theta_sweep,
@@ -248,6 +249,29 @@ class TestSensitivity:
         run_theta_sweep(cfg)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("run, overrides, message", [
+        (run_sensitivity_sweep, dict(p0_grid=(0.0, 10.0)), "p0 must be positive, got 0.0"),
+        (run_sensitivity_sweep, dict(demand_model=DemandModel.LOGIT, s0_grid=(0.2, 1.5)),
+         "logit requires s0 in (0,1), got 1.5"),
+        (run_sensitivity_sweep, dict(alpha_grid=(1.0,)), "CED requires alpha > 1, got 1.0"),
+        (run_sensitivity_sweep, dict(demand_model=DemandModel.LOGIT, alpha_grid=(1.1, 0.0)),
+         "logit requires alpha > 0, got 0.0"),
+        (run_theta_sweep, dict(theta_grid=(0.5, -0.5)), "theta must be >= 0, got -0.5"),
+        (run_theta_sweep, dict(cost_kind=CostKind.DEST_TYPE, theta_grid=(0.5, 1.5)),
+         "destination-type theta is a traffic fraction in [0,1], got 1.5"),
+    ])
+    def test_every_grid_point_checked_before_flows_load(self, monkeypatch, run,
+                                                        overrides, message):
+        from tierpricing import experiments
+
+        def unexpected(config):
+            raise AssertionError("flows loaded before every grid point was checked")
+
+        monkeypatch.setattr(experiments, "load_flows", unexpected)
+        with pytest.raises(ConfigError) as info:
+            run(small_config(**overrides))
+        assert str(info.value) == message
+
     def test_duplicated_point_fitted_once_and_tagged_per_point(self, monkeypatch):
         # p0 = 20 and s0 = 0.2 are both the base logit market
         from tierpricing import experiments
@@ -340,13 +364,16 @@ class TestCli:
         res = run_cli("fit", "--synth-preset", "eu-isp", "--n-flows", "50",
                       "--demand-model", "logit", "--out", str(out))
         assert res.returncode == 0, res.stderr
-        from tierpricing.ingestion import read_fitted_csv, read_params_csv
+        from tierpricing.ingestion import read_fitted_csv
 
         fitted = read_fitted_csv(out)
         assert len(fitted) == 50
         assert len(fitted.ids) == len(fitted.v) == 50
-        params = read_params_csv(f"{out}.params.csv")
-        assert params.consumer_mass is not None
+        config = ExperimentConfig(demand_model=DemandModel.LOGIT, n_flows=50)
+        ctx = fit_context(load_flows(config), config)
+        with open(f"{out}.params.csv", "rb") as fh:
+            assert fh.read() == ("model,alpha,p0,s0,consumer_mass\r\n"
+                                 f"logit,1.1,20.0,0.2,{ctx.consumer_mass!r}\r\n").encode()
 
     def test_capture_run_and_input_not_mutated(self, tmp_path):
         flows = tmp_path / "flows.csv"
@@ -395,6 +422,22 @@ class TestCli:
                       "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 2
         assert "error" in res.stderr.lower()
+
+    @pytest.mark.parametrize("command", ["fit", "capture", "theta-sweep", "sensitivity"])
+    @pytest.mark.parametrize("args, message", [
+        (["--alpha", "1.0"], "CED requires alpha > 1, got 1.0"),
+        (["--demand-model", "logit", "--alpha", "0"], "logit requires alpha > 0, got 0.0"),
+        (["--demand-model", "logit", "--p0", "0"], "p0 must be positive, got 0.0"),
+        (["--demand-model", "logit", "--s0", "1.5"], "logit requires s0 in (0,1), got 1.5"),
+        (["--workers", "0"], "workers must be >= 1"),
+    ])
+    def test_bad_setting_fails_alike_in_every_command(self, tmp_path, command, args,
+                                                      message):
+        out = tmp_path / "x.csv"
+        res = run_cli(command, "--n-flows", "30", *args, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # logit with p0 below the uniform markup cannot be rationalized
@@ -587,6 +630,15 @@ class TestCli:
             default = dataclasses.replace(default, strategies=(Strategy.PROFIT_WEIGHTED,))
         for field in dataclasses.fields(ExperimentConfig):
             assert getattr(config, field.name) == getattr(default, field.name), field.name
+
+    def test_every_config_field_is_an_option(self):
+        # a field no subcommand option sets could only be set by library callers
+        from tierpricing.cli import build_parser
+
+        parser = build_parser()
+        dests = {action.dest for sub in parser.sub_map.values() for action in sub._actions}
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        assert fields - dests == set()
 
     def test_import_skips_process_pool_and_configparser(self):
         # both are imported only by the runs that use them

@@ -10,10 +10,10 @@ from tierpricing.domain import (
     DomainError,
     FittedTable,
     FlowTable,
-    MarketParams,
     MissingColumn,
     ParseError,
 )
+from tierpricing.experiments import ExperimentConfig, fit_context
 from tierpricing.ingestion import (
     DatasetMoments,
     SYNTH_PRESETS,
@@ -21,7 +21,6 @@ from tierpricing.ingestion import (
     preset_moments,
     read_fitted_csv,
     read_flows_csv,
-    read_params_csv,
     synth_generate,
     write_fitted_csv,
     write_flows_csv,
@@ -161,14 +160,17 @@ class TestRoundTrips:
         assert columns(read_fitted_csv(path)) == columns(fitted)
 
     def test_params_bit_identical(self, tmp_path):
-        for params in (
-            MarketParams(DemandModel.CED, alpha=1.1, p0=20.0),
-            MarketParams(DemandModel.LOGIT, alpha=0.7, p0=17.25,
-                         s0=0.2, consumer_mass=12345.6789),
-        ):
-            path = tmp_path / "params.csv"
-            write_params_csv(path, params)
-            assert read_params_csv(path) == params
+        flows = synth_generate(preset_moments("eu-isp", n_flows=40, seed=2))
+        path = tmp_path / "params.csv"
+        header = b"model,alpha,p0,s0,consumer_mass\r\n"
+        ced = fit_context(flows, ExperimentConfig())
+        write_params_csv(path, ced)
+        assert path.read_bytes() == header + b"ced,1.1,20.0,,\r\n"
+        logit = fit_context(flows, ExperimentConfig(
+            demand_model=DemandModel.LOGIT, alpha=0.7, p0=17.25, s0=0.2))
+        write_params_csv(path, logit)
+        assert path.read_bytes() == (
+            header + f"logit,0.7,17.25,0.2,{logit.consumer_mass!r}\r\n".encode())
 
 
 def reference_synth_ids(n):
