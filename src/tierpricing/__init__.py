@@ -43,6 +43,7 @@ from .demand_logit import (
     logit_demand,
     logit_fit_gamma,
     logit_fit_valuations,
+    logit_markup,
     logit_potential_profit,
     logit_profit,
     logit_shares,

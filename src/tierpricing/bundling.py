@@ -513,7 +513,8 @@ def profit_capture(pi_new: float, pi_orig: float, pi_max: float) -> float:
     return (pi_new - pi_orig) / (pi_max - pi_orig)
 
 
-def evaluate_bundling(ctx: ModelContext, bundling: Bundling) -> TierOutcome:
+def evaluate_bundling(ctx: ModelContext, bundling: Bundling, *,
+                      degenerate_ok: bool = False) -> TierOutcome:
     """Price each bundle optimally and measure profit, surplus and the
     capture metrics against the context's cached baselines.
 
@@ -530,7 +531,9 @@ def evaluate_bundling(ctx: ModelContext, bundling: Bundling) -> TierOutcome:
 
     Empty bundles are skipped for pricing and reported with NaN price;
     a degenerate surplus baseline yields NaN surplus capture rather
-    than failing the profit-side result.
+    than failing the profit-side result. A degenerate profit baseline
+    raises DegenerateBaseline or, with ``degenerate_ok``, yields NaN for
+    both captures.
     """
     labels = bundling.labels
     if len(labels) != len(ctx.ids):
@@ -567,12 +570,18 @@ def evaluate_bundling(ctx: ModelContext, bundling: Bundling) -> TierOutcome:
         prices[occupied] = p_b
         profit = logit_profit(v_b, p_b, c_b, alpha, ctx.consumer_mass)
         surplus = logit_consumer_surplus(v_b, p_b, alpha, ctx.consumer_mass)
-    capture = profit_capture(profit, ctx.pi_orig, ctx.pi_max)
     try:
-        s_capture = profit_capture(surplus, ctx.cs_orig, ctx.cs_max)
+        capture = profit_capture(profit, ctx.pi_orig, ctx.pi_max)
     except DegenerateBaseline:
-        log.warning("surplus baseline degenerate; surplus capture undefined")
-        s_capture = float("nan")
+        if not degenerate_ok:
+            raise
+        capture = s_capture = float("nan")
+    else:
+        try:
+            s_capture = profit_capture(surplus, ctx.cs_orig, ctx.cs_max)
+        except DegenerateBaseline:
+            log.warning("surplus baseline degenerate; surplus capture undefined")
+            s_capture = float("nan")
     return TierOutcome(
         bundling=bundling,
         prices=tuple(float(p) for p in prices),

@@ -151,6 +151,8 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     model.add_argument("--split-dest-type", action="store_true",
                        help="split unlabeled flows into customer/peer subflows "
                             "(dest-type cost model only)")
+    if command == "fit":
+        return
     model.add_argument("--cs-unit-price-offset", action="store_true",
                        help="alternative surplus convention subtracting the unit "
                             "price instead of the total payment")

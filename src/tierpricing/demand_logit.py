@@ -5,8 +5,9 @@ noise, or an outside option of buying nothing; flows therefore compete
 for market share and demands are not separable. Shares use the softmax
 form with a +1 outside term, demand is share times the consumer mass K,
 and every profit-maximizing price carries the same markup 1/(alpha*s0)
-over cost, which depends on prices through the non-buying share s0 and
-is solved iteratively.
+over cost, which depends on prices through the non-buying share s0.
+A damped fixed point solves for the prices; where it stalls, the exact
+equal markup, a Lambert-W root, prices the market.
 
 Bundles aggregate exactly: a bundle behaves like a single flow with
 valuation log-sum-exp(alpha*v)/alpha and valuation-weighted mean cost,
@@ -19,6 +20,7 @@ overflow even then raise OverflowGuard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -113,22 +115,43 @@ def _markup_residual(p, v, c, alpha, buf):
     return target, float(np.maximum.reduce(gap, axis=None))
 
 
+def logit_markup(v, c, alpha: float) -> float:
+    """The markup m that every profit-maximizing price carries, exactly.
+
+    With one markup on every flow, s0 = 1/(1 + S*exp(-alpha*m)) for
+    S = sum_i exp(alpha*(v_i - c_i)), so alpha*m = 1 + W(S/e), W the
+    Lambert W function (Li and Huh, MSOM 13(4), 2011). Newton's method
+    solves exp(u) + u = ln S - 1 for u = ln W(S/e); the left side is
+    convex and increasing and the start lies right of the root, so the
+    iterates fall onto it. ln S is a max-shifted log-sum-exp: no overflow.
+    """
+    x = alpha * (np.asarray(v, dtype=float) - np.asarray(c, dtype=float))
+    shift = float(np.max(x))
+    target = shift + math.log(float(np.sum(np.exp(x - shift)))) - 1.0
+    u = target if target < 1.0 else math.log(target)
+    for _ in range(100):
+        step = (math.exp(u) + u - target) / (math.exp(u) + 1.0)
+        if not step > 0.0 or u - step == u:
+            break
+        u -= step
+    return (1.0 + math.exp(u)) / alpha
+
+
 def logit_solve_prices(
     v,
     c,
     alpha: float,
     tol: float = 1e-8,
-    max_iter: int = 100_000,
-    p_init=None,
+    max_iter: int = 50_000,
 ) -> np.ndarray:
     """Solve the profit-maximizing prices p_i = c_i + 1/(alpha*s0(p)).
 
-    Damped fixed-point iteration p <- (1-lam)*p + lam*(c + 1/(alpha*s0)),
-    starting at lam = 0.5 and halving lam whenever the residual stops
-    contracting (the undamped map oscillates when the terminal s0 is
-    small). Falls back to gradient ascent with a backtracking line
-    search if the fixed point stalls. Raises NoConvergence with the
-    last residual attached when the budget runs out.
+    Damped fixed-point iteration p <- (1-lam)*p + lam*(c + 1/(alpha*s0))
+    from p = c + 1/alpha, starting at lam = 0.5 and halving lam whenever
+    the residual stops contracting (the undamped map oscillates when the
+    terminal s0 is small), for at most ``max_iter`` steps. Past that, the
+    prices are c + ``logit_markup``, the exact equal markup; NoConvergence,
+    with the residual attached, is raised only if these still miss ``tol``.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -136,13 +159,11 @@ def logit_solve_prices(
         return np.empty(0)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    p = np.array(p_init, dtype=float) if p_init is not None else c + 1.0 / alpha
+    p = c + 1.0 / alpha
     buf = np.empty_like(p)
     lam = 0.5
     best_p, best_res = p, np.inf
-    fp_budget = max(1, max_iter // 2)
-    residual = np.inf
-    for it in range(fp_budget):
+    for _ in range(max_iter):
         target, residual = _markup_residual(p, v, c, alpha, buf)
         if residual < tol:
             return p
@@ -153,46 +174,13 @@ def logit_solve_prices(
             p = best_p
             target, residual = _markup_residual(p, v, c, alpha, buf)
         p = (1.0 - lam) * p + lam * target
-    p = _gradient_ascent(best_p, v, c, alpha, tol, max_iter - fp_budget)
+    p = c + logit_markup(v, c, alpha)
     _, residual = _markup_residual(p, v, c, alpha, buf)
-    if residual >= tol:
+    if not residual < tol:
         raise NoConvergence(
-            f"price solver stalled after {max_iter} iterations "
-            f"(residual {residual:.3g})",
+            f"exact prices miss tol {tol:.3g} (residual {residual:.3g})",
             residual=residual,
         )
-    return p
-
-
-def _profit_gradient(p, v, c, alpha, consumer_mass=1.0):
-    s, _ = logit_shares(v, p, alpha)
-    margin = p - c
-    return consumer_mass * s * (1.0 - alpha * margin + alpha * np.sum(s * margin))
-
-
-def _gradient_ascent(p, v, c, alpha, tol, budget):
-    """Backtracking gradient ascent on profit; fallback for instances
-    where the damped fixed point fails to contract."""
-    p = p.copy()
-    buf = np.empty_like(p)
-    value = logit_profit(v, p, c, alpha, 1.0)
-    step = 1.0
-    for _ in range(max(budget, 1)):
-        grad = _profit_gradient(p, v, c, alpha)
-        gnorm = float(np.max(np.abs(grad)))
-        _, residual = _markup_residual(p, v, c, alpha, buf)
-        if residual < tol:
-            break
-        while step > 1e-12:
-            trial = p + step * grad
-            trial_value = logit_profit(v, trial, c, alpha, 1.0)
-            if trial_value > value + 1e-4 * step * gnorm ** 2:
-                p, value = trial, trial_value
-                step *= 2.0
-                break
-            step *= 0.5
-        else:
-            break
     return p
 
 

@@ -106,7 +106,8 @@ def validate_config(config: ExperimentConfig) -> None:
 
     CED requires alpha > 1, logit alpha > 0; p0 must be positive and a
     logit s0 must lie strictly inside (0, 1). Theta must suit the cost
-    model (see ``CostModelSpec``).
+    model (see ``CostModelSpec``), and only the dest-type cost model
+    splits flows by destination type.
     """
     if config.demand_model is DemandModel.CED:
         if not config.alpha > 1.0:
@@ -124,6 +125,9 @@ def validate_config(config: ExperimentConfig) -> None:
         CostModelSpec(kind=config.cost_kind, theta=config.theta)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    if config.split_dest_type and config.cost_kind is not CostKind.DEST_TYPE:
+        raise ConfigError("split_dest_type applies to the dest-type cost model "
+                          f"only, got {config.cost_kind.value}")
     if not config.bundles or any(b < 1 for b in config.bundles):
         raise ConfigError(f"bundle counts must be >= 1, got {config.bundles}")
     if config.n_flows < 1:
@@ -157,9 +161,9 @@ def load_flows(config: ExperimentConfig) -> FlowTable:
 
 def fit_context(flows: FlowTable, config: ExperimentConfig) -> ModelContext:
     """Fit the configured demand model on the flows, first split into
-    customer/peer subflows at the configured theta when the dest-type
-    cost model asks for it."""
-    if config.split_dest_type and config.cost_kind is CostKind.DEST_TYPE:
+    customer/peer subflows at the configured theta when asked to (a
+    validated config asks only under the dest-type cost model)."""
+    if config.split_dest_type:
         flows = split_by_dest_type(flows, config.theta)
     spec = CostModelSpec(kind=config.cost_kind, theta=config.theta)
     rel = relative_costs(spec, flows)
@@ -193,18 +197,21 @@ def _row(strategy: Strategy, num_bundles: int, outcome) -> dict:
 
 
 def _grid_point(config: ExperimentConfig, flows: FlowTable,
-                strategies: tuple[Strategy, ...]) -> tuple[list[dict], dict]:
+                strategies: tuple[Strategy, ...],
+                degenerate_ok: bool = False) -> tuple[list[dict], dict]:
     """Fit one context at ``config`` and evaluate every (strategy, B).
 
     Returns the rows, not yet tagged with a sweep parameter, and the
-    point's baselines and fitted cost model.
+    point's baselines and fitted cost model. A market whose per-flow
+    and blended profits coincide raises DegenerateBaseline or, with
+    ``degenerate_ok``, gives rows with NaN captures.
     """
     ctx = fit_context(flows, config)
     rows = []
     for strategy in strategies:
         for num_bundles in config.bundles:
             bundling = build_bundles(strategy, ctx, num_bundles)
-            outcome = evaluate_bundling(ctx, bundling)
+            outcome = evaluate_bundling(ctx, bundling, degenerate_ok=degenerate_ok)
             rows.append(_row(strategy, num_bundles, outcome))
     point = {
         "baselines": {"pi_orig": ctx.pi_orig, "pi_max": ctx.pi_max,
@@ -215,7 +222,8 @@ def _grid_point(config: ExperimentConfig, flows: FlowTable,
 
 
 def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],
-           strategies: tuple[Strategy, ...]) -> list[tuple[list[dict], dict]]:
+           strategies: tuple[Strategy, ...],
+           degenerate_ok: bool = False) -> list[tuple[list[dict], dict]]:
     """Load the flows once and evaluate every grid point, in order.
 
     A point (param, value) is ``config`` with that field replaced. Each
@@ -232,7 +240,8 @@ def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],
         validate_config(point)
     flows = load_flows(config)
     results = dict(zip(distinct, _map_jobs(
-        _grid_point, [(point, flows, strategies) for point in distinct], config.workers)))
+        _grid_point, [(point, flows, strategies, degenerate_ok) for point in distinct],
+        config.workers)))
     tagged = []
     for (param, value), point in zip(points, configs):
         rows, meta = results[point]
@@ -262,19 +271,28 @@ def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
 
     The ``profit`` column is normalized by the highest profit observed
     anywhere in the sweep (the raw scale is in the metadata), so curves
-    for different theta are directly comparable.
+    for different theta are directly comparable. A theta at which
+    per-flow pricing earns no more than the blended rate (regional
+    costs at theta 0 are all equal) has NaN captures and a note in the
+    metadata.
     """
     validate_config(config)
     if not config.theta_grid:
         raise ConfigError("theta grid must be nonempty")
     results = _sweep(config, [("theta", t) for t in config.theta_grid],
-                     config.strategies)
+                     config.strategies, degenerate_ok=True)
     rows = [r for point_rows, _ in results for r in point_rows]
     norm = max(r["profit"] for r in rows)
     for r in rows:
         r["profit"] = r["profit"] / norm
     rows.sort(key=_sort_key)
     meta = _meta(config)
+    meta["notes"] += [
+        f"theta={theta!r}: per-flow and blended profit coincide; "
+        "profit_capture and surplus_capture undefined (NaN)"
+        for theta, (point_rows, _) in zip(config.theta_grid, results)
+        if any(math.isnan(r["profit_capture"]) for r in point_rows)
+    ]
     meta["profit_norm_constant"] = norm
     meta["theta_points"] = [
         {"theta": theta, "pi_orig": point["baselines"]["pi_orig"],

@@ -27,11 +27,13 @@ from tierpricing.demand_logit import (
     fit_logit,
     logit_bundle_aggregate,
     logit_consumer_surplus,
+    logit_markup,
     logit_profit,
     logit_solve_prices,
 )
 from tierpricing.domain import (
     Bundling,
+    CostKind,
     DegenerateBaseline,
     DemandModel,
     DomainError,
@@ -367,6 +369,25 @@ class TestEvaluate:
             out = evaluate_bundling(ctx, whole)
             assert out.profit_capture == pytest.approx(0.0, abs=1e-4)
             assert out.prices[0] == pytest.approx(ctx.p0, rel=1e-4)
+
+    @pytest.mark.parametrize("model", list(DemandModel))
+    @pytest.mark.parametrize("kind", list(CostKind))
+    def test_one_tier_price_is_the_calibrated_rate(self, kind, model):
+        # the fit makes p0 the optimal uniform price under every cost
+        # model: under CED the one-bundle price, under logit the exact
+        # equal markup on the one-bundle aggregate
+        from tierpricing.experiments import ExperimentConfig, fit_context, load_flows
+
+        config = ExperimentConfig(demand_model=model, cost_kind=kind, theta=0.5,
+                                  p0=5.0, n_flows=2000, seed=3)
+        ctx = fit_context(load_flows(config), config)
+        if model is DemandModel.CED:
+            whole = Bundling(np.zeros(len(ctx.ids), dtype=int), 1)
+            price = evaluate_bundling(ctx, whole).prices[0]
+        else:
+            v_b, c_b = logit_bundle_aggregate(ctx.v, ctx.c, ctx.alpha)
+            price = c_b + logit_markup([v_b], [c_b], ctx.alpha)
+        assert price == pytest.approx(5.0, rel=1e-12, abs=0)
 
     def test_ced_surplus_capture_equals_profit_capture(self):
         # at per-bundle-optimal prices surplus is profit * alpha/(alpha-1),

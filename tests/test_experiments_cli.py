@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -145,6 +146,25 @@ class TestThetaSweep:
             members = np.flatnonzero(bundling.labels == b)
             price = ced_bundle_price(ctx.v[members], ctx.c[members], ctx.alpha)
             assert price == pytest.approx(ctx.p0, rel=1e-12)
+
+    @pytest.mark.parametrize("model", list(DemandModel))
+    def test_degenerate_point_has_nan_captures_and_a_note(self, model):
+        # regional costs at theta 0 are all 1: per-flow pricing earns the
+        # blended profit, so that point's captures are undefined
+        cfg = small_config(demand_model=model, cost_kind=CostKind.REGIONAL,
+                           n_flows=300, theta_grid=(0.0, 0.2, 0.5, 1.0))
+        rows, meta = run_theta_sweep(cfg)
+        rest, _ = run_theta_sweep(dataclasses.replace(cfg, theta_grid=(0.2, 0.5, 1.0)))
+        degenerate = [r for r in rows if r["sweep_value"] == 0.0]
+        assert len(degenerate) == 6 and len(rows) == 24
+        for r in degenerate:
+            assert math.isnan(r["profit_capture"]) and math.isnan(r["surplus_capture"])
+        captures = [(r["profit_capture"], r["surplus_capture"]) for r in rows
+                    if r["sweep_value"] != 0.0]
+        assert captures == [(r["profit_capture"], r["surplus_capture"]) for r in rest]
+        assert [n for n in meta["notes"] if "theta" in n] == [
+            "theta=0.0: per-flow and blended profit coincide; "
+            "profit_capture and surplus_capture undefined (NaN)"]
 
 
 class TestGridPoint:
@@ -423,13 +443,23 @@ class TestCli:
         assert res.returncode == 2
         assert "error" in res.stderr.lower()
 
-    @pytest.mark.parametrize("command", ["fit", "capture", "theta-sweep", "sensitivity"])
-    @pytest.mark.parametrize("args, message", [
-        (["--alpha", "1.0"], "CED requires alpha > 1, got 1.0"),
-        (["--demand-model", "logit", "--alpha", "0"], "logit requires alpha > 0, got 0.0"),
-        (["--demand-model", "logit", "--p0", "0"], "p0 must be positive, got 0.0"),
-        (["--demand-model", "logit", "--s0", "1.5"], "logit requires s0 in (0,1), got 1.5"),
-        (["--workers", "0"], "workers must be >= 1"),
+    @pytest.mark.parametrize("command, args, message", [
+        (command, args, message)
+        for args, message in [
+            (["--alpha", "1.0"], "CED requires alpha > 1, got 1.0"),
+            (["--demand-model", "logit", "--alpha", "0"],
+             "logit requires alpha > 0, got 0.0"),
+            (["--demand-model", "logit", "--p0", "0"], "p0 must be positive, got 0.0"),
+            (["--demand-model", "logit", "--s0", "1.5"],
+             "logit requires s0 in (0,1), got 1.5"),
+            (["--split-dest-type"],
+             "split_dest_type applies to the dest-type cost model only, got linear"),
+            (["--cost-model", "regional", "--split-dest-type"],
+             "split_dest_type applies to the dest-type cost model only, got regional"),
+            (["--workers", "0"], "workers must be >= 1"),
+        ]
+        for command in ["fit", "capture", "theta-sweep", "sensitivity"]
+        if not (command == "fit" and args[0] == "--workers")  # fit takes no --workers
     ])
     def test_bad_setting_fails_alike_in_every_command(self, tmp_path, command, args,
                                                       message):
@@ -438,6 +468,58 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert res.stderr == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option", [["--bundles", "1..2"], ["--strategy", "optimal"],
+                                        ["--workers", "3"], ["--cs-unit-price-offset"]])
+    def test_fit_takes_no_run_option(self, tmp_path, option):
+        out = tmp_path / "x.csv"
+        res = run_cli("fit", "--n-flows", "100", *option, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert f"unrecognized arguments: {' '.join(option)}" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, code", [("capture", 3), ("sensitivity", 3),
+                                               ("theta-sweep", 0)])
+    def test_degenerate_market_fails_except_in_a_theta_sweep(self, tmp_path, command,
+                                                             code):
+        # regional costs at theta 0 are all equal: capture is undefined
+        out = tmp_path / "x.csv"
+        res = run_cli(command, "--n-flows", "300", "--cost-model", "regional",
+                      "--theta", "0", "--bundles", "1,2", "--out", str(out))
+        assert res.returncode == code, res.stderr
+        if code == 3:
+            assert "per-flow and blended profit coincide" in res.stderr
+            assert not out.exists()
+            return
+        with open(out, newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["sweep_value"] == "0.0"]
+        assert rows and all(r["profit_capture"] == r["surplus_capture"] == "nan"
+                            for r in rows)
+
+    @pytest.mark.parametrize("seed", [286, 1009, 1657])
+    def test_market_the_price_fixed_point_leaves_unsolved(self, tmp_path, seed):
+        # the markets of test_demand_logit's stall_market: the fixed point
+        # runs out of budget on the per-flow prices and the exact markup
+        # prices them
+        from tierpricing.domain import FlowTable
+        from tierpricing.ingestion import write_flows_csv
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 31))
+        q = rng.lognormal(1.0, 1.5, n)
+        d = rng.uniform(1, 100, n)
+        flows = tmp_path / "flows.csv"
+        write_flows_csv(flows, FlowTable([f"f{i}" for i in range(n)], q, d))
+        out = tmp_path / "capture.csv"
+        res = run_cli("capture", "--input", str(flows), "--demand-model", "logit",
+                      "--cost-model", "linear", "--theta", "0", "--alpha", "1.1",
+                      "--p0", "20", "--s0", "0.2", "--bundles", "1..4", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        with open(out, newline="") as fh:
+            captures = [float(r["profit_capture"]) for r in csv.DictReader(fh)]
+        assert len(captures) == 24
+        # in [0, 1] up to the rounding residue of the B=1 rows (about -1e-15)
+        assert all(-1e-12 <= c <= 1.0 + 1e-12 for c in captures)
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # logit with p0 below the uniform markup cannot be rationalized
