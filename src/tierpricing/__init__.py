@@ -24,7 +24,6 @@ from .cost_models import (
     split_by_dest_type,
 )
 from .demand_ced import (
-    CedFit,
     ced_bundle_price,
     ced_consumer_surplus,
     ced_demand,
@@ -33,11 +32,8 @@ from .demand_ced import (
     ced_optimal_price,
     ced_potential_profit,
     ced_profit,
-    fit_ced,
 )
 from .demand_logit import (
-    LogitFit,
-    fit_logit,
     logit_bundle_aggregate,
     logit_consumer_surplus,
     logit_demand,

@@ -28,18 +28,20 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .cost_models import realize_costs
 from .demand_ced import (
-    CedFit,
     bundle_profit_closed_form,
-    ced_consumer_surplus,
+    ced_fit_gamma,
+    ced_fit_valuations,
     ced_optimal_price,
     ced_potential_profit,
     ced_profit,
 )
 from .demand_logit import (
-    LogitFit,
     logit_bundle_aggregate,
     logit_consumer_surplus,
+    logit_fit_gamma,
+    logit_fit_valuations,
     logit_potential_profit,
     logit_profit,
     logit_solve_prices,
@@ -73,6 +75,7 @@ class ModelContext(FittedTable):
     metric is measured against: profit and surplus at the blended rate
     (original) and at per-flow pricing (maximum).
 
+    ``from_ced`` and ``from_logit`` fit a market and build its context.
     The per-flow arrays (``ids``, ``q``, ``d``, ``v``, ``c``,
     ``class_labels``) are those of ``FittedTable``; every strategy and
     ``Bundling`` follows their flow order. Whatever does not depend on
@@ -86,8 +89,11 @@ class ModelContext(FittedTable):
       (``visiting_order``); class-profit-weighted restricts the profit
       order to each class (``class_visits``);
     * ``potential_profits``;
-    * under CED, the per-flow terms w = v**alpha and c*w of bundle
-      prices and surplus (``ced_terms``)."""
+    * the per-flow terms w and x = c*w of the bundle sums (``terms``).
+
+    Under CED the blended baseline is the one-bundle labelling, priced
+    like every tiering, and the maximum the per-flow optimal prices;
+    under logit they are the uniform p0 and the per-flow price solve."""
 
     model: DemandModel
     alpha: float
@@ -103,26 +109,108 @@ class ModelContext(FittedTable):
 
     def __post_init__(self):
         super().__post_init__()
-        set_ = object.__setattr__
-        uniform = np.full(len(self.ids), self.p0)
         if self.model is DemandModel.CED:
+            _, pi_orig, cs_orig = self.price(np.zeros(len(self.ids), dtype=np.intp), 1)
             per_flow = ced_optimal_price(self.c, self.alpha)
-            offset = self.cs_unit_price_offset
-            set_(self, "pi_orig", ced_profit(self.v, uniform, self.c, self.alpha))
-            set_(self, "pi_max", ced_profit(self.v, per_flow, self.c, self.alpha))
-            set_(self, "cs_orig", ced_consumer_surplus(
-                self.v, uniform, self.alpha, unit_price_offset=offset))
-            set_(self, "cs_max", ced_consumer_surplus(
-                self.v, per_flow, self.alpha, unit_price_offset=offset))
+            pi_max, cs_max = self._ced_value(per_flow, per_flow ** (1.0 - self.alpha))
         else:
             if self.s0 is None or self.consumer_mass is None:
                 raise DomainError("logit context requires s0 and consumer_mass")
+            uniform = np.full(len(self.ids), self.p0)
             per_flow = logit_solve_prices(self.v, self.c, self.alpha)
             k = self.consumer_mass
-            set_(self, "pi_orig", logit_profit(self.v, uniform, self.c, self.alpha, k))
-            set_(self, "pi_max", logit_profit(self.v, per_flow, self.c, self.alpha, k))
-            set_(self, "cs_orig", logit_consumer_surplus(self.v, uniform, self.alpha, k))
-            set_(self, "cs_max", logit_consumer_surplus(self.v, per_flow, self.alpha, k))
+            pi_orig = logit_profit(self.v, uniform, self.c, self.alpha, k)
+            pi_max = logit_profit(self.v, per_flow, self.c, self.alpha, k)
+            cs_orig = logit_consumer_surplus(self.v, uniform, self.alpha, k)
+            cs_max = logit_consumer_surplus(self.v, per_flow, self.alpha, k)
+        for name, value in (("pi_orig", pi_orig), ("pi_max", pi_max),
+                            ("cs_orig", cs_orig), ("cs_max", cs_max)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_ced(cls, flow_ids, q, d, rel_costs, p0: float, alpha: float,
+                 labels=None, cs_unit_price_offset: bool = False) -> "ModelContext":
+        """Fit the valuations and cost scaling of one constant-elasticity
+        market. ``rel_costs`` are the pre-gamma relative costs f(d) of
+        the cost model, aligned with ``q`` and ``d``; ``labels`` are the
+        flows' bundling classes (None when the cost model has none)."""
+        if not alpha > 1.0:
+            raise DomainError(f"CED requires alpha > 1, got {alpha}")
+        v = ced_fit_valuations(q, p0, alpha)
+        gamma = ced_fit_gamma(v, rel_costs, p0, alpha)
+        c = realize_costs(rel_costs, gamma)
+        return cls(flow_ids, q, d, v, c, labels, DemandModel.CED, alpha, p0,
+                   gamma=gamma, cs_unit_price_offset=cs_unit_price_offset)
+
+    @classmethod
+    def from_logit(cls, flow_ids, q, d, rel_costs, p0: float, alpha: float,
+                   s0: float, labels=None) -> "ModelContext":
+        """Fit the valuations, cost scaling and consumer mass
+        K = sum(q)/(1-s0) of one logit market whose non-buying share at
+        p0 is s0 (arguments as ``from_ced``)."""
+        if not alpha > 0.0:
+            raise DomainError(f"logit requires alpha > 0, got {alpha}")
+        v = logit_fit_valuations(q, p0, alpha, s0)
+        gamma = logit_fit_gamma(v, rel_costs, p0, alpha)
+        c = realize_costs(rel_costs, gamma)
+        return cls(flow_ids, q, d, v, c, labels, DemandModel.LOGIT, alpha, p0,
+                   s0=s0, consumer_mass=float(np.sum(q) / (1.0 - s0)), gamma=gamma)
+
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-flow w and x = c*w, whose bundle sums W and X price a
+        bundle: w = v**alpha under CED (price alpha*X / ((alpha-1)*W))
+        and exp(alpha*(v - max v)) under logit (the optimal search)."""
+        if self.model is DemandModel.CED:
+            w = self.v ** self.alpha
+        else:
+            w = np.exp(self.alpha * (self.v - self.v.max()))
+        return w, self.c * w
+
+    def price(self, labels: np.ndarray, num_bundles: int
+              ) -> tuple[np.ndarray, float, float]:
+        """Optimal price of each of ``num_bundles`` bundles of the flows
+        labelled ``labels`` (NaN if empty), and their profit and surplus.
+
+        Members are grouped by one stable argsort of the labels (as
+        ``uint8`` up to 256 bundles, which numpy radix-sorts to the same
+        permutation) and each bundle is summed over its contiguous slice,
+        so every sum adds in the order of ``ced_bundle_price``,
+        ``ced_profit``, ``ced_consumer_surplus`` and the logit aggregates,
+        and the results are bit-identical to theirs."""
+        keys = labels.astype(np.uint8) if num_bundles <= 256 else labels
+        order = np.argsort(keys, kind="stable")
+        counts = np.bincount(labels, minlength=num_bundles)
+        ends = np.cumsum(counts)
+        occupied = np.flatnonzero(counts)
+        slices = [slice(ends[b] - counts[b], ends[b]) for b in occupied]
+        prices = np.full(num_bundles, np.nan)
+        alpha = self.alpha
+        if self.model is DemandModel.CED:
+            w, x = (term[order] for term in self.terms)
+            for b, part in zip(occupied, slices):
+                prices[b] = alpha * np.sum(x[part]) / ((alpha - 1.0) * np.sum(w[part]))
+            profit, surplus = self._ced_value(prices[labels],
+                                              (prices ** (1.0 - alpha))[labels])
+            return prices, profit, surplus
+        v, c = self.v[order], self.c[order]
+        aggregates = [logit_bundle_aggregate(v[part], c[part], alpha) for part in slices]
+        v_b, c_b = (np.array(column) for column in zip(*aggregates))
+        p_b = logit_solve_prices(v_b, c_b, alpha)
+        prices[occupied] = p_b
+        profit = logit_profit(v_b, p_b, c_b, alpha, self.consumer_mass)
+        surplus = logit_consumer_surplus(v_b, p_b, alpha, self.consumer_mass)
+        return prices, profit, surplus
+
+    def _ced_value(self, p: np.ndarray, p_power: np.ndarray) -> tuple[float, float]:
+        """CED profit and surplus at per-flow prices ``p``, given
+        ``p_power`` = p**(1-alpha), with v**alpha taken from ``terms``."""
+        alpha = self.alpha
+        profit = ced_profit(self.v, p, self.c, alpha)
+        gross = self.terms[0] * p_power
+        if self.cs_unit_price_offset:
+            return profit, float(np.sum(alpha * gross / (alpha - 1.0) - p))
+        return profit, float(np.sum(gross) / (alpha - 1.0))
 
     @cached_property
     def cost_order(self) -> np.ndarray:
@@ -196,26 +284,6 @@ class ModelContext(FittedTable):
             out[lab] = (float(np.add.accumulate(members)[-1]),
                         _Visit(profit.order[keep], profit.weights[keep], members.sum()))
         return out
-
-    @cached_property
-    def ced_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-flow w = v**alpha and x = c*w of the CED bundle prices
-        (alpha*sum x / ((alpha-1)*sum w)) and of the surplus."""
-        w = self.v ** self.alpha
-        return w, self.c * w
-
-    @classmethod
-    def from_ced(cls, fit: CedFit, p0: float,
-                 cs_unit_price_offset: bool = False) -> "ModelContext":
-        return cls(fit.ids, fit.q, fit.d, fit.v, fit.c, fit.class_labels,
-                   DemandModel.CED, fit.alpha, p0, gamma=fit.gamma,
-                   cs_unit_price_offset=cs_unit_price_offset)
-
-    @classmethod
-    def from_logit(cls, fit: LogitFit, p0: float) -> "ModelContext":
-        return cls(fit.ids, fit.q, fit.d, fit.v, fit.c, fit.class_labels,
-                   DemandModel.LOGIT, fit.alpha, p0,
-                   s0=fit.s0, consumer_mass=fit.consumer_mass, gamma=fit.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +475,10 @@ class _ContiguousOptimum:
 
     def __init__(self, ctx: ModelContext):
         self.order = ctx.cost_order
-        v, c = ctx.v[self.order], ctx.c[self.order]
-        if ctx.model is DemandModel.CED:
-            w = v ** ctx.alpha
-        else:
-            w = np.exp(ctx.alpha * (v - v.max()))
+        w, x = (term[self.order] for term in ctx.terms)
         self.model, self.alpha = ctx.model, ctx.alpha
         self.w_pre = np.concatenate(([0.0], np.cumsum(w)))
-        self.x_pre = np.concatenate(([0.0], np.cumsum(c * w)))
+        self.x_pre = np.concatenate(([0.0], np.cumsum(x)))
         n = len(w)
         # value[j]: best score of the cost-ordered prefix [0, j) in as many
         # blocks as there are layers; starts[k-1][j]: where the last block
@@ -515,61 +579,17 @@ def profit_capture(pi_new: float, pi_orig: float, pi_max: float) -> float:
 
 def evaluate_bundling(ctx: ModelContext, bundling: Bundling, *,
                       degenerate_ok: bool = False) -> TierOutcome:
-    """Price each bundle optimally and measure profit, surplus and the
-    capture metrics against the context's cached baselines.
+    """Price each bundle optimally (``ModelContext.price``; NaN for an
+    empty one) and measure the captures against the context's baselines.
 
-    Members are grouped by one stable argsort of the labels (as
-    ``uint8`` up to 256 bundles, which numpy radix-sorts to the same
-    permutation), gathered once, and each bundle is summed over its
-    contiguous slice, so per-bundle sums add in flow order as a
-    per-bundle loop does. Under CED the bundle prices and the surplus
-    use the context's cached w = v**alpha and c*w, raising only the
-    bundle prices to the power 1 - alpha; the profit keeps the per-flow
-    (v/p)**alpha term. Every sum adds in the order ``ced_bundle_price``,
-    ``ced_profit``, ``ced_consumer_surplus`` and the logit aggregates
-    use, so the results are bit-identical to theirs.
-
-    Empty bundles are skipped for pricing and reported with NaN price;
-    a degenerate surplus baseline yields NaN surplus capture rather
-    than failing the profit-side result. A degenerate profit baseline
-    raises DegenerateBaseline or, with ``degenerate_ok``, yields NaN for
-    both captures.
+    A degenerate surplus baseline yields NaN surplus capture rather than
+    failing the profit-side result. A degenerate profit baseline raises
+    DegenerateBaseline or, with ``degenerate_ok``, yields NaN for both.
     """
     labels = bundling.labels
     if len(labels) != len(ctx.ids):
-        raise DomainError(
-            f"bundling has {len(labels)} labels for {len(ctx.ids)} flows"
-        )
-    num_bundles = bundling.num_bundles
-    keys = labels.astype(np.uint8) if num_bundles <= 256 else labels
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(labels, minlength=num_bundles)
-    ends = np.cumsum(counts)
-    occupied = np.flatnonzero(counts)
-    slices = [slice(ends[b] - counts[b], ends[b]) for b in occupied]
-    prices = np.full(num_bundles, np.nan)
-    alpha = ctx.alpha
-    if ctx.model is DemandModel.CED:
-        w, x = ctx.ced_terms
-        w_b, x_b = w[order], x[order]
-        for b, part in zip(occupied, slices):
-            prices[b] = alpha * np.sum(x_b[part]) / ((alpha - 1.0) * np.sum(w_b[part]))
-        per_flow = prices[labels]
-        profit = ced_profit(ctx.v, per_flow, ctx.c, alpha)
-        # ced_consumer_surplus with v**alpha cached and p**(1-alpha) per bundle
-        gross = w * (prices ** (1.0 - alpha))[labels]
-        if ctx.cs_unit_price_offset:
-            surplus = float(np.sum(alpha * gross / (alpha - 1.0) - per_flow))
-        else:
-            surplus = float(np.sum(gross) / (alpha - 1.0))
-    else:
-        v, c = ctx.v[order], ctx.c[order]
-        aggregates = [logit_bundle_aggregate(v[part], c[part], alpha) for part in slices]
-        v_b, c_b = (np.array(column) for column in zip(*aggregates))
-        p_b = logit_solve_prices(v_b, c_b, alpha)
-        prices[occupied] = p_b
-        profit = logit_profit(v_b, p_b, c_b, alpha, ctx.consumer_mass)
-        surplus = logit_consumer_surplus(v_b, p_b, alpha, ctx.consumer_mass)
+        raise DomainError(f"bundling has {len(labels)} labels for {len(ctx.ids)} flows")
+    prices, profit, surplus = ctx.price(labels, bundling.num_bundles)
     try:
         capture = profit_capture(profit, ctx.pi_orig, ctx.pi_max)
     except DegenerateBaseline:

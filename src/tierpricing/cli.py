@@ -17,8 +17,10 @@ Options may also come from an INI config file (section
 ``[tierpricing]``); explicit flags win. A key is a long option or its
 dest, with dashes or underscores, and its value is converted by that
 option's own type; switches follow configparser's boolean rule
-(1/yes/true/on, 0/no/false/off). A key that names no option of any
-subcommand, or a value that does not convert, is a configuration error.
+(1/yes/true/on, 0/no/false/off). A key of another subcommand's option
+is left out, so one file can serve every subcommand; a key that names
+no option of any subcommand, or a value that does not convert, is a
+configuration error.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -202,20 +204,22 @@ def _apply_config_file(argv: list[str], args: argparse.Namespace,
         raise ConfigError(f"{path} has no [tierpricing] section")
     # every key resolves through the subcommands' own options: a long
     # option or a dest, with dashes or underscores; a key of another
-    # subcommand is accepted, so one file can serve all
-    actions = {}
-    for sub in parser.sub_map.values():
+    # subcommand is accepted and left out, so one file can serve all
+    actions = {command: {} for command in parser.sub_map}
+    for command, sub in parser.sub_map.items():
         for action in sub._actions:
             if action.dest in ("help", "config"):
                 continue
             names = [opt[2:] for opt in action.option_strings if opt.startswith("--")]
             for name in (action.dest, *names):
-                actions[name.replace("-", "_")] = action
+                actions[command][name.replace("-", "_")] = action
     defaults = {}
     for name, raw in ini.items("tierpricing"):
         key = name.replace("-", "_")
-        action = actions.get(key)
+        action = actions[args.command].get(key)
         if action is None:
+            if any(key in known for known in actions.values()):
+                continue
             raise ConfigError(f"{path}: unknown config key {key!r}")
         try:
             if isinstance(action, argparse._StoreTrueAction):

@@ -13,13 +13,9 @@ scaling gamma is chosen so p0 is the profit-maximizing uniform price.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .cost_models import realize_costs
-from .domain import DomainError, EmptyBundle, FittedTable, NonPositiveGamma
+from .domain import DomainError, EmptyBundle, NonPositiveGamma
 
 
 def ced_demand(v, p, alpha: float):
@@ -134,36 +130,3 @@ def bundle_profit_closed_form(w_sum, x_sum, alpha: float):
     kappa = (alpha - 1.0) ** (alpha - 1.0) / alpha ** alpha
     return kappa * np.asarray(w_sum, dtype=float) ** alpha \
         * np.asarray(x_sum, dtype=float) ** (1.0 - alpha)
-
-
-@dataclass(frozen=True, eq=False)
-class CedFit(FittedTable):
-    """A fitted constant-elasticity market: the per-flow arrays
-    (ids, q, d, v, c, class labels), the global alpha, and the cost
-    scaling gamma."""
-
-    alpha: float
-    gamma: float
-
-
-def fit_ced(
-    flow_ids: Sequence[str],
-    q,
-    d,
-    rel_costs,
-    p0: float,
-    alpha: float,
-    labels: Sequence[str | None] | None = None,
-) -> CedFit:
-    """Fit valuations and the cost scaling for one market snapshot.
-
-    ``rel_costs`` are the pre-gamma relative costs f(d) of the chosen
-    cost model, aligned with ``q`` and ``d``; ``labels`` are the
-    flows' bundling classes (None when the cost model has none).
-    """
-    if not alpha > 1.0:
-        raise DomainError(f"CED requires alpha > 1, got {alpha}")
-    v = ced_fit_valuations(q, p0, alpha)
-    gamma = ced_fit_gamma(v, rel_costs, p0, alpha)
-    c = realize_costs(rel_costs, gamma)
-    return CedFit(flow_ids, q, d, v, c, labels, alpha=alpha, gamma=gamma)

@@ -21,16 +21,12 @@ overflow even then raise OverflowGuard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .cost_models import realize_costs
 from .domain import (
     DomainError,
     EmptyBundle,
-    FittedTable,
     NoConvergence,
     NonPositiveGamma,
     OverflowGuard,
@@ -258,37 +254,3 @@ def logit_potential_profit(q, alpha: float, s0: float, consumer_mass: float):
     if np.any(q <= 0):
         raise DomainError("demand must be positive")
     return consumer_mass * (1.0 - s0) * q / (alpha * s0)
-
-
-@dataclass(frozen=True, eq=False)
-class LogitFit(FittedTable):
-    """A fitted logit market: the per-flow arrays (ids, q, d, v, c,
-    class labels), alpha, gamma, the non-buying share s0 at the blended
-    rate, and the consumer mass K = sum(q)/(1-s0)."""
-
-    alpha: float
-    gamma: float
-    s0: float
-    consumer_mass: float
-
-
-def fit_logit(
-    flow_ids: Sequence[str],
-    q,
-    d,
-    rel_costs,
-    p0: float,
-    alpha: float,
-    s0: float,
-    labels: Sequence[str | None] | None = None,
-) -> LogitFit:
-    """Fit valuations, cost scaling and consumer mass for one market."""
-    if not alpha > 0.0:
-        raise DomainError(f"logit requires alpha > 0, got {alpha}")
-    q = np.asarray(q, dtype=float)
-    v = logit_fit_valuations(q, p0, alpha, s0)
-    gamma = logit_fit_gamma(v, rel_costs, p0, alpha)
-    c = realize_costs(rel_costs, gamma)
-    consumer_mass = float(np.sum(q) / (1.0 - s0))
-    return LogitFit(flow_ids, q, d, v, c, labels, alpha=alpha, gamma=gamma, s0=s0,
-                    consumer_mass=consumer_mass)

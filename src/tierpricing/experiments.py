@@ -39,8 +39,6 @@ from typing import Iterable
 from .bundling import ModelContext, Strategy, build_bundles, evaluate_bundling
 from .bundling import optimal_bundles  # noqa: F401  bench/traced_cli.py patches this name
 from .cost_models import base_cost, class_labels, relative_costs, split_by_dest_type
-from .demand_ced import fit_ced
-from .demand_logit import fit_logit
 from .domain import (
     ConfigError,
     CostKind,
@@ -104,11 +102,15 @@ class ExperimentConfig:
 def validate_config(config: ExperimentConfig) -> None:
     """Raise ConfigError on any inconsistent setting.
 
-    CED requires alpha > 1, logit alpha > 0; p0 must be positive and a
-    logit s0 must lie strictly inside (0, 1). Theta must suit the cost
-    model (see ``CostModelSpec``), and only the dest-type cost model
-    splits flows by destination type.
+    Alpha, p0 and theta must be finite. CED requires alpha > 1, logit
+    alpha > 0; p0 must be positive and a logit s0 must lie strictly
+    inside (0, 1). Theta must suit the cost model (see
+    ``CostModelSpec``), and only the dest-type cost model splits flows
+    by destination type.
     """
+    for name in ("alpha", "p0", "theta"):
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
     if config.demand_model is DemandModel.CED:
         if not config.alpha > 1.0:
             raise ConfigError(f"CED requires alpha > 1, got {config.alpha}")
@@ -170,12 +172,11 @@ def fit_context(flows: FlowTable, config: ExperimentConfig) -> ModelContext:
     labels = class_labels(spec, flows)
     ids, q, d = flows.ids, flows.demand, flows.distance
     if config.demand_model is DemandModel.CED:
-        fit = fit_ced(ids, q, d, rel, config.p0, config.alpha, labels)
         return ModelContext.from_ced(
-            fit, config.p0, cs_unit_price_offset=config.cs_unit_price_offset
-        )
-    fit = fit_logit(ids, q, d, rel, config.p0, config.alpha, config.s0, labels)
-    return ModelContext.from_logit(fit, config.p0)
+            ids, q, d, rel, config.p0, config.alpha, labels,
+            cs_unit_price_offset=config.cs_unit_price_offset)
+    return ModelContext.from_logit(ids, q, d, rel, config.p0, config.alpha, config.s0,
+                                   labels)
 
 
 def _row(strategy: Strategy, num_bundles: int, outcome) -> dict:

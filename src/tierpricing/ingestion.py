@@ -64,6 +64,8 @@ class DatasetMoments:
     def __post_init__(self):
         if self.n_flows < 1:
             raise DomainError("n_flows must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         for name in ("weighted_avg_distance_miles", "aggregate_gbps"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0")
@@ -191,7 +193,7 @@ def write_flows_csv(path, flows: FlowTable) -> None:
 
 
 def write_fitted_csv(path, fitted: FittedTable) -> None:
-    """Write fitted flows (a fit or a ``ModelContext``); floats use repr
+    """Write fitted flows (such as a ``ModelContext``); floats use repr
     so a read-back reproduces them bit-identically."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

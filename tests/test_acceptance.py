@@ -26,9 +26,8 @@ from tierpricing.bundling import (
     optimal_bundles,
     token_bucket_bundles,
 )
-from tierpricing.demand_ced import ced_optimal_price, ced_profit, fit_ced
+from tierpricing.demand_ced import ced_optimal_price, ced_profit
 from tierpricing.demand_logit import (
-    fit_logit,
     logit_consumer_surplus,
     logit_profit,
     logit_shares,
@@ -60,8 +59,8 @@ def random_fitted_ced(rng, n=100):
     f_d = rng.uniform(0.5, 30.0, size=n)
     p0 = rng.uniform(5.0, 30.0)
     alpha = rng.uniform(1.05, 10.0)
-    fit = fit_ced([f"f{i:03d}" for i in range(n)], q, np.ones(n), f_d, p0, alpha)
-    return ModelContext.from_ced(fit, p0), p0
+    return ModelContext.from_ced([f"f{i:03d}" for i in range(n)], q, np.ones(n), f_d,
+                                 p0, alpha), p0
 
 
 def random_fitted_logit(rng, n=100):
@@ -70,8 +69,8 @@ def random_fitted_logit(rng, n=100):
     p0 = rng.uniform(15.0, 30.0)
     alpha = rng.uniform(0.8, 3.0)
     s0 = rng.uniform(0.15, 0.8)
-    fit = fit_logit([f"f{i:03d}" for i in range(n)], q, np.ones(n), f_d, p0, alpha, s0)
-    return ModelContext.from_logit(fit, p0), p0
+    return ModelContext.from_logit([f"f{i:03d}" for i in range(n)], q, np.ones(n), f_d,
+                                   p0, alpha, s0), p0
 
 
 def test_a1_closed_form_worked_example():
@@ -107,12 +106,11 @@ def test_a3_oracle_dominance_and_monotonicity():
         f_d = rng.uniform(0.5, 30.0, size=n)
         ids = [f"f{i}" for i in range(n)]
         if trial % 10 < 7:
-            fit = fit_ced(ids, q, np.ones(n), f_d, 20.0, float(rng.uniform(1.1, 5.0)))
-            ctx = ModelContext.from_ced(fit, 20.0)
+            ctx = ModelContext.from_ced(ids, q, np.ones(n), f_d, 20.0,
+                                        float(rng.uniform(1.1, 5.0)))
         else:
-            fit = fit_logit(ids, q, np.ones(n), f_d, 20.0,
-                            float(rng.uniform(0.8, 2.0)), 0.2)
-            ctx = ModelContext.from_logit(fit, 20.0)
+            ctx = ModelContext.from_logit(ids, q, np.ones(n), f_d, 20.0,
+                                          float(rng.uniform(0.8, 2.0)), 0.2)
         previous = -np.inf
         for num_bundles in range(1, n + 1):
             best = evaluate_bundling(ctx, optimal_bundles(ctx, num_bundles))

@@ -21,10 +21,8 @@ from tierpricing.demand_ced import (
     ced_bundle_price,
     ced_consumer_surplus,
     ced_profit,
-    fit_ced,
 )
 from tierpricing.demand_logit import (
-    fit_logit,
     logit_bundle_aggregate,
     logit_consumer_surplus,
     logit_markup,
@@ -62,16 +60,16 @@ def ced_context(rng, n, alpha=1.5, p0=20.0, tied=False, offset=False):
     q = rng.lognormal(1.0, 1.2, size=n)
     d = rng.choice(TIED_DISTANCES, n) if tied else rng.uniform(1.0, 100.0, size=n)
     rel = d + 0.1 * d.max()
-    fit = fit_ced([f"f{i:02d}" for i in range(n)], q, d, rel, p0, alpha)
-    return ModelContext.from_ced(fit, p0, cs_unit_price_offset=offset)
+    return ModelContext.from_ced([f"f{i:02d}" for i in range(n)], q, d, rel, p0, alpha,
+                                 cs_unit_price_offset=offset)
 
 
 def logit_context(rng, n, alpha=1.1, p0=20.0, s0=0.2, tied=False):
     q = rng.lognormal(1.0, 1.2, size=n)
     d = rng.choice(TIED_DISTANCES, n) if tied else rng.uniform(1.0, 100.0, size=n)
     rel = d + 0.1 * d.max()
-    fit = fit_logit([f"f{i:02d}" for i in range(n)], q, d, rel, p0, alpha, s0)
-    return ModelContext.from_logit(fit, p0)
+    return ModelContext.from_logit([f"f{i:02d}" for i in range(n)], q, d, rel, p0,
+                                   alpha, s0)
 
 
 def tied_ced_context(rng, n):
@@ -185,9 +183,8 @@ class TestClassConstrained:
         d = rng.uniform(1.0, 100.0, size=n)
         labels = ["customer" if i % 3 else "peer" for i in range(n)]
         rel = d * np.where(np.array(labels) == "peer", 2.0, 1.0)
-        fit = fit_ced([f"f{i:02d}" for i in range(n)], q, d, rel, 20.0, 1.5,
-                      labels=labels)
-        return ModelContext.from_ced(fit, 20.0)
+        return ModelContext.from_ced([f"f{i:02d}" for i in range(n)], q, d, rel, 20.0,
+                                     1.5, labels=labels)
 
     def test_never_mixes_classes(self):
         rng = np.random.default_rng(5)
@@ -248,8 +245,7 @@ class TestOptimal:
         ids = [f"f{i}" for i in range(6)]
         q = np.array([4.0, 4.0, 4.0, 9.0, 9.0, 9.0])
         d = np.array([1.0, 1.0, 1.0, 50.0, 50.0, 50.0])
-        fit = fit_ced(ids, q, d, d, 20.0, 2.0)
-        ctx = ModelContext.from_ced(fit, 20.0)
+        ctx = ModelContext.from_ced(ids, q, d, d, 20.0, 2.0)
         b = optimal_bundles(ctx, 2)
         groups = {}
         for fid, bundle in zip(ctx.ids, b.labels.tolist()):
@@ -389,6 +385,42 @@ class TestEvaluate:
             price = c_b + logit_markup([v_b], [c_b], ctx.alpha)
         assert price == pytest.approx(5.0, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("kind, theta, n_flows, seed, offset", [
+        # the two markets whose one-tier capture was rounding residue
+        # (-7.7e-14 and 4.4e-12) while the blended baseline had a
+        # uniform-price formula of its own
+        (CostKind.LINEAR, 0.2, 5000, 3, False),
+        (CostKind.REGIONAL, 0.2, 20000, 1, False),
+        (CostKind.CONCAVE, 0.5, 3000, 12, True),
+        (CostKind.DEST_TYPE, 0.4, 3000, 5, False),
+    ])
+    def test_ced_one_tier_capture_is_exactly_zero(self, kind, theta, n_flows, seed,
+                                                  offset):
+        from tierpricing.experiments import (DEFAULT_STRATEGIES, ExperimentConfig,
+                                             run_capture_curve)
+
+        split = kind is CostKind.DEST_TYPE
+        strategies = DEFAULT_STRATEGIES + (
+            (Strategy.CLASS_PROFIT_WEIGHTED,) if split else ())
+        config = ExperimentConfig(cost_kind=kind, theta=theta, n_flows=n_flows,
+                                  seed=seed, bundles=(1,), strategies=strategies,
+                                  split_dest_type=split, cs_unit_price_offset=offset)
+        rows, _ = run_capture_curve(config)
+        assert len(rows) == len(strategies)
+        for row in rows:
+            assert row["profit_capture"] == 0.0 and row["surplus_capture"] == 0.0, row
+
+    def test_terms_computed_only_for_the_optimum_under_logit(self):
+        rng = np.random.default_rng(26)
+        ctx = logit_context(rng, 40)
+        for strat in (Strategy.PROFIT_WEIGHTED, Strategy.COST_DIVISION):
+            evaluate_bundling(ctx, build_bundles(strat, ctx, 3))
+        assert "terms" not in vars(ctx)
+        optimal_bundles(ctx, 3)
+        w, x = ctx.terms
+        np.testing.assert_array_equal(w, np.exp(ctx.alpha * (ctx.v - ctx.v.max())))
+        np.testing.assert_array_equal(x, ctx.c * w)
+
     def test_ced_surplus_capture_equals_profit_capture(self):
         # at per-bundle-optimal prices surplus is profit * alpha/(alpha-1),
         # so the two captures coincide exactly under this demand model
@@ -431,6 +463,41 @@ class TestEvaluate:
             direct_cs = logit_consumer_surplus(ctx.v, per_flow, ctx.alpha,
                                                ctx.consumer_mass)
             assert out.consumer_surplus == pytest.approx(direct_cs, rel=1e-12)
+
+
+P0_GRID = (5.0, 10.0, 20.0, 30.0)
+
+
+@st.composite
+def ced_markets(draw):
+    """The arguments of ced_context bar p0: a seed, a flow count, alpha
+    and the surplus convention. Distances are not tied: with exact cost
+    ties a token bucket can close on a running budget that is zero up to
+    rounding, so its labels may change with p0."""
+    return (draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 60)),
+            draw(st.floats(1.05, 6.0)), draw(st.booleans()))
+
+
+class TestMetamorphic:
+    @settings(max_examples=200, deadline=None)
+    @given(ced_markets())
+    def test_ced_captures_do_not_depend_on_p0(self, market):
+        # v scales as p0 and the fitted costs as p0, so every price
+        # scales as p0 and every profit and surplus by one factor
+        seed, n, alpha, offset = market
+        contexts = [ced_context(np.random.default_rng(seed), n, alpha=alpha, p0=p0,
+                                offset=offset) for p0 in P0_GRID]
+        for strategy in (Strategy.OPTIMAL, Strategy.DEMAND_WEIGHTED,
+                         Strategy.COST_WEIGHTED, Strategy.PROFIT_WEIGHTED,
+                         Strategy.COST_DIVISION, Strategy.INDEX_DIVISION):
+            for num_bundles in range(1, 5):
+                outcomes = [evaluate_bundling(ctx, build_bundles(strategy, ctx, num_bundles))
+                            for ctx in contexts]
+                for out in outcomes[1:]:
+                    assert out.profit_capture == pytest.approx(
+                        outcomes[0].profit_capture, rel=0, abs=1e-9)
+                    assert out.surplus_capture == pytest.approx(
+                        outcomes[0].surplus_capture, rel=0, abs=1e-9)
 
 
 class TestProfitCapture:
@@ -681,10 +748,9 @@ def classed_contexts(draw):
     rel = d + 0.1 * d.max()
     ids = [f"f{i:02d}" for i in range(n)]
     if draw(st.booleans()):
-        ctx = ModelContext.from_ced(fit_ced(ids, q, d, rel, 20.0, 1.5, labels), 20.0)
+        ctx = ModelContext.from_ced(ids, q, d, rel, 20.0, 1.5, labels)
     else:
-        ctx = ModelContext.from_logit(
-            fit_logit(ids, q, d, rel, 20.0, 1.1, 0.2, labels), 20.0)
+        ctx = ModelContext.from_logit(ids, q, d, rel, 20.0, 1.1, 0.2, labels)
     return ctx, draw(st.integers(1, n + 2))
 
 
@@ -721,10 +787,9 @@ def bucket_queries(draw):
     labels = rng.choice(("peer", "customer", "metro"), n).tolist()
     ids = [f"f{i:02d}" for i in range(n)]
     if draw(st.booleans()):
-        ctx = ModelContext.from_ced(fit_ced(ids, q, d, rel, 20.0, 1.5, labels), 20.0)
+        ctx = ModelContext.from_ced(ids, q, d, rel, 20.0, 1.5, labels)
     else:
-        ctx = ModelContext.from_logit(
-            fit_logit(ids, q, d, rel, 20.0, 1.1, 0.2, labels), 20.0)
+        ctx = ModelContext.from_logit(ids, q, d, rel, 20.0, 1.1, 0.2, labels)
     top = 2 * n + 2 if n <= 60 else 12
     queries = draw(st.lists(
         st.tuples(st.sampled_from([*BUCKET_STRATEGIES, Strategy.CLASS_PROFIT_WEIGHTED]),

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from tierpricing.bundling import ModelContext
 from tierpricing.demand_ced import (
     ced_bundle_price,
     ced_consumer_surplus,
@@ -15,7 +16,6 @@ from tierpricing.demand_ced import (
     ced_optimal_price,
     ced_potential_profit,
     ced_profit,
-    fit_ced,
 )
 from tierpricing.domain import DomainError, EmptyBundle
 
@@ -208,7 +208,8 @@ class TestFitting:
             q = rng.lognormal(1.0, 1.5, size=80)
             f_d = rng.uniform(0.2, 30.0, size=80)
             p0 = 20.0
-            fit = fit_ced([f"f{i}" for i in range(80)], q, q * 0 + 1.0, f_d, p0, alpha)
+            fit = ModelContext.from_ced([f"f{i}" for i in range(80)], q, q * 0 + 1.0, f_d,
+                                        p0, alpha)
             assert ced_bundle_price(fit.v, fit.c, alpha) == pytest.approx(p0, rel=1e-6)
 
 

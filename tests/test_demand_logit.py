@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw, logsumexp
 
+from tierpricing.bundling import ModelContext
 from tierpricing.demand_logit import (
     EULER_GAMMA,
     MAX_SAFE_EXPONENT,
-    fit_logit,
     logit_bundle_aggregate,
     logit_consumer_surplus,
     logit_demand,
@@ -279,7 +279,7 @@ def stall_market(seed):
     n = int(rng.integers(2, 31))
     q = rng.lognormal(1.0, 1.5, n)
     d = rng.uniform(1, 100, n)
-    fit = fit_logit([f"f{i}" for i in range(n)], q, d, d, 20.0, 1.1, 0.2)
+    fit = ModelContext.from_logit([f"f{i}" for i in range(n)], q, d, d, 20.0, 1.1, 0.2)
     return fit.v, fit.c, fit.alpha
 
 
@@ -319,8 +319,8 @@ class TestSolverOracle:
         rng = np.random.default_rng(7)
         q = rng.lognormal(1.0, 1.2, 5000)
         d = rng.uniform(1, 100, 5000)
-        fit = fit_logit([f"f{i}" for i in range(5000)], q, d, d + 10.0,
-                        20.0, 1.1, 0.2)
+        fit = ModelContext.from_logit([f"f{i}" for i in range(5000)], q, d, d + 10.0,
+                                      20.0, 1.1, 0.2)
         prices, stalled = assert_same_outcome(fit.v, fit.c, fit.alpha)
         assert isinstance(prices, np.ndarray) and prices.shape == (5000,)
         assert not stalled
@@ -419,7 +419,8 @@ class TestFitting:
         rng = np.random.default_rng(17)
         q = rng.lognormal(0.5, 1.0, size=30)
         d = rng.uniform(1, 100, size=30)
-        fit = fit_logit([f"f{i}" for i in range(30)], q, d, d + 5.0, 20.0, 1.1, 0.2)
+        fit = ModelContext.from_logit([f"f{i}" for i in range(30)], q, d, d + 5.0,
+                                      20.0, 1.1, 0.2)
         demand = logit_demand(fit.v, np.full(30, 20.0), 1.1, fit.consumer_mass)
         np.testing.assert_allclose(demand, q, rtol=1e-9)
 

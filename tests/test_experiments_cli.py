@@ -167,6 +167,25 @@ class TestThetaSweep:
             "profit_capture and surplus_capture undefined (NaN)"]
 
 
+class TestFitContext:
+    @pytest.mark.parametrize("model", list(DemandModel))
+    def test_market_validated_once(self, monkeypatch, model):
+        from tierpricing.domain import FittedTable
+
+        tables = []
+        check = FittedTable.__post_init__
+
+        def counting(table):
+            tables.append(table)
+            check(table)
+
+        cfg = small_config(demand_model=model)
+        flows = load_flows(cfg)
+        monkeypatch.setattr(FittedTable, "__post_init__", counting)
+        ctx = fit_context(flows, cfg)
+        assert len(tables) == 1 and tables[0] is ctx
+
+
 class TestGridPoint:
     @pytest.mark.parametrize("model", [DemandModel.CED, DemandModel.LOGIT])
     @pytest.mark.parametrize("param, value", [("alpha", 2.5), ("p0", 35.0),
@@ -457,9 +476,16 @@ class TestCli:
             (["--cost-model", "regional", "--split-dest-type"],
              "split_dest_type applies to the dest-type cost model only, got regional"),
             (["--workers", "0"], "workers must be >= 1"),
+            (["--theta", "nan"], "theta must be finite, got nan"),
+            (["--p0", "inf"], "p0 must be finite, got inf"),
+            (["--alpha", "inf"], "alpha must be finite, got inf"),
         ]
         for command in ["fit", "capture", "theta-sweep", "sensitivity"]
         if not (command == "fit" and args[0] == "--workers")  # fit takes no --workers
+    ] + [
+        # every grid point is checked like the base market
+        ("sensitivity", ["--alpha-grid", "2,inf"], "alpha must be finite, got inf"),
+        ("theta-sweep", ["--theta-grid", "0.2,nan"], "theta must be finite, got nan"),
     ])
     def test_bad_setting_fails_alike_in_every_command(self, tmp_path, command, args,
                                                       message):
@@ -467,6 +493,14 @@ class TestCli:
         res = run_cli(command, "--n-flows", "30", *args, "--out", str(out))
         assert res.returncode == 2, res.stderr
         assert res.stderr == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["synth", "capture"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, command):
+        out = tmp_path / "x.csv"
+        res = run_cli(command, "--n-flows", "30", "--seed", "-1", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == "error: seed must be >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("option", [["--bundles", "1..2"], ["--strategy", "optimal"],
@@ -602,6 +636,32 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert repr(line.split(" = ")[0]) in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, line, message", [
+        # a key of another subcommand's option is left out
+        ("fit", "workers = 0", None),
+        ("capture", "theta_grid = 0,0", None),
+        ("fit", "bundles = many", None),
+        # a key of the running subcommand is applied and checked
+        ("capture", "workers = 0", "error: workers must be >= 1"),
+        ("theta-sweep", "theta_grid = 0,0", "error: theta grid must not repeat"),
+        ("capture", "workers = many", "error: config key workers"),
+    ])
+    def test_config_file_applies_the_running_command_keys(self, tmp_path, command,
+                                                          line, message):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[tierpricing]\nn_flows = 50\n{line}\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        run = [] if command == "fit" else ["--bundles", "1,2", "--strategy",
+                                           "cost-division"]
+        res = run_cli(command, "--config", str(ini), *run, "--out", str(out))
+        if message is None:
+            assert res.returncode == 0, res.stderr
+            assert out.exists()
+        else:
+            assert res.returncode == 2, res.stderr
+            assert res.stderr.startswith(message)
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, args", [
         ("capture", ["--bundles", "2,1,2"]),

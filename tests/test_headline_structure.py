@@ -22,7 +22,6 @@ from tierpricing.bundling import (
     optimal_bundles,
 )
 from tierpricing.cost_models import class_labels, relative_costs, split_by_dest_type
-from tierpricing.demand_ced import fit_ced
 from tierpricing.domain import CostKind, CostModelSpec, FlowTable
 from tierpricing.experiments import ExperimentConfig, fit_context, load_flows
 
@@ -41,8 +40,7 @@ def eu_aligned(eu_independent):
     q_sorted = np.sort(flows.demand)[::-1]
     d_sorted = np.sort(flows.distance)
     rel = d_sorted + 0.2 * d_sorted.max()
-    fit = fit_ced(flows.ids, q_sorted, d_sorted, rel, 20.0, 1.1)
-    return ModelContext.from_ced(fit, 20.0)
+    return ModelContext.from_ced(flows.ids, q_sorted, d_sorted, rel, 20.0, 1.1)
 
 
 class TestFewTiersSuffice:
@@ -106,9 +104,8 @@ class TestTwoClassMarkets:
             flows = split_by_dest_type(base, theta)
             spec = CostModelSpec(CostKind.DEST_TYPE, theta=theta)
             rel = relative_costs(spec, flows)
-            fit = fit_ced(flows.ids, flows.demand, flows.distance, rel, 20.0, 1.1,
-                          class_labels(spec, flows))
-            ctx = ModelContext.from_ced(fit, 20.0)
+            ctx = ModelContext.from_ced(flows.ids, flows.demand, flows.distance, rel,
+                                        20.0, 1.1, class_labels(spec, flows))
             constrained = evaluate_bundling(
                 ctx, build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, 2)
             )
