@@ -93,7 +93,8 @@ class ModelContext(FittedTable):
 
     Under CED the blended baseline is the one-bundle labelling, priced
     like every tiering, and the maximum the per-flow optimal prices;
-    under logit they are the uniform p0 and the per-flow price solve."""
+    under logit they are the uniform p0 and the per-flow optimal prices,
+    which share one markup (``logit_solve_prices``)."""
 
     model: DemandModel
     alpha: float

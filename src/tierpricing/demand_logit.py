@@ -6,8 +6,9 @@ for market share and demands are not separable. Shares use the softmax
 form with a +1 outside term, demand is share times the consumer mass K,
 and every profit-maximizing price carries the same markup 1/(alpha*s0)
 over cost, which depends on prices through the non-buying share s0.
-A damped fixed point solves for the prices; where it stalls, the exact
-equal markup, a Lambert-W root, prices the market.
+A damped fixed point on that one scalar markup solves for the prices,
+checked once in price space; where it stalls, the exact equal markup,
+a Lambert-W root, prices the market.
 
 Bundles aggregate exactly: a bundle behaves like a single flow with
 valuation log-sum-exp(alpha*v)/alpha and valuation-weighted mean cost,
@@ -88,14 +89,10 @@ def logit_consumer_surplus(v, p, alpha: float, consumer_mass: float) -> float:
 
 
 def _markup_residual(p, v, c, alpha, buf):
-    """Target c + 1/(alpha*s0(p)) of the optimality condition
-    p = c + 1/(alpha*s0(p)), and the residual max|p - target|.
-
-    One step of the price solver, doing only the work its fixed point
-    needs: s0 without the share vector, one max for both the overflow
-    guard and the shift, and every temporary in ``buf`` (float, shaped
-    like ``p``). The arithmetic is that of ``logit_shares``, bit for
-    bit, so the solver's iterates equal those of the plain formula."""
+    """The residual max|p - c - 1/(alpha*s0(p))| of the optimality
+    condition, with the arithmetic of ``logit_shares`` but without the
+    share vector, one max for both the overflow guard and the shift, and
+    every temporary in ``buf`` (float, shaped like ``p``)."""
     x = np.multiply(alpha, np.subtract(v, p, out=buf), out=buf)
     x_max = np.maximum.reduce(x, axis=None)
     if x_max > MAX_SAFE_EXPONENT:
@@ -106,9 +103,16 @@ def _markup_residual(p, v, c, alpha, buf):
     e = np.exp(np.subtract(x, shift, out=buf), out=buf)
     outside = np.exp(-shift)
     s0 = float(outside / (np.add.reduce(e, axis=None) + outside))
-    target = c + 1.0 / (alpha * s0)
-    gap = np.absolute(np.subtract(p, target, out=buf), out=buf)
-    return target, float(np.maximum.reduce(gap, axis=None))
+    gap = np.absolute(np.subtract(p, c + 1.0 / (alpha * s0), out=buf), out=buf)
+    return float(np.maximum.reduce(gap, axis=None))
+
+
+def _shifted_sum(v, c, alpha):
+    """max(y) and sum(exp(y - max(y))) for y = alpha*(v - c): the
+    max-shifted S = sum(exp(alpha*(v - c))) of the equal markup."""
+    y = alpha * (np.asarray(v, dtype=float) - np.asarray(c, dtype=float))
+    y_max = float(np.max(y))
+    return y_max, float(np.sum(np.exp(y - y_max)))
 
 
 def logit_markup(v, c, alpha: float) -> float:
@@ -121,9 +125,8 @@ def logit_markup(v, c, alpha: float) -> float:
     convex and increasing and the start lies right of the root, so the
     iterates fall onto it. ln S is a max-shifted log-sum-exp: no overflow.
     """
-    x = alpha * (np.asarray(v, dtype=float) - np.asarray(c, dtype=float))
-    shift = float(np.max(x))
-    target = shift + math.log(float(np.sum(np.exp(x - shift)))) - 1.0
+    shift, total = _shifted_sum(v, c, alpha)
+    target = shift + math.log(total) - 1.0
     u = target if target < 1.0 else math.log(target)
     for _ in range(100):
         step = (math.exp(u) + u - target) / (math.exp(u) + 1.0)
@@ -142,12 +145,16 @@ def logit_solve_prices(
 ) -> np.ndarray:
     """Solve the profit-maximizing prices p_i = c_i + 1/(alpha*s0(p)).
 
-    Damped fixed-point iteration p <- (1-lam)*p + lam*(c + 1/(alpha*s0))
-    from p = c + 1/alpha, starting at lam = 0.5 and halving lam whenever
-    the residual stops contracting (the undamped map oscillates when the
-    terminal s0 is small), for at most ``max_iter`` steps. Past that, the
-    prices are c + ``logit_markup``, the exact equal markup; NoConvergence,
-    with the residual attached, is raised only if these still miss ``tol``.
+    Every price carries one markup m, so the damped fixed point iterates
+    that scalar, m <- (1-lam)*m + lam/(alpha*s0(c + m)), from m = 1/alpha,
+    starting at lam = 0.5 and halving lam whenever |m - 1/(alpha*s0)|
+    stops contracting (the undamped map oscillates when the terminal s0
+    is small), for at most ``max_iter`` steps. s0(c + m) needs only the
+    max-shifted sum of exp(alpha*(v - c)), taken once, so a step is O(1).
+    The prices c + m are returned once their price-space residual
+    (``_markup_residual``) is below ``tol``; failing that, c +
+    ``logit_markup``, the exact equal markup; NoConvergence, with the
+    residual attached, is raised only if these still miss ``tol``.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -155,23 +162,33 @@ def logit_solve_prices(
         return np.empty(0)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    p = c + 1.0 / alpha
-    buf = np.empty_like(p)
-    lam = 0.5
-    best_p, best_res = p, np.inf
+    y_max, total = _shifted_sum(v, c, alpha)
+    buf = np.empty_like(c)
+    m, lam = 1.0 / alpha, 0.5
+    best_m, best_target, best_res = m, m, math.inf
     for _ in range(max_iter):
-        target, residual = _markup_residual(p, v, c, alpha, buf)
+        x_max = y_max - alpha * m
+        if x_max > MAX_SAFE_EXPONENT:
+            raise OverflowGuard(
+                f"max exponent alpha*(v-p) = {x_max:.3g} exceeds safe range"
+            )
+        shift = max(x_max, 0.0)
+        outside = math.exp(-shift)
+        target = 1.0 / (alpha * (outside / (math.exp(x_max - shift) * total + outside)))
+        residual = abs(m - target)
         if residual < tol:
-            return p
+            p = c + m
+            if _markup_residual(p, v, c, alpha, buf) < tol:
+                return p
+            break
         if residual < best_res:
-            best_p, best_res = p, residual
+            best_m, best_target, best_res = m, target, residual
         elif lam > 1e-4:
             lam *= 0.5
-            p = best_p
-            target, residual = _markup_residual(p, v, c, alpha, buf)
-        p = (1.0 - lam) * p + lam * target
+            m, target = best_m, best_target
+        m = (1.0 - lam) * m + lam * target
     p = c + logit_markup(v, c, alpha)
-    _, residual = _markup_residual(p, v, c, alpha, buf)
+    residual = _markup_residual(p, v, c, alpha, buf)
     if not residual < tol:
         raise NoConvergence(
             f"exact prices miss tol {tol:.3g} (residual {residual:.3g})",

@@ -197,9 +197,10 @@ class TestSolver:
         assert 1e-300 <= err.value.residual < 1e-12
 
 
-# The solver's fixed point as first written: each step goes through
-# logit_shares and the full share vector. logit_solve_prices computes
-# the same iterates with less work and must match it bit for bit.
+# The solver's fixed point as first written: the whole price vector
+# iterates, each step through logit_shares and the full share vector.
+# logit_solve_prices iterates the common markup alone and must land on
+# the same prices up to rounding.
 def reference_markup_residual(p, v, c, alpha):
     _, s0 = logit_shares(v, p, alpha)
     target = c + 1.0 / (alpha * s0)
@@ -228,6 +229,19 @@ def reference_fixed_point(v, c, alpha, tol=1e-8, max_iter=50_000):
     return None
 
 
+def reference_exact_prices(v, c, alpha, tol=1e-8, max_iter=None):
+    """c + logit_markup, or NoConvergence when even these miss tol: what
+    the solver returns once the fixed point runs out of budget."""
+    p = c + logit_markup(v, c, alpha)
+    _, residual = reference_markup_residual(p, v, c, alpha)
+    if not residual < tol:
+        raise NoConvergence(
+            f"exact prices miss tol {tol:.3g} (residual {residual:.3g})",
+            residual=residual,
+        )
+    return p
+
+
 def lambertw_markup(v, c, alpha):
     """(1 + W(S/e))/alpha with S = sum exp(alpha*(v - c)), from scipy."""
     s_over_e = np.exp(logsumexp(alpha * (np.asarray(v) - np.asarray(c))) - 1.0)
@@ -248,29 +262,72 @@ def outcome(solve, *args, **kwargs):
         return type(exc), str(exc), getattr(exc, "residual", None)
 
 
+# Below this tol the residual of the returned prices is rounding, so the
+# reference and the solver may land on either side of it.
+ROUNDING_FLOOR_TOL = 1e-10
+
+
+def assert_near_exact_markup(p, v, c, alpha, tol):
+    """p meets tol in price space and lies within tol + 4 ulp of c plus
+    the Lambert-W markup m_W: T(m) = 1/(alpha*s0(c + m)) falls in m, so
+    |m - m_W| <= |m - T(m)|."""
+    _, residual = reference_markup_residual(p, v, c, alpha)
+    assert residual < tol
+    gap = np.max(np.abs(p - c - lambertw_markup(v, c, alpha)))
+    assert gap <= tol + 4 * np.spacing(np.max(np.abs(p)))
+
+
+def stop_apart(v, c, alpha, prices, tol, max_iter):
+    """Whether the solver, which returned ``prices``, and the reference
+    loop stop on different steps. The solver's step is the least budget
+    that still returns ``prices``; rounding can move either loop's stop
+    by a step where the residual crosses tol."""
+    lo, hi = 0, max_iter
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p = outcome(logit_solve_prices, v, c, alpha, tol=tol, max_iter=mid)
+        if isinstance(p, np.ndarray) and np.array_equal(p, prices):
+            hi = mid
+        else:
+            lo = mid + 1
+    return (reference_fixed_point(v, c, alpha, tol, lo) is None
+            or reference_fixed_point(v, c, alpha, tol, lo - 1) is not None)
+
+
 def assert_same_outcome(v, c, alpha, **kwargs):
-    """Where the fixed point converges, its prices bit for bit; where it
-    does not, c plus the Lambert-W markup, or NoConvergence when even
-    those prices miss tol. Returns the outcome and whether the loop ran
-    out of budget."""
+    """The solver against the reference: the fixed point where it
+    converges, the exact markup (checked against scipy's Lambert W)
+    where it runs out of budget. Prices agree to 1e-12 relative, unless
+    the two loops stop on different steps, each with a residual below
+    tol; an error has the same type and message. At a tol below the
+    rounding floor, prices or NoConvergence are each accepted on their
+    own terms. Every returned price vector passes
+    assert_near_exact_markup. Returns the outcome and whether the
+    reference ran out of budget."""
+    v, c = np.asarray(v, dtype=float), np.asarray(c, dtype=float)
+    tol = kwargs.get("tol", 1e-8)
     got = outcome(logit_solve_prices, v, c, alpha, **kwargs)
     want = outcome(reference_fixed_point, v, c, alpha, **kwargs)
-    if isinstance(want, tuple):
-        assert got == want
-    elif want is not None:
-        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
-    else:
-        v, c = np.asarray(v, dtype=float), np.asarray(c, dtype=float)
+    stalled = want is None
+    if stalled:
         markup = lambertw_markup(v, c, alpha)
         assert logit_markup(v, c, alpha) == pytest.approx(markup, rel=1e-13, abs=0)
-        if isinstance(got, tuple):
-            error, _, residual = got
-            assert error is NoConvergence
-            assert kwargs.get("tol", 1e-8) <= residual <= 1e-12 * np.max(c + markup)
-        else:
-            assert np.array_equal(got, c + logit_markup(v, c, alpha))
-            assert foc_residual(got, v, c, alpha) <= 1e-12
-    return got, want is None
+        want = outcome(reference_exact_prices, v, c, alpha, **kwargs)
+        if isinstance(want, np.ndarray):
+            assert foc_residual(want, v, c, alpha) <= 1e-12
+    if isinstance(got, np.ndarray):
+        assert_near_exact_markup(got, v, c, alpha, tol)
+    elif got[0] is NoConvergence:
+        markup = lambertw_markup(v, c, alpha)
+        assert tol <= got[2] <= 1e-12 * np.max(c + markup)
+    errors = {x[0] for x in (got, want) if isinstance(x, tuple)}
+    if not errors:
+        if not np.allclose(got, want, rtol=1e-12, atol=0):
+            assert stop_apart(v, c, alpha, got, tol, kwargs.get("max_iter", 50_000))
+            assert_near_exact_markup(want, v, c, alpha, tol)
+    elif tol >= ROUNDING_FLOOR_TOL or OverflowGuard in errors:
+        assert isinstance(got, tuple) and got == want
+    return got, stalled
 
 
 def stall_market(seed):
@@ -305,9 +362,9 @@ def solver_inputs(draw):
 
 
 class TestSolverOracle:
-    """logit_solve_prices against reference_fixed_point and, where that
-    runs out of budget, against scipy's Lambert W (see
-    assert_same_outcome)."""
+    """logit_solve_prices against reference_fixed_point, against the
+    exact markup where that runs out of budget, and against scipy's
+    Lambert W everywhere (see assert_same_outcome)."""
 
     @settings(max_examples=200, deadline=None)
     @given(solver_inputs())
@@ -327,13 +384,32 @@ class TestSolverOracle:
 
     @pytest.mark.parametrize("seed", [286, 1009, 1657])
     def test_stalled_market_solved_by_the_exact_markup(self, seed):
-        prices, stalled = assert_same_outcome(*stall_market(seed))
-        assert stalled and isinstance(prices, np.ndarray)
+        v, c, alpha = stall_market(seed)
+        prices, stalled = assert_same_outcome(v, c, alpha)
+        assert stalled and np.array_equal(prices, c + logit_markup(v, c, alpha))
 
     def test_overflow_raises_the_same_message(self):
         v = np.array([MAX_SAFE_EXPONENT + 50.0, 1.0])
         (error, message, _), _ = assert_same_outcome(v, np.array([1.0, 2.0]), 1.0)
         assert error is OverflowGuard and "exceeds safe range" in message
+
+    @pytest.mark.parametrize("market, max_iter, stalled", [
+        ("ordinary", 0, True), ("ordinary", 1, True),
+        ("unattractive", 0, True), ("unattractive", 1, False),
+    ])
+    def test_edge_budgets(self, market, max_iter, stalled):
+        # max_iter = 0 never enters the loop, so the exact markup prices
+        # the market; max_iter = 1 returns the start c + 1/alpha where it
+        # already meets tol, as in the unattractive market (s0 = 1 up to
+        # rounding), and the exact markup otherwise
+        if market == "ordinary":
+            v, c, alpha = random_instance(np.random.default_rng(5), 12)
+        else:
+            v, c, alpha = np.array([-400.0, -380.0]), np.array([1.0, 2.0]), 2.0
+        prices, ran_out = assert_same_outcome(v, c, alpha, max_iter=max_iter)
+        assert ran_out is stalled
+        start = c + 1.0 / alpha
+        assert np.array_equal(prices, c + logit_markup(v, c, alpha) if stalled else start)
 
 
 class TestConsumerSurplus:

@@ -44,6 +44,10 @@ def test_traced_capture_records_every_build(tmp_path):
         for strategy in STRATEGIES:
             assert names.count(f"build.{strategy}") == 8, (model, strategy)
         assert names.count("evaluate") == 8 * len(STRATEGIES)
+        # under logit, one price solve per fit (the per-flow baseline) and
+        # per evaluation, all through bundling.logit_solve_prices
+        solves = (names.count("fit") + names.count("evaluate")) * (model == "logit")
+        assert names.count("solve.logit") == solves, model
 
 
 # distinct grid points per run: the theta grid, or the alpha and p0
@@ -62,3 +66,5 @@ def test_traced_sweep_loads_once_and_fits_each_point(tmp_path, command, model, p
     assert names.count("fit") == points
     assert names.count("build.profit-weighted") == 3 * points
     assert names.count("sweep") == (command == "sensitivity")
+    solves = (names.count("fit") + names.count("evaluate")) * (model == "logit")
+    assert names.count("solve.logit") == solves
