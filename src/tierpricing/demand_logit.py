@@ -40,12 +40,17 @@ EULER_GAMMA = float(np.euler_gamma)
 MAX_SAFE_EXPONENT = 700.0
 
 
+def _guard_exponent(x_max) -> None:
+    if x_max > MAX_SAFE_EXPONENT:
+        raise OverflowGuard(
+            f"max exponent alpha*(v-p) = {x_max:.3g} exceeds safe range"
+        )
+
+
 def _exponents(v, p, alpha: float) -> np.ndarray:
     x = alpha * (np.asarray(v, dtype=float) - np.asarray(p, dtype=float))
-    if x.size and np.max(x) > MAX_SAFE_EXPONENT:
-        raise OverflowGuard(
-            f"max exponent alpha*(v-p) = {np.max(x):.3g} exceeds safe range"
-        )
+    if x.size:
+        _guard_exponent(np.max(x))
     return x
 
 
@@ -88,23 +93,11 @@ def logit_consumer_surplus(v, p, alpha: float, consumer_mass: float) -> float:
     return float(consumer_mass * (EULER_GAMMA + lse) / alpha)
 
 
-def _markup_residual(p, v, c, alpha, buf):
+def _markup_residual(p, v, c, alpha):
     """The residual max|p - c - 1/(alpha*s0(p))| of the optimality
-    condition, with the arithmetic of ``logit_shares`` but without the
-    share vector, one max for both the overflow guard and the shift, and
-    every temporary in ``buf`` (float, shaped like ``p``)."""
-    x = np.multiply(alpha, np.subtract(v, p, out=buf), out=buf)
-    x_max = np.maximum.reduce(x, axis=None)
-    if x_max > MAX_SAFE_EXPONENT:
-        raise OverflowGuard(
-            f"max exponent alpha*(v-p) = {x_max:.3g} exceeds safe range"
-        )
-    shift = max(float(x_max), 0.0)
-    e = np.exp(np.subtract(x, shift, out=buf), out=buf)
-    outside = np.exp(-shift)
-    s0 = float(outside / (np.add.reduce(e, axis=None) + outside))
-    gap = np.absolute(np.subtract(p, c + 1.0 / (alpha * s0), out=buf), out=buf)
-    return float(np.maximum.reduce(gap, axis=None))
+    condition."""
+    _, s0 = logit_shares(v, p, alpha)
+    return float(np.max(np.abs(p - (c + 1.0 / (alpha * s0)))))
 
 
 def _shifted_sum(v, c, alpha):
@@ -163,22 +156,18 @@ def logit_solve_prices(
     if tol <= 0:
         raise DomainError("tol must be positive")
     y_max, total = _shifted_sum(v, c, alpha)
-    buf = np.empty_like(c)
     m, lam = 1.0 / alpha, 0.5
     best_m, best_target, best_res = m, m, math.inf
     for _ in range(max_iter):
         x_max = y_max - alpha * m
-        if x_max > MAX_SAFE_EXPONENT:
-            raise OverflowGuard(
-                f"max exponent alpha*(v-p) = {x_max:.3g} exceeds safe range"
-            )
+        _guard_exponent(x_max)
         shift = max(x_max, 0.0)
         outside = math.exp(-shift)
         target = 1.0 / (alpha * (outside / (math.exp(x_max - shift) * total + outside)))
         residual = abs(m - target)
         if residual < tol:
             p = c + m
-            if _markup_residual(p, v, c, alpha, buf) < tol:
+            if _markup_residual(p, v, c, alpha) < tol:
                 return p
             break
         if residual < best_res:
@@ -188,7 +177,7 @@ def logit_solve_prices(
             m, target = best_m, best_target
         m = (1.0 - lam) * m + lam * target
     p = c + logit_markup(v, c, alpha)
-    residual = _markup_residual(p, v, c, alpha, buf)
+    residual = _markup_residual(p, v, c, alpha)
     if not residual < tol:
         raise NoConvergence(
             f"exact prices miss tol {tol:.3g} (residual {residual:.3g})",

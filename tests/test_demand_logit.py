@@ -277,11 +277,21 @@ def assert_near_exact_markup(p, v, c, alpha, tol):
     assert gap <= tol + 4 * np.spacing(np.max(np.abs(p)))
 
 
+# Where the solver's loop and the reference loop both converge but stop
+# on different steps, their prices differ by about one damped step,
+# lam*tol. The largest such gap seen, relative to the largest price, was
+# 2.3e-11: 35 of 62,035 converged random markets at tol 1e-8 stopped
+# apart, each a slow descent (final lam 1/128 to 1/16) whose residual
+# crossed tol within the rounding drift of the vector iterates from the
+# scalar ones.
+STOP_STEP_RTOL = 1e-10
+
+
 def stop_apart(v, c, alpha, prices, tol, max_iter):
-    """Whether the solver, which returned ``prices``, and the reference
-    loop stop on different steps. The solver's step is the least budget
-    that still returns ``prices``; rounding can move either loop's stop
-    by a step where the residual crosses tol."""
+    """Whether the solver's loop returned ``prices`` and the reference
+    loop stops on a different step. The solver's step count is the
+    least budget that still returns ``prices``, and 0 where the exact
+    markup priced the market."""
     lo, hi = 0, max_iter
     while lo < hi:
         mid = (lo + hi) // 2
@@ -290,6 +300,8 @@ def stop_apart(v, c, alpha, prices, tol, max_iter):
             hi = mid
         else:
             lo = mid + 1
+    if lo == 0:
+        return False
     return (reference_fixed_point(v, c, alpha, tol, lo) is None
             or reference_fixed_point(v, c, alpha, tol, lo - 1) is not None)
 
@@ -298,11 +310,12 @@ def assert_same_outcome(v, c, alpha, **kwargs):
     """The solver against the reference: the fixed point where it
     converges, the exact markup (checked against scipy's Lambert W)
     where it runs out of budget. Prices agree to 1e-12 relative, unless
-    the two loops stop on different steps, each with a residual below
-    tol; an error has the same type and message. At a tol below the
-    rounding floor, prices or NoConvergence are each accepted on their
-    own terms. Every returned price vector passes
-    assert_near_exact_markup. Returns the outcome and whether the
+    both loops converge and stop on different steps, as rounding moves
+    the step on which a slow descent crosses tol: then they agree to
+    STOP_STEP_RTOL of the largest price. An error has the same type and
+    message. At a tol below the rounding floor, prices or NoConvergence
+    are each accepted on their own terms. Every returned price vector
+    passes assert_near_exact_markup. Returns the outcome and whether the
     reference ran out of budget."""
     v, c = np.asarray(v, dtype=float), np.asarray(c, dtype=float)
     tol = kwargs.get("tol", 1e-8)
@@ -323,8 +336,9 @@ def assert_same_outcome(v, c, alpha, **kwargs):
     errors = {x[0] for x in (got, want) if isinstance(x, tuple)}
     if not errors:
         if not np.allclose(got, want, rtol=1e-12, atol=0):
+            assert not stalled
             assert stop_apart(v, c, alpha, got, tol, kwargs.get("max_iter", 50_000))
-            assert_near_exact_markup(want, v, c, alpha, tol)
+            assert np.max(np.abs(got - want)) <= STOP_STEP_RTOL * np.max(np.abs(want))
     elif tol >= ROUNDING_FLOOR_TOL or OverflowGuard in errors:
         assert isinstance(got, tuple) and got == want
     return got, stalled
