@@ -24,19 +24,14 @@ from .cost_models import (
     split_by_dest_type,
 )
 from .demand_ced import (
-    ced_bundle_price,
-    ced_consumer_surplus,
-    ced_demand,
     ced_fit_gamma,
     ced_fit_valuations,
-    ced_optimal_price,
     ced_potential_profit,
     ced_profit,
 )
 from .demand_logit import (
     logit_bundle_aggregate,
     logit_consumer_surplus,
-    logit_demand,
     logit_fit_gamma,
     logit_fit_valuations,
     logit_markup,
@@ -50,7 +45,6 @@ from .domain import (
     CostKind,
     CostModelSpec,
     DemandModel,
-    FittedTable,
     FlowTable,
     PricingError,
     TierOutcome,

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .demand_ced import (
     bundle_profit_closed_form,
     ced_fit_gamma,
     ced_fit_valuations,
-    ced_optimal_price,
     ced_potential_profit,
     ced_profit,
 )
@@ -51,9 +50,11 @@ from .domain import (
     DegenerateBaseline,
     DemandModel,
     DomainError,
-    FittedTable,
     MissingClassLabels,
     TierOutcome,
+    _first,
+    _frozen_array,
+    _labels_column,
 )
 
 log = logging.getLogger(__name__)
@@ -70,17 +71,23 @@ class Strategy(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class ModelContext(FittedTable):
-    """A fitted market plus the cached pricing baselines every capture
-    metric is measured against: profit and surplus at the blended rate
-    (original) and at per-flow pricing (maximum).
+class ModelContext:
+    """A fitted market, one array element per flow, plus the cached
+    pricing baselines every capture metric is measured against: profit
+    and surplus at the blended rate (original) and at per-flow pricing
+    (maximum).
 
     ``from_ced`` and ``from_logit`` fit a market and build its context.
-    The per-flow arrays (``ids``, ``q``, ``d``, ``v``, ``c``,
-    ``class_labels``) are those of ``FittedTable``; every strategy and
-    ``Bundling`` follows their flow order. Whatever does not depend on
-    the tier count is computed on first use and kept, so every B and
-    every strategy of a run shares it:
+    ``ids`` are the flow ids, ``q`` the observed demand, ``d`` the
+    distance, ``v`` the valuation coefficient and ``c`` the realized
+    unit cost (float64, q and c positive). ``class_labels`` is None
+    when no flow has a bundling class, else an object array holding a
+    class name or None per flow. Every array is read-only (a writable
+    input is copied, a read-only one of the right type shared), and
+    every strategy and ``Bundling`` follows their flow order. Instances
+    compare by identity. Whatever does not depend on the tier count is
+    computed on first use and kept, so every B and every strategy of a
+    run shares it:
 
     * ``cost_order``, the order of index-division and of the optimal
       search, and the search's DP;
@@ -91,11 +98,18 @@ class ModelContext(FittedTable):
     * ``potential_profits``;
     * the per-flow terms w and x = c*w of the bundle sums (``terms``).
 
-    Under CED the blended baseline is the one-bundle labelling, priced
-    like every tiering, and the maximum the per-flow optimal prices;
-    under logit they are the uniform p0 and the per-flow optimal prices,
-    which share one markup (``logit_solve_prices``)."""
+    Under CED the blended baseline is the one-bundle labelling and the
+    maximum the all-singleton one, each priced by the arithmetic of
+    ``price``, so one tier captures exactly 0 and one tier per flow
+    exactly 1; under logit they are the uniform p0 and the per-flow
+    optimal prices, which share one markup (``logit_solve_prices``)."""
 
+    ids: np.ndarray
+    q: np.ndarray
+    d: np.ndarray
+    v: np.ndarray
+    c: np.ndarray
+    class_labels: Optional[np.ndarray]
     model: DemandModel
     alpha: float
     p0: float
@@ -109,10 +123,26 @@ class ModelContext(FittedTable):
     cs_max: float = field(init=False)
 
     def __post_init__(self):
-        super().__post_init__()
+        set_ = object.__setattr__
+        ids = _frozen_array(self.ids, np.str_)
+        set_(self, "ids", ids)
+        for name in ("q", "d", "v", "c"):
+            values = _frozen_array(getattr(self, name), np.float64)
+            if len(values) != len(ids):
+                raise DomainError(f"{len(values)} fitted {name} values for {len(ids)} flows")
+            set_(self, name, values)
+        set_(self, "class_labels",
+             _labels_column(ids, self.class_labels, None, "class"))
+        for name, values in (("demand", self.q), ("cost", self.c)):
+            bad = _first(~(values > 0))
+            if bad is not None:
+                raise DomainError(f"flow {ids[bad]}: fitted {name} must be > 0")
         if self.model is DemandModel.CED:
             _, pi_orig, cs_orig = self.price(np.zeros(len(self.ids), dtype=np.intp), 1)
-            per_flow = ced_optimal_price(self.c, self.alpha)
+            # each flow at the price ``price`` gives a one-flow bundle, so
+            # that one tier per flow captures exactly 1
+            w, x = self.terms
+            per_flow = self.alpha * x / ((self.alpha - 1.0) * w)
             pi_max, cs_max = self._ced_value(per_flow, per_flow ** (1.0 - self.alpha))
         else:
             if self.s0 is None or self.consumer_mass is None:
@@ -126,7 +156,10 @@ class ModelContext(FittedTable):
             cs_max = logit_consumer_surplus(self.v, per_flow, self.alpha, k)
         for name, value in (("pi_orig", pi_orig), ("pi_max", pi_max),
                             ("cs_orig", cs_orig), ("cs_max", cs_max)):
-            object.__setattr__(self, name, value)
+            set_(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     @classmethod
     def from_ced(cls, flow_ids, q, d, rel_costs, p0: float, alpha: float,
@@ -176,9 +209,9 @@ class ModelContext(FittedTable):
         Members are grouped by one stable argsort of the labels (as
         ``uint8`` up to 256 bundles, which numpy radix-sorts to the same
         permutation) and each bundle is summed over its contiguous slice,
-        so every sum adds in the order of ``ced_bundle_price``,
-        ``ced_profit``, ``ced_consumer_surplus`` and the logit aggregates,
-        and the results are bit-identical to theirs."""
+        so every sum adds in the order of a per-bundle loop over member
+        lists built flow by flow, and the results are bit-identical to
+        that loop's."""
         keys = labels.astype(np.uint8) if num_bundles <= 256 else labels
         order = np.argsort(keys, kind="stable")
         counts = np.bincount(labels, minlength=num_bundles)
@@ -205,7 +238,11 @@ class ModelContext(FittedTable):
 
     def _ced_value(self, p: np.ndarray, p_power: np.ndarray) -> tuple[float, float]:
         """CED profit and surplus at per-flow prices ``p``, given
-        ``p_power`` = p**(1-alpha), with v**alpha taken from ``terms``."""
+        ``p_power`` = p**(1-alpha), with v**alpha taken from ``terms``.
+        The surplus is the utility integral of inverse demand less the
+        payment, sum(v**alpha * p**(1-alpha))/(alpha-1); with
+        ``cs_unit_price_offset`` the unit price p is subtracted instead
+        of the payment p*q."""
         alpha = self.alpha
         profit = ced_profit(self.v, p, self.c, alpha)
         gross = self.terms[0] * p_power

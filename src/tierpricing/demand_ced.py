@@ -1,8 +1,12 @@
 """Constant-elasticity demand: Q(p) = (v/p)**alpha with alpha > 1.
 
 Flow demands are separable, so profit decomposes per flow and every
-pricing problem has a closed form: the per-flow optimum alpha*c/(alpha-1),
-the shared-price optimum for a bundle, and the profit a flow would earn
+pricing problem has a closed form. A bundle's optimal shared price is
+alpha*X/((alpha-1)*W), with W = sum(v**alpha) and X = sum(c*v**alpha)
+over its flows, and the surplus at prices p is
+sum(v**alpha * p**(1-alpha))/(alpha-1); ``ModelContext.price`` evaluates
+both for a tiering. This module holds the total profit at given prices,
+a bundle's optimal profit from (W, X), and the profit a flow would earn
 priced alone ("potential profit", the weight used by profit-weighted
 bundling).
 
@@ -15,16 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import DomainError, EmptyBundle, NonPositiveGamma
-
-
-def ced_demand(v, p, alpha: float):
-    """Demand (v/p)**alpha; elementwise on arrays."""
-    v = np.asarray(v, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise DomainError("price must be positive")
-    return (v / p) ** alpha
+from .domain import DomainError, NonPositiveGamma
 
 
 def ced_profit(v, p, c, alpha: float) -> float:
@@ -35,51 +30,6 @@ def ced_profit(v, p, c, alpha: float) -> float:
     if np.any(p <= 0):
         raise DomainError("price must be positive")
     return float(np.sum((v / p) ** alpha * (p - c)))
-
-
-def ced_optimal_price(c, alpha: float):
-    """Profit-maximizing price for a flow of unit cost c: alpha*c/(alpha-1)."""
-    return alpha * np.asarray(c, dtype=float) / (alpha - 1.0)
-
-
-def ced_bundle_price(v, c, alpha: float) -> float:
-    """Profit-maximizing shared price for a bundle of flows.
-
-    Setting the derivative of the bundle's profit to zero gives
-    alpha * sum(c_i v_i**alpha) / ((alpha-1) * sum(v_i**alpha)); for a
-    single flow this reduces to ced_optimal_price.
-    """
-    v = np.asarray(v, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if v.size == 0:
-        raise EmptyBundle("cannot price an empty bundle")
-    w = v ** alpha
-    return float(alpha * np.sum(c * w) / ((alpha - 1.0) * np.sum(w)))
-
-
-def ced_consumer_surplus(v, p, alpha: float, *, unit_price_offset: bool = False) -> float:
-    """Consumer surplus at prices p.
-
-    Utility is the integral of the inverse demand curve up to the
-    purchased quantity; subtracting the total payment p*q leaves
-    sum_i v_i**alpha * p_i**(1-alpha) / (alpha - 1).
-
-    ``unit_price_offset=True`` selects the alternative convention that
-    subtracts the unit price p_i instead of the payment p_i*q_i, i.e.
-    sum_i (alpha * v_i**alpha * p_i**(1-alpha) / (alpha-1) - p_i).
-    Capture metrics are insensitive to the choice on realistic inputs;
-    the default is the dimensionally consistent one.
-    """
-    if not alpha > 1.0:
-        raise DomainError(f"surplus diverges for alpha <= 1, got {alpha}")
-    v = np.asarray(v, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise DomainError("price must be positive")
-    gross = v ** alpha * p ** (1.0 - alpha)
-    if unit_price_offset:
-        return float(np.sum(alpha * gross / (alpha - 1.0) - p))
-    return float(np.sum(gross) / (alpha - 1.0))
 
 
 def ced_fit_valuations(q, p0: float, alpha: float) -> np.ndarray:

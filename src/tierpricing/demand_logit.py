@@ -70,12 +70,6 @@ def logit_shares(v, p, alpha: float) -> tuple[np.ndarray, float]:
     return e / den, float(outside / den)
 
 
-def logit_demand(v, p, alpha: float, consumer_mass: float) -> np.ndarray:
-    """Demand per flow: consumer mass times market share."""
-    s, _ = logit_shares(v, p, alpha)
-    return consumer_mass * s
-
-
 def logit_profit(v, p, c, alpha: float, consumer_mass: float) -> float:
     """Total profit K * sum_i s_i * (p_i - c_i)."""
     s, _ = logit_shares(v, p, alpha)

@@ -1,8 +1,9 @@
 """Core value types and exceptions shared across the pricing engine.
 
 Flows are held column-wise: a ``FlowTable`` keeps one array per field
-(ids, demand, distance and the optional labels), and the fitted
-markets and ``Bundling`` keep arrays aligned with the same flow order.
+(ids, demand, distance and the optional labels). The fitted market,
+``bundling.ModelContext``, and ``Bundling`` keep arrays aligned with the
+same flow order; the context checks its columns with the helpers here.
 There is no per-flow object. All types are immutable after
 construction (their arrays are read-only; writable inputs are copied)
 and safe to share between concurrent workers. Units are fixed throughout the package:
@@ -115,8 +116,8 @@ def _frozen_array(values, dtype) -> np.ndarray:
     """``values`` as a read-only one-dimensional array of ``dtype``.
 
     An array that is already read-only and of that type is shared, so
-    the tables built from one another (flows, fit, context) hold one
-    copy of each column; anything else is copied.
+    a context fitted from flows holds one copy of each column;
+    anything else is copied.
     """
     if (isinstance(values, np.ndarray) and not values.flags.writeable
             and values.dtype.type is np.dtype(dtype).type):
@@ -208,7 +209,7 @@ class FlowTable:
 @dataclass(frozen=True)
 class CostModelSpec:
     """Cost-model selection plus its tuning knob ``theta``; the fitted
-    scaling gamma lives on the fit."""
+    scaling gamma lives on the fitted ``ModelContext``."""
 
     kind: CostKind
     theta: float = 0.0
@@ -220,45 +221,6 @@ class CostModelSpec:
             raise DomainError(
                 f"destination-type theta is a traffic fraction in [0,1], got {self.theta}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class FittedTable:
-    """Flows after model fitting, one array element per flow.
-
-    ``ids`` are the flow ids, ``q`` the observed demand, ``d`` the
-    distance, ``v`` the valuation coefficient and ``c`` the realized
-    unit cost (float64, q and c positive). ``class_labels`` is None
-    when no flow has a bundling class, else an object array holding a
-    class name or None per flow. Every array is read-only (a writable
-    input is copied). Instances compare by identity.
-    """
-
-    ids: np.ndarray
-    q: np.ndarray
-    d: np.ndarray
-    v: np.ndarray
-    c: np.ndarray
-    class_labels: Optional[np.ndarray]
-
-    def __post_init__(self):
-        set_ = object.__setattr__
-        ids = _frozen_array(self.ids, np.str_)
-        set_(self, "ids", ids)
-        for name in ("q", "d", "v", "c"):
-            values = _frozen_array(getattr(self, name), np.float64)
-            if len(values) != len(ids):
-                raise DomainError(f"{len(values)} fitted {name} values for {len(ids)} flows")
-            set_(self, name, values)
-        set_(self, "class_labels",
-             _labels_column(ids, self.class_labels, None, "class"))
-        for name, values in (("demand", self.q), ("cost", self.c)):
-            bad = _first(~(values > 0))
-            if bad is not None:
-                raise DomainError(f"flow {ids[bad]}: fitted {name} must be > 0")
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 @dataclass(frozen=True, eq=False)

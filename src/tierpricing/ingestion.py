@@ -33,7 +33,6 @@ import numpy as np
 
 from .domain import (
     DomainError,
-    FittedTable,
     FlowTable,
     MissingColumn,
     NoConvergence,
@@ -192,36 +191,19 @@ def write_flows_csv(path, flows: FlowTable) -> None:
         )
 
 
-def write_fitted_csv(path, fitted: FittedTable) -> None:
-    """Write fitted flows (such as a ``ModelContext``); floats use repr
-    so a read-back reproduces them bit-identically."""
+def write_fitted_csv(path, ctx: ModelContext) -> None:
+    """Write the fitted flows of a ``ModelContext``; floats use repr so
+    a read-back reproduces them bit-identically."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FITTED_COLUMNS)
         writer.writerows(
             (fid, repr(q), repr(d), repr(v), repr(c), label or "")
             for fid, q, d, v, c, label in zip(
-                fitted.ids.tolist(), fitted.q.tolist(), fitted.d.tolist(),
-                fitted.v.tolist(), fitted.c.tolist(),
-                _labels(fitted.class_labels, len(fitted)),
+                ctx.ids.tolist(), ctx.q.tolist(), ctx.d.tolist(),
+                ctx.v.tolist(), ctx.c.tolist(), _labels(ctx.class_labels, len(ctx)),
             )
         )
-
-
-def read_fitted_csv(path) -> FittedTable:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in FITTED_COLUMNS[:-1]:
-            if col not in header:
-                raise MissingColumn(f"missing column {col!r} in {path}")
-        columns: dict[str, list] = {col: [] for col in FITTED_COLUMNS}
-        for line, row in enumerate(reader, start=2):
-            columns["flow_id"].append(row["flow_id"])
-            for col in ("q", "d", "v", "c"):
-                columns[col].append(_parse_float(row[col], col, line))
-            columns["class_label"].append((row.get("class_label") or "").strip() or None)
-    return FittedTable(*columns.values())
 
 
 def write_params_csv(path, ctx: ModelContext) -> None:

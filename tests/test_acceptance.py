@@ -18,6 +18,7 @@ with ``-m "not known_fixture_gap"``.
 import numpy as np
 import pytest
 
+from demand_oracles import ced_optimal_price
 from tierpricing.bundling import (
     ModelContext,
     Strategy,
@@ -26,7 +27,7 @@ from tierpricing.bundling import (
     optimal_bundles,
     token_bucket_bundles,
 )
-from tierpricing.demand_ced import ced_optimal_price, ced_profit
+from tierpricing.demand_ced import ced_profit
 from tierpricing.demand_logit import (
     logit_consumer_surplus,
     logit_profit,
@@ -74,9 +75,14 @@ def random_fitted_logit(rng, n=100):
 
 
 def test_a1_closed_form_worked_example():
+    # a unit flow (v = c = 1, alpha = 2) priced alone by the per-flow
+    # closed form and as a one-flow bundle of a market
     price = float(ced_optimal_price(1.0, 2.0))
     profit = ced_profit([1.0], [price], [1.0], 2.0)
-    ok = abs(price - 2.0) < 1e-9 and abs(profit - 0.25) < 1e-9
+    unit = ModelContext(["f"], [1.0], [1.0], [1.0], [1.0], None, DemandModel.CED, 2.0, 2.0)
+    prices, bundle_profit, _ = unit.price(np.zeros(1, dtype=np.intp), 1)
+    ok = (abs(price - 2.0) < 1e-9 and abs(profit - 0.25) < 1e-9
+          and prices[0] == price and bundle_profit == profit)
     report("A1", ok, f"unit CED flow prices at {price} for profit {profit}")
 
 

@@ -4,7 +4,7 @@ metric arithmetic."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tierpricing.bundling import (
@@ -16,12 +16,8 @@ from tierpricing.bundling import (
     profit_capture,
     token_bucket_bundles,
 )
-from tierpricing.demand_ced import (
-    bundle_profit_closed_form,
-    ced_bundle_price,
-    ced_consumer_surplus,
-    ced_profit,
-)
+from demand_oracles import ced_bundle_price, ced_consumer_surplus
+from tierpricing.demand_ced import bundle_profit_closed_form, ced_profit
 from tierpricing.demand_logit import (
     logit_bundle_aggregate,
     logit_consumer_surplus,
@@ -410,6 +406,20 @@ class TestEvaluate:
         for row in rows:
             assert row["profit_capture"] == 0.0 and row["surplus_capture"] == 0.0, row
 
+    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("kind", list(CostKind))
+    def test_ced_one_tier_per_flow_captures_exactly_one(self, kind, offset):
+        # the per-flow maximum is the all-singleton labelling, priced by
+        # the arithmetic of every tiering
+        from tierpricing.experiments import ExperimentConfig, fit_context, load_flows
+
+        for seed in range(25):
+            config = ExperimentConfig(cost_kind=kind, theta=0.5, n_flows=40, seed=seed,
+                                      cs_unit_price_offset=offset)
+            ctx = fit_context(load_flows(config), config)
+            out = evaluate_bundling(ctx, Bundling(np.arange(len(ctx)), len(ctx)))
+            assert out.profit_capture == 1.0 and out.surplus_capture == 1.0, seed
+
     def test_terms_computed_only_for_the_optimum_under_logit(self):
         rng = np.random.default_rng(26)
         ctx = logit_context(rng, 40)
@@ -481,6 +491,12 @@ def ced_markets(draw):
 class TestMetamorphic:
     @settings(max_examples=200, deadline=None)
     @given(ced_markets())
+    # two flows whose fitted costs differ by 0.09%: the capture
+    # denominators are rounding-scale, so the per-flow maximum must be
+    # priced by the arithmetic of ``ModelContext.price`` for the
+    # captures to agree across p0
+    @example((280, 2, 2.0, False))
+    @example((280, 2, 1.5, False))
     def test_ced_captures_do_not_depend_on_p0(self, market):
         # v scales as p0 and the fitted costs as p0, so every price
         # scales as p0 and every profit and surplus by one factor

@@ -1,19 +1,22 @@
-"""Constant-elasticity demand: worked values, closed forms vs numeric
-oracles, and fit self-consistency."""
+"""Constant-elasticity demand: worked values, closed forms (the package's
+and the per-flow oracles of ``demand_oracles``) vs numeric oracles, and
+fit self-consistency."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from tierpricing.bundling import ModelContext
-from tierpricing.demand_ced import (
+from demand_oracles import (
     ced_bundle_price,
     ced_consumer_surplus,
     ced_demand,
+    ced_optimal_price,
+)
+from tierpricing.bundling import ModelContext
+from tierpricing.demand_ced import (
     ced_fit_gamma,
     ced_fit_valuations,
-    ced_optimal_price,
     ced_potential_profit,
     ced_profit,
 )

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw, logsumexp
 
+from demand_oracles import logit_demand
 from tierpricing.bundling import ModelContext
 from tierpricing.demand_logit import (
     EULER_GAMMA,
     MAX_SAFE_EXPONENT,
     logit_bundle_aggregate,
     logit_consumer_surplus,
-    logit_demand,
     logit_fit_gamma,
     logit_fit_valuations,
     logit_markup,

@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tierpricing.bundling import ModelContext
 from tierpricing.domain import (
     Bundling,
     ConfigError,
     DemandModel,
     DomainError,
-    FittedTable,
     FlowTable,
 )
 from tierpricing.experiments import ExperimentConfig, validate_config
@@ -112,29 +112,36 @@ class TestFlowRecord:
         assert len(flows) == 3
 
 
-class TestFittedTable:
+def _context(ids, q, d, v, c, class_labels):
+    """A CED market with the given columns."""
+    return ModelContext(ids, q, d, v, c, class_labels, DemandModel.CED, 1.5, 20.0)
+
+
+class TestModelContextColumns:
+    """The per-flow columns of a fitted market."""
+
     def test_read_only_columns_are_shared(self):
         flows = _table()
-        fitted = FittedTable(flows.ids, flows.demand, flows.distance,
-                             np.ones(3), np.ones(3), None)
+        fitted = _context(flows.ids, flows.demand, flows.distance,
+                          np.ones(3), np.ones(3), None)
         assert fitted.ids is flows.ids
         assert fitted.q is flows.demand
         assert not fitted.v.flags.writeable
-
+        assert len(fitted) == 3
 
     def test_rejects_nonpositive_demand_and_cost(self):
         ones = np.ones(3)
         with pytest.raises(DomainError, match="flow g: fitted demand"):
-            FittedTable(["f", "g", "h"], [1.0, 0.0, 1.0], ones, ones, ones, None)
+            _context(["f", "g", "h"], [1.0, 0.0, 1.0], ones, ones, ones, None)
         with pytest.raises(DomainError, match="flow h: fitted cost"):
-            FittedTable(["f", "g", "h"], ones, ones, ones, [1.0, 1.0, float("nan")], None)
+            _context(["f", "g", "h"], ones, ones, ones, [1.0, 1.0, float("nan")], None)
 
     def test_rejects_misaligned_arrays(self):
         ones = np.ones(3)
-        with pytest.raises(DomainError):
-            FittedTable(["f", "g"], ones, ones, ones, ones, None)
-        with pytest.raises(DomainError):
-            FittedTable(["f", "g", "h"], ones, ones, ones, ones, ["metro"])
+        with pytest.raises(DomainError, match="^3 fitted q values for 2 flows$"):
+            _context(["f", "g"], ones, ones, ones, ones, None)
+        with pytest.raises(DomainError, match="^1 class labels for 3 flows$"):
+            _context(["f", "g", "h"], ones, ones, ones, ones, ["metro"])
 
 
 class TestBundling:

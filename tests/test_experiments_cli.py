@@ -131,7 +131,7 @@ class TestThetaSweep:
         # for tiering to recover, so the capture baseline is degenerate
         # and per-bundle pricing reproduces the blended profit exactly
         from tierpricing.bundling import build_bundles, evaluate_bundling
-        from tierpricing.demand_ced import ced_bundle_price
+        from demand_oracles import ced_bundle_price
         from tierpricing.domain import DegenerateBaseline, FlowTable
 
         flows = FlowTable([f"f{i}" for i in range(8)], np.full(8, 10.0),
@@ -170,10 +170,10 @@ class TestThetaSweep:
 class TestFitContext:
     @pytest.mark.parametrize("model", list(DemandModel))
     def test_market_validated_once(self, monkeypatch, model):
-        from tierpricing.domain import FittedTable
+        from tierpricing.bundling import ModelContext
 
         tables = []
-        check = FittedTable.__post_init__
+        check = ModelContext.__post_init__
 
         def counting(table):
             tables.append(table)
@@ -181,7 +181,7 @@ class TestFitContext:
 
         cfg = small_config(demand_model=model)
         flows = load_flows(cfg)
-        monkeypatch.setattr(FittedTable, "__post_init__", counting)
+        monkeypatch.setattr(ModelContext, "__post_init__", counting)
         ctx = fit_context(flows, cfg)
         assert len(tables) == 1 and tables[0] is ctx
 
@@ -403,13 +403,17 @@ class TestCli:
         res = run_cli("fit", "--synth-preset", "eu-isp", "--n-flows", "50",
                       "--demand-model", "logit", "--out", str(out))
         assert res.returncode == 0, res.stderr
-        from tierpricing.ingestion import read_fitted_csv
-
-        fitted = read_fitted_csv(out)
-        assert len(fitted) == 50
-        assert len(fitted.ids) == len(fitted.v) == 50
         config = ExperimentConfig(demand_model=DemandModel.LOGIT, n_flows=50)
         ctx = fit_context(load_flows(config), config)
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 50
+        # floats are written as repr, so they read back bit-identically
+        for name, values in (("flow_id", ctx.ids), ("q", ctx.q), ("d", ctx.d),
+                             ("v", ctx.v), ("c", ctx.c)):
+            parse = str if name == "flow_id" else float
+            assert [parse(row[name]) for row in rows] == values.tolist(), name
+        assert [row["class_label"] for row in rows] == [""] * 50
         with open(f"{out}.params.csv", "rb") as fh:
             assert fh.read() == ("model,alpha,p0,s0,consumer_mass\r\n"
                                  f"logit,1.1,20.0,0.2,{ctx.consumer_mass!r}\r\n").encode()

@@ -1,14 +1,15 @@
 """CSV ingestion, round trips, and synthetic moment matching."""
 
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
+from tierpricing.bundling import ModelContext
 from tierpricing.domain import (
     DemandModel,
     DomainError,
-    FittedTable,
     FlowTable,
     MissingColumn,
     ParseError,
@@ -19,7 +20,6 @@ from tierpricing.ingestion import (
     SYNTH_PRESETS,
     _synth_ids,
     preset_moments,
-    read_fitted_csv,
     read_flows_csv,
     synth_generate,
     write_fitted_csv,
@@ -28,13 +28,30 @@ from tierpricing.ingestion import (
 )
 
 
-def columns(table) -> dict:
-    """Every column of a FlowTable or FittedTable, as Python lists (None
-    for an absent label column), for exact comparison."""
+FITTED_FIELDS = ("ids", "q", "d", "v", "c", "class_labels")
+
+
+def columns(table, names=None) -> dict:
+    """The columns ``names`` (default: every field) of a FlowTable or
+    ModelContext, as Python lists (None for an absent label column),
+    for exact comparison."""
     out = {}
-    for field in dataclasses.fields(table):
-        value = getattr(table, field.name)
-        out[field.name] = None if value is None else value.tolist()
+    for name in names or [field.name for field in dataclasses.fields(table)]:
+        value = getattr(table, name)
+        out[name] = None if value is None else value.tolist()
+    return out
+
+
+def read_fitted(path) -> dict:
+    """The columns of a fitted-flows CSV, floats parsed, keyed as
+    ``columns(ctx, FITTED_FIELDS)``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    out = {"ids": [row["flow_id"] for row in rows]}
+    for name in ("q", "d", "v", "c"):
+        out[name] = [float(row[name]) for row in rows]
+    labels = [row["class_label"] or None for row in rows]
+    out["class_labels"] = None if labels.count(None) == len(labels) else labels
     return out
 
 
@@ -149,15 +166,16 @@ class TestRoundTrips:
     def test_fitted_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
         n = 40
-        fitted = FittedTable(
+        fitted = ModelContext(
             [f"f{i}" for i in range(n)], rng.lognormal(1, 1.5, size=n),
             rng.uniform(1, 900, size=n), rng.uniform(1, 40, size=n),
             rng.uniform(0.1, 10, size=n),
             ["national" if i % 2 else None for i in range(n)],
+            DemandModel.CED, 1.5, 20.0,
         )
         path = tmp_path / "fitted.csv"
         write_fitted_csv(path, fitted)
-        assert columns(read_fitted_csv(path)) == columns(fitted)
+        assert read_fitted(path) == columns(fitted, FITTED_FIELDS)
 
     def test_params_bit_identical(self, tmp_path):
         flows = synth_generate(preset_moments("eu-isp", n_flows=40, seed=2))
