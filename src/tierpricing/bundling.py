@@ -51,6 +51,7 @@ from .domain import (
     DemandModel,
     DomainError,
     MissingClassLabels,
+    OverflowGuard,
     TierOutcome,
     _first,
     _frozen_array,
@@ -503,13 +504,32 @@ def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bu
 # exact k-means, k-medians and Bregman divergence clustering in 1D",
 # 2017). So the best start of a prefix's last block is non-decreasing in
 # the prefix end, and a divide-and-conquer DP over the cost order solves
-# each block count exactly in O(n log n) score evaluations.
+# each block count for every prefix in O(n log n) score evaluations. The
+# best partition of all n flows into B blocks needs only the prefixes'
+# (B-1)-block layer: its last block's start is one O(n) scan.
+
+
+# candidates per group of recursion nodes in a depth pass; a group's
+# arrays (half a megabyte each) stay in cache and are reused by the
+# allocator, so the pass's temporaries do not grow with the flow count
+_GROUP = 1 << 16
 
 
 class _ContiguousOptimum:
-    """Exact best partitions of one context into k cost-contiguous
-    blocks, k = 1, 2, ...; each layer of the DP is computed once and kept,
-    so every block count of a run shares one DP."""
+    """Exact best partitions of one context into B cost-contiguous
+    blocks, B = 1, 2, ....
+
+    Layer k of the DP holds, for every prefix of the cost order, the
+    best score in k blocks and where its last block starts. ``labels(B)``
+    builds the layers up to B-1 (layer 1 in closed form, each further one
+    by divide and conquer) and finds the start of the last of the B
+    blocks by one scan over layer B-1; the layers' starts give the other
+    cuts. Layers and scans are computed once and kept, so every block
+    count of a run shares one DP, and the answer for B does not depend
+    on the order in which block counts are asked for.
+
+    A non-finite best score (the CED powers overflow float64 at large
+    alpha) raises OverflowGuard."""
 
     def __init__(self, ctx: ModelContext):
         self.order = ctx.cost_order
@@ -518,45 +538,56 @@ class _ContiguousOptimum:
         self.w_pre = np.concatenate(([0.0], np.cumsum(w)))
         self.x_pre = np.concatenate(([0.0], np.cumsum(x)))
         n = len(w)
+        del w, x
         # value[j]: best score of the cost-ordered prefix [0, j) in as many
         # blocks as there are layers; starts[k-1][j]: where the last block
-        # of that prefix's best k-block partition starts
-        self.value = np.concatenate(([-np.inf], self._score(0, np.arange(1, n + 1))))
-        self.starts = [np.zeros(n + 1, dtype=np.intp)]
+        # of that prefix's best k-block partition starts; last_starts[B-1]:
+        # where the last block of the best B-block partition of all flows
+        # starts
+        self.value = np.concatenate(
+            ([-np.inf], self._score(self.w_pre[1:] - self.w_pre[0],
+                                    self.x_pre[1:] - self.x_pre[0])))
+        self.starts = [np.zeros(n + 1, dtype=np.min_scalar_type(n))]
+        self.last_starts = [0]
 
-    def _score(self, i, j):
-        """Score of the cost-ordered flow range [i, j)."""
-        W = self.w_pre[j] - self.w_pre[i]
-        X = self.x_pre[j] - self.x_pre[i]
+    def _score(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Scores of flow ranges with weight sums ``W`` and ``X``."""
         # a zero-weight range (underflowed exponentials) contributes nothing
-        ok = W > 0
-        W = np.where(ok, W, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        guard = not W.min() > 0
+        if guard:
+            ok = W > 0
+            W = np.where(ok, W, 1.0)
+        with np.errstate(all="ignore"):  # a non-finite best raises in _check
             if self.model is DemandModel.CED:
                 score = bundle_profit_closed_form(W, X, self.alpha)
             else:
                 score = W * np.exp(-self.alpha * X / W)
-        return np.where(ok, score, 0.0)
+        return np.where(ok, score, 0.0) if guard else score
+
+    def _check(self, best) -> None:
+        if not np.all(np.isfinite(best)):
+            raise OverflowGuard(
+                f"optimal search: bundle scores overflow float64 at alpha={self.alpha!r}")
 
     def _add_layer(self) -> None:
         k = len(self.starts) + 1
         n = len(self.value) - 1
         value = np.full(n + 1, -np.inf)
-        start = np.zeros(n + 1, dtype=np.intp)
+        start = np.zeros(n + 1, dtype=self.starts[0].dtype)
         # nodes of one recursion depth: prefix ends lo..hi, whose best
-        # starts lie in first..last; one numpy pass per depth
+        # starts lie in first..last; one numpy pass per depth, taking the
+        # nodes in groups of about _GROUP candidates
         lo, hi = np.array([k]), np.array([n])
         first, last = np.array([k - 1]), np.array([n - 1])
         while lo.size:
             mid = (lo + hi) // 2
             sizes = np.minimum(last, mid - 1) - first + 1
-            node = np.repeat(np.arange(mid.size), sizes)
-            offsets = np.cumsum(sizes) - sizes
-            i = np.arange(node.size) - offsets[node] + first[node]
-            cand = self.value[i] + self._score(i, mid[node])
-            best = np.maximum.reduceat(cand, offsets)
-            hit = np.where(cand == best[node], np.arange(cand.size), cand.size)
-            arg = i[np.minimum.reduceat(hit, offsets)]  # leftmost best start
+            best = np.empty(mid.size)
+            arg = np.empty(mid.size, dtype=np.intp)
+            bounds = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _GROUP)) + 1
+            edges = [0, *bounds.tolist(), mid.size]
+            for a, b in zip(edges, edges[1:]):
+                best[a:b], arg[a:b] = self._best_starts(mid[a:b], first[a:b], sizes[a:b])
             value[mid] = best
             start[mid] = arg
             left, right = lo < mid, mid < hi
@@ -569,13 +600,52 @@ class _ContiguousOptimum:
         self.value = value
         self.starts.append(start)
 
+    def _best_starts(self, ends: np.ndarray, first: np.ndarray, sizes: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Best score of each prefix [0, ends) over last blocks starting
+        at first .. first+sizes-1 (the previous layer's value plus the
+        block's score), and the leftmost start that reaches it."""
+        offsets = np.cumsum(sizes) - sizes
+        shift = first - offsets  # candidate start = position + shift
+        i = np.repeat(shift, sizes)
+        i += np.arange(i.size)
+        W = np.repeat(self.w_pre[ends], sizes)
+        W -= self.w_pre[i]
+        X = np.repeat(self.x_pre[ends], sizes)
+        X -= self.x_pre[i]
+        cand = self._score(W, X)
+        del W, X
+        cand += self.value[i]
+        del i
+        best = np.maximum.reduceat(cand, offsets)
+        self._check(best)
+        # each node holds a candidate equal to its finite best: the first
+        # at or after the node's offset is its leftmost best
+        hits = np.flatnonzero(cand == np.repeat(best, sizes))
+        return best, hits[np.searchsorted(hits, offsets)] + shift
+
+    def _last_start(self) -> int:
+        """Where the last block of the best partition of all n flows into
+        k + 1 blocks starts, k the number of layers: the leftmost i in
+        k .. n-1 that maximizes value[i] plus the score of [i, n)."""
+        k = len(self.starts)
+        n = len(self.value) - 1
+        cand = self._score(self.w_pre[n] - self.w_pre[k:n], self.x_pre[n] - self.x_pre[k:n])
+        cand += self.value[k:n]
+        best = int(np.argmax(cand))  # the first maximum, or the first NaN
+        self._check(cand[best])
+        return k + best
+
     def labels(self, num_blocks: int) -> np.ndarray:
         """Flow labels of the best partition into ``num_blocks`` (at most
         the flow count) blocks, numbered in cost order."""
-        while len(self.starts) < num_blocks:
-            self._add_layer()
-        cuts = [len(self.order)]
-        for start in reversed(self.starts[:num_blocks]):
+        while len(self.last_starts) < num_blocks:
+            # the last of B blocks is found over the (B-1)-block layer
+            if len(self.starts) < len(self.last_starts):
+                self._add_layer()
+            self.last_starts.append(self._last_start())
+        cuts = [len(self.order), self.last_starts[num_blocks - 1]]
+        for start in reversed(self.starts[:num_blocks - 1]):
             cuts.append(int(start[cuts[-1]]))
         labels = np.empty(len(self.order), dtype=np.intp)
         labels[self.order] = np.repeat(np.arange(num_blocks), -np.diff(cuts)[::-1])

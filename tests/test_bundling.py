@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tierpricing import bundling
 from tierpricing.bundling import (
     ModelContext,
     Strategy,
@@ -32,6 +33,7 @@ from tierpricing.domain import (
     DemandModel,
     DomainError,
     MissingClassLabels,
+    OverflowGuard,
 )
 
 
@@ -52,16 +54,26 @@ def every_partition(items):
         yield [[first]] + smaller
 
 
-def ced_context(rng, n, alpha=1.5, p0=20.0, tied=False, offset=False):
+def demands(rng, n, tiny=0):
+    """Observed demands; ``tiny`` of them are 1e-20, below the rounding
+    of the other flows' sums, so that a block boundary moved across such
+    a flow leaves W and X, and the block's score, exactly unchanged."""
     q = rng.lognormal(1.0, 1.2, size=n)
+    if tiny:
+        q[rng.permutation(n)[:tiny]] = 1e-20
+    return q
+
+
+def ced_context(rng, n, alpha=1.5, p0=20.0, tied=False, offset=False, tiny=0):
+    q = demands(rng, n, tiny)
     d = rng.choice(TIED_DISTANCES, n) if tied else rng.uniform(1.0, 100.0, size=n)
     rel = d + 0.1 * d.max()
     return ModelContext.from_ced([f"f{i:02d}" for i in range(n)], q, d, rel, p0, alpha,
                                  cs_unit_price_offset=offset)
 
 
-def logit_context(rng, n, alpha=1.1, p0=20.0, s0=0.2, tied=False):
-    q = rng.lognormal(1.0, 1.2, size=n)
+def logit_context(rng, n, alpha=1.1, p0=20.0, s0=0.2, tied=False, tiny=0):
+    q = demands(rng, n, tiny)
     d = rng.choice(TIED_DISTANCES, n) if tied else rng.uniform(1.0, 100.0, size=n)
     rel = d + 0.1 * d.max()
     return ModelContext.from_logit([f"f{i:02d}" for i in range(n)], q, d, rel, p0,
@@ -79,6 +91,14 @@ def offset_ced_context(rng, n):
 
 def tied_logit_context(rng, n):
     return logit_context(rng, n, tied=True)
+
+
+def tiny_ced_context(rng, n):
+    return ced_context(rng, n, tiny=n // 10)
+
+
+def tiny_logit_context(rng, n):
+    return logit_context(rng, n, tiny=n // 10)
 
 
 class TestTokenBucket:
@@ -331,6 +351,28 @@ class TestOptimal:
         ctx = ced_context(np.random.default_rng(17), 3)
         with pytest.raises(DomainError):
             optimal_bundles(ctx, 0)
+
+    @pytest.mark.parametrize("alpha", [16.0, 20.0])
+    def test_overflowing_scores_raise(self, alpha):
+        # W**alpha overflows float64 and times X**(1-alpha) == 0 gives
+        # NaN: no candidate equals its best, so no start can be picked
+        ctx = ced_context(np.random.default_rng(30), 50, alpha=alpha)
+        assert optimal_bundles(ctx, 1).effective_bundles == 1
+        for num_bundles in (2, 4):
+            with pytest.raises(OverflowGuard, match=f"at alpha={alpha!r}"):
+                optimal_bundles(ctx, num_bundles)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_candidates_never_pick_a_start(self, bad):
+        # a depth pass takes the first candidate equal to its node's
+        # best, which needs a finite best; the top scan meets overflow
+        # first on real markets, so the bad value is planted in the
+        # layer the next depth passes read
+        ctx = ced_context(np.random.default_rng(32), 60)
+        optimal_bundles(ctx, 2)
+        ctx._optimum.value[30] = bad
+        with pytest.raises(OverflowGuard):
+            optimal_bundles(ctx, 3)
 
     def test_answers_do_not_depend_on_request_order(self):
         # the DP's layers are cached on the context and grown on demand
@@ -891,6 +933,74 @@ def reference_contiguous_optimal(ctx, num_bundles):
     return labels
 
 
+def reference_divide_and_conquer(ctx, num_bundles):
+    """The divide-and-conquer DP over the cost order (ties by flow id)
+    with every layer built for every prefix, the top layer included:
+    each recursion node takes the leftmost best start within its window
+    (``where`` plus ``minimum.reduceat``), and each score is
+    ``bundle_profit_closed_form`` or W*exp(-alpha*X/W) behind the
+    zero-weight guard. The cuts of the best partition into at most
+    ``num_bundles`` blocks are read from the layers' starts. Returns
+    labels in flow order."""
+    n = len(ctx.ids)
+    order = np.array(sorted(range(n), key=lambda i: (ctx.c[i], ctx.ids[i])))
+    v, c = ctx.v[order], ctx.c[order]
+    if ctx.model is DemandModel.CED:
+        w = v ** ctx.alpha
+    else:
+        w = np.exp(ctx.alpha * (v - ctx.v.max()))
+    w_pre = np.concatenate(([0.0], np.cumsum(w)))
+    x_pre = np.concatenate(([0.0], np.cumsum(c * w)))
+
+    def score(i, j):
+        W = w_pre[j] - w_pre[i]
+        X = x_pre[j] - x_pre[i]
+        ok = W > 0
+        W = np.where(ok, W, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if ctx.model is DemandModel.CED:
+                s = bundle_profit_closed_form(W, X, ctx.alpha)
+            else:
+                s = W * np.exp(-ctx.alpha * X / W)
+        return np.where(ok, s, 0.0)
+
+    levels = min(num_bundles, n)
+    value = np.concatenate(([-np.inf], score(0, np.arange(1, n + 1))))
+    starts = [np.zeros(n + 1, dtype=np.intp)]
+    for k in range(2, levels + 1):
+        layer = np.full(n + 1, -np.inf)
+        start = np.zeros(n + 1, dtype=np.intp)
+        lo, hi = np.array([k]), np.array([n])
+        first, last = np.array([k - 1]), np.array([n - 1])
+        while lo.size:
+            mid = (lo + hi) // 2
+            sizes = np.minimum(last, mid - 1) - first + 1
+            node = np.repeat(np.arange(mid.size), sizes)
+            offsets = np.cumsum(sizes) - sizes
+            i = np.arange(node.size) - offsets[node] + first[node]
+            cand = value[i] + score(i, mid[node])
+            best = np.maximum.reduceat(cand, offsets)
+            hit = np.where(cand == best[node], np.arange(cand.size), cand.size)
+            arg = i[np.minimum.reduceat(hit, offsets)]
+            layer[mid] = best
+            start[mid] = arg
+            left, right = lo < mid, mid < hi
+            lo, hi, first, last = (
+                np.concatenate((lo[left], mid[right] + 1)),
+                np.concatenate((mid[left] - 1, hi[right])),
+                np.concatenate((first[left], arg[right])),
+                np.concatenate((arg[left], last[right])),
+            )
+        value = layer
+        starts.append(start)
+    cuts = [n]
+    for start in reversed(starts):
+        cuts.append(int(start[cuts[-1]]))
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = np.repeat(np.arange(levels), -np.diff(cuts)[::-1])
+    return labels
+
+
 @st.composite
 def optimal_cases(draw, max_flows=300):
     n = draw(st.integers(1, max_flows))
@@ -898,6 +1008,40 @@ def optimal_cases(draw, max_flows=300):
     seed = draw(st.integers(0, 2**32 - 1))
     ctx = make(np.random.default_rng(seed), n, tied=draw(st.booleans()))
     return ctx, draw(st.integers(1, 10))
+
+
+def assert_same_as_divide_and_conquer(ctx, num_bundles):
+    """``optimal_bundles`` gives the labels of
+    ``reference_divide_and_conquer``. With more blocks than distinct
+    costs, blocks split groups of equal cost, and every such split of a
+    group scores the same in exact arithmetic: the argmax among those
+    ties is rounding residue, so there only the profit must agree."""
+    got = optimal_bundles(ctx, num_bundles).labels
+    ref = reference_divide_and_conquer(ctx, num_bundles)
+    if min(num_bundles, len(ctx.ids)) <= len(np.unique(ctx.c)):
+        assert np.array_equal(got, ref), num_bundles
+    else:
+        assert partition_profit(ctx, got) == pytest.approx(
+            partition_profit(ctx, ref), rel=1e-12), num_bundles
+
+
+@st.composite
+def request_orders(draw):
+    """A market, tied or untied and with or without tiny-demand flows
+    (``demands``), and its tier counts 1..B asked for in ascending,
+    descending or shuffled order."""
+    n = draw(st.integers(1, 300))
+    make = draw(st.sampled_from([ced_context, logit_context]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ctx = make(np.random.default_rng(seed), n, tied=draw(st.booleans()),
+               tiny=draw(st.integers(0, n // 2)))
+    counts = list(range(1, draw(st.integers(1, 10)) + 1))
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if order == "descending":
+        counts.reverse()
+    elif order == "shuffled":
+        counts = draw(st.permutations(counts))
+    return ctx, counts
 
 
 HEURISTICS = [s for s in Strategy
@@ -920,6 +1064,31 @@ class TestOptimalOracle:
         got = partition_profit(ctx, optimal_bundles(ctx, 10).labels)
         ref = partition_profit(ctx, reference_contiguous_optimal(ctx, 10))
         assert got == pytest.approx(ref, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(request_orders())
+    def test_labels_equal_divide_and_conquer(self, case):
+        ctx, counts = case
+        for num_bundles in counts:
+            assert_same_as_divide_and_conquer(ctx, num_bundles)
+
+    @pytest.mark.parametrize("make_ctx", [ced_context, logit_context,
+                                          tied_ced_context, tied_logit_context,
+                                          tiny_ced_context, tiny_logit_context])
+    def test_labels_equal_divide_and_conquer_at_5000_flows(self, make_ctx):
+        ctx = make_ctx(np.random.default_rng(29), 5000)
+        for num_bundles in (8, 3, 1, 5, 2, 7, 4, 6):
+            assert_same_as_divide_and_conquer(ctx, num_bundles)
+
+    @pytest.mark.parametrize("group", [1, 7, 64])
+    @pytest.mark.parametrize("make_ctx", [ced_context, logit_context])
+    def test_node_groups_do_not_change_labels(self, monkeypatch, make_ctx, group):
+        # a depth pass splits its nodes into groups of about _GROUP
+        # candidates; at small groups every depth of 500 flows splits
+        monkeypatch.setattr(bundling, "_GROUP", group)
+        ctx = make_ctx(np.random.default_rng(31), 500)
+        for num_bundles in (6, 1, 3, 2):
+            assert_same_as_divide_and_conquer(ctx, num_bundles)
 
     @pytest.mark.parametrize("make_ctx", [ced_context, logit_context])
     def test_single_flow(self, make_ctx):

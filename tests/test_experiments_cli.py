@@ -568,6 +568,24 @@ class TestCli:
         assert "numerical" in res.stderr.lower()
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("alpha", ["14", "16", "20"])
+    def test_optimal_score_overflow_exit_code(self, tmp_path, alpha):
+        # at large alpha the CED bundle scores W**alpha * X**(1-alpha)
+        # overflow float64; the heuristics still run
+        res = run_cli("capture", "--synth-preset", "eu-isp", "--n-flows", "2000",
+                      "--alpha", alpha, "--bundles", "1..4", "--strategy", "optimal",
+                      "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 3, res.stderr
+        assert f"numerical failure: optimal search: bundle scores overflow float64 " \
+               f"at alpha={float(alpha)!r}" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "x.csv").exists()
+        res = run_cli("capture", "--synth-preset", "eu-isp", "--n-flows", "2000",
+                      "--alpha", alpha, "--bundles", "1..4",
+                      "--strategy", "cost-division,profit-weighted",
+                      "--out", str(tmp_path / "y.csv"))
+        assert res.returncode == 0, res.stderr
+
     @pytest.mark.parametrize("row", ["c,5", "c,nan,10", "c,3,inf"])
     def test_malformed_input_row_is_a_config_error(self, tmp_path, row):
         # a short row, or a non-finite value the fit would turn into
