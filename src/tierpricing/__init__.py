@@ -26,7 +26,6 @@ from .cost_models import (
 from .demand_ced import (
     ced_fit_gamma,
     ced_fit_valuations,
-    ced_potential_profit,
     ced_profit,
 )
 from .demand_logit import (
@@ -35,7 +34,6 @@ from .demand_logit import (
     logit_fit_gamma,
     logit_fit_valuations,
     logit_markup,
-    logit_potential_profit,
     logit_profit,
     logit_shares,
     logit_solve_prices,

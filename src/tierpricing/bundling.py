@@ -6,10 +6,16 @@ price tiers:
 * optimal           exact search over cost-contiguous partitions (the oracle)
 * demand-weighted   token buckets weighted by observed demand
 * cost-weighted     token buckets weighted by 1/cost
-* profit-weighted   token buckets weighted by standalone profit
+* profit-weighted   token buckets weighted by standalone profit (under
+                    logit a constant times demand: demand-weighted)
 * cost-division     equal-width cost ranges from $0 to the costliest flow
 * index-division    equal-count groups of the cost ranking
 * class-profit-weighted   profit-weighted, never mixing flow classes
+
+A token bucket visits flows by decreasing weight (ties by flow id); of
+B bundles, bundle j takes at least one flow and closes at the first
+prefix sum of the visited weights that reaches (j+1)/B of the total,
+within a relative tie slack of 1e-12 (``_TIE``); the last takes the rest.
 
 Evaluation prices each bundle optimally under the active demand model
 and reports profit and consumer surplus plus the capture metrics
@@ -33,7 +39,6 @@ from .demand_ced import (
     bundle_profit_closed_form,
     ced_fit_gamma,
     ced_fit_valuations,
-    ced_potential_profit,
     ced_profit,
 )
 from .demand_logit import (
@@ -41,7 +46,6 @@ from .demand_logit import (
     logit_consumer_surplus,
     logit_fit_gamma,
     logit_fit_valuations,
-    logit_potential_profit,
     logit_profit,
     logit_solve_prices,
 )
@@ -93,9 +97,10 @@ class ModelContext:
     * ``cost_order``, the order of index-division and of the optimal
       search, and the search's DP;
     * ``id_order`` and, per token-bucket weight vector (demand q, 1/c,
-      potential profit), its visiting order and weight sum
-      (``visiting_order``); class-profit-weighted restricts the profit
-      order to each class (``class_visits``);
+      potential profit), its visiting order, the prefix sums of the
+      weights in that order and their sum (``visiting_order``);
+      class-profit-weighted restricts the profit order to each class
+      (``class_visits``);
     * ``potential_profits``;
     * the per-flow terms w and x = c*w of the bundle sums (``terms``).
 
@@ -142,8 +147,7 @@ class ModelContext:
             _, pi_orig, cs_orig = self.price(np.zeros(len(self.ids), dtype=np.intp), 1)
             # each flow at the price ``price`` gives a one-flow bundle, so
             # that one tier per flow captures exactly 1
-            w, x = self.terms
-            per_flow = self.alpha * x / ((self.alpha - 1.0) * w)
+            per_flow = self._one_flow_prices()
             pi_max, cs_max = self._ced_value(per_flow, per_flow ** (1.0 - self.alpha))
         else:
             if self.s0 is None or self.consumer_mass is None:
@@ -185,7 +189,7 @@ class ModelContext:
         p0 is s0 (arguments as ``from_ced``)."""
         if not alpha > 0.0:
             raise DomainError(f"logit requires alpha > 0, got {alpha}")
-        v = logit_fit_valuations(q, p0, alpha, s0)
+        v = logit_fit_valuations(q, p0, alpha, s0, flow_ids)
         gamma = logit_fit_gamma(v, rel_costs, p0, alpha)
         c = realize_costs(rel_costs, gamma)
         return cls(flow_ids, q, d, v, c, labels, DemandModel.LOGIT, alpha, p0,
@@ -201,6 +205,12 @@ class ModelContext:
         else:
             w = np.exp(self.alpha * (self.v - self.v.max()))
         return w, self.c * w
+
+    def _one_flow_prices(self) -> np.ndarray:
+        """CED: each flow's optimal price as a one-flow bundle, by the
+        arithmetic of ``price``."""
+        w, x = self.terms
+        return self.alpha * x / ((self.alpha - 1.0) * w)
 
     def price(self, labels: np.ndarray, num_bundles: int
               ) -> tuple[np.ndarray, float, float]:
@@ -269,14 +279,14 @@ class ModelContext:
 
     @cached_property
     def potential_profits(self) -> np.ndarray:
-        """Standalone profit of each flow (read-only); the
-        profit-weighted bundler's weights."""
-        if self.model is DemandModel.CED:
-            weights = ced_potential_profit(self.v, self.c, self.alpha)
-        else:
-            weights = logit_potential_profit(
-                self.q, self.alpha, self.s0, self.consumer_mass)
-        weights = np.asarray(weights)
+        """The profit-weighted bundler's weights (read-only). Under CED
+        they are each flow's standalone profit: a one-flow bundle's
+        profit w * p**(1-alpha) / alpha at its optimal price p. Under
+        logit every optimal price carries one markup, so standalone
+        profit is a constant times demand, and the weights are q itself."""
+        if self.model is DemandModel.LOGIT:
+            return self.q
+        weights = self.terms[0] * self._one_flow_prices() ** (1.0 - self.alpha) / self.alpha
         weights.flags.writeable = False
         return weights
 
@@ -287,9 +297,12 @@ class ModelContext:
     def visiting_order(self, strategy: Strategy) -> "_Visit":
         """The token-bucket visiting order of the demand-, cost- or
         profit-weighted strategy (class-profit-weighted shares the
-        profit order), computed once per weight vector."""
+        profit order), computed once per weight vector: under logit the
+        profit order is the demand order."""
         if strategy is Strategy.CLASS_PROFIT_WEIGHTED:
             strategy = Strategy.PROFIT_WEIGHTED
+        if strategy is Strategy.PROFIT_WEIGHTED and self.model is DemandModel.LOGIT:
+            strategy = Strategy.DEMAND_WEIGHTED
         if strategy not in self._visits:
             if strategy is Strategy.DEMAND_WEIGHTED:
                 weights = self.q
@@ -299,9 +312,7 @@ class ModelContext:
                 weights = self.potential_profits
             else:
                 raise DomainError(f"{strategy.value} is not a token-bucket strategy")
-            weights = _bucket_weights(weights)
-            order = _visiting_order(weights, self.id_order)
-            self._visits[strategy] = _Visit(order, weights[order], weights.sum())
+            self._visits[strategy] = _visit(weights, self.id_order)
         return self._visits[strategy]
 
     @cached_property
@@ -309,19 +320,20 @@ class ModelContext:
         """Per flow class, in order of first appearance: the class's
         profit mass (its members' potential profits added one by one in
         flow order) and the profit visiting order restricted to it, with
-        the class's own weight sum."""
+        the prefix sums and sum of the class's own weights."""
         class_of = self.class_labels
         if class_of is None or np.equal(class_of, None).any():
             raise MissingClassLabels("class-constrained bundling requires class labels")
         weights = self.potential_profits
-        profit = self.visiting_order(Strategy.PROFIT_WEIGHTED)
+        order = self.visiting_order(Strategy.PROFIT_WEIGHTED).order
+        visited = weights[order]
         out = {}
         for lab in dict.fromkeys(class_of.tolist()):
             inside = class_of == lab
             members = weights[inside]
-            keep = inside[profit.order]
+            keep = inside[order]
             out[lab] = (float(np.add.accumulate(members)[-1]),
-                        _Visit(profit.order[keep], profit.weights[keep], members.sum()))
+                        _Visit(order[keep], np.cumsum(visited[keep]), members.sum()))
         return out
 
 
@@ -332,97 +344,62 @@ class ModelContext:
 
 class _Visit(NamedTuple):
     """A token-bucket visiting order: flow indices by decreasing weight
-    (ties by ascending flow id, then index), the weights in that order,
-    and the weight sum in flow order."""
+    (ties by ascending flow id, then index), the prefix sums of the
+    weights in that order, and the weight sum in flow order."""
 
     order: np.ndarray
-    weights: np.ndarray
+    prefix: np.ndarray
     total: float
 
 
-def _bucket_weights(weights) -> np.ndarray:
+def _visit(weights, id_order: np.ndarray) -> _Visit:
+    """The visiting order of ``weights``, ties by the stable id order
+    ``id_order`` (the permutation of ``np.lexsort((ids, -weights))``)."""
     weights = np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(weights)):
         raise DomainError("token-bucket weights must be finite")
     if np.any(weights <= 0):
         raise DomainError("token-bucket weights must be positive")
-    return weights
+    order = id_order[np.argsort(-weights[id_order], kind="stable")]
+    return _Visit(order, np.cumsum(weights[order]), weights.sum())
 
 
-def _visiting_order(weights: np.ndarray, id_order: np.ndarray) -> np.ndarray:
-    """Flow indices by decreasing weight, ties by the stable id order
-    ``id_order``: the permutation of ``np.lexsort((ids, -weights))``."""
-    return id_order[np.argsort(-weights[id_order], kind="stable")]
+# relative slack within which a prefix sum reaches a bundle's target, so
+# that a target met exactly in exact arithmetic (equal weights filling
+# a budget) is met whatever the rounding and the scale of the weights
+_TIE = 1e-12
 
 
-# the first window of the drain's scan; it doubles until the budget closes
-_FIRST_WINDOW = 64
-
-
-def _drain(visit: np.ndarray, share: float, num_bundles: int) -> np.ndarray:
+def _drain(prefix: np.ndarray, share: float, num_bundles: int) -> np.ndarray:
     """Bundle index of each position of a visiting order whose weights
-    are ``visit``, draining a budget of ``share`` per bundle.
-
-    Bundles fill one after another, so each is a run of the visiting
-    order: it takes its first flow unconditionally and closes at the
-    first running budget <= 0, and any overdraft carries into the next
-    bundle's budget; the last bundle takes the rest.
-    """
-    n = len(visit)
-    ranked = np.full(n, num_bundles - 1, dtype=np.intp)
-    start, carry = 0, 0.0
-    for j in range(num_bundles - 1):
-        if start == n:
-            break
-        # running budget after each flow, by the same sequential
-        # subtractions as a per-flow loop; the scan goes on from the
-        # last running value over a window that doubles until the
-        # budget closes or the flows run out
-        budget, end, width = share + carry, start, _FIRST_WINDOW
-        while True:
-            window = visit[end:end + width]
-            running = np.subtract.accumulate(np.concatenate(([budget], window)))[1:]
-            closed = np.flatnonzero(running <= 0)
-            if closed.size or end + window.size == n:
-                break
-            budget, end, width = running[-1], end + window.size, 2 * width
-        stop = end + int(closed[0]) + 1 if closed.size else n
-        ranked[start:stop] = j
-        remainder = running[stop - end - 1]
-        carry = remainder if remainder < 0 else 0.0
-        start = stop
-    return ranked
+    have prefix sums ``prefix``, with a budget of ``share`` per bundle:
+    bundle j takes at least one flow and closes at the first prefix sum
+    that reaches (j+1)*share within relative slack _TIE."""
+    n = len(prefix)
+    firsts = np.searchsorted(prefix, np.arange(1, num_bundles) * share * (1.0 - _TIE))
+    stops = [0]
+    for first in firsts.tolist():
+        stops.append(min(max(stops[-1], first) + 1, n))
+    return np.repeat(np.arange(num_bundles), np.diff([*stops, n]))
 
 
 def token_bucket_bundles(weights, flow_ids: Sequence[str], num_bundles: int) -> Bundling:
-    """Group flows into bundles by draining equal token budgets.
-
-    The total budget is the weight sum, split evenly across bundles.
-    Flows are visited in decreasing weight order (ties by ascending
-    flow id) and assigned to the first bundle that is empty or still
-    has budget; the flow's weight is drained from that bundle and any
-    overdraft carries into the next bundle's budget. Heavy flows end up
-    in bundles of their own, light flows share.
-
-    Bundles fill one after another in the visiting order, so each is a
-    run of that order: it takes its first flow unconditionally and
-    closes at the first running budget <= 0; the last bundle takes the
-    rest. The labels follow the order of ``flow_ids``. The strategies
-    drain the same way from their context's cached visiting orders.
-    """
-    weights = _bucket_weights(weights)
-    n = len(weights)
-    if len(flow_ids) != n:
-        raise DomainError(f"{len(flow_ids)} flow ids for {n} weights")
-    order = _visiting_order(weights, np.argsort(np.asarray(flow_ids), kind="stable"))
-    return _bucket_bundling(_Visit(order, weights[order], weights.sum()), num_bundles)
+    """Group flows into bundles by draining equal token budgets, by the
+    rule of the module docstring: each bundle is a run of the visiting
+    order, so heavy flows end up in bundles of their own and light flows
+    share. The labels follow the order of ``flow_ids``; the strategies
+    drain the same way from their context's cached prefix sums."""
+    if len(flow_ids) != len(weights):
+        raise DomainError(f"{len(flow_ids)} flow ids for {len(weights)} weights")
+    return _bucket_bundling(
+        _visit(weights, np.argsort(np.asarray(flow_ids), kind="stable")), num_bundles)
 
 
 def _bucket_bundling(visit: _Visit, num_bundles: int) -> Bundling:
     if num_bundles < 1:
         raise DomainError("num_bundles must be >= 1")
     labels = np.empty(len(visit.order), dtype=np.intp)
-    labels[visit.order] = _drain(visit.weights, visit.total / num_bundles, num_bundles)
+    labels[visit.order] = _drain(visit.prefix, visit.total / num_bundles, num_bundles)
     return Bundling(labels, num_bundles)
 
 
@@ -459,7 +436,7 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
     offset = 0
     for lab in classes:
         _, visit = visits[lab]
-        out[visit.order] = offset + _drain(visit.weights, visit.total / alloc[lab],
+        out[visit.order] = offset + _drain(visit.prefix, visit.total / alloc[lab],
                                            alloc[lab])
         offset += alloc[lab]
     return Bundling(out, num_bundles)

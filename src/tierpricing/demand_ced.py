@@ -5,10 +5,10 @@ pricing problem has a closed form. A bundle's optimal shared price is
 alpha*X/((alpha-1)*W), with W = sum(v**alpha) and X = sum(c*v**alpha)
 over its flows, and the surplus at prices p is
 sum(v**alpha * p**(1-alpha))/(alpha-1); ``ModelContext.price`` evaluates
-both for a tiering. This module holds the total profit at given prices,
-a bundle's optimal profit from (W, X), and the profit a flow would earn
-priced alone ("potential profit", the weight used by profit-weighted
-bundling).
+both for a tiering. This module holds the total profit at given prices
+and a bundle's optimal profit from (W, X); for a one-flow bundle that is
+the profit the flow would earn priced alone ("potential profit", the
+weight of profit-weighted bundling).
 
 Fitting works backward from an observed market: valuations are chosen
 so demand at the blended rate p0 reproduces observations, and the cost
@@ -59,14 +59,6 @@ def ced_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     if not gamma > 0:
         raise NonPositiveGamma(f"fitted gamma = {gamma}")
     return float(gamma)
-
-
-def ced_potential_profit(v, c, alpha: float):
-    """Profit a flow earns priced alone at its optimum:
-    (v**alpha/alpha) * (alpha*c/(alpha-1))**(1-alpha)."""
-    v = np.asarray(v, dtype=float)
-    c = np.asarray(c, dtype=float)
-    return v ** alpha / alpha * (alpha * c / (alpha - 1.0)) ** (1.0 - alpha)
 
 
 def bundle_profit_closed_form(w_sum, x_sum, alpha: float):

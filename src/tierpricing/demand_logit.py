@@ -10,6 +10,10 @@ A damped fixed point on that one scalar markup solves for the prices,
 checked once in price space; where it stalls, the exact equal markup,
 a Lambert-W root, prices the market.
 
+Every flow carries the same optimal markup, so a flow's standalone
+profit is a constant times its demand: profit-weighted bundling is
+demand-weighted bundling (``ModelContext.visiting_order``).
+
 Bundles aggregate exactly: a bundle behaves like a single flow with
 valuation log-sum-exp(alpha*v)/alpha and valuation-weighted mean cost,
 leaving total profit and surplus identical at shared within-bundle
@@ -31,6 +35,7 @@ from .domain import (
     NoConvergence,
     NonPositiveGamma,
     OverflowGuard,
+    _first,
 )
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -180,11 +185,14 @@ def logit_solve_prices(
     return p
 
 
-def logit_fit_valuations(q, p0: float, alpha: float, s0: float) -> np.ndarray:
+def logit_fit_valuations(q, p0: float, alpha: float, s0: float,
+                         ids=None) -> np.ndarray:
     """Valuations reproducing observed demand at the uniform price p0.
 
     Shares are s_i = q_i*(1-s0)/sum(q); inverting the share ratio
-    s_i/s0 gives v_i = (ln s_i - ln s0)/alpha + p0.
+    s_i/s0 gives v_i = (ln s_i - ln s0)/alpha + p0. A share that
+    underflows to zero has no log and raises OverflowGuard naming the
+    flow (by its id in ``ids``, else by its position).
     """
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0):
@@ -194,6 +202,12 @@ def logit_fit_valuations(q, p0: float, alpha: float, s0: float) -> np.ndarray:
     if not 0.0 < s0 < 1.0:
         raise DomainError(f"s0 must be in (0,1), got {s0}")
     s = q * (1.0 - s0) / np.sum(q)
+    bad = _first(s == 0.0)
+    if bad is not None:
+        raise OverflowGuard(
+            f"flow {bad if ids is None else ids[bad]}: market share of demand "
+            f"{q[bad]:.3g} in total {np.sum(q):.3g} underflows float64, so its "
+            "valuation ln(share) is undefined")
     return (np.log(s) - np.log(s0)) / alpha + p0
 
 
@@ -240,17 +254,3 @@ def logit_bundle_aggregate(v, c, alpha: float) -> tuple[float, float]:
     e = np.exp(x - shift)
     total = np.sum(e)
     return float((shift + np.log(total)) / alpha), float(np.sum(c * e) / total)
-
-
-def logit_potential_profit(q, alpha: float, s0: float, consumer_mass: float):
-    """Bundling weight of a flow under logit demand.
-
-    At the optimum every flow carries the markup 1/(alpha*s0), so a
-    flow's standalone profit is proportional to its observed demand;
-    only the ratios matter to the token-bucket bundler, and the common
-    factor K*(1-s0)/(alpha*s0*sum(q)) is dropped up to sum(q).
-    """
-    q = np.asarray(q, dtype=float)
-    if np.any(q <= 0):
-        raise DomainError("demand must be positive")
-    return consumer_mass * (1.0 - s0) * q / (alpha * s0)

@@ -42,6 +42,14 @@ def ced_bundle_price(v, c, alpha: float) -> float:
     return float(alpha * np.sum(c * w) / ((alpha - 1.0) * np.sum(w)))
 
 
+def ced_potential_profit(v, c, alpha: float):
+    """Profit a flow earns priced alone at its optimum:
+    (v**alpha/alpha) * (alpha*c/(alpha-1))**(1-alpha)."""
+    v = np.asarray(v, dtype=float)
+    c = np.asarray(c, dtype=float)
+    return v ** alpha / alpha * (alpha * c / (alpha - 1.0)) ** (1.0 - alpha)
+
+
 def ced_consumer_surplus(v, p, alpha: float, *, unit_price_offset: bool = False) -> float:
     """Consumer surplus at prices p.
 

@@ -17,7 +17,7 @@ from tierpricing.bundling import (
     profit_capture,
     token_bucket_bundles,
 )
-from demand_oracles import ced_bundle_price, ced_consumer_surplus
+from demand_oracles import ced_bundle_price, ced_consumer_surplus, ced_potential_profit
 from tierpricing.demand_ced import bundle_profit_closed_form, ced_profit
 from tierpricing.demand_logit import (
     logit_bundle_aggregate,
@@ -522,12 +522,10 @@ P0_GRID = (5.0, 10.0, 20.0, 30.0)
 
 @st.composite
 def ced_markets(draw):
-    """The arguments of ced_context bar p0: a seed, a flow count, alpha
-    and the surplus convention. Distances are not tied: with exact cost
-    ties a token bucket can close on a running budget that is zero up to
-    rounding, so its labels may change with p0."""
+    """The arguments of ced_context bar p0: a seed, a flow count, alpha,
+    the surplus convention and whether distances tie."""
     return (draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 60)),
-            draw(st.floats(1.05, 6.0)), draw(st.booleans()))
+            draw(st.floats(1.05, 6.0)), draw(st.booleans()), draw(st.booleans()))
 
 
 class TestMetamorphic:
@@ -537,25 +535,31 @@ class TestMetamorphic:
     # denominators are rounding-scale, so the per-flow maximum must be
     # priced by the arithmetic of ``ModelContext.price`` for the
     # captures to agree across p0
-    @example((280, 2, 2.0, False))
-    @example((280, 2, 1.5, False))
+    @example((280, 2, 2.0, False, False))
+    @example((280, 2, 1.5, False, False))
+    # tied costs whose cost-weighted prefix sum meets a bundle's target
+    # exactly: B=4 captured 0.8119 at p0 = 5, 10 and 20 but 0.9750 at 30
+    # while a bundle closed on a running budget <= 0 with no tie slack
+    @example((2277316257, 24, 1.9104494742869556, True, True))
     def test_ced_captures_do_not_depend_on_p0(self, market):
         # v scales as p0 and the fitted costs as p0, so every price
-        # scales as p0 and every profit and surplus by one factor
-        seed, n, alpha, offset = market
+        # scales as p0 and every profit and surplus by one factor; a
+        # market whose costs all tie has no capture at any p0
+        seed, n, alpha, offset, tied = market
         contexts = [ced_context(np.random.default_rng(seed), n, alpha=alpha, p0=p0,
-                                offset=offset) for p0 in P0_GRID]
+                                offset=offset, tied=tied) for p0 in P0_GRID]
         for strategy in (Strategy.OPTIMAL, Strategy.DEMAND_WEIGHTED,
                          Strategy.COST_WEIGHTED, Strategy.PROFIT_WEIGHTED,
                          Strategy.COST_DIVISION, Strategy.INDEX_DIVISION):
             for num_bundles in range(1, 5):
-                outcomes = [evaluate_bundling(ctx, build_bundles(strategy, ctx, num_bundles))
+                outcomes = [evaluate_bundling(ctx, build_bundles(strategy, ctx, num_bundles),
+                                              degenerate_ok=True)
                             for ctx in contexts]
                 for out in outcomes[1:]:
                     assert out.profit_capture == pytest.approx(
-                        outcomes[0].profit_capture, rel=0, abs=1e-9)
+                        outcomes[0].profit_capture, rel=0, abs=1e-9, nan_ok=True)
                     assert out.surplus_capture == pytest.approx(
-                        outcomes[0].surplus_capture, rel=0, abs=1e-9)
+                        outcomes[0].surplus_capture, rel=0, abs=1e-9, nan_ok=True)
 
 
 class TestProfitCapture:
@@ -593,27 +597,23 @@ class TestBundlingTotality:
 
 
 def reference_token_bucket(weights, flow_ids, num_bundles):
-    """Per-flow token-bucket loop: visit flows by decreasing weight (ties
-    by flow id) and give each to the first bundle that is empty or still
-    has budget. Returns labels in the order of ``flow_ids``."""
+    """Per-flow token-bucket loop of the closing rule: visit flows by
+    decreasing weight (ties by flow id), each joining the open bundle j,
+    which closes once the running sum of the visited weights reaches
+    (j+1)*share, share = total/B, within a relative slack of 1e-12; the
+    last bundle never closes. The running sum adds one flow at a time,
+    as ``np.cumsum`` does. Returns labels in the order of ``flow_ids``."""
     weights = np.asarray(weights, dtype=float)
     n = len(weights)
     order = sorted(range(n), key=lambda i: (-weights[i], flow_ids[i]))
-    budget = [weights.sum() / num_bundles] * num_bundles
-    used = [False] * num_bundles
+    share = weights.sum() / num_bundles
     labels = [None] * n
+    j, running = 0, 0.0
     for i in order:
-        for j in range(num_bundles):
-            if not used[j] or budget[j] > 0:
-                labels[i] = j
-                used[j] = True
-                budget[j] -= weights[i]
-                if budget[j] < 0 and j + 1 < num_bundles:
-                    budget[j + 1] += budget[j]
-                    budget[j] = 0.0
-                break
-        else:
-            labels[i] = num_bundles - 1
+        labels[i] = j
+        running += weights[i]
+        if j + 1 < num_bundles and running >= (j + 1) * share * (1 - 1e-12):
+            j += 1
     return labels
 
 
@@ -665,9 +665,9 @@ TIED_WEIGHTS = (0.25, 0.5, 1.0, 1.5, 3.0, 10.0)
 
 
 @st.composite
-def bucket_cases(draw):
+def bucket_cases(draw, kinds=("tied", "spread", "dominant")):
     n = draw(st.integers(1, 60))
-    kind = draw(st.sampled_from(["tied", "spread", "dominant"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "spread":
         weights = draw(st.lists(
             st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
@@ -703,6 +703,29 @@ class TestTokenBucketOracle:
         assert np.all(np.diff(visited) >= 0)
         assert b.effective_bundles <= min(len(ids), num_bundles)
         assert np.array_equal(np.unique(b.labels), np.arange(b.effective_bundles))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bucket_cases(), st.integers(-30, 30))
+    def test_power_of_two_scaling_keeps_labels(self, case, exponent):
+        # scaling by 2**k is exact: every prefix sum and target scales
+        # exactly, so every comparison comes out the same
+        weights, ids, num_bundles = case
+        scaled = [w * 2.0 ** exponent for w in weights]
+        assert np.array_equal(token_bucket_bundles(scaled, ids, num_bundles).labels,
+                              token_bucket_bundles(weights, ids, num_bundles).labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bucket_cases(kinds=("tied", "dominant")),
+           st.sampled_from([1 / 3, 0.1, 37.0, 1e3]))
+    def test_scaling_tied_weights_keeps_labels(self, case, k):
+        # these weights are multiples of 1/4 below 2**22, so their sums
+        # are exact, and a prefix sum either meets a target exactly or
+        # misses it by more than 1e-9 of it; scaling by k rounds the sums
+        # by far less than the 1e-12 tie slack
+        weights, ids, num_bundles = case
+        scaled = [w * k for w in weights]
+        assert np.array_equal(token_bucket_bundles(scaled, ids, num_bundles).labels,
+                              token_bucket_bundles(weights, ids, num_bundles).labels)
 
 
 @st.composite
@@ -763,12 +786,15 @@ class TestEvaluateOracle:
             evaluate_bundling(ctx, Bundling([0, 1, 0], 2))
 
 
-def reference_class_constrained(ctx, num_bundles):
-    """Per-flow class-constrained loop: class masses summed flow by flow,
+def reference_class_constrained(ctx, num_bundles, weights=None):
+    """Per-flow class-constrained loop over ``weights`` (by default the
+    context's potential profits): class masses summed flow by flow,
     bundles allocated to classes by largest remainder, and each class
     token-bucketed on its own. Returns labels in flow order."""
     classes_of = ctx.class_labels.tolist()
-    weights = ctx.potential_profits
+    if weights is None:
+        weights = ctx.potential_profits
+    weights = np.asarray(weights, dtype=float)
     mass = {}
     for lab, w in zip(classes_of, weights):
         mass[lab] = mass.get(lab, 0.0) + float(w)
@@ -831,8 +857,8 @@ BUCKET_STRATEGIES = {
 @st.composite
 def bucket_queries(draw):
     """A class-labelled market, possibly with tied demands and costs, of
-    up to 60 flows or of 2000 to 2500 (where the drain's window doubles),
-    and a list of (strategy, bundle count) queries in any order."""
+    up to 60 flows or of 2000 to 2500, and a list of (strategy, bundle
+    count) queries in any order."""
     n = draw(st.one_of(st.integers(1, 60), st.integers(2000, 2500)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -874,6 +900,102 @@ class TestTokenBucketContextOracle:
                 weights = BUCKET_STRATEGIES[strategy](ctx)
                 expected = reference_token_bucket(weights, ids, num_bundles)
             assert np.array_equal(got, expected), (strategy, num_bundles)
+
+
+@st.composite
+def classed_logit_markets(draw):
+    """A class-labelled logit market, alpha and s0 drawn, possibly with
+    tied demands and costs, and a bundle count."""
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q = rng.choice((1.0, 2.0, 5.0), n)
+        d = rng.choice(TIED_DISTANCES, n)
+    else:
+        q = rng.lognormal(1.0, 1.2, size=n)
+        d = rng.uniform(1.0, 100.0, size=n)
+    labels = rng.choice(("peer", "customer", "metro"), n).tolist()
+    ctx = ModelContext.from_logit([f"f{i:02d}" for i in range(n)], q, d, d + 0.1 * d.max(),
+                                  20.0, draw(st.floats(0.6, 3.0)), draw(st.floats(0.1, 0.8)),
+                                  labels)
+    return ctx, draw(st.integers(1, n + 2))
+
+
+class TestProfitWeights:
+    @settings(max_examples=100, deadline=None)
+    @given(classed_logit_markets())
+    def test_logit_profit_weighted_is_demand_weighted(self, case):
+        # every flow's optimal price carries one markup, so standalone
+        # profit is a constant times demand: at the blended rate's markup
+        # 1/(alpha*s0), K*(1-s0)*q/(alpha*s0)
+        ctx, num_bundles = case
+        demand = build_bundles(Strategy.DEMAND_WEIGHTED, ctx, num_bundles).labels
+        profit = build_bundles(Strategy.PROFIT_WEIGHTED, ctx, num_bundles).labels
+        assert np.array_equal(profit, demand)
+        standalone = ctx.consumer_mass * (1.0 - ctx.s0) * ctx.q / (ctx.alpha * ctx.s0)
+        assert np.array_equal(
+            token_bucket_bundles(standalone, ctx.ids.tolist(), num_bundles).labels, demand)
+        classed = build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, num_bundles).labels
+        assert np.array_equal(classed, reference_class_constrained(ctx, num_bundles, ctx.q))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.floats(1.05, 6.0),
+           st.booleans())
+    def test_ced_potential_profits_equal_per_flow_formula(self, seed, n, alpha, tied):
+        ctx = ced_context(np.random.default_rng(seed), n, alpha=alpha, tied=tied)
+        np.testing.assert_allclose(ctx.potential_profits,
+                                   ced_potential_profit(ctx.v, ctx.c, alpha),
+                                   rtol=1e-12, atol=0)
+
+
+# the logit price solver's default tolerance on max|p - c - 1/(alpha*s0)|
+SOLVER_TOL = 1e-8
+
+
+class TestSurplusFollowsProfit:
+    """The paper's second finding, that consumer surplus follows profit
+    as tiers are added, holds exactly in this model: an identity under
+    CED, an ordering under logit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.floats(1.05, 6.0))
+    def test_ced_surplus_is_a_fixed_multiple_of_profit(self, seed, n, alpha):
+        # priced at p = alpha*X/((alpha-1)*W) a bundle earns profit
+        # W*p**(1-alpha)/alpha and leaves surplus W*p**(1-alpha)/(alpha-1),
+        # the baselines included, so the two captures coincide
+        ctx = ced_context(np.random.default_rng(seed), n, alpha=alpha)
+        for strategy in (Strategy.OPTIMAL, *HEURISTICS):
+            for num_bundles in range(1, 9):
+                out = evaluate_bundling(ctx, build_bundles(strategy, ctx, num_bundles))
+                assert out.consumer_surplus == pytest.approx(
+                    alpha / (alpha - 1.0) * out.profit, rel=1e-12, abs=0)
+                assert abs(out.surplus_capture - out.profit_capture) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.booleans())
+    def test_logit_surplus_ranks_as_profit(self, seed, n, tied):
+        # at its optimal prices a bundling's profit K*(1-s0)/(alpha*s0)
+        # and surplus K*(euler_gamma - ln s0)/alpha both fall with the
+        # non-buying share s0, so they rank bundlings alike. The prices
+        # carry one markup m with |m - 1/(alpha*s0(m))| < SOLVER_TOL; that
+        # map's slope is 1/s0 >= 1, so m is within SOLVER_TOL of the
+        # exact markup, and surplus, whose slope in m is -K*(1-s0), within
+        # K*SOLVER_TOL of its exact value. Profit is stationary at the
+        # exact markup, so its error is second order. Two surpluses then
+        # rank against their profits up to 2*K*SOLVER_TOL.
+        ctx = logit_context(np.random.default_rng(seed), n, tied=tied)
+        slack = 2.0 * ctx.consumer_mass * SOLVER_TOL
+        outcomes = {(strategy, num_bundles): evaluate_bundling(
+                        ctx, build_bundles(strategy, ctx, num_bundles), degenerate_ok=True)
+                    for strategy in (Strategy.OPTIMAL, *HEURISTICS)
+                    for num_bundles in range(1, 7)}
+        profit = np.array([out.profit for out in outcomes.values()])
+        surplus = np.array([out.consumer_surplus for out in outcomes.values()])
+        no_more_profit = profit[:, None] <= profit[None, :]
+        assert np.all(~no_more_profit | (surplus[:, None] <= surplus[None, :] + slack))
+        for (strategy, num_bundles), out in outcomes.items():
+            best = outcomes[Strategy.OPTIMAL, num_bundles].consumer_surplus
+            assert out.consumer_surplus <= best + slack, (strategy, num_bundles)
 
 
 def reference_contiguous_optimal(ctx, num_bundles):

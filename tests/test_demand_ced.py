@@ -12,12 +12,12 @@ from demand_oracles import (
     ced_consumer_surplus,
     ced_demand,
     ced_optimal_price,
+    ced_potential_profit,
 )
 from tierpricing.bundling import ModelContext
 from tierpricing.demand_ced import (
     ced_fit_gamma,
     ced_fit_valuations,
-    ced_potential_profit,
     ced_profit,
 )
 from tierpricing.domain import DomainError, EmptyBundle

@@ -17,7 +17,6 @@ from tierpricing.demand_logit import (
     logit_fit_gamma,
     logit_fit_valuations,
     logit_markup,
-    logit_potential_profit,
     logit_profit,
     logit_shares,
     logit_solve_prices,
@@ -468,6 +467,16 @@ class TestFitting:
         v = logit_fit_valuations(q, 20.0, 1.7, s0)
         assert v[1] == pytest.approx(20.0, rel=1e-12)
 
+    def test_underflowing_share_is_rejected_before_its_log(self):
+        # 0.8e-300 / 1e30 is below the smallest float64; ln(0) would be
+        # -inf (and a RuntimeWarning, an error under this suite)
+        q = np.array([5.0, 1e-300, 1e30])
+        with pytest.raises(OverflowGuard, match=r"^flow 1: market share of demand 1e-300 "
+                                                r"in total 1e\+30 underflows float64"):
+            logit_fit_valuations(q, 20.0, 1.1, 0.2)
+        with pytest.raises(OverflowGuard, match=r"^flow b: "):
+            logit_fit_valuations(q, 20.0, 1.1, 0.2, ids=["a", "b", "c"])
+
     def test_demand_ratio_to_valuation_gap(self):
         alpha, s0 = 1.3, 0.2
         q = np.array([np.exp(alpha), 1.0])
@@ -587,36 +596,3 @@ class TestBundleAggregates:
             options={"xatol": 1e-10},
         )
         assert p_bundle == pytest.approx(res.x, abs=1e-6)
-
-
-class TestPotentialProfit:
-    def test_proportional_to_demand(self):
-        w = logit_potential_profit(np.array([3.0, 6.0]), 1.1, 0.2, 100.0)
-        assert w[1] / w[0] == pytest.approx(2.0, rel=1e-15)
-
-    def test_scaling_demand_keeps_bundling(self):
-        from tierpricing.bundling import token_bucket_bundles
-
-        rng = np.random.default_rng(21)
-        q = rng.lognormal(1.0, 1.0, size=20)
-        ids = [f"f{i}" for i in range(20)]
-        w1 = logit_potential_profit(q, 1.1, 0.2, 50.0)
-        w2 = logit_potential_profit(q * 37.0, 1.1, 0.2, 50.0)
-        b1 = token_bucket_bundles(w1, ids, 4)
-        b2 = token_bucket_bundles(w2, ids, 4)
-        assert np.array_equal(b1.labels, b2.labels)
-
-    def test_profit_weighting_equals_demand_weighting(self):
-        from tierpricing.bundling import token_bucket_bundles
-
-        rng = np.random.default_rng(22)
-        for _ in range(5):
-            q = rng.lognormal(1.0, 1.3, size=15)
-            ids = [f"f{i}" for i in range(15)]
-            w = logit_potential_profit(q, 1.4, 0.3, 10.0)
-            assert np.array_equal(token_bucket_bundles(w, ids, 3).labels,
-                                  token_bucket_bundles(q, ids, 3).labels)
-
-    def test_rejects_nonpositive_demand(self):
-        with pytest.raises(DomainError):
-            logit_potential_profit(np.array([0.0]), 1.1, 0.2, 1.0)

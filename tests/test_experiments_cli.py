@@ -568,6 +568,21 @@ class TestCli:
         assert "numerical" in res.stderr.lower()
         assert not (tmp_path / "x.csv").exists()
 
+    def test_logit_share_underflow_names_the_flow(self, tmp_path):
+        # flow a's market share, 1e-300 of 1e30, underflows float64, so
+        # its valuation ln(share) is undefined; the run used to warn
+        # "divide by zero" and blame a degenerate capture baseline
+        flows = tmp_path / "flows.csv"
+        flows.write_text("flow_id,demand_mbps,distance_miles\na,1e-300,10\nb,1e30,20\n"
+                         "c,5,30\nd,7,40\n", encoding="utf-8")
+        res = run_cli("capture", "--input", str(flows), "--demand-model", "logit",
+                      "--bundles", "1..3", "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 3, res.stderr
+        assert "numerical failure: flow a: market share of demand 1e-300 in total " \
+               "1e+30 underflows float64" in res.stderr
+        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("alpha", ["14", "16", "20"])
     def test_optimal_score_overflow_exit_code(self, tmp_path, alpha):
         # at large alpha the CED bundle scores W**alpha * X**(1-alpha)
