@@ -24,9 +24,9 @@ from .cost_models import (
     split_by_dest_type,
 )
 from .demand_ced import (
+    ced_bundle,
     ced_fit_gamma,
     ced_fit_valuations,
-    ced_profit,
 )
 from .demand_logit import (
     logit_bundle_aggregate,

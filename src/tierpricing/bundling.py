@@ -20,7 +20,10 @@ within a relative tie slack of 1e-12 (``_TIE``); the last takes the rest.
 Evaluation prices each bundle optimally under the active demand model
 and reports profit and consumer surplus plus the capture metrics
 (share of the gap between blended-rate pricing and per-flow pricing
-that the bundling recovers).
+that the bundling recovers). Under CED one formula, ``ced_bundle``,
+values every bundle from its sums (W, X) in evaluation, both baselines,
+the profit weights and the optimal search; the surplus is
+alpha/(alpha-1) times the profit (default convention).
 """
 
 from __future__ import annotations
@@ -35,12 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cost_models import realize_costs
-from .demand_ced import (
-    bundle_profit_closed_form,
-    ced_fit_gamma,
-    ced_fit_valuations,
-    ced_profit,
-)
+from .demand_ced import ced_bundle, ced_fit_gamma, ced_fit_valuations
 from .demand_logit import (
     logit_bundle_aggregate,
     logit_consumer_surplus,
@@ -145,10 +143,9 @@ class ModelContext:
                 raise DomainError(f"flow {ids[bad]}: fitted {name} must be > 0")
         if self.model is DemandModel.CED:
             _, pi_orig, cs_orig = self.price(np.zeros(len(self.ids), dtype=np.intp), 1)
-            # each flow at the price ``price`` gives a one-flow bundle, so
+            # each flow a one-flow bundle, priced as ``price`` prices it, so
             # that one tier per flow captures exactly 1
-            per_flow = self._one_flow_prices()
-            pi_max, cs_max = self._ced_value(per_flow, per_flow ** (1.0 - self.alpha))
+            _, pi_max, cs_max = self._ced_value(*self.terms, 1)
         else:
             if self.s0 is None or self.consumer_mass is None:
                 raise DomainError("logit context requires s0 and consumer_mass")
@@ -206,12 +203,6 @@ class ModelContext:
             w = np.exp(self.alpha * (self.v - self.v.max()))
         return w, self.c * w
 
-    def _one_flow_prices(self) -> np.ndarray:
-        """CED: each flow's optimal price as a one-flow bundle, by the
-        arithmetic of ``price``."""
-        w, x = self.terms
-        return self.alpha * x / ((self.alpha - 1.0) * w)
-
     def price(self, labels: np.ndarray, num_bundles: int
               ) -> tuple[np.ndarray, float, float]:
         """Optimal price of each of ``num_bundles`` bundles of the flows
@@ -233,10 +224,8 @@ class ModelContext:
         alpha = self.alpha
         if self.model is DemandModel.CED:
             w, x = (term[order] for term in self.terms)
-            for b, part in zip(occupied, slices):
-                prices[b] = alpha * np.sum(x[part]) / ((alpha - 1.0) * np.sum(w[part]))
-            profit, surplus = self._ced_value(prices[labels],
-                                              (prices ** (1.0 - alpha))[labels])
+            W, X = (np.array([np.sum(term[part]) for part in slices]) for term in (w, x))
+            prices[occupied], profit, surplus = self._ced_value(W, X, counts[occupied])
             return prices, profit, surplus
         v, c = self.v[order], self.c[order]
         aggregates = [logit_bundle_aggregate(v[part], c[part], alpha) for part in slices]
@@ -247,19 +236,19 @@ class ModelContext:
         surplus = logit_consumer_surplus(v_b, p_b, alpha, self.consumer_mass)
         return prices, profit, surplus
 
-    def _ced_value(self, p: np.ndarray, p_power: np.ndarray) -> tuple[float, float]:
-        """CED profit and surplus at per-flow prices ``p``, given
-        ``p_power`` = p**(1-alpha), with v**alpha taken from ``terms``.
-        The surplus is the utility integral of inverse demand less the
-        payment, sum(v**alpha * p**(1-alpha))/(alpha-1); with
-        ``cs_unit_price_offset`` the unit price p is subtracted instead
-        of the payment p*q."""
+    def _ced_value(self, W, X, counts) -> tuple[np.ndarray, float, float]:
+        """CED prices of bundles with sums ``W``, ``X`` and ``counts``
+        members, their total profit and the surplus, alpha/(alpha-1) times
+        the profit; with ``cs_unit_price_offset``, which subtracts each
+        member's unit price p instead of its payment p*q,
+        sum(alpha**2/(alpha-1) * profit_b - counts_b * p_b)."""
         alpha = self.alpha
-        profit = ced_profit(self.v, p, self.c, alpha)
-        gross = self.terms[0] * p_power
+        prices, profits = ced_bundle(W, X, alpha)
+        profit = float(np.sum(profits))
         if self.cs_unit_price_offset:
-            return profit, float(np.sum(alpha * gross / (alpha - 1.0) - p))
-        return profit, float(np.sum(gross) / (alpha - 1.0))
+            surplus = np.sum(alpha * alpha / (alpha - 1.0) * profits - counts * prices)
+            return prices, profit, float(surplus)
+        return prices, profit, alpha / (alpha - 1.0) * profit
 
     @cached_property
     def cost_order(self) -> np.ndarray:
@@ -280,13 +269,13 @@ class ModelContext:
     @cached_property
     def potential_profits(self) -> np.ndarray:
         """The profit-weighted bundler's weights (read-only). Under CED
-        they are each flow's standalone profit: a one-flow bundle's
-        profit w * p**(1-alpha) / alpha at its optimal price p. Under
-        logit every optimal price carries one markup, so standalone
-        profit is a constant times demand, and the weights are q itself."""
+        they are each flow's standalone profit, a one-flow bundle's
+        (``ced_bundle``). Under logit every optimal price carries one
+        markup, so standalone profit is a constant times demand, and the
+        weights are q itself."""
         if self.model is DemandModel.LOGIT:
             return self.q
-        weights = self.terms[0] * self._one_flow_prices() ** (1.0 - self.alpha) / self.alpha
+        _, weights = ced_bundle(*self.terms, self.alpha)
         weights.flags.writeable = False
         return weights
 
@@ -466,7 +455,8 @@ def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bu
 #
 # Both demand models admit a per-bundle sufficient statistic (W, X), the
 # sums of per-flow w and x = c * w:
-#   CED:   w = v**alpha; the bundle profit is kappa * W**alpha * X**(1-alpha)
+#   CED:   w = v**alpha; the bundle profit is W * p**(1-alpha) / alpha at
+#          its price p = alpha * X / ((alpha-1) * W) (``ced_bundle``)
 #   logit: w = exp(alpha*(v - vmax)); the jointly-solved partition profit
 #          is strictly increasing in the total score
 #          sum_b W_b * exp(-alpha * X_b / W_b), so maximizing the score
@@ -505,8 +495,8 @@ class _ContiguousOptimum:
     count of a run shares one DP, and the answer for B does not depend
     on the order in which block counts are asked for.
 
-    A non-finite best score (the CED powers overflow float64 at large
-    alpha) raises OverflowGuard."""
+    A non-finite best score (a CED price power p**(1-alpha) past
+    float64) raises OverflowGuard."""
 
     def __init__(self, ctx: ModelContext):
         self.order = ctx.cost_order
@@ -536,7 +526,7 @@ class _ContiguousOptimum:
             W = np.where(ok, W, 1.0)
         with np.errstate(all="ignore"):  # a non-finite best raises in _check
             if self.model is DemandModel.CED:
-                score = bundle_profit_closed_form(W, X, self.alpha)
+                _, score = ced_bundle(W, X, self.alpha)
             else:
                 score = W * np.exp(-self.alpha * X / W)
         return np.where(ok, score, 0.0) if guard else score

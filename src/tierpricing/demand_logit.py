@@ -190,9 +190,10 @@ def logit_fit_valuations(q, p0: float, alpha: float, s0: float,
     """Valuations reproducing observed demand at the uniform price p0.
 
     Shares are s_i = q_i*(1-s0)/sum(q); inverting the share ratio
-    s_i/s0 gives v_i = (ln s_i - ln s0)/alpha + p0. A share that
-    underflows to zero has no log and raises OverflowGuard naming the
-    flow (by its id in ``ids``, else by its position).
+    s_i/s0 gives v_i = (ln s_i - ln s0)/alpha + p0. A demand total past
+    float64 raises OverflowGuard, and so does a share that underflows to
+    zero, which has no log, naming the flow (by its id in ``ids``, else
+    by its position).
     """
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0):
@@ -201,12 +202,16 @@ def logit_fit_valuations(q, p0: float, alpha: float, s0: float,
         raise DomainError("p0 must be positive")
     if not 0.0 < s0 < 1.0:
         raise DomainError(f"s0 must be in (0,1), got {s0}")
-    s = q * (1.0 - s0) / np.sum(q)
+    with np.errstate(over="ignore"):
+        total = np.sum(q)
+    if not np.isfinite(total):
+        raise OverflowGuard("the demand total overflows float64: no share is defined")
+    s = q * (1.0 - s0) / total
     bad = _first(s == 0.0)
     if bad is not None:
         raise OverflowGuard(
             f"flow {bad if ids is None else ids[bad]}: market share of demand "
-            f"{q[bad]:.3g} in total {np.sum(q):.3g} underflows float64, so its "
+            f"{q[bad]:.3g} in total {total:.3g} underflows float64, so its "
             "valuation ln(share) is undefined")
     return (np.log(s) - np.log(s0)) / alpha + p0
 

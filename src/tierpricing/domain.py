@@ -58,8 +58,9 @@ class NoConvergence(PricingError):
 
 
 class OverflowGuard(PricingError):
-    """Exponent magnitude exceeds the safe range for float64 even with
-    max-shift stabilization."""
+    """A quantity leaves float64: an exponent past the safe range even
+    with max-shift stabilization, a demand total, v**alpha, or a score
+    of the optimal search."""
 
 
 class MissingClassLabels(PricingError):

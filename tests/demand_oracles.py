@@ -1,8 +1,9 @@
 """Per-flow demand formulas, kept as test oracles.
 
 The package prices a tiering from per-flow terms and bundle sums
-(``ModelContext.price``). These are the textbook per-flow forms it
-replaced: ``test_demand_ced.py`` and ``test_demand_logit.py`` check
+(``ModelContext.price``, ``demand_ced.ced_bundle``). These are the
+textbook per-flow forms it replaced, and the kappa form of a CED
+bundle's optimal profit: ``test_demand_ced.py`` and ``test_demand_logit.py`` check
 them against independent numeric oracles (quadrature, a 1-D maximizer),
 and the other tests use them as references.
 """
@@ -20,6 +21,29 @@ def ced_demand(v, p, alpha: float):
     if np.any(p <= 0):
         raise DomainError("price must be positive")
     return (v / p) ** alpha
+
+
+def ced_profit(v, p, c, alpha: float) -> float:
+    """Total profit sum_i (v_i/p_i)**alpha * (p_i - c_i)."""
+    v = np.asarray(v, dtype=float)
+    p = np.asarray(p, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if np.any(p <= 0):
+        raise DomainError("price must be positive")
+    return float(np.sum((v / p) ** alpha * (p - c)))
+
+
+def bundle_profit_closed_form(w_sum, x_sum, alpha: float):
+    """Optimal profit of a bundle from its sufficient statistics.
+
+    With w = sum of v**alpha and x = sum of c*v**alpha over the bundle,
+    profit at the optimal shared price is
+    (alpha-1)**(alpha-1)/alpha**alpha * w**alpha * x**(1-alpha).
+    Vectorizes over arrays of bundle statistics.
+    """
+    kappa = (alpha - 1.0) ** (alpha - 1.0) / alpha ** alpha
+    return kappa * np.asarray(w_sum, dtype=float) ** alpha \
+        * np.asarray(x_sum, dtype=float) ** (1.0 - alpha)
 
 
 def ced_optimal_price(c, alpha: float):

@@ -18,7 +18,7 @@ with ``-m "not known_fixture_gap"``.
 import numpy as np
 import pytest
 
-from demand_oracles import ced_optimal_price
+from demand_oracles import ced_optimal_price, ced_profit
 from tierpricing.bundling import (
     ModelContext,
     Strategy,
@@ -27,7 +27,6 @@ from tierpricing.bundling import (
     optimal_bundles,
     token_bucket_bundles,
 )
-from tierpricing.demand_ced import ced_profit
 from tierpricing.demand_logit import (
     logit_consumer_surplus,
     logit_profit,

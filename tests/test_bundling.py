@@ -2,6 +2,8 @@
 (brute-force enumeration and an O(n^2 B) dynamic program), and capture
 metric arithmetic."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,8 +19,14 @@ from tierpricing.bundling import (
     profit_capture,
     token_bucket_bundles,
 )
-from demand_oracles import ced_bundle_price, ced_consumer_surplus, ced_potential_profit
-from tierpricing.demand_ced import bundle_profit_closed_form, ced_profit
+from demand_oracles import (
+    bundle_profit_closed_form,
+    ced_bundle_price,
+    ced_consumer_surplus,
+    ced_potential_profit,
+    ced_profit,
+)
+from tierpricing.demand_ced import ced_bundle
 from tierpricing.demand_logit import (
     logit_bundle_aggregate,
     logit_consumer_surplus,
@@ -352,15 +360,31 @@ class TestOptimal:
         with pytest.raises(DomainError):
             optimal_bundles(ctx, 0)
 
-    @pytest.mark.parametrize("alpha", [16.0, 20.0])
-    def test_overflowing_scores_raise(self, alpha):
-        # W**alpha overflows float64 and times X**(1-alpha) == 0 gives
-        # NaN: no candidate equals its best, so no start can be picked
-        ctx = ced_context(np.random.default_rng(30), 50, alpha=alpha)
-        assert optimal_bundles(ctx, 1).effective_bundles == 1
-        for num_bundles in (2, 4):
-            with pytest.raises(OverflowGuard, match=f"at alpha={alpha!r}"):
-                optimal_bundles(ctx, num_bundles)
+    @pytest.mark.parametrize("alpha", [16.0, 20.0, 100.0])
+    def test_large_alpha_equals_contiguous_enumeration(self, alpha):
+        # the bundle profit kappa * W**alpha * X**(1-alpha) overflowed
+        # float64 at these alphas; every partition of the cost order into
+        # at most B blocks is priced by the per-flow oracles
+        n = 12
+        ctx = ced_context(np.random.default_rng(30), n, alpha=alpha)
+        order = sorted(range(n), key=lambda i: (ctx.c[i], ctx.ids[i]))
+
+        def oracle_profit(blocks):
+            p = np.empty(n)
+            for block in blocks:
+                p[block] = ced_bundle_price(ctx.v[block], ctx.c[block], alpha)
+            return ced_profit(ctx.v, p, ctx.c, alpha)
+
+        for num_bundles in range(1, 7):
+            best = max(
+                oracle_profit([order[lo:hi] for lo, hi in zip((0, *cuts), (*cuts, n))])
+                for k in range(num_bundles)
+                for cuts in itertools.combinations(range(1, n), k))
+            labels = optimal_bundles(ctx, num_bundles).labels
+            got = oracle_profit([np.flatnonzero(labels == b) for b in range(num_bundles)])
+            assert got == pytest.approx(best, rel=1e-12, abs=0)
+            assert evaluate_bundling(ctx, Bundling(labels, num_bundles)).profit == \
+                pytest.approx(best, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_candidates_never_pick_a_start(self, bad):
@@ -619,21 +643,32 @@ def reference_token_bucket(weights, flow_ids, num_bundles):
 
 def reference_pricing(ctx, labels, num_bundles):
     """Per-bundle pricing loop over member lists built flow by flow;
-    returns (prices, profit, surplus)."""
+    returns (prices, profit, surplus). Under CED each bundle is valued by
+    ``ced_bundle``, whose formula ``test_ced_equals_per_flow_oracles``
+    checks against the per-flow oracles."""
     members = [[] for _ in range(num_bundles)]
     for i, b in enumerate(labels):
         members[b].append(i)
     occupied = [b for b, m in enumerate(members) if m]
     prices = np.full(num_bundles, np.nan)
     if ctx.model is DemandModel.CED:
-        per_flow = np.empty(len(labels))
-        for b in occupied:
-            m = np.array(members[b])
-            prices[b] = ced_bundle_price(ctx.v[m], ctx.c[m], ctx.alpha)
-            per_flow[m] = prices[b]
-        profit = ced_profit(ctx.v, per_flow, ctx.c, ctx.alpha)
-        surplus = ced_consumer_surplus(ctx.v, per_flow, ctx.alpha,
-                                       unit_price_offset=ctx.cs_unit_price_offset)
+        # each bundle's sums over its members in flow order, then one
+        # price and profit per bundle; surplus alpha/(alpha-1) times the
+        # profit, or, subtracting unit prices, alpha*W*p**(1-alpha)/(alpha-1)
+        # less n*p per bundle
+        alpha = ctx.alpha
+        w = ctx.v ** alpha
+        x = ctx.c * w
+        W = np.array([np.sum(w[members[b]]) for b in occupied])
+        X = np.array([np.sum(x[members[b]]) for b in occupied])
+        sizes = np.array([len(members[b]) for b in occupied])
+        p_b, profit_b = ced_bundle(W, X, alpha)
+        prices[occupied] = p_b
+        profit = float(np.sum(profit_b))
+        if ctx.cs_unit_price_offset:
+            surplus = float(np.sum(alpha * alpha / (alpha - 1.0) * profit_b - sizes * p_b))
+        else:
+            surplus = alpha / (alpha - 1.0) * profit
     else:
         aggregates = [logit_bundle_aggregate(ctx.v[members[b]], ctx.c[members[b]],
                                              ctx.alpha) for b in occupied]
@@ -729,9 +764,9 @@ class TestTokenBucketOracle:
 
 
 @st.composite
-def labelled_contexts(draw):
+def labelled_contexts(draw, makers=(ced_context, offset_ced_context, logit_context)):
     n = draw(st.integers(2, 25))
-    make = draw(st.sampled_from([ced_context, offset_ced_context, logit_context]))
+    make = draw(st.sampled_from(makers))
     ctx = make(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
     num_bundles = draw(st.integers(1, n + 2))
     labels = draw(st.lists(st.integers(0, num_bundles - 1), min_size=n, max_size=n))
@@ -779,6 +814,29 @@ class TestEvaluateOracle:
         counts = np.bincount(labels, minlength=num_bundles)
         assert counts.max() > 128 and counts[4] == 0
         self.assert_equals_reference(ctx, labels, num_bundles)
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_contexts(makers=(ced_context, offset_ced_context)),
+           st.floats(1.05, 6.0))
+    def test_ced_equals_per_flow_oracles(self, case, alpha):
+        # each flow at its bundle's price by ``ced_bundle_price``, priced
+        # and valued flow by flow, in both surplus conventions
+        ctx, labels, num_bundles = case
+        ctx = ModelContext(ctx.ids, ctx.q, ctx.d, ctx.v, ctx.c, None, DemandModel.CED,
+                           alpha, ctx.p0, cs_unit_price_offset=ctx.cs_unit_price_offset)
+        labels = np.asarray(labels)
+        prices, profit, surplus = ctx.price(labels, num_bundles)
+        per_flow = np.empty(len(labels))
+        for b in np.unique(labels):
+            members = np.flatnonzero(labels == b)
+            per_flow[members] = ced_bundle_price(ctx.v[members], ctx.c[members], alpha)
+            assert prices[b] == pytest.approx(per_flow[members[0]], rel=1e-12, abs=0)
+        assert profit == pytest.approx(ced_profit(ctx.v, per_flow, ctx.c, alpha),
+                                       rel=1e-12, abs=0)
+        assert surplus == pytest.approx(
+            ced_consumer_surplus(ctx.v, per_flow, alpha,
+                                 unit_price_offset=ctx.cs_unit_price_offset),
+            rel=1e-12, abs=0)
 
     def test_rejects_labels_of_another_flow_set(self):
         ctx = ced_context(np.random.default_rng(26), 5)
@@ -962,13 +1020,13 @@ class TestSurplusFollowsProfit:
     def test_ced_surplus_is_a_fixed_multiple_of_profit(self, seed, n, alpha):
         # priced at p = alpha*X/((alpha-1)*W) a bundle earns profit
         # W*p**(1-alpha)/alpha and leaves surplus W*p**(1-alpha)/(alpha-1),
-        # the baselines included, so the two captures coincide
+        # the baselines included, so the two captures coincide; the
+        # surplus is computed from the profit, so the identity is exact
         ctx = ced_context(np.random.default_rng(seed), n, alpha=alpha)
         for strategy in (Strategy.OPTIMAL, *HEURISTICS):
             for num_bundles in range(1, 9):
                 out = evaluate_bundling(ctx, build_bundles(strategy, ctx, num_bundles))
-                assert out.consumer_surplus == pytest.approx(
-                    alpha / (alpha - 1.0) * out.profit, rel=1e-12, abs=0)
+                assert out.consumer_surplus == alpha / (alpha - 1.0) * out.profit
                 assert abs(out.surplus_capture - out.profit_capture) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -1003,7 +1061,9 @@ def reference_contiguous_optimal(ctx, num_bundles):
     the best partition into at most ``num_bundles`` cost-contiguous
     blocks, every block end searched against every block start. Scores a
     block by its sufficient statistics W = sum w, X = sum c*w, as the
-    optimal search does. Returns labels in flow order."""
+    optimal search does, but under CED by the kappa form
+    ``bundle_profit_closed_form``, so that the search's formula is
+    checked against an independent one. Returns labels in flow order."""
     n = len(ctx.ids)
     order = sorted(range(n), key=lambda i: (ctx.c[i], ctx.ids[i]))
     v, c = ctx.v[order], ctx.c[order]
@@ -1059,8 +1119,8 @@ def reference_divide_and_conquer(ctx, num_bundles):
     """The divide-and-conquer DP over the cost order (ties by flow id)
     with every layer built for every prefix, the top layer included:
     each recursion node takes the leftmost best start within its window
-    (``where`` plus ``minimum.reduceat``), and each score is
-    ``bundle_profit_closed_form`` or W*exp(-alpha*X/W) behind the
+    (``where`` plus ``minimum.reduceat``), and each score is the profit
+    of ``ced_bundle``, the search's own, or W*exp(-alpha*X/W) behind the
     zero-weight guard. The cuts of the best partition into at most
     ``num_bundles`` blocks are read from the layers' starts. Returns
     labels in flow order."""
@@ -1081,7 +1141,7 @@ def reference_divide_and_conquer(ctx, num_bundles):
         W = np.where(ok, W, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             if ctx.model is DemandModel.CED:
-                s = bundle_profit_closed_form(W, X, ctx.alpha)
+                _, s = ced_bundle(W, X, ctx.alpha)
             else:
                 s = W * np.exp(-ctx.alpha * X / W)
         return np.where(ok, s, 0.0)

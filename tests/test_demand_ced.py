@@ -13,14 +13,11 @@ from demand_oracles import (
     ced_demand,
     ced_optimal_price,
     ced_potential_profit,
-)
-from tierpricing.bundling import ModelContext
-from tierpricing.demand_ced import (
-    ced_fit_gamma,
-    ced_fit_valuations,
     ced_profit,
 )
-from tierpricing.domain import DomainError, EmptyBundle
+from tierpricing.bundling import ModelContext
+from tierpricing.demand_ced import ced_bundle, ced_fit_gamma, ced_fit_valuations
+from tierpricing.domain import DomainError, EmptyBundle, OverflowGuard
 
 
 def numeric_best_price(profit_of_price, lo, hi, rel_tol=1e-12):
@@ -214,6 +211,54 @@ class TestFitting:
             fit = ModelContext.from_ced([f"f{i}" for i in range(80)], q, q * 0 + 1.0, f_d,
                                         p0, alpha)
             assert ced_bundle_price(fit.v, fit.c, alpha) == pytest.approx(p0, rel=1e-6)
+
+    @pytest.mark.parametrize("q, alpha", [([1e308, 1e308, 5.0], 1.1), ([3.0, 7.0], 240.0)])
+    def test_gamma_names_an_overflowing_power(self, q, alpha):
+        # 20**alpha * q or its sum passes float64
+        v = ced_fit_valuations(q, 20.0, alpha)
+        with pytest.raises(OverflowGuard, match=rf"^v\*\*alpha overflows float64 "
+                                                rf"at alpha={alpha!r}$"):
+            ced_fit_gamma(v, np.ones(len(q)), 20.0, alpha)
+
+
+class TestBundle:
+    def test_worked_values(self):
+        # v = c = 1, alpha = 2: price 2 and profit 1/4, exactly
+        price, profit = ced_bundle(np.array([1.0, 2.0]), np.array([1.0, 3.0]), 2.0)
+        assert price.tolist() == [2.0, 3.0]
+        assert profit.tolist() == [0.25, 2.0 / 3.0 / 2.0]
+
+    def test_equals_per_flow_oracles(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            v = rng.uniform(0.5, 5.0, size=n)
+            c = rng.uniform(0.2, 6.0, size=n)
+            alpha = rng.uniform(1.05, 7.0)
+            w = v ** alpha
+            price, profit = ced_bundle(np.array([w.sum()]), np.array([(c * w).sum()]),
+                                       alpha)
+            assert price[0] == pytest.approx(ced_bundle_price(v, c, alpha), rel=1e-12)
+            assert profit[0] == pytest.approx(
+                ced_profit(v, np.full(n, price[0]), c, alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, v, p", [
+        (200.0, [20.0, 25.0, 30.0], [40.0, 50.0, 45.0]),
+        (400.0, [3.0, 4.0, 5.0], [6.5, 6.0, 7.0]),
+    ])
+    def test_profit_where_the_price_power_underflows(self, alpha, v, p):
+        # p**(1-alpha) underflows float64 at these prices, while v**alpha
+        # and the profit p*(v/p)**alpha*(1 - c/p) are within range
+        v, p = np.array(v), np.array(p)
+        c = p * (alpha - 1.0) / alpha
+        with np.errstate(under="ignore"):
+            assert np.all(p ** (1.0 - alpha) < np.finfo(float).tiny)
+        w = v ** alpha
+        price, profit = ced_bundle(w, c * w, alpha)
+        np.testing.assert_allclose(price, p, rtol=1e-13)
+        expected = [ced_profit([vi], [pi], [ci], alpha) for vi, pi, ci in zip(v, p, c)]
+        assert min(expected) > 1e-200
+        np.testing.assert_allclose(profit, expected, rtol=1e-12)
 
 
 class TestPotentialProfit:

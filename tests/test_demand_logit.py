@@ -477,6 +477,11 @@ class TestFitting:
         with pytest.raises(OverflowGuard, match=r"^flow b: "):
             logit_fit_valuations(q, 20.0, 1.1, 0.2, ids=["a", "b", "c"])
 
+    def test_overflowing_demand_total_is_rejected(self):
+        # every share would be q/inf = 0, and the first flow blamed
+        with pytest.raises(OverflowGuard, match=r"^the demand total overflows float64"):
+            logit_fit_valuations(np.array([1e308, 1e308, 5.0]), 20.0, 1.1, 0.2)
+
     def test_demand_ratio_to_valuation_gap(self):
         alpha, s0 = 1.3, 0.2
         q = np.array([np.exp(alpha), 1.0])

@@ -583,23 +583,54 @@ class TestCli:
         assert "Warning" not in res.stderr and "Traceback" not in res.stderr
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("alpha", ["14", "16", "20"])
-    def test_optimal_score_overflow_exit_code(self, tmp_path, alpha):
-        # at large alpha the CED bundle scores W**alpha * X**(1-alpha)
-        # overflow float64; the heuristics still run
+    @pytest.mark.parametrize("alpha", ["14", "16", "20", "100", "200"])
+    def test_optimal_runs_at_large_alpha(self, tmp_path, alpha):
+        # the bundle profit kappa * W**alpha * X**(1-alpha) overflowed
+        # float64 here (exit 3 up to alpha 140, an OverflowError beyond);
+        # W * p**(1-alpha) / alpha stays in range, so the optimal search
+        # is exact and beats every heuristic at every B
+        out = tmp_path / "x.csv"
+        res = run_python("-W", "error::RuntimeWarning", "-m", "tierpricing.cli", "capture",
+                         "--synth-preset", "eu-isp", "--n-flows", "2000", "--alpha", alpha,
+                         "--bundles", "1..4", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 24
+        best = {row["num_bundles"]: float(row["profit_capture"]) for row in rows
+                if row["strategy"] == "optimal"}
+        for row in rows:
+            assert float(row["profit_capture"]) <= best[row["num_bundles"]] + 1e-12, row
+
+    @pytest.mark.parametrize("model, cause", [
+        ("logit", "the demand total overflows float64"),
+        ("ced", "v**alpha overflows float64 at alpha=1.1"),
+    ])
+    def test_overflowing_demand_is_named_at_fit(self, tmp_path, model, cause):
+        # the demands sum past float64: logit used to warn and blame flow
+        # a's share, CED to warn and report "fitted gamma = nan"
+        flows = tmp_path / "flows.csv"
+        flows.write_text("flow_id,demand_mbps,distance_miles\na,1e308,10\nb,1e308,20\n"
+                         "c,5,30\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        res = run_cli("capture", "--input", str(flows), "--demand-model", model,
+                      "--bundles", "1..3", "--out", str(out))
+        assert res.returncode == 3, res.stderr
+        assert f"numerical failure: {cause}" in res.stderr
+        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == [flows]
+
+    def test_valuation_power_overflow_is_named_at_fit(self, tmp_path):
+        # 20**240 * q passes float64; the run used to warn and report
+        # "fitted gamma = 0.0"
         res = run_cli("capture", "--synth-preset", "eu-isp", "--n-flows", "2000",
-                      "--alpha", alpha, "--bundles", "1..4", "--strategy", "optimal",
+                      "--alpha", "240", "--bundles", "1..4",
                       "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 3, res.stderr
-        assert f"numerical failure: optimal search: bundle scores overflow float64 " \
-               f"at alpha={float(alpha)!r}" in res.stderr
-        assert "Traceback" not in res.stderr
-        assert not (tmp_path / "x.csv").exists()
-        res = run_cli("capture", "--synth-preset", "eu-isp", "--n-flows", "2000",
-                      "--alpha", alpha, "--bundles", "1..4",
-                      "--strategy", "cost-division,profit-weighted",
-                      "--out", str(tmp_path / "y.csv"))
-        assert res.returncode == 0, res.stderr
+        assert "numerical failure: v**alpha overflows float64 at alpha=240.0" in res.stderr
+        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("row", ["c,5", "c,nan,10", "c,3,inf"])
     def test_malformed_input_row_is_a_config_error(self, tmp_path, row):
