@@ -29,14 +29,11 @@ from .demand_ced import (
     ced_fit_valuations,
 )
 from .demand_logit import (
-    logit_bundle_aggregate,
-    logit_consumer_surplus,
     logit_fit_gamma,
     logit_fit_valuations,
     logit_markup,
-    logit_profit,
-    logit_shares,
     logit_solve_prices,
+    logit_value,
 )
 from .domain import (
     Bundling,

@@ -16,14 +16,18 @@ A token bucket visits flows by decreasing weight (ties by flow id); of
 B bundles, bundle j takes at least one flow and closes at the first
 prefix sum of the visited weights that reaches (j+1)/B of the total,
 within a relative tie slack of 1e-12 (``_TIE``); the last takes the rest.
+Cost-division puts a flow in the highest range j < B whose lower edge
+j*c_max/B its cost reaches within the same slack, so a cost on an edge
+joins the range above it whatever the rounding of the costs.
 
 Evaluation prices each bundle optimally under the active demand model
 and reports profit and consumer surplus plus the capture metrics
 (share of the gap between blended-rate pricing and per-flow pricing
-that the bundling recovers). Under CED one formula, ``ced_bundle``,
-values every bundle from its sums (W, X) in evaluation, both baselines,
-the profit weights and the optimal search; the surplus is
-alpha/(alpha-1) times the profit (default convention).
+that the bundling recovers) from per-bundle sums (W, X). Under CED one
+formula, ``ced_bundle``, values every bundle from them in evaluation,
+both baselines, the profit weights and the optimal search; the surplus
+is alpha/(alpha-1) times the profit (default convention). Under logit
+one pass, ``logit_value``, values the priced bundles and both baselines.
 """
 
 from __future__ import annotations
@@ -40,12 +44,10 @@ import numpy as np
 from .cost_models import realize_costs
 from .demand_ced import ced_bundle, ced_fit_gamma, ced_fit_valuations
 from .demand_logit import (
-    logit_bundle_aggregate,
-    logit_consumer_surplus,
     logit_fit_gamma,
     logit_fit_valuations,
-    logit_profit,
     logit_solve_prices,
+    logit_value,
 )
 from .domain import (
     Bundling,
@@ -149,13 +151,10 @@ class ModelContext:
         else:
             if self.s0 is None or self.consumer_mass is None:
                 raise DomainError("logit context requires s0 and consumer_mass")
-            uniform = np.full(len(self.ids), self.p0)
             per_flow = logit_solve_prices(self.v, self.c, self.alpha)
             k = self.consumer_mass
-            pi_orig = logit_profit(self.v, uniform, self.c, self.alpha, k)
-            pi_max = logit_profit(self.v, per_flow, self.c, self.alpha, k)
-            cs_orig = logit_consumer_surplus(self.v, uniform, self.alpha, k)
-            cs_max = logit_consumer_surplus(self.v, per_flow, self.alpha, k)
+            pi_orig, cs_orig = logit_value(self.v, self.p0, self.c, self.alpha, k)
+            pi_max, cs_max = logit_value(self.v, per_flow, self.c, self.alpha, k)
         for name, value in (("pi_orig", pi_orig), ("pi_max", pi_max),
                             ("cs_orig", cs_orig), ("cs_max", cs_max)):
             set_(self, name, value)
@@ -210,30 +209,36 @@ class ModelContext:
 
         Members are grouped by one stable argsort of the labels (as
         ``uint8`` up to 256 bundles, which numpy radix-sorts to the same
-        permutation) and each bundle is summed over its contiguous slice,
-        so every sum adds in the order of a per-bundle loop over member
-        lists built flow by flow, and the results are bit-identical to
-        that loop's."""
+        permutation) and each bundle's sums W and X are taken over its
+        contiguous slice, adding in the order of a per-bundle loop over
+        member lists built flow by flow, so the results are bit-identical
+        to that loop's. The summed terms are ``terms`` under CED. Under
+        logit they are e = exp(alpha*v - shift) and c*e, shift the
+        bundle's own maximum of alpha*v (the market's would underflow a
+        bundle far below it): the bundle is one flow of valuation
+        (shift + ln W)/alpha and cost X/W."""
         keys = labels.astype(np.uint8) if num_bundles <= 256 else labels
         order = np.argsort(keys, kind="stable")
         counts = np.bincount(labels, minlength=num_bundles)
-        ends = np.cumsum(counts)
         occupied = np.flatnonzero(counts)
-        slices = [slice(ends[b] - counts[b], ends[b]) for b in occupied]
+        sizes = counts[occupied]
+        starts = np.cumsum(sizes) - sizes
+        slices = [slice(a, a + m) for a, m in zip(starts.tolist(), sizes.tolist())]
         prices = np.full(num_bundles, np.nan)
-        alpha = self.alpha
         if self.model is DemandModel.CED:
-            w, x = (term[order] for term in self.terms)
-            W, X = (np.array([np.sum(term[part]) for part in slices]) for term in (w, x))
-            prices[occupied], profit, surplus = self._ced_value(W, X, counts[occupied])
+            terms = (term[order] for term in self.terms)
+        else:
+            y = self.alpha * self.v[order]
+            shift = np.maximum.reduceat(y, starts)
+            e = np.exp(y - np.repeat(shift, sizes))
+            terms = (e, self.c[order] * e)
+        W, X = (np.array([np.sum(term[part]) for part in slices]) for term in terms)
+        if self.model is DemandModel.CED:
+            prices[occupied], profit, surplus = self._ced_value(W, X, sizes)
             return prices, profit, surplus
-        v, c = self.v[order], self.c[order]
-        aggregates = [logit_bundle_aggregate(v[part], c[part], alpha) for part in slices]
-        v_b, c_b = (np.array(column) for column in zip(*aggregates))
-        p_b = logit_solve_prices(v_b, c_b, alpha)
-        prices[occupied] = p_b
-        profit = logit_profit(v_b, p_b, c_b, alpha, self.consumer_mass)
-        surplus = logit_consumer_surplus(v_b, p_b, alpha, self.consumer_mass)
+        v_b, c_b = (shift + np.log(W)) / self.alpha, X / W
+        prices[occupied] = p_b = logit_solve_prices(v_b, c_b, self.alpha)
+        profit, surplus = logit_value(v_b, p_b, c_b, self.alpha, self.consumer_mass)
         return prices, profit, surplus
 
     def _ced_value(self, W, X, counts) -> tuple[np.ndarray, float, float]:
@@ -394,7 +399,8 @@ def _bucket_bundling(visit: _Visit, num_bundles: int) -> Bundling:
 
 def _cost_division(ctx: ModelContext, num_bundles: int) -> Bundling:
     c_max = float(ctx.c.max())
-    idx = np.minimum((ctx.c * num_bundles / c_max).astype(np.intp), num_bundles - 1)
+    ranks = ctx.c * num_bundles / c_max * (1.0 + _TIE)
+    idx = np.minimum(ranks.astype(np.intp), num_bundles - 1)
     return Bundling(idx, num_bundles)
 
 

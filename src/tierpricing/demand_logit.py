@@ -17,7 +17,8 @@ demand-weighted bundling (``ModelContext.visiting_order``).
 Bundles aggregate exactly: a bundle behaves like a single flow with
 valuation log-sum-exp(alpha*v)/alpha and valuation-weighted mean cost,
 leaving total profit and surplus identical at shared within-bundle
-prices.
+prices; ``ModelContext.price`` takes both from per-bundle sums, and
+``logit_value`` values the priced bundles in one pass.
 
 All exponentials are max-shift stabilized; inputs whose exponents would
 overflow even then raise OverflowGuard.
@@ -31,7 +32,6 @@ import numpy as np
 
 from .domain import (
     DomainError,
-    EmptyBundle,
     NoConvergence,
     NonPositiveGamma,
     OverflowGuard,
@@ -52,50 +52,32 @@ def _guard_exponent(x_max) -> None:
         )
 
 
-def _exponents(v, p, alpha: float) -> np.ndarray:
+def _shifted_exp(v, p, alpha: float):
+    """For x = alpha*(v - p): shift = max(0, max x), e = exp(x - shift)
+    and the shares' denominator sum(e) + exp(-shift)."""
     x = alpha * (np.asarray(v, dtype=float) - np.asarray(p, dtype=float))
-    if x.size:
-        _guard_exponent(np.max(x))
-    return x
-
-
-def logit_shares(v, p, alpha: float) -> tuple[np.ndarray, float]:
-    """Market shares (s_1..s_n, s0) at prices p.
-
-    s_i = exp(alpha*(v_i-p_i)) / (sum_j exp(alpha*(v_j-p_j)) + 1) and
-    s0 is the non-buying share 1/denominator; they sum to one.
-    """
-    x = _exponents(v, p, alpha)
-    if x.size == 0:
-        return np.empty(0), 1.0
-    shift = max(float(np.max(x)), 0.0)
+    shift = float(np.max(x, initial=0.0))
+    _guard_exponent(shift)
     e = np.exp(x - shift)
-    outside = np.exp(-shift)
-    den = np.sum(e) + outside
-    return e / den, float(outside / den)
+    return shift, e, np.sum(e) + np.exp(-shift)
 
 
-def logit_profit(v, p, c, alpha: float, consumer_mass: float) -> float:
-    """Total profit K * sum_i s_i * (p_i - c_i)."""
-    s, _ = logit_shares(v, p, alpha)
-    return float(consumer_mass * np.sum(s * (np.asarray(p, float) - np.asarray(c, float))))
-
-
-def logit_consumer_surplus(v, p, alpha: float, consumer_mass: float) -> float:
-    """Expected consumer surplus
-    K * (euler_gamma + ln(sum_i exp(alpha*(v_i-p_i)) + 1)) / alpha."""
-    x = _exponents(v, p, alpha)
-    if x.size == 0:
-        return consumer_mass * EULER_GAMMA / alpha
-    shift = max(float(np.max(x)), 0.0)
-    lse = shift + np.log(np.sum(np.exp(x - shift)) + np.exp(-shift))
-    return float(consumer_mass * (EULER_GAMMA + lse) / alpha)
+def logit_value(v, p, c, alpha: float, consumer_mass: float) -> tuple[float, float]:
+    """Total profit K * sum_i s_i * (p_i - c_i) at prices p, s_i the
+    shares, and the expected consumer surplus
+    K * (euler_gamma + ln(sum_i exp(alpha*(v_i - p_i)) + 1)) / alpha."""
+    shift, e, den = _shifted_exp(v, p, alpha)
+    margin = np.asarray(p, dtype=float) - np.asarray(c, dtype=float)
+    profit = float(consumer_mass * np.sum(e / den * margin))
+    lse = shift + np.log(den)
+    return profit, float(consumer_mass * (EULER_GAMMA + lse) / alpha)
 
 
 def _markup_residual(p, v, c, alpha):
     """The residual max|p - c - 1/(alpha*s0(p))| of the optimality
-    condition."""
-    _, s0 = logit_shares(v, p, alpha)
+    condition, s0 = exp(-shift)/den the non-buying share."""
+    shift, _, den = _shifted_exp(v, p, alpha)
+    s0 = float(np.exp(-shift) / den)
     return float(np.max(np.abs(p - (c + 1.0 / (alpha * s0)))))
 
 
@@ -231,9 +213,8 @@ def logit_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     if v.size == 0 or v.size != f_d.size:
         raise DomainError("valuations and relative costs must align and be nonempty")
     x = alpha * (v - p0)
-    if np.max(x) > MAX_SAFE_EXPONENT:
-        raise OverflowGuard("valuation exponents exceed safe range")
     shift = float(np.max(x))
+    _guard_exponent(shift)
     e = np.exp(x - shift)
     d_sum = np.exp(shift) * np.sum(e)  # sum of E_i
     gamma = d_sum * (alpha * p0 - 1.0 - d_sum) / (alpha * np.exp(shift) * np.sum(f_d * e))
@@ -244,18 +225,3 @@ def logit_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
         )
     return float(gamma)
 
-
-def logit_bundle_aggregate(v, c, alpha: float) -> tuple[float, float]:
-    """Valuation and unit cost of a bundle sold at one price: the
-    log-sum-exp ln(sum_i exp(alpha*v_i))/alpha and the valuation-weighted
-    mean cost sum(c_i*exp(alpha*v_i)) / sum(exp(alpha*v_i)), from one
-    max-shifted exponential."""
-    v = np.asarray(v, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if v.size == 0:
-        raise EmptyBundle("cannot aggregate an empty bundle")
-    x = alpha * v
-    shift = float(np.max(x))
-    e = np.exp(x - shift)
-    total = np.sum(e)
-    return float((shift + np.log(total)) / alpha), float(np.sum(c * e) / total)

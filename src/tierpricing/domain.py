@@ -32,10 +32,6 @@ class DomainError(PricingError):
     """Numeric argument outside a formula's domain."""
 
 
-class EmptyBundle(PricingError):
-    """A bundle aggregate was requested for an empty flow set."""
-
-
 class NonPositiveCost(PricingError):
     """Relative-cost configuration produced no positive costs."""
 

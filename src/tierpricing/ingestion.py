@@ -69,8 +69,16 @@ class DatasetMoments:
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0")
         for name in ("cv_distance", "cv_demand"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
+            cv = getattr(self, name)
+            if not (cv >= 0 and cv * cv < math.inf):
+                raise DomainError(f"{name} must be >= 0 with a finite square, got {cv}")
+        # the sample CV (ddof 0) of n positive values is below sqrt(n-1), so
+        # a CV > 0 needs more than CV**2 + 1 flows
+        cvs = (self.cv_distance, self.cv_demand)
+        fewest = max(math.floor(cv * cv) + 2 if cv > 0 else 1 for cv in cvs)
+        if self.n_flows < fewest:
+            raise DomainError(f"cv_distance = {cvs[0]} and cv_demand = {cvs[1]} need "
+                              f"at least {fewest} flows, got n_flows = {self.n_flows}")
 
 
 # Summary statistics of the three reference networks (distance w-avg in
@@ -268,8 +276,9 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
     assumed; note that bundling strategies keying on demand-cost
     alignment behave very differently on such data than on real
     traffic). Demands are scaled to the aggregate volume exactly;
-    distances are rescaled until the demand-weighted mean lands within
-    tolerance. Bit-identical output for identical (moments, seed).
+    distances are rescaled once onto the demand-weighted mean unless it
+    is already within 1% of it. Bit-identical output for identical
+    (moments, seed).
     """
     rng = np.random.default_rng(moments.seed)
     n = moments.n_flows
@@ -281,16 +290,10 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
 
     d = _calibrated_lognormal(z_d, moments.cv_distance)
     target = moments.weighted_avg_distance_miles
-    for _ in range(100):
-        got = float(np.sum(q * d) / q.sum())
-        if abs(got - target) <= 1e-2 * target:
-            break
+    got = float(np.sum(q * d) / q.sum())
+    if abs(got - target) > 1e-2 * target:
+        # the weighted mean is linear in d: one rescale lands on the target
         d *= target / got
-    else:
-        raise NoConvergence(
-            "weighted-mean distance scaling did not converge",
-            residual=abs(got - target) / target,
-        )
     return FlowTable(_synth_ids(n), q, d)
 
 

@@ -18,7 +18,13 @@ with ``-m "not known_fixture_gap"``.
 import numpy as np
 import pytest
 
-from demand_oracles import ced_optimal_price, ced_profit
+from demand_oracles import (
+    ced_optimal_price,
+    ced_profit,
+    logit_consumer_surplus,
+    logit_profit,
+    logit_shares,
+)
 from tierpricing.bundling import (
     ModelContext,
     Strategy,
@@ -27,12 +33,7 @@ from tierpricing.bundling import (
     optimal_bundles,
     token_bucket_bundles,
 )
-from tierpricing.demand_logit import (
-    logit_consumer_surplus,
-    logit_profit,
-    logit_shares,
-    logit_solve_prices,
-)
+from tierpricing.demand_logit import logit_solve_prices
 from tierpricing.domain import Bundling, DemandModel
 from tierpricing.experiments import ExperimentConfig, fit_context, load_flows
 

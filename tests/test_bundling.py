@@ -25,15 +25,12 @@ from demand_oracles import (
     ced_consumer_surplus,
     ced_potential_profit,
     ced_profit,
-)
-from tierpricing.demand_ced import ced_bundle
-from tierpricing.demand_logit import (
     logit_bundle_aggregate,
     logit_consumer_surplus,
-    logit_markup,
     logit_profit,
-    logit_solve_prices,
 )
+from tierpricing.demand_ced import ced_bundle
+from tierpricing.demand_logit import logit_markup, logit_solve_prices
 from tierpricing.domain import (
     Bundling,
     CostKind,
@@ -86,6 +83,23 @@ def logit_context(rng, n, alpha=1.1, p0=20.0, s0=0.2, tied=False, tiny=0):
     rel = d + 0.1 * d.max()
     return ModelContext.from_logit([f"f{i:02d}" for i in range(n)], q, d, rel, p0,
                                    alpha, s0)
+
+
+def spread_logit_context(rng, n):
+    """A logit market, alpha in 0.05..120, whose alpha*v spans more than
+    745: shifted by the market's maximum, exp(alpha*v) is zero for every
+    flow of the low cluster, so a bundle of them keeps its value only
+    when shifted by its own maximum. alpha*(v - c) stays below 100, in
+    the range of the price solver."""
+    alpha = float(np.exp(rng.uniform(np.log(0.05), np.log(120.0))))
+    high = rng.random(n) < 0.5
+    high[:2] = True, False
+    y = np.where(high, 1000.0, 0.0) + rng.uniform(1.0, 60.0, n)  # alpha*v
+    v = y / alpha
+    c = (y - rng.uniform(0.1, 0.9, n) * np.minimum(y, 100.0)) / alpha
+    return ModelContext([f"f{i:02d}" for i in range(n)], demands(rng, n),
+                        rng.uniform(1.0, 100.0, n), v, c, None, DemandModel.LOGIT,
+                        alpha, float(v.max()), s0=0.2, consumer_mass=10.0)
 
 
 def tied_ced_context(rng, n):
@@ -167,13 +181,15 @@ class TestTokenBucket:
 
 class TestDivisionStrategies:
     def test_cost_division_edges(self):
-        # max cost $10 with two bundles: [0, 5) and [5, 10]
+        # max cost $10 with two bundles: [0, 5) and [5, 10]; a cost within
+        # relative slack 1e-12 of the edge is on it
         rng = np.random.default_rng(1)
-        ctx = ced_context(rng, 6)
-        object.__setattr__(ctx, "c", np.array([1.0, 4.99, 5.0, 7.0, 10.0, 0.5]))
+        ctx = ced_context(rng, 8)
+        object.__setattr__(ctx, "c", np.array([1.0, 4.99, 5.0, 7.0, 10.0, 0.5,
+                                               5.0 * (1 - 1e-13), 5.0 * (1 - 1e-11)]))
         b = build_bundles(Strategy.COST_DIVISION, ctx, 2)
-        assert ctx.ids.tolist() == [f"f{i:02d}" for i in range(6)]
-        assert b.labels.tolist() == [0, 0, 1, 1, 1, 0]
+        assert ctx.ids.tolist() == [f"f{i:02d}" for i in range(8)]
+        assert b.labels.tolist() == [0, 0, 1, 1, 1, 0, 1, 0]
 
     def test_cost_division_empty_ranges_allowed(self):
         rng = np.random.default_rng(2)
@@ -525,8 +541,6 @@ class TestEvaluate:
     def test_logit_aggregation_is_exact(self):
         # bundled-system profit and surplus must equal the original
         # system evaluated at the same shared within-bundle prices
-        from tierpricing.demand_logit import logit_consumer_surplus, logit_profit
-
         rng = np.random.default_rng(25)
         ctx = logit_context(rng, 20)
         for strat in (Strategy.DEMAND_WEIGHTED, Strategy.COST_DIVISION):
@@ -764,7 +778,8 @@ class TestTokenBucketOracle:
 
 
 @st.composite
-def labelled_contexts(draw, makers=(ced_context, offset_ced_context, logit_context)):
+def labelled_contexts(draw, makers=(ced_context, offset_ced_context, logit_context,
+                                    spread_logit_context)):
     n = draw(st.integers(2, 25))
     make = draw(st.sampled_from(makers))
     ctx = make(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
@@ -798,7 +813,7 @@ class TestEvaluateOracle:
         assert np.array_equal(np.isnan(got), empty)
         assert np.array_equal(got[~empty], prices[~empty])
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(labelled_contexts())
     def test_equals_per_bundle_loop(self, case):
         self.assert_equals_reference(*case)

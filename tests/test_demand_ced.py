@@ -17,7 +17,7 @@ from demand_oracles import (
 )
 from tierpricing.bundling import ModelContext
 from tierpricing.demand_ced import ced_bundle, ced_fit_gamma, ced_fit_valuations
-from tierpricing.domain import DomainError, EmptyBundle, OverflowGuard
+from tierpricing.domain import DomainError, OverflowGuard
 
 
 def numeric_best_price(profit_of_price, lo, hi, rel_tol=1e-12):
@@ -111,7 +111,7 @@ class TestBundlePrice:
             assert closed == pytest.approx(oracle, rel=1e-6)
 
     def test_empty_bundle_rejected(self):
-        with pytest.raises(EmptyBundle):
+        with pytest.raises(DomainError):
             ced_bundle_price([], [], 2.0)
 
 

@@ -7,23 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw, logsumexp
 
-from demand_oracles import logit_demand
+from demand_oracles import (
+    logit_bundle_aggregate,
+    logit_consumer_surplus,
+    logit_demand,
+    logit_profit,
+    logit_shares,
+)
 from tierpricing.bundling import ModelContext
 from tierpricing.demand_logit import (
     EULER_GAMMA,
     MAX_SAFE_EXPONENT,
-    logit_bundle_aggregate,
-    logit_consumer_surplus,
     logit_fit_gamma,
     logit_fit_valuations,
     logit_markup,
-    logit_profit,
-    logit_shares,
     logit_solve_prices,
+    logit_value,
 )
 from tierpricing.domain import (
     DomainError,
-    EmptyBundle,
     NoConvergence,
     NonPositiveGamma,
     OverflowGuard,
@@ -425,6 +427,30 @@ class TestSolverOracle:
         assert np.array_equal(prices, c + logit_markup(v, c, alpha) if stalled else start)
 
 
+class TestValue:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.floats(0.05, 120.0),
+           st.floats(-900.0, 800.0))
+    def test_equals_per_flow_forms(self, seed, n, alpha, offset):
+        # one max-shifted pass gives the per-flow profit and surplus bit
+        # for bit, and the same error where an exponent leaves the safe
+        # range; alpha*(v - p) is spread by 200 about ``offset``
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.0, 10.0, n)
+        p = v - (offset + rng.uniform(-100.0, 100.0, n)) / alpha
+        c = p * rng.uniform(0.1, 1.2, n)
+        k = float(rng.uniform(0.1, 100.0))
+        try:
+            expected = (logit_profit(v, p, c, alpha, k),
+                        logit_consumer_surplus(v, p, alpha, k))
+        except OverflowGuard as exc:
+            with pytest.raises(OverflowGuard) as got:
+                logit_value(v, p, c, alpha, k)
+            assert str(got.value) == str(exc)
+        else:
+            assert logit_value(v, p, c, alpha, k) == expected
+
+
 class TestConsumerSurplus:
     def test_single_flow_worked_value(self):
         got = logit_consumer_surplus([2.0], [2.0], 1.0, 1.0)
@@ -569,7 +595,7 @@ class TestBundleAggregates:
         assert c.min() <= agg <= c.max()
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyBundle):
+        with pytest.raises(DomainError):
             logit_bundle_aggregate([], [], 1.0)
 
     @pytest.mark.parametrize("seed", range(6))

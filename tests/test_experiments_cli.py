@@ -24,6 +24,7 @@ from tierpricing.experiments import (
     run_theta_sweep,
     write_results,
 )
+from tierpricing.ingestion import read_flows_csv
 
 
 def small_config(**kw):
@@ -620,6 +621,28 @@ class TestCli:
         assert f"numerical failure: {cause}" in res.stderr
         assert "Warning" not in res.stderr and "Traceback" not in res.stderr
         assert list(tmp_path.iterdir()) == [flows]
+
+    @pytest.mark.parametrize("preset, fewest", [("eu-isp", 4), ("cdn", 7),
+                                                ("internet2", 22)])
+    def test_synth_names_the_fewest_flows_of_a_reachable_cv(self, tmp_path, preset,
+                                                            fewest):
+        # the sample CV of n positive values is below sqrt(n-1), so the
+        # preset's demand CV (1.71, 2.28, 4.53) needs n > CV**2 + 1; one
+        # flow fewer used to warn of an overflow and exit 3 with "did not
+        # converge"
+        out = tmp_path / "flows.csv"
+        res = run_cli("synth", "--synth-preset", preset, "--n-flows", str(fewest - 1),
+                      "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: cv_distance = ")
+        assert f"need at least {fewest} flows, got n_flows = {fewest - 1}\n" in res.stderr
+        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
+        res = run_cli("synth", "--synth-preset", preset, "--n-flows", str(fewest),
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert "Warning" not in res.stderr
+        assert len(read_flows_csv(out)) == fewest
 
     def test_valuation_power_overflow_is_named_at_fit(self, tmp_path):
         # 20**240 * q passes float64; the run used to warn and report

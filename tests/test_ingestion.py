@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -262,3 +263,22 @@ class TestSynth:
             DatasetMoments(10, -1.0, 0.5, 1.0, 0.5)
         with pytest.raises(DomainError):
             preset_moments("nonexistent")
+
+    @pytest.mark.parametrize("cv, fewest", [(0.5, 2), (1.0, 3), (2.0, 6), (2.1, 6)])
+    @pytest.mark.parametrize("name", ["cv_distance", "cv_demand"])
+    def test_a_cv_needs_more_than_its_square_plus_one_flows(self, name, cv, fewest):
+        # the sample CV of n positive values is below sqrt(n-1); the other
+        # CV is 0.9, which needs 2 flows
+        def moments(n):
+            cvs = {"cv_distance": 0.9, "cv_demand": 0.9, name: cv}
+            return DatasetMoments(n, 10.0, aggregate_gbps=1.0, **cvs)
+
+        with pytest.raises(DomainError, match=f"{name} = {cv}.* need at least {fewest} "
+                                              f"flows, got n_flows = {fewest - 1}$"):
+            moments(fewest - 1)
+        assert moments(fewest).n_flows == fewest
+
+    @pytest.mark.parametrize("cv", [-0.5, math.nan, math.inf, 1e200])
+    def test_a_cv_must_be_nonnegative_with_a_finite_square(self, cv):
+        with pytest.raises(DomainError, match="cv_demand must be >= 0 with a finite square"):
+            DatasetMoments(100, 10.0, 0.5, 1.0, cv)

@@ -50,24 +50,11 @@ def run(flows, config):
     for strategy in DEFAULT_STRATEGIES:
         for num_bundles in TIERS:
             bundling = build_bundles(strategy, ctx, num_bundles)
-            if strategy is Strategy.OPTIMAL:
-                # every split of a group of equal costs earns the same
-                tied = num_bundles > distinct
-            elif strategy is Strategy.COST_DIVISION:
-                tied = on_range_edge(ctx.c, num_bundles)
-            else:
-                tied = False
+            # every split of a group of equal costs earns the same
+            tied = strategy is Strategy.OPTIMAL and num_bundles > distinct
             out[strategy, num_bundles] = (
                 bundling.labels, evaluate_bundling(ctx, bundling, degenerate_ok=True), tied)
     return out, condition
-
-
-def on_range_edge(c, num_bundles):
-    """Whether a cost lies on an inner edge j*max(c)/B of cost-division's
-    ranges, where rounding picks its range (a FOUND line in CHANGES.md)."""
-    ranks = c * num_bundles / c.max()
-    edges = (np.abs(ranks - np.round(ranks)) < 1e-9) & (ranks < num_bundles - 0.5)
-    return bool(edges.any())
 
 
 def assert_numbers_agree(got, expected, tol, condition, perm=slice(None)):
@@ -98,8 +85,6 @@ def test_permuting_flows_permutes_labels(case, data):
     (before, condition), (after, _) = run(flows, config), run(moved, config)
     for key, (labels, outcome, tied) in before.items():
         moved_labels, moved_outcome, _ = after[key]
-        if tied and key[0] is Strategy.COST_DIVISION:
-            continue
         if not tied:
             assert np.array_equal(moved_labels, labels[perm]), key
         assert_numbers_agree((moved_labels, moved_outcome), (labels, outcome), 1e-12,
@@ -128,22 +113,18 @@ def test_distance_scaling_keeps_captures(case, k):
     flows, config = case
     scaled = FlowTable(flows.ids, flows.demand, flows.distance * k)
     (before, _), (after, _) = run(flows, config), run(scaled, config)
-    for key, (_, outcome, tied) in before.items():
-        if tied and key[0] is Strategy.COST_DIVISION:
-            continue
+    for key, (_, outcome, _) in before.items():
         _, scaled_outcome, _ = after[key]
         for name in ("profit_capture", "surplus_capture"):
             assert getattr(scaled_outcome, name) == pytest.approx(
                 getattr(outcome, name), rel=0, abs=1e-9, nan_ok=True), (key, name)
 
 
-@pytest.mark.xfail(strict=True, reason="cost-division ranges have no tie rule "
-                                       "(a FOUND line in CHANGES.md)")
 def test_cost_division_edge_is_scale_free():
     # f04's cost is exactly a third of the maximum, on the edge of the
-    # first two of three ranges; after scaling the distances by 0.3
-    # rounding puts it in the upper range, and the capture jumps from
-    # 0.9792 to 1.0
+    # first two of three ranges; rounding leaves c*B/c_max a hair below
+    # 1 at one scale and on it at the other, and the tie slack puts f04
+    # in the upper range at both (a capture of 1.0, not 0.9792)
     flows = FlowTable([f"f{i:02d}" for i in range(6)], [5.0, 2.0, 2.0, 1.0, 1.0, 1.0],
                       [5.0, 5.0, 5.0, 50.0, 10.0, 50.0])
     config = ExperimentConfig()
