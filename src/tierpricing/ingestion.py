@@ -1,17 +1,18 @@
 """Flow CSV ingestion and moment-matched synthetic flow generation.
 
 Both sources produce a ``FlowTable``: one array per column, in the
-order the flows were first seen (CSV) or generated (synthetic). The
-CSV reader is the only per-row code; it builds the arrays once, after
-the last row.
+order the flows were first seen (CSV) or generated (synthetic).
 
-The input format is a UTF-8 CSV with header
-``flow_id,demand_mbps,distance_miles,region,dest_type`` ('.' decimal
-separator; the last two columns may be blank). A missing or
-non-numeric field, a non-finite or a negative value is a ParseError
-naming the line. Rows sharing a flow_id are aggregated (demands
-summed, distance demand-weighted); zero-demand rows are dropped with a
-counted warning.
+The input format is a UTF-8 CSV whose header names the columns
+``flow_id,demand_mbps,distance_miles,region,dest_type`` in any order
+('.' decimal separator; the last two may be blank or absent, other
+columns are ignored). Fields may be quoted with '"' and are stripped;
+blank lines are skipped. A missing or non-numeric field, a non-finite
+or a negative value, or an empty id is a ParseError naming the line.
+Rows sharing a flow_id are aggregated (demands summed, distance
+demand-weighted); zero-demand rows are dropped with a counted warning.
+numpy's C reader parses the columns; per-row code runs only on a file
+that it refuses or whose columns fail validation, to name the bad line.
 
 The synthetic generator stands in for proprietary traffic datasets: it
 draws demands and distances from independent lognormals and calibrates
@@ -24,8 +25,10 @@ ISP, a large CDN, and a US research network).
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -45,6 +48,8 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 FLOW_COLUMNS = ("flow_id", "demand_mbps", "distance_miles", "region", "dest_type")
+NUMBER_COLUMNS = ("demand_mbps", "distance_miles")
+LABEL_COLUMNS = ("region", "dest_type")
 FITTED_COLUMNS = ("flow_id", "q", "d", "v", "c", "class_label")
 PARAMS_COLUMNS = ("model", "alpha", "p0", "s0", "consumer_mass")
 
@@ -108,6 +113,127 @@ def preset_moments(name: str, n_flows: int | None = None, seed: int | None = Non
 # ---------------------------------------------------------------------------
 
 
+def read_flows_csv(path) -> FlowTable:
+    """Parse a flow CSV, aggregating duplicate flow ids.
+
+    Duplicate ids have their demands summed and distances averaged with
+    demand weights (so re-reading never double-counts a flow recorded
+    by several routers); the first non-blank label of each kind wins.
+    Zero-demand rows are dropped and counted in a single warning.
+    Flows keep the order of their first kept row.
+
+    numpy's C reader parses the file into columns, which are validated
+    and merged as whole arrays. A file it refuses, or whose columns fail
+    validation, is read again row by row by ``_read_rows``, which raises
+    the error naming the line (or, for the few shapes that only
+    ``float`` accepts, returns the table).
+    """
+    with open(path, "rb") as fh:
+        flows = _read_columns(fh.read(), path)
+    return _read_rows(path) if flows is None else flows
+
+
+# ASCII separators that numpy's float parser strips around a number and
+# float() refuses
+_NUMPY_ONLY_SPACE = range(0x1C, 0x20)
+_strip = np.frompyfunc(str.strip, 1, 1)
+
+
+def _read_columns(raw: bytes, path) -> FlowTable | None:
+    """The flows of the CSV bytes ``raw``, parsed by numpy and validated
+    column by column; None when a row is malformed."""
+    if any(code in raw for code in _NUMPY_ONLY_SPACE):
+        return None
+    fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    try:
+        header = next(csv.reader(fh), [])
+        _require_columns(header, path)
+        position = {name: i for i, name in enumerate(header)}  # a repeated name: its last
+        names = [col for col in FLOW_COLUMNS if col in position]
+        with warnings.catch_warnings():     # a file without rows is an empty table
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(
+                fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                dtype=[(col, "f8" if col in NUMBER_COLUMNS else object) for col in names],
+                usecols=[position[col] for col in names],
+            )
+    except ValueError:          # numpy's parse errors and invalid UTF-8
+        return None
+    ids = _strip(rows["flow_id"])
+    demand, distance = rows["demand_mbps"], rows["distance_miles"]
+    valid = (0 <= demand) & (demand < np.inf) & (0 <= distance) & (distance < np.inf)
+    if not valid.all() or (ids == "").any():
+        return None
+    labels = {col: _label_column(rows[col]) if col in position else None
+              for col in LABEL_COLUMNS}
+    kept = demand != 0
+    dropped = len(kept) - int(np.count_nonzero(kept))
+    if dropped:
+        log.warning("%s: dropped %d zero-demand rows", path, dropped)
+        ids, demand, distance = ids[kept], demand[kept], distance[kept]
+        labels = {col: None if v is None else v[kept] for col, v in labels.items()}
+    id_list = ids.tolist()
+    if len(set(id_list)) < len(id_list):
+        ids, demand, distance, labels = _merge_duplicates(id_list, demand, distance, labels)
+    return FlowTable(ids, demand, distance, **labels)
+
+
+def _label_column(column: np.ndarray) -> np.ndarray | None:
+    """Stripped labels of an object column of fields, None where blank;
+    None for a column of empty fields."""
+    if (column == "").all():
+        return None
+    labels = _strip(column)
+    labels[labels == ""] = None
+    return labels
+
+
+def _merge_duplicates(id_list: list[str], demand: np.ndarray, distance: np.ndarray,
+                      labels: dict) -> tuple:
+    """One row per id, in the order of first rows: demands summed,
+    distances demand-weighted, each label its first that is not None.
+
+    The weighted mean is the per-row reader's running recurrence in
+    file order, so its bits are the same: step k folds every id's
+    (k+1)-th row into its running totals at once.
+    """
+    n = len(id_list)
+    group_of = dict(zip(dict.fromkeys(id_list), range(n)))
+    group = np.fromiter(map(group_of.__getitem__, id_list), np.intp, n)
+    sizes = np.bincount(group)
+    by_group = np.argsort(group, kind="stable")
+    rank = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    by_rank = by_group[np.argsort(rank, kind="stable")]
+    bounds = np.cumsum(np.bincount(rank))
+    first = by_rank[:bounds[0]]         # each id's first row, in group order
+    total, mean = demand[first], distance[first]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        row = by_rank[lo:hi]
+        g = group[row]
+        merged = total[g] + demand[row]
+        mean[g] = (total[g] * mean[g] + demand[row] * distance[row]) / merged
+        total[g] = merged
+
+    def first_given(column: np.ndarray) -> np.ndarray:
+        """Each id's first label that is not None; ``by_group`` keeps
+        the file order of an id's rows."""
+        given = by_group[np.not_equal(column, None)[by_group]]
+        g = group[given]
+        earliest = np.diff(g, prepend=-1) != 0
+        out = np.full(len(group_of), None, dtype=object)
+        out[g[earliest]] = column[given[earliest]]
+        return out
+
+    return (list(group_of), total, mean,
+            {col: None if v is None else first_given(v) for col, v in labels.items()})
+
+
+def _require_columns(header: list[str], path) -> None:
+    for col in ("flow_id", *NUMBER_COLUMNS):
+        if col not in header:
+            raise MissingColumn(f"missing column {col!r} in {path}")
+
+
 def _parse_float(text: str | None, column: str, line: int) -> float:
     if text is None:
         raise ParseError(f"line {line}: missing {column} value", line=line)
@@ -120,24 +246,21 @@ def _parse_float(text: str | None, column: str, line: int) -> float:
     return value
 
 
-def read_flows_csv(path) -> FlowTable:
-    """Parse a flow CSV, aggregating duplicate flow ids.
+def _read_rows(path) -> FlowTable:
+    """``read_flows_csv`` one row at a time: the reader of the files the
+    columnar pass refuses, which names the line of the first bad row.
 
-    Duplicate ids have their demands summed and distances averaged with
-    demand weights (so re-reading never double-counts a flow recorded
-    by several routers); the first non-blank label of each kind wins.
-    Zero-demand rows are dropped and counted in a single warning.
-    Flows keep the order of their first row.
+    A row's line is the ``csv`` reader's line count once the row is
+    read, so blank lines count and a row whose quoted field spans
+    several lines is named by its last line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in ("flow_id", "demand_mbps", "distance_miles"):
-            if col not in header:
-                raise MissingColumn(f"missing column {col!r} in {path}")
+        _require_columns(reader.fieldnames or [], path)
         acc: dict[str, dict] = {}
         dropped = 0
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num
             fid = (row.get("flow_id") or "").strip()
             if not fid:
                 raise ParseError(f"line {line}: empty flow_id", line=line)
@@ -233,30 +356,39 @@ def write_params_csv(path, ctx: ModelContext) -> None:
 
 
 def _calibrated_lognormal(z: np.ndarray, cv: float) -> np.ndarray:
-    """Positive sample exp(sigma*z) with its *sample* coefficient of
-    variation driven to ``cv``.
+    """Positive sample exp(sigma*z), or a constant multiple of it, with
+    its *sample* coefficient of variation driven to ``cv``.
 
     The textbook sigma = sqrt(ln(1+cv^2)) only matches the population
     CV; for heavy tails (cv >~ 2) the sample CV of a finite draw spreads
     far beyond any useful tolerance, so sigma is tuned by bisection on
-    the fixed draw instead. Deterministic given ``z``.
+    the fixed draw instead. Deterministic given ``z``. The sample CV is
+    scale-free, so a draw that overflows float64 is taken as
+    exp(sigma*(z - max z)) instead. NoConvergence when no sigma up to
+    1e3 reaches ``cv``.
     """
     if cv == 0.0:
         return np.ones_like(z)
 
-    def sample_cv(sigma: float) -> float:
-        x = np.exp(sigma * z)
-        return float(x.std() / x.mean())
+    def sample_cv(sigma: float) -> tuple[float, bool]:
+        """The sample CV at ``sigma``, and whether it took the shifted draw."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.exp(sigma * z)
+            got = float(x.std() / x.mean())
+        if math.isfinite(got):
+            return got, False
+        x = np.exp(sigma * (z - z.max()))
+        return float(x.std() / x.mean()), True
 
+    where = f"sample CV calibration to cv = {cv} over {z.size} flows"
     lo, hi = 0.0, float(np.sqrt(np.log1p(cv * cv)))
-    while sample_cv(hi) < cv:
+    while sample_cv(hi)[0] < cv:
         hi *= 2.0
         if hi > 1e3:
-            raise NoConvergence("sample CV calibration cannot reach target")
-    sigma = hi
+            raise NoConvergence(f"{where} needs sigma > 1e3")
     for _ in range(100):
         sigma = 0.5 * (lo + hi)
-        got = sample_cv(sigma)
+        got, shifted = sample_cv(sigma)
         if abs(got - cv) <= 1e-6 * cv:
             break
         if got < cv:
@@ -264,8 +396,8 @@ def _calibrated_lognormal(z: np.ndarray, cv: float) -> np.ndarray:
         else:
             hi = sigma
     else:
-        raise NoConvergence("sample CV calibration did not converge", residual=abs(got - cv))
-    return np.exp(sigma * z)
+        raise NoConvergence(f"{where} did not converge", residual=abs(got - cv))
+    return np.exp(sigma * (z - z.max())) if shifted else np.exp(sigma * z)
 
 
 def synth_generate(moments: DatasetMoments) -> FlowTable:
@@ -278,7 +410,8 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
     traffic). Demands are scaled to the aggregate volume exactly;
     distances are rescaled once onto the demand-weighted mean unless it
     is already within 1% of it. Bit-identical output for identical
-    (moments, seed).
+    (moments, seed). NoConvergence, naming the CV and the flow count,
+    when no draw reaches a CV or the one that does leaves flows at 0.
     """
     rng = np.random.default_rng(moments.seed)
     n = moments.n_flows
@@ -294,6 +427,10 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
     if abs(got - target) > 1e-2 * target:
         # the weighted mean is linear in d: one rescale lands on the target
         d *= target / got
+    for name, values in (("cv_demand", q), ("cv_distance", d)):
+        if not values.min() > 0:
+            raise NoConvergence(f"{name} = {getattr(moments, name)} over {n} flows needs "
+                                f"a draw whose smallest flows underflow to 0")
     return FlowTable(_synth_ids(n), q, d)
 
 

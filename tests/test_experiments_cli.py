@@ -669,6 +669,19 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("rows", ["", "a,0,10\n\nb,0.0,20\n"])
+    def test_input_without_flows_is_a_config_error(self, tmp_path, rows):
+        # a header-only file and one of zero-demand rows; numpy's reader
+        # warns "input contained no data" on the first
+        flows = tmp_path / "flows.csv"
+        flows.write_text(f"flow_id,demand_mbps,distance_miles\n{rows}", encoding="utf-8")
+        res = run_python("-W", "error", "-m", "tierpricing.cli", "capture",
+                         "--input", str(flows), "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.endswith("error: flow set is empty after ingestion\n")
+        assert "Warning:" not in res.stderr and "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == [flows]
+
     def test_theta_sweep_cli(self, tmp_path):
         out = tmp_path / "theta.csv"
         res = run_cli("theta-sweep", "--n-flows", "40", "--bundles", "1,2",

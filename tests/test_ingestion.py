@@ -2,17 +2,24 @@
 
 import csv
 import dataclasses
+import logging
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tierpricing import ingestion
 from tierpricing.bundling import ModelContext
 from tierpricing.domain import (
     DemandModel,
     DomainError,
     FlowTable,
     MissingColumn,
+    NoConvergence,
     ParseError,
 )
 from tierpricing.experiments import ExperimentConfig, fit_context
@@ -150,6 +157,189 @@ class TestReadFlows:
         assert flows.dest_type.tolist() == [None, "peer"]
 
 
+def exact(flows: FlowTable) -> dict:
+    """Every column of a FlowTable, the numbers as their bytes."""
+    out = columns(flows)
+    out["ids"] = (flows.ids.dtype.str, out["ids"])
+    out["demand"] = flows.demand.tobytes()
+    out["distance"] = flows.distance.tobytes()
+    return out
+
+
+def outcome(read, path):
+    """What ``read`` makes of the CSV at ``path``: the exact columns of
+    its table and the warnings it logged, or the type, message and line
+    of the error it raised."""
+    logger = logging.getLogger(ingestion.__name__)
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger.addHandler(handler)
+    try:
+        return exact(read(path)), [record.getMessage() for record in records]
+    except Exception as err:
+        return type(err), str(err), getattr(err, "line", None)
+    finally:
+        logger.removeHandler(handler)
+
+
+class TestLineNumbers:
+    """A row is named by the csv reader's line count once it is read:
+    blank lines count, and a row with a quoted field spanning several
+    lines is named by its last line."""
+
+    @pytest.mark.parametrize("text, line", [
+        ("flow_id,demand_mbps,distance_miles\n\na,x,1\n", 3),
+        ('flow_id,demand_mbps,distance_miles\n"a\nb",x,1\n', 3),
+        ('flow_id,demand_mbps,distance_miles\r\n\r\n"a\r\nb",1,1\r\nc,x,1\r\n', 5),
+    ])
+    def test_bad_row_names_its_own_line(self, tmp_path, text, line):
+        path = tmp_path / "flows.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as err:
+            read_flows_csv(path)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: bad demand_mbps value 'x'"
+
+
+# flow files that the columnar pass must read itself
+COLUMNAR_FILES = {
+    "duplicate ids": "flow_id,demand_mbps,distance_miles\na,1,0\nb,2,5\na,3,40\na,0.5,7\n",
+    "zero demand": "flow_id,demand_mbps,distance_miles\na,0,10\nb,5,30\nc,-0,1\n",
+    "quoted ids": ('flow_id,demand_mbps,distance_miles\n"a,b",1,2\n"say ""hi""",3,4\n'
+                   '"two\nlines",5,6\n"a,b",7,8\n'),
+    "labels": ("flow_id,demand_mbps,distance_miles,region,dest_type\n"
+               "a,1,2,,peer\nb,3,4,metro,\na,5,6,national,customer\nc,7,8,,\n"),
+    "padded fields": ("flow_id,demand_mbps,distance_miles,region,dest_type\r\n"
+                      " a , 1.5 ,\t2\t, metro ,\r\n\r\n\"b \", 3e2 ,4 ,,  peer\r\n"),
+    "reordered columns": ("dest_type,note,distance_miles,flow_id,demand_mbps\n"
+                          "peer,x,10,a,1\n,\"y,z\",20,b,2\n,,30,a,3\n"),
+    "no rows": "flow_id,demand_mbps,distance_miles,region\n",
+}
+
+
+class TestColumnarReader:
+    @pytest.fixture
+    def columnar_only(self, monkeypatch):
+        """The per-row reader, which fails once patched out."""
+        per_row = ingestion._read_rows
+
+        def refuse(path):
+            raise AssertionError(f"the columnar pass handed {path} to the per-row reader")
+
+        monkeypatch.setattr(ingestion, "_read_rows", refuse)
+        return per_row
+
+    @pytest.mark.parametrize("name", COLUMNAR_FILES)
+    def test_reads_without_the_per_row_pass(self, tmp_path, columnar_only, name):
+        path = tmp_path / "flows.csv"
+        path.write_bytes(COLUMNAR_FILES[name].encode())
+        assert outcome(read_flows_csv, path) == outcome(columnar_only, path)
+
+    def test_bench_input_bit_identical(self, tmp_path, columnar_only):
+        # the flows of the sensitivity-logit benchmark: cdn, 5k, seed 7
+        flows = synth_generate(preset_moments("cdn", n_flows=5000, seed=7))
+        path = tmp_path / "flows.csv"
+        write_flows_csv(path, flows)
+        read = read_flows_csv(path)
+        assert exact(read) == exact(columnar_only(path)) == exact(flows)
+
+    def test_merged_rows_fold_in_file_order(self, tmp_path, columnar_only):
+        # demand-weighted means whose last bits depend on the order the
+        # rows are folded in
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 40, size=400)
+        rows = "".join(f"f{i},{q!r},{d!r}\n" for i, q, d in zip(
+            ids.tolist(), rng.lognormal(0, 3, size=400).tolist(),
+            rng.uniform(0, 1e4, size=400).tolist()))
+        path = tmp_path / "flows.csv"
+        path.write_text("flow_id,demand_mbps,distance_miles\n" + rows, encoding="utf-8")
+        assert outcome(read_flows_csv, path) == outcome(columnar_only, path)
+
+    @pytest.mark.parametrize("cell", ["1_000", "5\x1c", "\x1f5", "\u0661", "0x10", " "])
+    def test_numbers_the_parsers_read_differently(self, tmp_path, cell):
+        # float() reads the first and fourth; numpy's parser strips the
+        # ASCII separators 0x1c-0x1f around a number, float() refuses them
+        path = tmp_path / "flows.csv"
+        path.write_text(f"flow_id,demand_mbps,distance_miles\na,{cell},2\n", encoding="utf-8")
+        assert outcome(read_flows_csv, path) == outcome(ingestion._read_rows, path)
+
+    def test_ids_longer_than_any_fixed_width(self, tmp_path, columnar_only):
+        long_ids = ["x" * 300, "y" * 5000, "x" * 301]
+        path = tmp_path / "flows.csv"
+        path.write_text("flow_id,demand_mbps,distance_miles\n" + "".join(
+            f"{fid},1,2\n" for fid in long_ids), encoding="utf-8")
+        assert read_flows_csv(path).ids.tolist() == long_ids
+
+
+def cell_text(draw, text: str) -> str:
+    """``text`` as one CSV field: quoted when it must be, and sometimes
+    when it need not be."""
+    if any(ch in text for ch in ',"\r\n') or draw(st.integers(0, 3)) == 0:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+NUMBER = st.floats(0, 1e6)
+FLOW_CELLS = {
+    "flow_id": st.one_of(st.sampled_from(["a", "b", " a ", "c,d", 'say "hi"', "two\nlines",
+                                          "x" * 300, "\u00e9"]),
+                         st.text(min_size=1, max_size=8)),
+    "demand_mbps": st.one_of(NUMBER.map(repr), NUMBER.map(lambda x: f" {x:.3f}\t"),
+                             st.integers(0, 999).map(str),
+                             st.sampled_from(["0", "-0", "0.0", "1e3", ".5", "+2"])),
+    "region": st.sampled_from(["", "", "metro", " national ", "international", " "]),
+    "dest_type": st.sampled_from(["", "", "customer", "peer ", "\tpeer"]),
+    "note": st.text(max_size=6),
+}
+FLOW_CELLS["distance_miles"] = FLOW_CELLS["demand_mbps"]
+# cells that the columnar pass or both readers refuse
+BAD_CELLS = {
+    "flow_id": st.sampled_from(["", " ", "\t"]),
+    "demand_mbps": st.sampled_from(["-1", "nan", "inf", "-inf", "", "oops", "1_000", "0x10",
+                                    "5\x1c", "\u0661", "1e400", "5 6"]),
+    "region": st.just("moon"),
+}
+BAD_CELLS["distance_miles"] = BAD_CELLS["demand_mbps"]
+
+
+@st.composite
+def flow_files(draw):
+    """The text of a flow CSV: columns in any order, possibly an extra
+    one or a required one missing; rows with duplicate, padded, quoted
+    and long ids, zero demand and blank labels, in any order, between
+    blank lines; about one row in fifteen has a fault: a bad cell, or
+    too few or too many fields."""
+    columns = ["flow_id", "demand_mbps", "distance_miles"]
+    columns += draw(st.lists(st.sampled_from(["region", "dest_type", "note"]), unique=True))
+    if draw(st.integers(0, 19)) == 0:
+        columns.remove(draw(st.sampled_from(columns[:3])))
+    columns = draw(st.permutations(columns))
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 12))):
+        fault = draw(st.integers(0, 20 * len(columns)))
+        fields = [cell_text(draw, draw(BAD_CELLS.get(col, FLOW_CELLS[col]) if k == fault
+                                       else FLOW_CELLS[col]))
+                  for k, col in enumerate(columns)]
+        if fault == len(columns):
+            fields = fields[:draw(st.integers(0, len(fields) - 1))]
+        elif fault == len(columns) + 1:
+            fields.append("extra")
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=flow_files())
+def test_columnar_reader_equals_per_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("flows") / "flows.csv"
+    path.write_bytes(text.encode())
+    assert outcome(read_flows_csv, path) == outcome(ingestion._read_rows, path)
+
+
 class TestRoundTrips:
     def test_flows_bit_identical(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -277,6 +467,33 @@ class TestSynth:
                                               f"flows, got n_flows = {fewest - 1}$"):
             moments(fewest - 1)
         assert moments(fewest).n_flows == fewest
+
+    @pytest.mark.parametrize("preset, n", [("internet2", 22), ("internet2", 30),
+                                           ("cdn", 7), ("eu-isp", 4), ("eu-isp", 5)])
+    def test_draws_near_the_cv_bound_reach_it_or_say_why(self, preset, n):
+        # these CVs need sigma in the hundreds on some draws, where
+        # exp(sigma * z) overflows float64; every draw must reach its
+        # sample CVs with positive, finite flows, or name the CV that it
+        # cannot reach and the flow count
+        moments = preset_moments(preset, n_flows=n)
+        cvs = (moments.cv_demand, moments.cv_distance)
+        reached = 0
+        for seed in range(200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    flows = synth_generate(dataclasses.replace(moments, seed=seed))
+                except NoConvergence as err:
+                    assert re.fullmatch(rf"(sample CV calibration to cv|cv_demand|cv_distance) = "
+                                        rf"({cvs[0]}|{cvs[1]}) over {n} flows needs (sigma > "
+                                        rf"1e3|a draw whose smallest flows underflow to 0)",
+                                        str(err)), err
+                    continue
+            for values, cv in zip((flows.demand, flows.distance), cvs):
+                assert values.min() > 0 and np.isfinite(values).all()
+                assert values.std() / values.mean() == pytest.approx(cv, rel=2e-6)
+            reached += 1
+        assert reached >= 185
 
     @pytest.mark.parametrize("cv", [-0.5, math.nan, math.inf, 1e200])
     def test_a_cv_must_be_nonnegative_with_a_finite_square(self, cv):
