@@ -41,6 +41,7 @@ from .domain import (
     CostModelSpec,
     DemandModel,
     FlowTable,
+    NumericalFailure,
     PricingError,
     TierOutcome,
 )

@@ -21,7 +21,8 @@ option's own type; switches follow configparser's boolean rule
 is left out, so one file can serve every subcommand; a key that names
 no option of any subcommand, or a value that does not convert, is a
 configuration error.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (any ``PricingError`` or
+``OSError``), 3 numerical failure (a ``NumericalFailure``).
 """
 
 from __future__ import annotations
@@ -32,17 +33,7 @@ import logging
 import sys
 
 from .bundling import Strategy
-from .domain import (
-    ConfigError,
-    CostKind,
-    DegenerateBaseline,
-    DemandModel,
-    NoConvergence,
-    NonPositiveCost,
-    NonPositiveGamma,
-    OverflowGuard,
-    PricingError,
-)
+from .domain import ConfigError, CostKind, DemandModel, NumericalFailure, PricingError
 from .experiments import (
     ExperimentConfig,
     fit_context,
@@ -53,19 +44,9 @@ from .experiments import (
     validate_config,
     write_results,
 )
-from .ingestion import (
-    SYNTH_PRESETS,
-    preset_moments,
-    synth_generate,
-    write_fitted_csv,
-    write_flows_csv,
-    write_params_csv,
-)
+from .ingestion import SYNTH_PRESETS, write_fitted_csv, write_flows_csv, write_params_csv
 
 log = logging.getLogger(__name__)
-
-NUMERICAL_ERRORS = (NoConvergence, NonPositiveGamma, OverflowGuard,
-                    DegenerateBaseline, NonPositiveCost)
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -148,7 +129,8 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
                        choices=[k.value for k in CostKind])
     model.add_argument("--alpha", type=float)
     model.add_argument("--p0", type=float)
-    model.add_argument("--theta", type=float)
+    if command != "theta-sweep":        # a theta sweep reads --theta-grid
+        model.add_argument("--theta", type=float)
     model.add_argument("--s0", type=float)
     model.add_argument("--split-dest-type", action="store_true",
                        help="split unlabeled flows into customer/peer subflows "
@@ -157,13 +139,14 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
         return
     model.add_argument("--cs-unit-price-offset", action="store_true",
                        help="alternative surplus convention subtracting the unit "
-                            "price instead of the total payment")
+                            "price instead of the total payment (CED only)")
     run = parser.add_argument_group("run")
     run.add_argument("--bundles", type=_parse_bundles,
                      help="tier counts: comma list or range like 1..8")
-    run.add_argument("--strategy", dest="strategies", type=_parse_strategies,
-                     help="comma list of bundling strategies; optimal is "
-                          "the exact cost-contiguous optimum")
+    if command != "sensitivity":        # a sensitivity sweep is profit-weighted
+        run.add_argument("--strategy", dest="strategies", type=_parse_strategies,
+                         help="comma list of bundling strategies; optimal is "
+                              "the exact cost-contiguous optimum")
     run.add_argument("--workers", type=int)
     if command == "theta-sweep":
         run.add_argument("--theta-grid", type=_parse_floats)
@@ -182,9 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     # config-file defaults must target the active subparser: subcommands
     # parse into a fresh namespace that overrides parent-level defaults
     parser.sub_map = {}
+    # no abbreviations: a theta sweep would take --theta for --theta-grid
     for command, help_text in COMMANDS.items():
         parser.sub_map[command] = sub.add_parser(
-            command, help=help_text, argument_default=argparse.SUPPRESS)
+            command, help=help_text, argument_default=argparse.SUPPRESS,
+            allow_abbrev=False)
         _add_options(parser.sub_map[command], command)
     return parser
 
@@ -244,8 +229,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_synth(config: ExperimentConfig) -> None:
-    moments = preset_moments(config.preset, n_flows=config.n_flows, seed=config.seed)
-    flows = synth_generate(moments)
+    flows = load_flows(config)      # synth takes no --input: the preset's flows
     write_flows_csv(config.out, flows)
     log.info("wrote %d flows to %s", len(flows), config.out)
 
@@ -285,16 +269,10 @@ def main(argv: list[str] | None = None) -> int:
         write_results(config.out, rows, meta)
         log.info("wrote %d rows to %s", len(rows), config.out)
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except PricingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (PricingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -25,23 +25,29 @@ import numpy as np
 
 
 class PricingError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; the CLI exits 2
+    on one, or 3 on a ``NumericalFailure``."""
 
 
 class DomainError(PricingError):
     """Numeric argument outside a formula's domain."""
 
 
-class NonPositiveCost(PricingError):
+class NumericalFailure(PricingError):
+    """A computation failed on settings that passed validation (CLI exit
+    code 3)."""
+
+
+class NonPositiveCost(NumericalFailure):
     """Relative-cost configuration produced no positive costs."""
 
 
-class NonPositiveGamma(PricingError):
+class NonPositiveGamma(NumericalFailure):
     """Cost-scaling fit produced gamma <= 0 (parameters inconsistent
     with rational uniform pricing)."""
 
 
-class NoConvergence(PricingError):
+class NoConvergence(NumericalFailure):
     """An iterative procedure exhausted its budget.
 
     Carries the last residual so callers can decide whether the result
@@ -53,7 +59,7 @@ class NoConvergence(PricingError):
         self.residual = residual
 
 
-class OverflowGuard(PricingError):
+class OverflowGuard(NumericalFailure):
     """A quantity leaves float64: an exponent past the safe range even
     with max-shift stabilization, a demand total, v**alpha, or a score
     of the optimal search."""
@@ -63,7 +69,7 @@ class MissingClassLabels(PricingError):
     """Class-constrained bundling requested on unlabeled flows."""
 
 
-class DegenerateBaseline(PricingError):
+class DegenerateBaseline(NumericalFailure):
     """Capture metric undefined: maximum and original profit coincide."""
 
 

@@ -27,12 +27,10 @@ and seed reproduce output files byte-for-byte.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,7 +45,13 @@ from .domain import (
     DomainError,
     FlowTable,
 )
-from .ingestion import preset_moments, read_flows_csv, synth_generate
+from .ingestion import (
+    atomic_output,
+    preset_moments,
+    read_flows_csv,
+    synth_generate,
+    write_csv,
+)
 
 log = logging.getLogger(__name__)
 
@@ -105,8 +109,8 @@ def validate_config(config: ExperimentConfig) -> None:
     Alpha, p0 and theta must be finite. CED requires alpha > 1, logit
     alpha > 0; p0 must be positive and a logit s0 must lie strictly
     inside (0, 1). Theta must suit the cost model (see
-    ``CostModelSpec``), and only the dest-type cost model splits flows
-    by destination type.
+    ``CostModelSpec``), only the dest-type cost model splits flows by
+    destination type, and only CED has the unit-price surplus offset.
     """
     for name in ("alpha", "p0", "theta"):
         if not math.isfinite(getattr(config, name)):
@@ -130,6 +134,9 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.split_dest_type and config.cost_kind is not CostKind.DEST_TYPE:
         raise ConfigError("split_dest_type applies to the dest-type cost model "
                           f"only, got {config.cost_kind.value}")
+    if config.cs_unit_price_offset and config.demand_model is not DemandModel.CED:
+        raise ConfigError("cs_unit_price_offset applies to the CED demand model "
+                          f"only, got {config.demand_model.value}")
     if not config.bundles or any(b < 1 for b in config.bundles):
         raise ConfigError(f"bundle counts must be >= 1, got {config.bundles}")
     if config.n_flows < 1:
@@ -311,8 +318,9 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     share (reporting the maximum). Each emitted row is the full
     evaluation of the grid point attaining the extremum, tagged
     ``alpha-min`` / ``p0-min`` / ``s0-max``; bundling is always
-    profit-weighted.
+    profit-weighted, and the configuration echo says so.
     """
+    config = dataclasses.replace(config, strategies=(Strategy.PROFIT_WEIGHTED,))
     validate_config(config)
     sweeps: list[tuple[str, str, tuple[float, ...], bool]] = []
     if config.alpha_grid:
@@ -331,7 +339,7 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
         raise ConfigError("no sweep grids specified")
     points = [(param, value) for _, param, grid, _ in sweeps for value in grid]
     evaluated = [r for point_rows, _ in
-                 _sweep(config, points, (Strategy.PROFIT_WEIGHTED,))
+                 _sweep(config, points, config.strategies)
                  for r in point_rows]
     rows = []
     for tag, param, _, take_max in sweeps:
@@ -372,9 +380,7 @@ def _meta(config: ExperimentConfig, rows: list[dict] | None = None) -> dict:
     """Configuration echo and notes, plus the prices of a capture run."""
     cfg = dataclasses.asdict(config)
     for key, value in cfg.items():
-        if isinstance(value, Strategy):
-            cfg[key] = value.value
-        elif isinstance(value, tuple):
+        if isinstance(value, tuple):
             cfg[key] = [v.value if hasattr(v, "value") else v for v in value]
         elif hasattr(value, "value"):
             cfg[key] = value.value
@@ -398,24 +404,10 @@ def _meta(config: ExperimentConfig, rows: list[dict] | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_results(path: str, rows: Iterable[dict], meta: dict) -> None:
-    """Write the results CSV and its metadata sidecar atomically."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OUTPUT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in OUTPUT_COLUMNS])
-    os.replace(tmp, path)
-    meta_path = f"{path}.meta.json"
-    tmp = f"{meta_path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    """Write the results CSV and then its metadata sidecar, each
+    atomically."""
+    write_csv(path, OUTPUT_COLUMNS, ([row[col] for col in OUTPUT_COLUMNS] for row in rows))
+    with atomic_output(f"{path}.meta.json") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, meta_path)

@@ -24,10 +24,12 @@ ISP, a large CDN, and a US research network).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import logging
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -113,6 +115,39 @@ def preset_moments(name: str, n_flows: int | None = None, seed: int | None = Non
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def atomic_output(path):
+    """A text file that replaces ``path`` only once it is whole.
+
+    The block writes ``<path>.tmp.<pid>``, which ``os.replace`` moves
+    onto ``path`` when the block ends; if the block raises, the
+    temporary file is removed and ``path`` is left as it was.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as a CSV through ``atomic_output``.
+
+    Cells go to ``csv.writer`` as they are: None is written blank and
+    any other cell with ``str``, which for a float, numpy's float64
+    included, is its shortest round-trip repr, so a read-back
+    reproduces it bit-identically.
+    """
+    with atomic_output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def read_flows_csv(path) -> FlowTable:
     """Parse a flow CSV, aggregating duplicate flow ids.
 
@@ -157,8 +192,8 @@ def _read_columns(raw: bytes, path) -> FlowTable | None:
                 dtype=[(col, "f8" if col in NUMBER_COLUMNS else object) for col in names],
                 usecols=[position[col] for col in names],
             )
-    except ValueError:          # numpy's parse errors and invalid UTF-8
-        return None
+    except (ValueError, csv.Error):     # numpy's parse errors, invalid UTF-8
+        return None                     # and a header field past csv's limit
     ids = _strip(rows["flow_id"])
     demand, distance = rows["demand_mbps"], rows["distance_miles"]
     valid = (0 <= demand) & (demand < np.inf) & (0 <= distance) & (distance < np.inf)
@@ -252,43 +287,49 @@ def _read_rows(path) -> FlowTable:
 
     A row's line is the ``csv`` reader's line count once the row is
     read, so blank lines count and a row whose quoted field spans
-    several lines is named by its last line.
+    several lines is named by its last line. A field longer than
+    ``csv`` allows is a ParseError naming the reader's line count where
+    it stops, which is 1 for the header.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames or [], path)
-        acc: dict[str, dict] = {}
-        dropped = 0
-        for row in reader:
-            line = reader.line_num
-            fid = (row.get("flow_id") or "").strip()
-            if not fid:
-                raise ParseError(f"line {line}: empty flow_id", line=line)
-            demand = _parse_float(row["demand_mbps"], "demand_mbps", line)
-            distance = _parse_float(row["distance_miles"], "distance_miles", line)
-            if demand < 0 or distance < 0:
-                raise ParseError(f"line {line}: negative value", line=line)
-            if demand == 0:
-                dropped += 1
-                continue
-            region = (row.get("region") or "").strip() or None
-            dest_type = (row.get("dest_type") or "").strip() or None
-            slot = acc.get(fid)
-            if slot is None:
-                acc[fid] = {
-                    "demand": demand,
-                    "distance": distance,
-                    "region": region,
-                    "dest_type": dest_type,
-                }
-            else:
-                total = slot["demand"] + demand
-                slot["distance"] = (
-                    slot["demand"] * slot["distance"] + demand * distance
-                ) / total
-                slot["demand"] = total
-                slot["region"] = slot["region"] or region
-                slot["dest_type"] = slot["dest_type"] or dest_type
+        try:
+            _require_columns(reader.fieldnames or [], path)
+            acc: dict[str, dict] = {}
+            dropped = 0
+            for row in reader:
+                line = reader.line_num
+                fid = (row.get("flow_id") or "").strip()
+                if not fid:
+                    raise ParseError(f"line {line}: empty flow_id", line=line)
+                demand = _parse_float(row["demand_mbps"], "demand_mbps", line)
+                distance = _parse_float(row["distance_miles"], "distance_miles", line)
+                if demand < 0 or distance < 0:
+                    raise ParseError(f"line {line}: negative value", line=line)
+                if demand == 0:
+                    dropped += 1
+                    continue
+                region = (row.get("region") or "").strip() or None
+                dest_type = (row.get("dest_type") or "").strip() or None
+                slot = acc.get(fid)
+                if slot is None:
+                    acc[fid] = {
+                        "demand": demand,
+                        "distance": distance,
+                        "region": region,
+                        "dest_type": dest_type,
+                    }
+                else:
+                    total = slot["demand"] + demand
+                    slot["distance"] = (
+                        slot["demand"] * slot["distance"] + demand * distance
+                    ) / total
+                    slot["demand"] = total
+                    slot["region"] = slot["region"] or region
+                    slot["dest_type"] = slot["dest_type"] or dest_type
+        except csv.Error as exc:        # a field past csv's length limit
+            line = reader.reader.line_num
+            raise ParseError(f"line {line}: {exc}", line=line) from exc
     if dropped:
         log.warning("%s: dropped %d zero-demand rows", path, dropped)
     slots = acc.values()
@@ -306,48 +347,25 @@ def _labels(column: np.ndarray | None, n: int) -> list:
 
 
 def write_flows_csv(path, flows: FlowTable) -> None:
-    """Write flows in the input CSV format; floats use repr so a
-    read-back reproduces them bit-identically."""
+    """Write flows in the input CSV format."""
     n = len(flows)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FLOW_COLUMNS)
-        # tolist() gives Python floats, whose repr is the plain number
-        writer.writerows(
-            (fid, repr(q), repr(d), region or "", dest_type or "")
-            for fid, q, d, region, dest_type in zip(
-                flows.ids.tolist(), flows.demand.tolist(), flows.distance.tolist(),
-                _labels(flows.region, n), _labels(flows.dest_type, n),
-            )
-        )
+    write_csv(path, FLOW_COLUMNS, zip(
+        flows.ids.tolist(), flows.demand.tolist(), flows.distance.tolist(),
+        _labels(flows.region, n), _labels(flows.dest_type, n)))
 
 
 def write_fitted_csv(path, ctx: ModelContext) -> None:
-    """Write the fitted flows of a ``ModelContext``; floats use repr so
-    a read-back reproduces them bit-identically."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FITTED_COLUMNS)
-        writer.writerows(
-            (fid, repr(q), repr(d), repr(v), repr(c), label or "")
-            for fid, q, d, v, c, label in zip(
-                ctx.ids.tolist(), ctx.q.tolist(), ctx.d.tolist(),
-                ctx.v.tolist(), ctx.c.tolist(), _labels(ctx.class_labels, len(ctx)),
-            )
-        )
+    """Write the fitted flows of a ``ModelContext``."""
+    write_csv(path, FITTED_COLUMNS, zip(
+        ctx.ids.tolist(), ctx.q.tolist(), ctx.d.tolist(), ctx.v.tolist(),
+        ctx.c.tolist(), _labels(ctx.class_labels, len(ctx))))
 
 
 def write_params_csv(path, ctx: ModelContext) -> None:
     """Write the market parameters of a fitted ``ModelContext``; s0 and
     the consumer mass are blank under CED."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PARAMS_COLUMNS)
-        writer.writerow([
-            ctx.model.value, repr(ctx.alpha), repr(ctx.p0),
-            "" if ctx.s0 is None else repr(ctx.s0),
-            "" if ctx.consumer_mass is None else repr(ctx.consumer_mass),
-        ])
+    write_csv(path, PARAMS_COLUMNS,
+              [(ctx.model.value, ctx.alpha, ctx.p0, ctx.s0, ctx.consumer_mass)])
 
 
 # ---------------------------------------------------------------------------

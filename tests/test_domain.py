@@ -57,6 +57,12 @@ class TestValidateParams:
         _rejected(_market(DemandModel.CED, alpha=2.0, p0=p0),
                   f"p0 must be positive, got {p0}")
 
+    def test_unit_price_offset_is_ced_only(self):
+        # logit surplus has one convention; the switch would be ignored
+        validate_config(_market(DemandModel.CED, cs_unit_price_offset=True))
+        _rejected(_market(DemandModel.LOGIT, cs_unit_price_offset=True),
+                  "cs_unit_price_offset applies to the CED demand model only, got logit")
+
 
 def _table(demand=(1.0, 2.0, 3.0), distance=(10.0, 20.0, 30.0), **kw):
     return FlowTable(["f", "g", "h"][:len(demand)], list(demand), list(distance), **kw)

@@ -342,6 +342,12 @@ class TestSensitivity:
             assert rest == {k: v for k, v in s0_row.items() if k not in tags}
             assert rest == {k: v for k, v in b_row.items() if k not in tags}
 
+    def test_echoes_the_one_strategy_it_runs(self):
+        rows, meta = run_sensitivity_sweep(small_config(alpha_grid=(1.2, 2.0),
+                                                        p0_grid=(), s0_grid=()))
+        assert {row["strategy"] for row in rows} == {"profit-weighted"}
+        assert meta["config"]["strategies"] == ["profit-weighted"]
+
     def test_parallel_workers_match_serial(self):
         cfg = small_config(strategies=(Strategy.PROFIT_WEIGHTED,),
                            alpha_grid=(1.2, 2.0), p0_grid=(), s0_grid=())
@@ -372,6 +378,45 @@ class TestWriteResults:
             rows, meta = run_capture_curve(cfg)
             write_results(str(tmp_path / name), rows, meta)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_numpy_float_written_as_its_repr(self, tmp_path):
+        # numpy 2's repr of np.float64(0.1) is "np.float64(0.1)"
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+        values = [0.1, 1e16, 1e22, 5e-324, -0.0, math.inf, math.nan,
+                  *values[np.isfinite(values)].tolist()]
+        rows = [{"sweep_param": "bundles", "sweep_value": 1.0, "strategy": "optimal",
+                 "num_bundles": 1, "effective_bundles": 1, "profit": np.float64(v),
+                 "profit_capture": v, "consumer_surplus": np.float64(v),
+                 "surplus_capture": v} for v in values]
+        out = tmp_path / "results.csv"
+        write_results(str(out), rows, {})
+        with open(out, newline="") as fh:
+            written = list(csv.DictReader(fh))
+        assert written[0]["profit"] == "0.1"
+        for v, row in zip(values, written, strict=True):
+            cells = {row[col] for col in ("profit", "profit_capture",
+                                          "consumer_surplus", "surplus_capture")}
+            assert cells == {float.__repr__(v)}, v
+
+    @pytest.mark.parametrize("part", ["csv", "sidecar"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, part):
+        # a lone surrogate cannot be encoded in UTF-8: the CSV fails in
+        # its last row, well after the first rows reached the file; an
+        # object JSON cannot hold fails the sidecar
+        out = tmp_path / "results.csv"
+        target = out if part == "csv" else tmp_path / "results.csv.meta.json"
+        target.write_bytes(b"previous\n")
+        rows, meta = run_capture_curve(small_config())
+        rows = rows * 500
+        if part == "csv":
+            rows[-1] = {**rows[-1], "strategy": "\ud800"}
+        else:
+            meta["notes"].append(object())
+        with pytest.raises(UnicodeEncodeError if part == "csv" else TypeError):
+            write_results(str(out), rows, meta)
+        assert target.read_bytes() == b"previous\n"
+        assert not list(tmp_path.glob("*.tmp.*"))
 
 
 def run_python(*args):
@@ -468,7 +513,9 @@ class TestCli:
         assert "error" in res.stderr.lower()
 
     @pytest.mark.parametrize("command, args, message", [
-        (command, args, message)
+        # a theta sweep takes no --theta: its grid holds the bad theta
+        (command, ["--theta-grid", "nan"]
+         if (command, args[0]) == ("theta-sweep", "--theta") else args, message)
         for args, message in [
             (["--alpha", "1.0"], "CED requires alpha > 1, got 1.0"),
             (["--demand-model", "logit", "--alpha", "0"],
@@ -491,6 +538,11 @@ class TestCli:
         # every grid point is checked like the base market
         ("sensitivity", ["--alpha-grid", "2,inf"], "alpha must be finite, got inf"),
         ("theta-sweep", ["--theta-grid", "0.2,nan"], "theta must be finite, got nan"),
+    ] + [
+        # logit surplus has one convention (fit takes no surplus option)
+        (command, ["--demand-model", "logit", "--cs-unit-price-offset"],
+         "cs_unit_price_offset applies to the CED demand model only, got logit")
+        for command in ["capture", "theta-sweep", "sensitivity"]
     ])
     def test_bad_setting_fails_alike_in_every_command(self, tmp_path, command, args,
                                                       message):
@@ -517,14 +569,44 @@ class TestCli:
         assert f"unrecognized arguments: {' '.join(option)}" in res.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, option", [
+        ("sensitivity", ["--strategy", "optimal,cost-division"]),
+        ("theta-sweep", ["--theta", "0.7"]),
+    ])
+    def test_sweep_takes_no_option_it_does_not_read(self, tmp_path, command, option):
+        # a sensitivity sweep is profit-weighted; a theta sweep reads its grid
+        out = tmp_path / "x.csv"
+        res = run_cli(command, "--n-flows", "100", *option, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert f"unrecognized arguments: {' '.join(option)}" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, line", [
+        # a long id with a bad row takes the per-row reader, which stops
+        # at the long field; a long column name stops the header
+        ("flow_id,demand_mbps,distance_miles\n" + "a" * 200_000 + ",1,1\nb,oops,1\n", 2),
+        ("flow_id,demand_mbps,distance_miles," + "x" * 200_000 + "\na,1,1\n", 1),
+    ], ids=["long-id-then-bad-row", "long-column-name"])
+    def test_field_past_the_csv_limit_is_a_config_error(self, tmp_path, text, line):
+        flows = tmp_path / "flows.csv"
+        flows.write_text(text, encoding="utf-8")
+        res = run_cli("capture", "--input", str(flows), "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.endswith(
+            f"error: line {line}: field larger than field limit (131072)\n")
+        assert "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == [flows]
+
     @pytest.mark.parametrize("command, code", [("capture", 3), ("sensitivity", 3),
                                                ("theta-sweep", 0)])
     def test_degenerate_market_fails_except_in_a_theta_sweep(self, tmp_path, command,
                                                              code):
-        # regional costs at theta 0 are all equal: capture is undefined
+        # regional costs at theta 0 are all equal: capture is undefined;
+        # the default theta grid starts at 0
         out = tmp_path / "x.csv"
+        theta = [] if command == "theta-sweep" else ["--theta", "0"]
         res = run_cli(command, "--n-flows", "300", "--cost-model", "regional",
-                      "--theta", "0", "--bundles", "1,2", "--out", str(out))
+                      *theta, "--bundles", "1,2", "--out", str(out))
         assert res.returncode == code, res.stderr
         if code == 3:
             assert "per-flow and blended profit coincide" in res.stderr
@@ -559,6 +641,30 @@ class TestCli:
         assert len(captures) == 24
         # in [0, 1] up to the rounding residue of the B=1 rows (about -1e-15)
         assert all(-1e-12 <= c <= 1.0 + 1e-12 for c in captures)
+
+    def test_exit_code_follows_the_error_class(self, tmp_path, monkeypatch, capsys):
+        # every PricingError of the package, raised by the run itself:
+        # the five numerical failures (and their base) exit 3, the
+        # others 2, like an OSError
+        from tierpricing import cli, domain
+
+        numerical = {domain.NoConvergence, domain.NonPositiveGamma,
+                     domain.OverflowGuard, domain.DegenerateBaseline,
+                     domain.NonPositiveCost}
+        errors = [cls for cls in vars(domain).values()
+                  if isinstance(cls, type) and issubclass(cls, domain.PricingError)]
+        assert numerical < set(errors)
+        for cls in [*errors, OSError]:
+            def fail(config, cls=cls):
+                raise cls("boom")
+
+            monkeypatch.setattr(cli, "run_capture_curve", fail)
+            code = cli.main(["capture", "--out", str(tmp_path / "x.csv")])
+            if cls in numerical or cls is domain.NumericalFailure:
+                assert (code, capsys.readouterr().err) == (3, "numerical failure: boom\n")
+            else:
+                assert (code, capsys.readouterr().err) == (2, "error: boom\n"), cls
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # logit with p0 below the uniform markup cannot be rationalized
@@ -778,8 +884,9 @@ class TestCli:
     def test_repeated_run_value_is_a_config_error(self, tmp_path, command, args):
         # a repeat would write repeated rows under one sidecar prices key
         out = tmp_path / "x.csv"
+        strategy = [] if command == "sensitivity" else ["--strategy", "cost-division"]
         res = run_cli(command, "--n-flows", "30", "--bundles", "1,2",
-                      "--strategy", "cost-division", *args, "--out", str(out))
+                      *strategy, *args, "--out", str(out))
         assert res.returncode == 2, res.stderr
         assert "must not repeat" in res.stderr
         assert not out.exists()

@@ -354,6 +354,19 @@ class TestRoundTrips:
         write_flows_csv(path, flows)
         assert columns(read_flows_csv(path)) == columns(flows)
 
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        # the last id, a lone surrogate, cannot be encoded in UTF-8: the
+        # write fails well after the first rows reached the file
+        n = 5000
+        flows = FlowTable([f"f{i}" for i in range(n - 1)] + ["\ud800"], np.ones(n),
+                          np.ones(n))
+        path = tmp_path / "flows.csv"
+        path.write_bytes(b"previous\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_flows_csv(path, flows)
+        assert path.read_bytes() == b"previous\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_fitted_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
         n = 40

@@ -1,6 +1,6 @@
 """Invariances of whole runs: permuting the flows with their ids, and
-scaling every distance, under both demand models, every default
-strategy and B = 1..6."""
+scaling every distance or every demand, under both demand models, every
+default strategy and B = 1..6."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tierpricing.bundling import Strategy, build_bundles, evaluate_bundling
 from tierpricing.domain import CostKind, DemandModel, FlowTable
 from tierpricing.experiments import DEFAULT_STRATEGIES, ExperimentConfig, fit_context
+from tierpricing.ingestion import preset_moments, synth_generate
 
 TIERS = range(1, 7)
 NUMBERS = ("profit", "consumer_surplus", "profit_capture", "surplus_capture")
@@ -118,6 +119,70 @@ def test_distance_scaling_keeps_captures(case, k):
         for name in ("profit_capture", "surplus_capture"):
             assert getattr(scaled_outcome, name) == pytest.approx(
                 getattr(outcome, name), rel=0, abs=1e-9, nan_ok=True), (key, name)
+
+
+def assert_captures_agree(got, expected, condition):
+    """Both captures of every (strategy, B) to 1e-12 times the
+    ``condition`` of ``expected``'s run, absolute."""
+    for key, (_, outcome, _) in expected.items():
+        for name in ("profit_capture", "surplus_capture"):
+            assert getattr(got[key][1], name) == pytest.approx(
+                getattr(outcome, name), rel=0, abs=1e-12 * condition, nan_ok=True), \
+                (key, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(markets(), st.integers(-3, 3))
+def test_power_of_two_demand_scaling_keeps_labels_and_captures(case, exponent):
+    # a market with every demand k times as large has the same unit
+    # costs, and profits and surpluses k times as large, so the same
+    # tiers and captures; where rounding decides, the optimal search may
+    # split a group of equal costs elsewhere (see the xfail below)
+    flows, config = case
+    scaled = FlowTable(flows.ids, flows.demand * 2.0 ** exponent, flows.distance)
+    (before, condition), (after, _) = run(flows, config), run(scaled, config)
+    for key, (labels, _, tied) in before.items():
+        if not tied:
+            assert np.array_equal(after[key][0], labels), key
+    assert_captures_agree(after, before, condition)
+
+
+@pytest.mark.xfail(strict=True, reason="rounding of equal scores decides where the "
+                                       "optimal search splits a group of equal costs")
+def test_doubled_demand_splits_equal_costs_alike():
+    # two distinct costs and four tiers: every split of the 10-mile and
+    # 50-mile groups earns the same, and the doubled market splits the
+    # other group; costs and captures (1.0) agree
+    flows = FlowTable([f"f{i:02d}" for i in range(9)],
+                      [5.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                      [50.0, 10.0, 50.0, 10.0, 10.0, 50.0, 50.0, 10.0, 10.0])
+    config = ExperimentConfig()
+    doubled = FlowTable(flows.ids, flows.demand * 2.0, flows.distance)
+    labels = [build_bundles(Strategy.OPTIMAL, fit_context(f, config), 4).labels
+              for f in (flows, doubled)]
+    assert np.array_equal(labels[1], labels[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(markets(), st.sampled_from([3.0, 0.1]))
+def test_demand_scaling_keeps_captures(case, k):
+    flows, config = case
+    scaled = FlowTable(flows.ids, flows.demand * k, flows.distance)
+    (before, condition), (after, _) = run(flows, config), run(scaled, config)
+    assert_captures_agree(after, before, condition)
+
+
+@pytest.mark.xfail(strict=True, reason="the damped logit price loop stops at a point "
+                                       "that depends on the demand scale")
+def test_tripled_logit_demand_keeps_captures():
+    # eu-isp, 2,000 flows, seed 3: at cost-weighted B = 5 the bundle
+    # prices move by 2.5e-9 and the surplus capture by 5.0e-9 (condition
+    # 5.5); priced by c + logit_markup, the two agree to 2e-15
+    flows = synth_generate(preset_moments("eu-isp", 2000, seed=3))
+    config = ExperimentConfig(demand_model=DemandModel.LOGIT)
+    tripled = FlowTable(flows.ids, flows.demand * 3.0, flows.distance)
+    (before, condition), (after, _) = run(flows, config), run(tripled, config)
+    assert_captures_agree(after, before, condition)
 
 
 def test_cost_division_edge_is_scale_free():
