@@ -144,7 +144,7 @@ class ModelContext:
             if bad is not None:
                 raise DomainError(f"flow {ids[bad]}: fitted {name} must be > 0")
         if self.model is DemandModel.CED:
-            _, pi_orig, cs_orig = self.price(np.zeros(len(self.ids), dtype=np.intp), 1)
+            _, pi_orig, cs_orig, _ = self.price(np.zeros(len(self.ids), dtype=np.intp), 1)
             # each flow a one-flow bundle, priced as ``price`` prices it, so
             # that one tier per flow captures exactly 1
             _, pi_max, cs_max = self._ced_value(*self.terms, 1)
@@ -203,9 +203,10 @@ class ModelContext:
         return w, self.c * w
 
     def price(self, labels: np.ndarray, num_bundles: int
-              ) -> tuple[np.ndarray, float, float]:
+              ) -> tuple[np.ndarray, float, float, int]:
         """Optimal price of each of ``num_bundles`` bundles of the flows
-        labelled ``labels`` (NaN if empty), and their profit and surplus.
+        labelled ``labels`` (NaN if empty), their profit and surplus, and
+        the number of non-empty bundles.
 
         Members are grouped by one stable argsort of the labels (as
         ``uint8`` up to 256 bundles, which numpy radix-sorts to the same
@@ -235,11 +236,11 @@ class ModelContext:
         W, X = (np.array([np.sum(term[part]) for part in slices]) for term in terms)
         if self.model is DemandModel.CED:
             prices[occupied], profit, surplus = self._ced_value(W, X, sizes)
-            return prices, profit, surplus
+            return prices, profit, surplus, len(sizes)
         v_b, c_b = (shift + np.log(W)) / self.alpha, X / W
         prices[occupied] = p_b = logit_solve_prices(v_b, c_b, self.alpha)
         profit, surplus = logit_value(v_b, p_b, c_b, self.alpha, self.consumer_mass)
-        return prices, profit, surplus
+        return prices, profit, surplus, len(sizes)
 
     def _ced_value(self, W, X, counts) -> tuple[np.ndarray, float, float]:
         """CED prices of bundles with sums ``W``, ``X`` and ``counts``
@@ -670,7 +671,7 @@ def evaluate_bundling(ctx: ModelContext, bundling: Bundling, *,
     labels = bundling.labels
     if len(labels) != len(ctx.ids):
         raise DomainError(f"bundling has {len(labels)} labels for {len(ctx.ids)} flows")
-    prices, profit, surplus = ctx.price(labels, bundling.num_bundles)
+    prices, profit, surplus, effective = ctx.price(labels, bundling.num_bundles)
     try:
         capture = profit_capture(profit, ctx.pi_orig, ctx.pi_max)
     except DegenerateBaseline:
@@ -685,6 +686,7 @@ def evaluate_bundling(ctx: ModelContext, bundling: Bundling, *,
             s_capture = float("nan")
     return TierOutcome(
         bundling=bundling,
+        effective_bundles=effective,
         prices=tuple(float(p) for p in prices),
         profit=profit,
         consumer_surplus=surplus,

@@ -265,17 +265,14 @@ class Bundling:
 
 @dataclass(frozen=True)
 class TierOutcome:
-    """Evaluation of one bundling: prices, profit, surplus and the two
-    capture metrics (normalized against the blended-rate original and
-    the per-flow maximum)."""
+    """Evaluation of one bundling: the number of non-empty bundles,
+    prices, profit, surplus and the two capture metrics (normalized
+    against the blended-rate original and the per-flow maximum)."""
 
     bundling: Bundling
+    effective_bundles: int
     prices: tuple[float, ...]
     profit: float
     consumer_surplus: float
     profit_capture: float
     surplus_capture: float
-
-    @property
-    def effective_bundles(self) -> int:
-        return self.bundling.effective_bundles

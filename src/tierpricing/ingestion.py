@@ -387,26 +387,38 @@ def _calibrated_lognormal(z: np.ndarray, cv: float) -> np.ndarray:
     """
     if cv == 0.0:
         return np.ones_like(z)
+    # every step runs in these two buffers: n-element temporaries freed
+    # at each step would go back to the kernel and fault in again
+    n = z.size
+    x, dev = np.empty_like(z), np.empty_like(z)
 
-    def sample_cv(sigma: float) -> tuple[float, bool]:
-        """The sample CV at ``sigma``, and whether it took the shifted draw."""
+    def x_cv() -> float:
+        """x.std() / x.mean(), in numpy's arithmetic."""
+        mean = np.add.reduce(x) / n
+        np.subtract(x, mean, out=dev)
+        np.multiply(dev, dev, out=dev)
+        return float(np.sqrt(np.add.reduce(dev) / n) / mean)
+
+    def sample_cv(sigma: float) -> float:
+        """The sample CV at ``sigma``, with the draw left in ``x``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            x = np.exp(sigma * z)
-            got = float(x.std() / x.mean())
+            np.exp(np.multiply(sigma, z, out=x), out=x)
+            got = x_cv()
         if math.isfinite(got):
-            return got, False
-        x = np.exp(sigma * (z - z.max()))
-        return float(x.std() / x.mean()), True
+            return got
+        np.subtract(z, z.max(), out=x)
+        np.exp(np.multiply(sigma, x, out=x), out=x)
+        return x_cv()
 
-    where = f"sample CV calibration to cv = {cv} over {z.size} flows"
+    where = f"sample CV calibration to cv = {cv} over {n} flows"
     lo, hi = 0.0, float(np.sqrt(np.log1p(cv * cv)))
-    while sample_cv(hi)[0] < cv:
+    while sample_cv(hi) < cv:
         hi *= 2.0
         if hi > 1e3:
             raise NoConvergence(f"{where} needs sigma > 1e3")
     for _ in range(100):
         sigma = 0.5 * (lo + hi)
-        got, shifted = sample_cv(sigma)
+        got = sample_cv(sigma)
         if abs(got - cv) <= 1e-6 * cv:
             break
         if got < cv:
@@ -415,7 +427,7 @@ def _calibrated_lognormal(z: np.ndarray, cv: float) -> np.ndarray:
             hi = sigma
     else:
         raise NoConvergence(f"{where} did not converge", residual=abs(got - cv))
-    return np.exp(sigma * (z - z.max())) if shifted else np.exp(sigma * z)
+    return x
 
 
 def synth_generate(moments: DatasetMoments) -> FlowTable:
@@ -461,7 +473,8 @@ def _synth_ids(n: int) -> np.ndarray:
     codes = np.empty((n, len(prefix) + width), dtype=np.uint32)
     codes[:, :len(prefix)] = [ord(ch) for ch in prefix]
     index = np.arange(n, dtype=np.uint32)
+    digit = np.empty_like(index)
     for col in range(codes.shape[1] - 1, len(prefix) - 1, -1):
-        index, digit = np.divmod(index, 10)
-        codes[:, col] = ord("0") + digit
+        np.divmod(index, 10, out=(index, digit))
+        np.add(digit, ord("0"), out=codes[:, col])
     return codes.view(np.dtype(("U", codes.shape[1]))).reshape(n)

@@ -531,6 +531,26 @@ class TestEvaluate:
         assert not np.isnan(out.prices[0])
         assert out.effective_bundles == 2
 
+    @pytest.mark.parametrize("n_flows", [5, 2000])
+    @pytest.mark.parametrize("model", list(DemandModel))
+    def test_effective_bundles_equal_the_bundlings_count(self, model, n_flows):
+        # the count taken from pricing equals the bundling's own, for
+        # every strategy (the dest-type split gives class labels) and B
+        from tierpricing.experiments import ExperimentConfig, fit_context, load_flows
+
+        config = ExperimentConfig(demand_model=model, cost_kind=CostKind.DEST_TYPE,
+                                  split_dest_type=True, n_flows=n_flows, seed=4)
+        ctx = fit_context(load_flows(config), config)
+        fewer = 0
+        for strat in Strategy:
+            for num_bundles in range(1, 9):
+                b = build_bundles(strat, ctx, num_bundles)
+                out = evaluate_bundling(ctx, b)
+                assert type(out.effective_bundles) is int
+                assert out.effective_bundles == b.effective_bundles, (strat, num_bundles)
+                fewer += b.effective_bundles < num_bundles
+        assert fewer > 0
+
     def test_logit_bundle_prices_share_markup(self):
         rng = np.random.default_rng(23)
         ctx = logit_context(rng, 15)
@@ -840,7 +860,7 @@ class TestEvaluateOracle:
         ctx = ModelContext(ctx.ids, ctx.q, ctx.d, ctx.v, ctx.c, None, DemandModel.CED,
                            alpha, ctx.p0, cs_unit_price_offset=ctx.cs_unit_price_offset)
         labels = np.asarray(labels)
-        prices, profit, surplus = ctx.price(labels, num_bundles)
+        prices, profit, surplus, _ = ctx.price(labels, num_bundles)
         per_flow = np.empty(len(labels))
         for b in np.unique(labels):
             members = np.flatnonzero(labels == b)

@@ -1,5 +1,6 @@
 """CSV ingestion, round trips, and synthetic moment matching."""
 
+import collections
 import csv
 import dataclasses
 import logging
@@ -26,6 +27,7 @@ from tierpricing.experiments import ExperimentConfig, fit_context
 from tierpricing.ingestion import (
     DatasetMoments,
     SYNTH_PRESETS,
+    _calibrated_lognormal,
     _synth_ids,
     preset_moments,
     read_flows_csv,
@@ -402,6 +404,63 @@ def reference_synth_ids(n):
     return np.char.add("synth-", np.char.zfill(np.arange(n).astype(str), width))
 
 
+def reference_calibrated_lognormal(z, cv):
+    """The sample-CV calibration with fresh temporaries at every
+    bisection step: exp(sigma*z), or exp(sigma*(z - max z)) where that
+    overflows, at the sigma whose sample CV is within 1e-6 of ``cv``."""
+    if cv == 0.0:
+        return np.ones_like(z)
+
+    def sample_cv(sigma):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.exp(sigma * z)
+            got = float(x.std() / x.mean())
+        if math.isfinite(got):
+            return got, False
+        x = np.exp(sigma * (z - z.max()))
+        return float(x.std() / x.mean()), True
+
+    where = f"sample CV calibration to cv = {cv} over {z.size} flows"
+    lo, hi = 0.0, float(np.sqrt(np.log1p(cv * cv)))
+    while sample_cv(hi)[0] < cv:
+        hi *= 2.0
+        if hi > 1e3:
+            raise NoConvergence(f"{where} needs sigma > 1e3")
+    for _ in range(100):
+        sigma = 0.5 * (lo + hi)
+        got, shifted = sample_cv(sigma)
+        if abs(got - cv) <= 1e-6 * cv:
+            break
+        if got < cv:
+            lo = sigma
+        else:
+            hi = sigma
+    else:
+        raise NoConvergence(f"{where} did not converge", residual=abs(got - cv))
+    return np.exp(sigma * (z - z.max())) if shifted else np.exp(sigma * z)
+
+
+def assert_calibrates_like_reference(z, cv) -> str:
+    """Assert that ``_calibrated_lognormal`` returns the reference's
+    array bit for bit, or raises its error with the same message and
+    residual; say which outcome it was."""
+    try:
+        expected = reference_calibrated_lognormal(z, cv)
+    except NoConvergence as err:
+        with pytest.raises(NoConvergence) as got:
+            _calibrated_lognormal(z, cv)
+        assert (str(got.value), repr(got.value.residual)) == (str(err), repr(err.residual))
+        return str(err).rpartition(" flows ")[2]
+    got = _calibrated_lognormal(z, cv)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    # the shifted draw scales the largest flow to exp(0)
+    return "shifted" if expected.max() == 1.0 else "drawn"
+
+
+# the (preset, n) pairs of test_draws_near_the_cv_bound_reach_it_or_say_why
+NEAR_BOUND = [("internet2", 22), ("internet2", 30), ("cdn", 7), ("eu-isp", 4), ("eu-isp", 5)]
+
+
 class TestSynth:
     def test_presets_carry_published_moments(self):
         eu = SYNTH_PRESETS["eu-isp"]
@@ -481,8 +540,7 @@ class TestSynth:
             moments(fewest - 1)
         assert moments(fewest).n_flows == fewest
 
-    @pytest.mark.parametrize("preset, n", [("internet2", 22), ("internet2", 30),
-                                           ("cdn", 7), ("eu-isp", 4), ("eu-isp", 5)])
+    @pytest.mark.parametrize("preset, n", NEAR_BOUND)
     def test_draws_near_the_cv_bound_reach_it_or_say_why(self, preset, n):
         # these CVs need sigma in the hundreds on some draws, where
         # exp(sigma * z) overflows float64; every draw must reach its
@@ -507,6 +565,38 @@ class TestSynth:
                 assert values.std() / values.mean() == pytest.approx(cv, rel=2e-6)
             reached += 1
         assert reached >= 185
+
+    def test_calibration_equals_reference(self):
+        # every draw near the CV bound, and eu-isp at benchmark sizes;
+        # CVs below float64 resolution at 5k flows cannot converge
+        cases = [(preset, n, range(200)) for preset, n in NEAR_BOUND]
+        cases += [("eu-isp", n, range(2)) for n in (5000, 200_000)]
+        outcomes, shifted = collections.Counter(), set()
+        for preset, n, seeds in cases:
+            moments = preset_moments(preset, n_flows=n)
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                z_q, z_d = rng.standard_normal(n), rng.standard_normal(n)
+                for z, cv in ((z_q, moments.cv_demand), (z_d, moments.cv_distance)):
+                    outcome = assert_calibrates_like_reference(z, cv)
+                    outcomes[outcome] += 1
+                    if outcome == "shifted":
+                        shifted.add((preset, n, seed))
+        z = np.random.default_rng(0).standard_normal(5000)
+        for cv in (1e-15, 1e-100):
+            outcomes[assert_calibrates_like_reference(z, cv)] += 1
+        assert outcomes.keys() == {"drawn", "shifted", "needs sigma > 1e3",
+                                   "did not converge"}, outcomes
+        # the draw that CI writes twice through the console script
+        assert ("internet2", 22, 113) in shifted
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 500).flatmap(lambda n: st.lists(
+               st.floats(-50.0, 50.0), min_size=n, max_size=n)),
+           st.one_of(st.just(0.0), st.floats(1e-150, 30.0)))
+    def test_calibration_equals_reference_on_any_draw(self, z, cv):
+        # the CVs keep a positive square: at cv * cv == 0 both loop forever
+        assert_calibrates_like_reference(np.array(z), cv)
 
     @pytest.mark.parametrize("cv", [-0.5, math.nan, math.inf, 1e200])
     def test_a_cv_must_be_nonnegative_with_a_finite_square(self, cv):
