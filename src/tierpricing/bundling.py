@@ -90,14 +90,19 @@ class ModelContext:
     class name or None per flow. Every array is read-only (a writable
     input is copied, a read-only one of the right type shared), and
     every strategy and ``Bundling`` follows their flow order. Instances
-    compare by identity. Whatever does not depend on the tier count is
-    computed on first use and kept, so every B and every strategy of a
-    run shares it:
+    compare by identity.
+
+    What depends on the flow set alone, its ids and demands, is kept in
+    ``orders``, a ``FlowOrders`` that the contexts fitted on one flow set
+    share (the grid points of a sweep); a context given none builds its
+    own. Whatever else does not depend on the tier count is computed once
+    per context, on first use, and kept, so every B and every strategy
+    of a grid point shares it:
 
     * ``cost_order``, the order of index-division and of the optimal
       search, and the search's DP;
-    * ``id_order`` and, per token-bucket weight vector (demand q, 1/c,
-      potential profit), its visiting order, the prefix sums of the
+    * the visiting orders of the weights the context fits, 1/c and,
+      under CED, the potential profits, with the prefix sums of the
       weights in that order and their sum (``visiting_order``);
       class-profit-weighted restricts the profit order to each class
       (``class_visits``);
@@ -123,6 +128,7 @@ class ModelContext:
     consumer_mass: float | None = None
     gamma: float | None = None
     cs_unit_price_offset: bool = False
+    orders: Optional["FlowOrders"] = None
     pi_orig: float = field(init=False)
     pi_max: float = field(init=False)
     cs_orig: float = field(init=False)
@@ -130,6 +136,11 @@ class ModelContext:
 
     def __post_init__(self):
         set_ = object.__setattr__
+        # shared orders are keyed to the arrays the context is built from
+        # (a copy that freezing makes holds the same values)
+        if self.orders is not None and (self.orders.ids is not self.ids
+                                        or self.orders.q is not self.q):
+            raise DomainError("the shared orders belong to another flow set")
         ids = _frozen_array(self.ids, np.str_)
         set_(self, "ids", ids)
         for name in ("q", "d", "v", "c"):
@@ -143,8 +154,10 @@ class ModelContext:
             bad = _first(~(values > 0))
             if bad is not None:
                 raise DomainError(f"flow {ids[bad]}: fitted {name} must be > 0")
+        if self.orders is None:
+            set_(self, "orders", FlowOrders(ids, self.q))
         if self.model is DemandModel.CED:
-            _, pi_orig, cs_orig, _ = self.price(np.zeros(len(self.ids), dtype=np.intp), 1)
+            _, pi_orig, cs_orig, _ = self.price(Bundling(np.zeros(len(ids), dtype=np.intp), 1))
             # each flow a one-flow bundle, priced as ``price`` prices it, so
             # that one tier per flow captures exactly 1
             _, pi_max, cs_max = self._ced_value(*self.terms, 1)
@@ -164,22 +177,25 @@ class ModelContext:
 
     @classmethod
     def from_ced(cls, flow_ids, q, d, rel_costs, p0: float, alpha: float,
-                 labels=None, cs_unit_price_offset: bool = False) -> "ModelContext":
+                 labels=None, cs_unit_price_offset: bool = False,
+                 orders: Optional["FlowOrders"] = None) -> "ModelContext":
         """Fit the valuations and cost scaling of one constant-elasticity
         market. ``rel_costs`` are the pre-gamma relative costs f(d) of
         the cost model, aligned with ``q`` and ``d``; ``labels`` are the
-        flows' bundling classes (None when the cost model has none)."""
+        flows' bundling classes (None when the cost model has none);
+        ``orders`` are the shared orders of ``flow_ids`` and ``q``."""
         if not alpha > 1.0:
             raise DomainError(f"CED requires alpha > 1, got {alpha}")
         v = ced_fit_valuations(q, p0, alpha)
         gamma = ced_fit_gamma(v, rel_costs, p0, alpha)
         c = realize_costs(rel_costs, gamma)
         return cls(flow_ids, q, d, v, c, labels, DemandModel.CED, alpha, p0,
-                   gamma=gamma, cs_unit_price_offset=cs_unit_price_offset)
+                   gamma=gamma, cs_unit_price_offset=cs_unit_price_offset, orders=orders)
 
     @classmethod
     def from_logit(cls, flow_ids, q, d, rel_costs, p0: float, alpha: float,
-                   s0: float, labels=None) -> "ModelContext":
+                   s0: float, labels=None,
+                   orders: Optional["FlowOrders"] = None) -> "ModelContext":
         """Fit the valuations, cost scaling and consumer mass
         K = sum(q)/(1-s0) of one logit market whose non-buying share at
         p0 is s0 (arguments as ``from_ced``)."""
@@ -189,7 +205,8 @@ class ModelContext:
         gamma = logit_fit_gamma(v, rel_costs, p0, alpha)
         c = realize_costs(rel_costs, gamma)
         return cls(flow_ids, q, d, v, c, labels, DemandModel.LOGIT, alpha, p0,
-                   s0=s0, consumer_mass=float(np.sum(q) / (1.0 - s0)), gamma=gamma)
+                   s0=s0, consumer_mass=float(np.sum(q) / (1.0 - s0)), gamma=gamma,
+                   orders=orders)
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -202,38 +219,34 @@ class ModelContext:
             w = np.exp(self.alpha * (self.v - self.v.max()))
         return w, self.c * w
 
-    def price(self, labels: np.ndarray, num_bundles: int
-              ) -> tuple[np.ndarray, float, float, int]:
-        """Optimal price of each of ``num_bundles`` bundles of the flows
-        labelled ``labels`` (NaN if empty), their profit and surplus, and
-        the number of non-empty bundles.
+    def price(self, bundling: Bundling) -> tuple[np.ndarray, float, float, int]:
+        """Optimal price of each bundle of ``bundling`` (NaN if empty),
+        their profit and surplus, and the number of non-empty bundles.
 
-        Members are grouped by one stable argsort of the labels (as
-        ``uint8`` up to 256 bundles, which numpy radix-sorts to the same
-        permutation) and each bundle's sums W and X are taken over its
-        contiguous slice, adding in the order of a per-bundle loop over
-        member lists built flow by flow, so the results are bit-identical
-        to that loop's. The summed terms are ``terms`` under CED. Under
+        Each bundle's sums W and X are taken over its run of the
+        bundling's ``members``, which lists a bundle's flows in flow
+        order, so they add in the order of a per-bundle loop over member
+        lists built flow by flow, and the results are bit-identical to
+        that loop's. The summed terms are ``terms`` under CED. Under
         logit they are e = exp(alpha*v - shift) and c*e, shift the
         bundle's own maximum of alpha*v (the market's would underflow a
         bundle far below it): the bundle is one flow of valuation
         (shift + ln W)/alpha and cost X/W."""
-        keys = labels.astype(np.uint8) if num_bundles <= 256 else labels
-        order = np.argsort(keys, kind="stable")
-        counts = np.bincount(labels, minlength=num_bundles)
-        occupied = np.flatnonzero(counts)
-        sizes = counts[occupied]
-        starts = np.cumsum(sizes) - sizes
-        slices = [slice(a, a + m) for a, m in zip(starts.tolist(), sizes.tolist())]
-        prices = np.full(num_bundles, np.nan)
+        members = bundling.members
+        occupied = np.flatnonzero(bundling.sizes)
+        sizes = bundling.sizes[occupied]
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        prices = np.full(bundling.num_bundles, np.nan)
         if self.model is DemandModel.CED:
-            terms = (term[order] for term in self.terms)
+            terms = (term[members] for term in self.terms)
         else:
-            y = self.alpha * self.v[order]
+            y = self.alpha * self.v[members]
             shift = np.maximum.reduceat(y, starts)
             e = np.exp(y - np.repeat(shift, sizes))
-            terms = (e, self.c[order] * e)
-        W, X = (np.array([np.sum(term[part]) for part in slices]) for term in terms)
+            terms = (e, self.c[members] * e)
+        bounds = list(zip(starts.tolist(), ends.tolist()))
+        W, X = (np.array([np.add.reduce(term[a:b]) for a, b in bounds]) for term in terms)
         if self.model is DemandModel.CED:
             prices[occupied], profit, surplus = self._ced_value(W, X, sizes)
             return prices, profit, surplus, len(sizes)
@@ -267,12 +280,6 @@ class ModelContext:
         return _ContiguousOptimum(self)
 
     @cached_property
-    def id_order(self) -> np.ndarray:
-        """Flow indices by ascending flow id (ties by index); the
-        tie-break of every token-bucket visiting order."""
-        return np.argsort(self.ids, kind="stable")
-
-    @cached_property
     def potential_profits(self) -> np.ndarray:
         """The profit-weighted bundler's weights (read-only). Under CED
         they are each flow's standalone profit, a one-flow bundle's
@@ -292,23 +299,29 @@ class ModelContext:
     def visiting_order(self, strategy: Strategy) -> "_Visit":
         """The token-bucket visiting order of the demand-, cost- or
         profit-weighted strategy (class-profit-weighted shares the
-        profit order), computed once per weight vector: under logit the
-        profit order is the demand order."""
-        if strategy is Strategy.CLASS_PROFIT_WEIGHTED:
-            strategy = Strategy.PROFIT_WEIGHTED
-        if strategy is Strategy.PROFIT_WEIGHTED and self.model is DemandModel.LOGIT:
-            strategy = Strategy.DEMAND_WEIGHTED
+        profit order): the flow set's demand order (``orders``), which
+        under logit is also the profit order, or one computed once per
+        context for the weights the context fits."""
+        strategy = _weighting(strategy, self.model)
+        if strategy is Strategy.DEMAND_WEIGHTED:
+            return self.orders.demand_visit
         if strategy not in self._visits:
-            if strategy is Strategy.DEMAND_WEIGHTED:
-                weights = self.q
-            elif strategy is Strategy.COST_WEIGHTED:
+            if strategy is Strategy.COST_WEIGHTED:
                 weights = 1.0 / self.c
             elif strategy is Strategy.PROFIT_WEIGHTED:
                 weights = self.potential_profits
             else:
                 raise DomainError(f"{strategy.value} is not a token-bucket strategy")
-            self._visits[strategy] = _visit(weights, self.id_order)
+            self._visits[strategy] = _visit(weights, self.orders.id_order)
         return self._visits[strategy]
+
+    def token_buckets(self, strategy: Strategy, num_bundles: int) -> Bundling:
+        """The demand-, cost- or profit-weighted token-bucket bundling
+        into ``num_bundles``; demand-only tiers are the flow set's
+        (``FlowOrders.demand_tiers``)."""
+        if _weighting(strategy, self.model) is Strategy.DEMAND_WEIGHTED:
+            return self.orders.demand_tiers(num_bundles)
+        return _bucket_bundling(self.visiting_order(strategy), num_bundles)
 
     @cached_property
     def class_visits(self) -> dict:
@@ -359,6 +372,53 @@ def _visit(weights, id_order: np.ndarray) -> _Visit:
     return _Visit(order, np.cumsum(weights[order]), weights.sum())
 
 
+def _weighting(strategy: Strategy, model: DemandModel) -> Strategy:
+    """The token-bucket strategy whose weights ``strategy`` visits by:
+    class-profit-weighted visits by profit, and under logit profit is a
+    constant times demand (``ModelContext.potential_profits``)."""
+    if strategy is Strategy.CLASS_PROFIT_WEIGHTED:
+        strategy = Strategy.PROFIT_WEIGHTED
+    if strategy is Strategy.PROFIT_WEIGHTED and model is DemandModel.LOGIT:
+        strategy = Strategy.DEMAND_WEIGHTED
+    return strategy
+
+
+class FlowOrders:
+    """What the token buckets read of a flow set alone, its ``ids`` and
+    demands ``q``, computed on first use and kept, so that every context
+    fitted on that flow set shares it (``ModelContext.orders``): the id
+    order, the demand visiting order and, with ``keep_tiers``, the
+    demand-weighted tiers of each tier count. A sweep keeps the tiers
+    when several grid points read them; a lone point would only hold
+    their memory. Visits whose weights a context fits (1/c, the CED
+    potential profits) stay with the context: their bits can differ
+    between fits."""
+
+    def __init__(self, ids: np.ndarray, q: np.ndarray, keep_tiers: bool = False):
+        self.ids, self.q = ids, q
+        self._tiers: dict[int, Bundling] | None = {} if keep_tiers else None
+
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """Flow indices by ascending flow id (ties by index); the
+        tie-break of every token-bucket visiting order."""
+        return np.argsort(self.ids, kind="stable")
+
+    @cached_property
+    def demand_visit(self) -> _Visit:
+        """The visiting order of the demand weights q."""
+        return _visit(self.q, self.id_order)
+
+    def demand_tiers(self, num_bundles: int) -> Bundling:
+        """The demand-weighted token-bucket bundling into ``num_bundles``."""
+        if self._tiers is None:
+            return _bucket_bundling(self.demand_visit, num_bundles)
+        if num_bundles not in self._tiers:
+            self._tiers[num_bundles] = _bucket_bundling(self.demand_visit, num_bundles,
+                                                        compact=True)
+        return self._tiers[num_bundles]
+
+
 # relative slack within which a prefix sum reaches a bundle's target, so
 # that a target met exactly in exact arithmetic (equal weights filling
 # a budget) is met whatever the rounding and the scale of the weights
@@ -390,12 +450,12 @@ def token_bucket_bundles(weights, flow_ids: Sequence[str], num_bundles: int) -> 
         _visit(weights, np.argsort(np.asarray(flow_ids), kind="stable")), num_bundles)
 
 
-def _bucket_bundling(visit: _Visit, num_bundles: int) -> Bundling:
+def _bucket_bundling(visit: _Visit, num_bundles: int, compact: bool = False) -> Bundling:
     if num_bundles < 1:
         raise DomainError("num_bundles must be >= 1")
     labels = np.empty(len(visit.order), dtype=np.intp)
     labels[visit.order] = _drain(visit.prefix, visit.total / num_bundles, num_bundles)
-    return Bundling(labels, num_bundles)
+    return Bundling(labels, num_bundles, compact)
 
 
 def _cost_division(ctx: ModelContext, num_bundles: int) -> Bundling:
@@ -422,7 +482,7 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
             "class-constrained bundling needs >= %d bundles, got %d; "
             "falling back to profit-weighted", len(classes), num_bundles,
         )
-        return _bucket_bundling(ctx.visiting_order(Strategy.PROFIT_WEIGHTED), num_bundles)
+        return ctx.token_buckets(Strategy.PROFIT_WEIGHTED, num_bundles)
     total = sum(mass.values())
     alloc = {lab: 1 for lab in classes}
     for _ in range(num_bundles - len(classes)):
@@ -446,7 +506,7 @@ def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bu
         return optimal_bundles(ctx, num_bundles)
     if strategy in (Strategy.DEMAND_WEIGHTED, Strategy.COST_WEIGHTED,
                     Strategy.PROFIT_WEIGHTED):
-        return _bucket_bundling(ctx.visiting_order(strategy), num_bundles)
+        return ctx.token_buckets(strategy, num_bundles)
     if strategy is Strategy.COST_DIVISION:
         return _cost_division(ctx, num_bundles)
     if strategy is Strategy.INDEX_DIVISION:
@@ -668,10 +728,10 @@ def evaluate_bundling(ctx: ModelContext, bundling: Bundling, *,
     failing the profit-side result. A degenerate profit baseline raises
     DegenerateBaseline or, with ``degenerate_ok``, yields NaN for both.
     """
-    labels = bundling.labels
-    if len(labels) != len(ctx.ids):
-        raise DomainError(f"bundling has {len(labels)} labels for {len(ctx.ids)} flows")
-    prices, profit, surplus, effective = ctx.price(labels, bundling.num_bundles)
+    if bundling.members.size != len(ctx.ids):
+        raise DomainError(f"bundling of {bundling.members.size} flows for a market "
+                          f"of {len(ctx.ids)}")
+    prices, profit, surplus, effective = ctx.price(bundling)
     try:
         capture = profit_capture(profit, ctx.pi_orig, ctx.pi_max)
     except DegenerateBaseline:

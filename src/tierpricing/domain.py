@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -226,41 +227,71 @@ class CostModelSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Bundling:
-    """A partition of flows into price tiers.
+    """A partition of flows into price tiers, held as its grouping.
 
-    ``labels[i]`` is the bundle index, in [0, num_bundles), of the i-th
-    flow in the order the bundling was built from: ``ModelContext.ids``
-    for the strategies, or the ids passed to ``token_bucket_bundles``.
-    ``labels`` is stored as a read-only ``intp`` array. Empty bundles
-    are permitted, so the effective tier count can be smaller than
-    ``num_bundles``. Instances compare by identity; compare labels with
+    ``Bundling(labels, num_bundles)`` takes ``labels[i]``, the bundle
+    index in [0, num_bundles) of the i-th flow in the order the bundling
+    was built from: ``ModelContext.ids`` for the strategies, or the ids
+    passed to ``token_bucket_bundles``. It groups them once, by one
+    stable argsort (of ``uint8`` keys up to 256 bundles, which numpy
+    radix-sorts to the same permutation) and one count, and keeps only
+    the grouping:
+
+    * ``members``, the flow indices by bundle and, within a bundle, in
+      flow order (the stable argsort of the labels): ``intp`` or, with
+      ``compact``, the smallest unsigned type that holds the flow count,
+      which halves the memory of a bundling that is kept for reuse at
+      the cost of a cast at every gather from it;
+    * ``sizes``, the member count of each of the ``num_bundles``
+      bundles (``intp``). Empty bundles are permitted, so the effective
+      tier count can be smaller than ``num_bundles``.
+
+    ``labels`` derives the labels from the grouping on first use and
+    keeps them, as a read-only ``intp`` array. Every array is read-only.
+    Instances compare by identity; compare labels with
     ``np.array_equal``.
     """
 
-    labels: np.ndarray
+    members: np.ndarray
+    sizes: np.ndarray
     num_bundles: int
 
-    def __post_init__(self):
-        if self.num_bundles < 1:
-            raise DomainError(f"num_bundles must be >= 1, got {self.num_bundles}")
-        labels = np.array(self.labels, dtype=np.intp)
+    def __init__(self, labels, num_bundles: int, compact: bool = False):
+        if num_bundles < 1:
+            raise DomainError(f"num_bundles must be >= 1, got {num_bundles}")
+        labels = np.asarray(labels, dtype=np.intp)
         if labels.ndim != 1:
             raise DomainError(f"labels must be one-dimensional, got shape {labels.shape}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_bundles):
-            bad = int(np.flatnonzero((labels < 0) | (labels >= self.num_bundles))[0])
+        if labels.size and (labels.min() < 0 or labels.max() >= num_bundles):
+            bad = int(np.flatnonzero((labels < 0) | (labels >= num_bundles))[0])
             raise DomainError(
-                f"flow {bad}: bundle index {labels[bad]} outside [0, {self.num_bundles})"
+                f"flow {bad}: bundle index {labels[bad]} outside [0, {num_bundles})"
             )
+        keys = labels.astype(np.uint8) if num_bundles <= 256 else labels
+        members = np.argsort(keys, kind="stable")
+        if compact:
+            members = members.astype(np.min_scalar_type(labels.size))
+        sizes = np.bincount(labels, minlength=num_bundles)
+        members.flags.writeable = sizes.flags.writeable = False
+        set_ = object.__setattr__
+        set_(self, "members", members)
+        set_(self, "sizes", sizes)
+        set_(self, "num_bundles", num_bundles)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The bundle index of each flow, in flow order."""
+        labels = np.empty(self.members.size, dtype=np.intp)
+        labels[self.members] = np.repeat(np.arange(self.num_bundles), self.sizes)
         labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
+        return labels
 
     @property
     def effective_bundles(self) -> int:
         """Number of bundles that actually contain flows."""
-        counts = np.bincount(self.labels, minlength=self.num_bundles)
-        return int(np.count_nonzero(counts))
+        return int(np.count_nonzero(self.sizes))
 
 
 @dataclass(frozen=True)

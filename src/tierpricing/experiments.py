@@ -13,9 +13,17 @@ Three table-producing runs mirror the headline questions:
 All three walk one engine: ``_sweep`` loads the flows once and maps
 each distinct grid point, the configuration with one field replaced,
 through ``_grid_point``, which fits one context and evaluates every
-(strategy, tier count) on it. A capture curve is a one-point sweep;
-the theta sweep normalizes the profits of its points and the
-sensitivity sweep picks the extreme point per tier count.
+(strategy, tier count) on it. Once per flow set (and once per worker
+process) the engine computes what depends on the flows alone
+(``FlowOrders``: the id order, the demand visiting order and the
+demand-weighted tiers of each tier count), and every grid point shares
+it; a split flow set (``split_dest_type``, one per theta) has its own.
+Once per grid point it fits the valuations and costs and what follows from
+them: the baselines, the cost order and the optimal search, and the
+cost- and (under CED) profit-weighted visiting orders. A capture curve
+is a one-point sweep; the theta sweep normalizes the profits of its
+points and the sensitivity sweep picks the extreme point per tier
+count.
 
 All runs write a long-format CSV with the fixed header
 ``sweep_param,sweep_value,strategy,num_bundles,effective_bundles,
@@ -34,7 +42,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bundling import ModelContext, Strategy, build_bundles, evaluate_bundling
+from .bundling import (
+    FlowOrders,
+    ModelContext,
+    Strategy,
+    build_bundles,
+    evaluate_bundling,
+)
 from .bundling import optimal_bundles  # noqa: F401  bench/traced_cli.py patches this name
 from .cost_models import base_cost, class_labels, relative_costs, split_by_dest_type
 from .domain import (
@@ -168,10 +182,13 @@ def load_flows(config: ExperimentConfig) -> FlowTable:
     return flows
 
 
-def fit_context(flows: FlowTable, config: ExperimentConfig) -> ModelContext:
+def fit_context(flows: FlowTable, config: ExperimentConfig,
+                orders: FlowOrders | None = None) -> ModelContext:
     """Fit the configured demand model on the flows, first split into
     customer/peer subflows at the configured theta when asked to (a
-    validated config asks only under the dest-type cost model)."""
+    validated config asks only under the dest-type cost model).
+    ``orders`` are the shared orders of the flow set the context is
+    fitted on, or None to compute them for this context alone."""
     if config.split_dest_type:
         flows = split_by_dest_type(flows, config.theta)
     spec = CostModelSpec(kind=config.cost_kind, theta=config.theta)
@@ -181,9 +198,9 @@ def fit_context(flows: FlowTable, config: ExperimentConfig) -> ModelContext:
     if config.demand_model is DemandModel.CED:
         return ModelContext.from_ced(
             ids, q, d, rel, config.p0, config.alpha, labels,
-            cs_unit_price_offset=config.cs_unit_price_offset)
+            cs_unit_price_offset=config.cs_unit_price_offset, orders=orders)
     return ModelContext.from_logit(ids, q, d, rel, config.p0, config.alpha, config.s0,
-                                   labels)
+                                   labels, orders=orders)
 
 
 def _row(strategy: Strategy, num_bundles: int, outcome) -> dict:
@@ -205,16 +222,17 @@ def _row(strategy: Strategy, num_bundles: int, outcome) -> dict:
 
 
 def _grid_point(config: ExperimentConfig, flows: FlowTable,
-                strategies: tuple[Strategy, ...],
-                degenerate_ok: bool = False) -> tuple[list[dict], dict]:
-    """Fit one context at ``config`` and evaluate every (strategy, B).
+                strategies: tuple[Strategy, ...], degenerate_ok: bool = False,
+                orders: FlowOrders | None = None) -> tuple[list[dict], dict]:
+    """Fit one context at ``config`` (sharing ``orders``, as
+    ``fit_context``) and evaluate every (strategy, B).
 
     Returns the rows, not yet tagged with a sweep parameter, and the
     point's baselines and fitted cost model. A market whose per-flow
     and blended profits coincide raises DegenerateBaseline or, with
     ``degenerate_ok``, gives rows with NaN captures.
     """
-    ctx = fit_context(flows, config)
+    ctx = fit_context(flows, config, orders)
     rows = []
     for strategy in strategies:
         for num_bundles in config.bundles:
@@ -238,17 +256,25 @@ def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],
     distinct replaced config is validated before the flows are loaded
     and evaluated once (the base market recurs in every grid that holds
     its own value), and all of them form one job list, so
-    ``config.workers`` processes share them. A point's rows are then
-    tagged with ``param`` and ``value``, or with each row's own tier
-    count when ``param`` is "bundles".
+    ``config.workers`` processes share them. Every point is fitted on
+    the loaded flows and shares their orders (``FlowOrders``), computed
+    at the first point that reads them; each worker process receives
+    one chunk of points with one copy of the flows and the orders, so
+    it computes them once. Under ``split_dest_type`` each point fits
+    its own split flow set, with orders of its own. A point's rows are
+    then tagged with ``param`` and ``value``, or with each row's own
+    tier count when ``param`` is "bundles".
     """
     configs = [dataclasses.replace(config, **{param: value}) for param, value in points]
     distinct = list(dict.fromkeys(configs))
     for point in distinct:
         validate_config(point)
     flows = load_flows(config)
+    orders = None if config.split_dest_type else FlowOrders(
+        flows.ids, flows.demand, keep_tiers=len(distinct) > 1)
     results = dict(zip(distinct, _map_jobs(
-        _grid_point, [(point, flows, strategies, degenerate_ok) for point in distinct],
+        _grid_point,
+        [(point, flows, strategies, degenerate_ok, orders) for point in distinct],
         config.workers)))
     tagged = []
     for (param, value), point in zip(points, configs):
@@ -372,8 +398,10 @@ def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
     # imported here: it pulls in multiprocessing, which serial runs skip
     from concurrent.futures import ProcessPoolExecutor
 
+    # one chunk of jobs per worker: the jobs share their large arguments
+    # (the flows and their orders), which a chunk pickles once
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*jobs)))
+        return list(pool.map(fn, *zip(*jobs), chunksize=-(-len(jobs) // workers)))
 
 
 def _meta(config: ExperimentConfig, rows: list[dict] | None = None) -> dict:

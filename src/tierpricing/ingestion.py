@@ -79,6 +79,11 @@ class DatasetMoments:
             cv = getattr(self, name)
             if not (cv >= 0 and cv * cv < math.inf):
                 raise DomainError(f"{name} must be >= 0 with a finite square, got {cv}")
+            if cv > 0 and cv * cv == 0:
+                # the calibration brackets sigma from sqrt(log1p(cv**2)) = 0
+                # by doubling, which never leaves 0
+                raise DomainError(f"{name} = {cv} is positive but its square "
+                                  "underflows to 0")
         # the sample CV (ddof 0) of n positive values is below sqrt(n-1), so
         # a CV > 0 needs more than CV**2 + 1 flows
         cvs = (self.cv_distance, self.cv_demand)

@@ -860,7 +860,7 @@ class TestEvaluateOracle:
         ctx = ModelContext(ctx.ids, ctx.q, ctx.d, ctx.v, ctx.c, None, DemandModel.CED,
                            alpha, ctx.p0, cs_unit_price_offset=ctx.cs_unit_price_offset)
         labels = np.asarray(labels)
-        prices, profit, surplus, _ = ctx.price(labels, num_bundles)
+        prices, profit, surplus, _ = ctx.price(Bundling(labels, num_bundles))
         per_flow = np.empty(len(labels))
         for b in np.unique(labels):
             members = np.flatnonzero(labels == b)

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tierpricing.bundling import ModelContext
 from tierpricing.domain import (
@@ -181,3 +183,20 @@ class TestBundling:
 
     def test_effective_bundles_is_python_int(self):
         assert type(Bundling([0, 2], num_bundles=4).effective_bundles) is int
+
+    # past 256 bundles the labels are sorted as intp, not as uint8 keys
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda num_bundles: st.tuples(
+        st.just(num_bundles),
+        st.lists(st.integers(0, num_bundles - 1), max_size=400))),
+        st.booleans())
+    def test_grouping_is_the_stable_argsort_and_the_counts(self, case, compact):
+        num_bundles, labels = case
+        b = Bundling(labels, num_bundles, compact)
+        keys = np.array(labels, dtype=np.intp)
+        assert b.members.dtype == (np.min_scalar_type(len(labels)) if compact else np.intp)
+        assert np.array_equal(b.members, np.argsort(keys, kind="stable"))
+        assert np.array_equal(b.sizes, np.bincount(keys, minlength=num_bundles))
+        assert not b.members.flags.writeable and not b.sizes.flags.writeable
+        assert np.array_equal(b.labels, keys)
+        assert b.effective_bundles == len(set(labels))

@@ -13,7 +13,7 @@ import pytest
 
 import tierpricing
 from tierpricing.bundling import Strategy
-from tierpricing.domain import ConfigError, CostKind, DemandModel
+from tierpricing.domain import ConfigError, CostKind, DemandModel, DomainError
 from tierpricing.experiments import (
     ExperimentConfig,
     OUTPUT_COLUMNS,
@@ -208,6 +208,112 @@ class TestGridPoint:
             assert getattr(ctx, param) == value
 
 
+TOKEN_BUCKETS = (Strategy.DEMAND_WEIGHTED, Strategy.COST_WEIGHTED,
+                 Strategy.PROFIT_WEIGHTED)
+
+
+class TestSharedOrders:
+    """A sweep computes what depends on its flow set alone once and shares
+    it between grid points and worker processes."""
+
+    def written(self, tmp_path, run, cfg) -> tuple[bytes, bytes]:
+        rows, meta = run(cfg)
+        out = tmp_path / "out.csv"
+        write_results(str(out), rows, meta)
+        return out.read_bytes(), (tmp_path / "out.csv.meta.json").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("run, overrides", [
+        (run_sensitivity_sweep, dict(demand_model=DemandModel.LOGIT)),
+        (run_sensitivity_sweep, dict(demand_model=DemandModel.CED)),
+        (run_theta_sweep, dict(cost_kind=CostKind.DEST_TYPE,
+                               strategies=(Strategy.OPTIMAL, *TOKEN_BUCKETS,
+                                           Strategy.INDEX_DIVISION))),
+        (run_theta_sweep, dict(cost_kind=CostKind.DEST_TYPE, split_dest_type=True,
+                               demand_model=DemandModel.LOGIT,
+                               strategies=(*TOKEN_BUCKETS,
+                                           Strategy.CLASS_PROFIT_WEIGHTED))),
+    ])
+    def test_same_outputs_as_every_point_fitted_alone(self, tmp_path, monkeypatch,
+                                                      run, overrides, workers):
+        # the per-point path: every grid point evaluated on its own, freshly
+        # loaded flow set, with orders of its own
+        from tierpricing import experiments
+
+        cfg = small_config(n_flows=300, bundles=(1, 2, 3, 5, 8), workers=workers,
+                           theta_grid=(0.0, 0.3, 1.0), **overrides)
+        shared = self.written(tmp_path, run, cfg)
+
+        def alone(fn, jobs, workers):
+            return [fn(point, experiments.load_flows(point), strategies, ok)
+                    for point, _, strategies, ok, _ in jobs]
+
+        monkeypatch.setattr(experiments, "_map_jobs", alone)
+        assert shared == self.written(tmp_path, run, cfg)
+
+    @pytest.mark.parametrize("model, visits", [(DemandModel.LOGIT, 1),
+                                                (DemandModel.CED, 7)])
+    def test_a_sweep_visits_its_demands_once(self, monkeypatch, model, visits):
+        # under logit profit-weighted tiers are demand-weighted: one visit
+        # and one bundling per tier count serve the ten distinct points;
+        # the CED profit weights are fitted, so each of the seven distinct
+        # points (no s0 grid) visits its own
+        from tierpricing import bundling
+
+        calls = {"visit": 0, "buckets": 0}
+        visit, buckets = bundling._visit, bundling._bucket_bundling
+
+        def counting_visit(*args):
+            calls["visit"] += 1
+            return visit(*args)
+
+        def counting_buckets(*args, **kwargs):
+            calls["buckets"] += 1
+            return buckets(*args, **kwargs)
+
+        monkeypatch.setattr(bundling, "_visit", counting_visit)
+        monkeypatch.setattr(bundling, "_bucket_bundling", counting_buckets)
+        cfg = small_config(demand_model=model, n_flows=100)
+        run_sensitivity_sweep(cfg)
+        assert calls == {"visit": visits, "buckets": visits * len(cfg.bundles)}
+
+    def test_cost_division_sorts_no_ids(self, monkeypatch):
+        # the capture-logit shape: no token bucket, so neither the id order
+        # (a string sort) nor a visiting order is computed
+        from tierpricing import bundling, experiments
+
+        made = []
+
+        class Recorded(bundling.FlowOrders):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def unexpected(*args):
+            raise AssertionError("a visiting order was computed")
+
+        monkeypatch.setattr(experiments, "FlowOrders", Recorded)
+        monkeypatch.setattr(bundling, "FlowOrders", Recorded)
+        monkeypatch.setattr(bundling, "_visit", unexpected)
+        run_capture_curve(small_config(demand_model=DemandModel.LOGIT,
+                                       strategies=(Strategy.COST_DIVISION,)))
+        assert len(made) == 1
+        assert not {"id_order", "demand_visit"} & made[0].__dict__.keys()
+        assert not made[0]._tiers
+
+    def test_orders_of_another_flow_set_are_refused(self):
+        from tierpricing.bundling import FlowOrders
+
+        cfg = small_config(cost_kind=CostKind.DEST_TYPE, split_dest_type=True)
+        flows = load_flows(cfg)
+        with pytest.raises(DomainError, match="another flow set"):
+            fit_context(flows, cfg, FlowOrders(flows.ids, flows.demand))
+        other = load_flows(cfg)
+        with pytest.raises(DomainError, match="another flow set"):
+            fit_context(flows, dataclasses.replace(cfg, split_dest_type=False),
+                        FlowOrders(other.ids, other.demand))
+
+
 class TestSensitivity:
     def test_degenerate_grid_matches_capture_run(self):
         cfg = small_config(strategies=(Strategy.PROFIT_WEIGHTED,),
@@ -319,9 +425,9 @@ class TestSensitivity:
         fits = []
         fit = experiments.fit_context
 
-        def counting(flows, config):
+        def counting(flows, config, orders=None):
             fits.append(config)
-            return fit(flows, config)
+            return fit(flows, config, orders)
 
         monkeypatch.setattr(experiments, "fit_context", counting)
         cfg = small_config(demand_model=DemandModel.LOGIT, n_flows=40)

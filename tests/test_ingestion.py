@@ -593,10 +593,23 @@ class TestSynth:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 500).flatmap(lambda n: st.lists(
                st.floats(-50.0, 50.0), min_size=n, max_size=n)),
-           st.one_of(st.just(0.0), st.floats(1e-150, 30.0)))
+           st.one_of(st.just(0.0), st.floats(1e-150, 30.0),
+                     st.floats(0.0, 1e-150, exclude_min=True)))
     def test_calibration_equals_reference_on_any_draw(self, z, cv):
-        # the CVs keep a positive square: at cv * cv == 0 both loop forever
+        if cv * cv == 0 < cv:
+            # both calibrations would loop forever, so the moments refuse it
+            with pytest.raises(DomainError, match="underflows to 0"):
+                DatasetMoments(len(z), 10.0, 0.5, 1.0, cv)
+            return
         assert_calibrates_like_reference(np.array(z), cv)
+
+    @pytest.mark.parametrize("field", ["cv_distance", "cv_demand"])
+    @pytest.mark.parametrize("cv", [1e-200, 5e-324])
+    def test_a_cv_whose_square_underflows_is_refused(self, field, cv):
+        moments = {"cv_distance": 0.5, "cv_demand": 1.0, field: cv}
+        with pytest.raises(DomainError, match=f"^{field} = {cv} is positive but its "
+                                              "square underflows to 0$"):
+            DatasetMoments(100, 10.0, moments["cv_distance"], 1.0, moments["cv_demand"])
 
     @pytest.mark.parametrize("cv", [-0.5, math.nan, math.inf, 1e200])
     def test_a_cv_must_be_nonnegative_with_a_finite_square(self, cv):
