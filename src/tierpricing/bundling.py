@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -372,31 +373,46 @@ def _visit(weights, id_order: np.ndarray) -> _Visit:
     return _Visit(order, np.cumsum(weights[order]), weights.sum())
 
 
+def tiers_of(strategy: Strategy, model: DemandModel) -> Strategy:
+    """The strategy whose tiers ``strategy`` builds under ``model``:
+    under logit profit is a constant times demand
+    (``ModelContext.potential_profits``), so profit-weighted builds the
+    demand-weighted tiers; every other strategy builds its own."""
+    if strategy is Strategy.PROFIT_WEIGHTED and model is DemandModel.LOGIT:
+        return Strategy.DEMAND_WEIGHTED
+    return strategy
+
+
 def _weighting(strategy: Strategy, model: DemandModel) -> Strategy:
     """The token-bucket strategy whose weights ``strategy`` visits by:
-    class-profit-weighted visits by profit, and under logit profit is a
-    constant times demand (``ModelContext.potential_profits``)."""
+    class-profit-weighted visits by profit (``tiers_of`` the rest)."""
     if strategy is Strategy.CLASS_PROFIT_WEIGHTED:
         strategy = Strategy.PROFIT_WEIGHTED
-    if strategy is Strategy.PROFIT_WEIGHTED and model is DemandModel.LOGIT:
-        strategy = Strategy.DEMAND_WEIGHTED
-    return strategy
+    return tiers_of(strategy, model)
 
 
 class FlowOrders:
     """What the token buckets read of a flow set alone, its ``ids`` and
     demands ``q``, computed on first use and kept, so that every context
     fitted on that flow set shares it (``ModelContext.orders``): the id
-    order, the demand visiting order and, with ``keep_tiers``, the
-    demand-weighted tiers of each tier count. A sweep keeps the tiers
-    when several grid points read them; a lone point would only hold
-    their memory. Visits whose weights a context fits (1/c, the CED
-    potential profits) stay with the context: their bits can differ
-    between fits."""
+    order, the demand visiting order and the demand-weighted tiers of
+    each tier count. With ``keep_tiers`` the tiers are kept; a sweep
+    keeps them when several grid points read them. Otherwise they are
+    held only while a reader holds them (a weak reference), so a lone
+    point builds them once for the strategies that read them back to
+    back (``tiers_of``) and does not hold their memory after. Visits
+    whose weights a context fits (1/c, the CED potential profits) stay
+    with the context: their bits can differ between fits."""
 
     def __init__(self, ids: np.ndarray, q: np.ndarray, keep_tiers: bool = False):
         self.ids, self.q = ids, q
-        self._tiers: dict[int, Bundling] | None = {} if keep_tiers else None
+        self._keep_tiers = keep_tiers
+        self._tiers = {} if keep_tiers else weakref.WeakValueDictionary()
+
+    def __reduce__(self):
+        # a copy (a worker's) computes its orders again on first use, and
+        # weak references do not pickle
+        return FlowOrders, (self.ids, self.q, self._keep_tiers)
 
     @cached_property
     def id_order(self) -> np.ndarray:
@@ -411,12 +427,11 @@ class FlowOrders:
 
     def demand_tiers(self, num_bundles: int) -> Bundling:
         """The demand-weighted token-bucket bundling into ``num_bundles``."""
-        if self._tiers is None:
-            return _bucket_bundling(self.demand_visit, num_bundles)
-        if num_bundles not in self._tiers:
-            self._tiers[num_bundles] = _bucket_bundling(self.demand_visit, num_bundles,
-                                                        compact=True)
-        return self._tiers[num_bundles]
+        tiers = self._tiers.get(num_bundles)
+        if tiers is None:
+            tiers = self._tiers[num_bundles] = _bucket_bundling(
+                self.demand_visit, num_bundles, compact=self._keep_tiers)
+        return tiers
 
 
 # relative slack within which a prefix sum reaches a bundle's target, so

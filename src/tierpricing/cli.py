@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import logging
 import sys
 
@@ -244,6 +245,22 @@ def _cmd_fit(config: ExperimentConfig) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the subcommand of ``argv`` and return the exit code.
+
+    With ``argv`` None, ``main`` is the process's entry point (the
+    ``tierpricing`` script, ``python -m tierpricing.cli``) and reads
+    ``sys.argv``. It then first freezes the heap its imports built
+    (``gc.freeze``): collections during the run and the full ones at
+    interpreter shutdown no longer visit numpy's and the package's
+    objects, and a ``--workers`` pool forked after it shares them
+    without copying their collector headers. Called with ``argv``, as
+    tests and library callers do, it leaves the collector as it was: in
+    a long-lived process a freeze per call would keep whatever cycles
+    were uncollected then, tracebacks holding arrays among them, for
+    good.
+    """
+    if argv is None:
+        gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()

@@ -28,13 +28,17 @@ def ced_bundle(W, X, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     W*p**(1-alpha)/alpha of bundles with arrays of sums ``W`` and ``X``.
     Where p**(1-alpha) leaves the normal float64 range (large alpha), W
     is multiplied by p**((1-alpha)/2) twice: the partial product, the
-    geometric mean of W and the profit, is in range wherever both are."""
-    price = alpha * X / ((alpha - 1.0) * W)
+    geometric mean of W and the profit, is in range wherever both are.
+    The operations run in place on four arrays, and the out-of-range
+    mask is built only when a power (or a NaN) is outside the range."""
+    price = alpha * X
+    price /= (alpha - 1.0) * W
     with np.errstate(over="ignore"):
         power = price ** (1.0 - alpha)
-    profit = W * power / alpha
-    outside = ~((power >= _TINY) & (power <= _HUGE))
-    if outside.any():
+    profit = W * power
+    profit /= alpha
+    if power.size and not (power.min() >= _TINY and power.max() <= _HUGE):
+        outside = ~((power >= _TINY) & (power <= _HUGE))
         half = price[outside] ** ((1.0 - alpha) / 2.0)
         profit[outside] = W[outside] * half * half / alpha
     return price, profit

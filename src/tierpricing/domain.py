@@ -134,6 +134,17 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return out
 
 
+def _setstate_read_only(self, state: dict) -> None:
+    """Unpickling (``__setstate__``): pickle restores arrays writable,
+    so the fields' arrays are made read-only again, in place, which keeps
+    the arrays that a pickle shares between objects (a flow table and
+    its ``FlowOrders``) shared."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    self.__dict__.update(state)
+
+
 def _first(bad: np.ndarray) -> int | None:
     hits = np.flatnonzero(bad)
     return int(hits[0]) if hits.size else None
@@ -172,8 +183,9 @@ class FlowTable:
     and ``dest_type`` are None when no flow carries that label, else
     object arrays holding a label or None per flow; unlabeled flows
     are classed by distance or treated as a mixture by the cost
-    models. Every array is read-only (a writable input is copied), so
-    a table can be shared freely. Instances compare by identity.
+    models. Every array is read-only (a writable input is copied), also
+    in an unpickled copy, so a table can be shared freely, with a worker
+    process too. Instances compare by identity.
     """
 
     ids: np.ndarray
@@ -205,6 +217,8 @@ class FlowTable:
         set_(self, "region", _labels_column(ids, self.region, REGIONS, "region"))
         set_(self, "dest_type",
              _labels_column(ids, self.dest_type, DEST_TYPES, "dest_type"))
+
+    __setstate__ = _setstate_read_only
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -249,9 +263,9 @@ class Bundling:
       tier count can be smaller than ``num_bundles``.
 
     ``labels`` derives the labels from the grouping on first use and
-    keeps them, as a read-only ``intp`` array. Every array is read-only.
-    Instances compare by identity; compare labels with
-    ``np.array_equal``.
+    keeps them, as a read-only ``intp`` array. Every array is read-only,
+    also in an unpickled copy. Instances compare by identity; compare
+    labels with ``np.array_equal``.
     """
 
     members: np.ndarray
@@ -279,6 +293,8 @@ class Bundling:
         set_(self, "members", members)
         set_(self, "sizes", sizes)
         set_(self, "num_bundles", num_bundles)
+
+    __setstate__ = _setstate_read_only
 
     @cached_property
     def labels(self) -> np.ndarray:

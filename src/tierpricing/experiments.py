@@ -36,6 +36,7 @@ and seed reproduce output files byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -48,6 +49,7 @@ from .bundling import (
     Strategy,
     build_bundles,
     evaluate_bundling,
+    tiers_of,
 )
 from .bundling import optimal_bundles  # noqa: F401  bench/traced_cli.py patches this name
 from .cost_models import base_cost, class_labels, relative_costs, split_by_dest_type
@@ -233,18 +235,25 @@ def _grid_point(config: ExperimentConfig, flows: FlowTable,
     ``degenerate_ok``, gives rows with NaN captures.
     """
     ctx = fit_context(flows, config, orders)
-    rows = []
+    # strategies that build the same tiers (``tiers_of``) run back to back
+    # at each B, so the second reads the tiers that the first still holds
+    # (``FlowOrders.demand_tiers``)
+    groups: dict[Strategy, list[Strategy]] = {}
     for strategy in strategies:
+        groups.setdefault(tiers_of(strategy, ctx.model), []).append(strategy)
+    rows = {}
+    for group in groups.values():
         for num_bundles in config.bundles:
-            bundling = build_bundles(strategy, ctx, num_bundles)
-            outcome = evaluate_bundling(ctx, bundling, degenerate_ok=degenerate_ok)
-            rows.append(_row(strategy, num_bundles, outcome))
+            for strategy in group:
+                bundling = build_bundles(strategy, ctx, num_bundles)
+                outcome = evaluate_bundling(ctx, bundling, degenerate_ok=degenerate_ok)
+                rows[strategy, num_bundles] = _row(strategy, num_bundles, outcome)
     point = {
         "baselines": {"pi_orig": ctx.pi_orig, "pi_max": ctx.pi_max,
                       "cs_orig": ctx.cs_orig, "cs_max": ctx.cs_max},
         "cost_model": _cost_meta(config, flows, ctx),
     }
-    return rows, point
+    return [rows[key] for key in itertools.product(strategies, config.bundles)], point
 
 
 def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],

@@ -4,6 +4,8 @@ fit self-consistency."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -259,6 +261,31 @@ class TestBundle:
         expected = [ced_profit([vi], [pi], [ci], alpha) for vi, pi, ci in zip(v, p, c)]
         assert min(expected) > 1e-200
         np.testing.assert_allclose(profit, expected, rtol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-300, 1e300) | st.sampled_from([np.nan, np.inf]),
+                              st.floats(1e-6, 1e3)), min_size=1, max_size=20),
+           st.floats(1.0001, 500.0))
+    # a power past the largest float and one below the smallest normal
+    # one, with a profit in range
+    @example([(1e-300, 1e-6), (1.0, 1.0)], 100.0)
+    @example([(1e300, 10.0), (1.0, 1.0)], 200.0)
+    def test_bits_of_the_plain_expressions(self, sums, alpha):
+        # ced_bundle works in place and builds the out-of-range mask only
+        # when a power leaves the range (overflow, underflow or NaN); its
+        # bits are those of the plain expressions with the mask always built
+        W, mean_cost = (np.array(column) for column in zip(*sums))
+        with np.errstate(all="ignore"):
+            X = W * mean_cost
+            price = alpha * X / ((alpha - 1.0) * W)
+            power = price ** (1.0 - alpha)
+            profit = W * power / alpha
+            outside = ~((power >= np.finfo(float).tiny) & (power <= np.finfo(float).max))
+            half = price[outside] ** ((1.0 - alpha) / 2.0)
+            profit[outside] = W[outside] * half * half / alpha
+            got = ced_bundle(W, X, alpha)
+        for a, b in zip(got, (price, profit)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestPotentialProfit:

@@ -1,6 +1,7 @@
 """Domain type validation and invariants."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ class TestFlowRecord:
         with pytest.raises(DomainError):
             _table(region=["metro"])
 
+    @pytest.mark.parametrize("protocol", [4, pickle.HIGHEST_PROTOCOL])
+    def test_unpickled_copy_is_read_only(self, protocol):
+        # pickle restores arrays writable; a worker's copy of the table
+        # keeps the read-only promise
+        flows = pickle.loads(pickle.dumps(_table(region=["metro", None, "national"]),
+                                          protocol))
+        assert flows.ids.tolist() == ["f", "g", "h"]
+        for column in (flows.ids, flows.demand, flows.distance, flows.region):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
     def test_columns_are_copies_and_unlabeled_columns_are_none(self):
         demand = np.array([1.0, 2.0, 3.0])
         flows = _table(demand=demand, region=[None, None, None],
@@ -176,6 +188,18 @@ class TestBundling:
             b.labels[0] = 1
         source[0] = 1
         assert b.labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("protocol", [4, pickle.HIGHEST_PROTOCOL])
+    @pytest.mark.parametrize("derived", [False, True])
+    def test_unpickled_copy_is_read_only(self, protocol, derived):
+        b = Bundling([2, 0, 2, 1], num_bundles=4)
+        if derived:
+            b.labels
+        copy = pickle.loads(pickle.dumps(b, protocol))
+        assert copy.members.tolist() == [1, 3, 0, 2] and copy.sizes.tolist() == [1, 1, 2, 0]
+        assert copy.labels.tolist() == [2, 0, 2, 1]
+        for array in (copy.members, copy.sizes, copy.labels):
+            assert not array.flags.writeable
 
     def test_labels_must_be_one_dimensional(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -277,6 +278,55 @@ class TestSharedOrders:
         run_sensitivity_sweep(cfg)
         assert calls == {"visit": visits, "buckets": visits * len(cfg.bundles)}
 
+    def test_a_capture_builds_each_demand_tier_once(self, monkeypatch):
+        # under logit profit-weighted builds the demand-weighted tiers: the
+        # default strategies build them and the cost-weighted ones once per
+        # tier count, 16 bundlings for 8, and the flow set's orders hold
+        # none of them after the run
+        from tierpricing import bundling, experiments
+
+        calls, made = [], []
+        buckets = bundling._bucket_bundling
+
+        def counting_buckets(*args, **kwargs):
+            calls.append(args[1])
+            return buckets(*args, **kwargs)
+
+        class Recorded(bundling.FlowOrders):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        cfg = small_config(demand_model=DemandModel.LOGIT, bundles=tuple(range(1, 9)),
+                           strategies=ExperimentConfig.strategies, n_flows=300)
+        monkeypatch.setattr(bundling, "_bucket_bundling", counting_buckets)
+        monkeypatch.setattr(experiments, "FlowOrders", Recorded)
+        rows, _ = run_capture_curve(cfg)
+        assert sorted(calls) == sorted(2 * list(cfg.bundles))
+        assert len(made) == 1 and not made[0]._tiers
+        by_strategy = {}
+        for row in rows:
+            by_strategy.setdefault(row["strategy"], []).append(
+                {k: v for k, v in row.items() if k != "strategy"})
+        assert by_strategy["profit-weighted"] == by_strategy["demand-weighted"]
+
+    @pytest.mark.parametrize("protocol", [4, pickle.HIGHEST_PROTOCOL])
+    def test_a_worker_fits_on_the_flows_it_receives(self, protocol):
+        # pickle restores arrays writable; the flow table makes its columns
+        # read-only again in place, so its orders still share them and a
+        # context fitted in a worker shares them too instead of copying
+        from tierpricing.bundling import FlowOrders
+
+        cfg = small_config()
+        flows = load_flows(cfg)
+        flows, orders = pickle.loads(
+            pickle.dumps((flows, FlowOrders(flows.ids, flows.demand)), protocol))
+        for column in (flows.ids, flows.demand, flows.distance):
+            assert not column.flags.writeable
+        assert orders.ids is flows.ids and orders.q is flows.demand
+        ctx = fit_context(flows, cfg, orders)
+        assert ctx.ids is flows.ids and ctx.q is flows.demand and ctx.d is flows.distance
+
     def test_cost_division_sorts_no_ids(self, monkeypatch):
         # the capture-logit shape: no token bucket, so neither the id order
         # (a string sort) nor a visiting order is computed
@@ -525,13 +575,13 @@ class TestWriteResults:
         assert not list(tmp_path.glob("*.tmp.*"))
 
 
-def run_python(*args):
+def run_python(*args, cwd=None):
     # the child imports the same tierpricing as this process, also when
     # pytest put src/ on sys.path without setting PYTHONPATH
     src = os.path.dirname(os.path.dirname(tierpricing.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, *args], cwd=cwd,
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
 
@@ -1098,6 +1148,31 @@ class TestCli:
         dests = {action.dest for sub in parser.sub_map.values() for action in sub._actions}
         fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
         assert fields - dests == set()
+
+    def test_only_the_entry_point_freezes_the_heap(self, tmp_path, monkeypatch):
+        # main() reading sys.argv freezes the import-time heap; main(argv)
+        # leaves the collector as it was; both write the same bytes to the
+        # same relative --out
+        import gc
+
+        from tierpricing.cli import main
+
+        args = ["capture", "--synth-preset", "eu-isp", "--n-flows", "300",
+                "--bundles", "1..4", "--out", "out.csv"]
+        entry, called = tmp_path / "entry", tmp_path / "called"
+        entry.mkdir()
+        called.mkdir()
+        res = run_python("-c", "import gc, sys; from tierpricing.cli import main; "
+                         "code = main(); print(gc.get_freeze_count()); sys.exit(code)",
+                         *args, cwd=entry)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) > 0
+        monkeypatch.chdir(called)
+        frozen = gc.get_freeze_count()
+        assert main(args) == 0
+        assert gc.get_freeze_count() == frozen
+        for name in ("out.csv", "out.csv.meta.json"):
+            assert (entry / name).read_bytes() == (called / name).read_bytes()
 
     def test_import_skips_process_pool_and_configparser(self):
         # both are imported only by the runs that use them
