@@ -378,6 +378,22 @@ def write_params_csv(path, ctx: ModelContext) -> None:
 # ---------------------------------------------------------------------------
 
 
+# An exact sample CV below cv*(1 - 1e-6), or above cv*(1 + 1e-6), by more
+# than this share of cv settles the bisection steps on its side of its
+# sigma (see _calibrated_lognormal).
+_SETTLE_SLACK = 1e-9
+# A target CV below this is bisected with an exact CV at every step: the
+# computed CV's absolute error, up to about 3e-13 (1 + CV), would no
+# longer be far below the slack.
+_SETTLE_MIN_CV = 1e-2
+# Secant steps aim an exact CV this share of cv outside each edge of the
+# band, and stop on that side once one lies within twice the band's
+# half-width of the edge, or after _ANCHOR_STEPS steps.
+_ANCHOR_AIM = 1.1e-6
+_ANCHOR_CLOSE = 2e-6
+_ANCHOR_STEPS = 6
+
+
 def _calibrated_lognormal(z: np.ndarray, cv: float) -> np.ndarray:
     """Positive sample exp(sigma*z), or a constant multiple of it, with
     its *sample* coefficient of variation driven to ``cv``.
@@ -389,50 +405,132 @@ def _calibrated_lognormal(z: np.ndarray, cv: float) -> np.ndarray:
     scale-free, so a draw that overflows float64 is taken as
     exp(sigma*(z - max z)) instead. NoConvergence when no sigma up to
     1e3 reaches ``cv``.
+
+    Most bisection steps are settled without computing a CV. For
+    sigma >= 0 the sample CV of exp(sigma*z) rises with sigma:
+    CV^2 + 1 = M(2 sigma) / M(sigma)^2 for the sample moment generating
+    function M, and the log of that ratio has derivative
+    2 (K'(2 sigma) - K'(sigma)) >= 0, as K = log M is convex. So an
+    exact CV at sigma_a that lies below the band cv*(1 -+ 1e-6) by more
+    than ``_SETTLE_SLACK`` * cv settles every midpoint at or below
+    sigma_a as "below, not converged", and one above the band settles
+    every midpoint at or above its sigma as "above": the outcome an
+    exact step would compute, as long as the computed CV's rounding
+    error stays far below the slack. Each value of the draw is within
+    about 1500 ulp of exact (an exp argument of up to 745 in magnitude,
+    beyond which exp underflows, rounded twice on the shifted draw);
+    with a finite max z >= 0 the draw's largest value is at least 1, so
+    the values lost to underflow do not count; so the computed CV is
+    off by at most about 3e-13 (1 + CV), which for cv >=
+    ``_SETTLE_MIN_CV`` is below 1/30 of the slack. Other draws and
+    targets compute the CV at every step.
+
+    Before the bisection, a few secant steps on log(CV/cv) against
+    log(sigma) place exact CVs just outside both edges of the band.
+    They decide only which steps are settled, never a step's outcome,
+    and stop where a CV computes to 0 or is not finite, or the slope is
+    not positive. The converged midpoint is always computed, as its
+    draw is the result, and so is the last one of a bisection that does
+    not converge, as its residual is the error's.
     """
     if cv == 0.0:
         return np.ones_like(z)
-    # every step runs in these two buffers: n-element temporaries freed
-    # at each step would go back to the kernel and fault in again
+    # every evaluation runs in these two buffers: n-element temporaries
+    # freed at each step would go back to the kernel and fault in again
     n = z.size
     x, dev = np.empty_like(z), np.empty_like(z)
+    settles = cv >= _SETTLE_MIN_CV and 0 <= z.max() < math.inf
+    low, high = cv * (1 - 1e-6 - _SETTLE_SLACK), cv * (1 + 1e-6 + _SETTLE_SLACK)
+    # (sigma, CV) of the largest sigma settled below the band and of the
+    # smallest settled above it; (sigma, CV) of every exact evaluation
+    anchors = [(0.0, 0.0), (math.inf, math.inf)]
+    trail = []
 
-    def x_cv() -> float:
-        """x.std() / x.mean(), in numpy's arithmetic."""
-        mean = np.add.reduce(x) / n
-        np.subtract(x, mean, out=dev)
-        np.multiply(dev, dev, out=dev)
-        return float(np.sqrt(np.add.reduce(dev) / n) / mean)
-
-    def sample_cv(sigma: float) -> float:
-        """The sample CV at ``sigma``, with the draw left in ``x``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.exp(np.multiply(sigma, z, out=x), out=x)
-            got = x_cv()
-        if math.isfinite(got):
-            return got
-        np.subtract(z, z.max(), out=x)
-        np.exp(np.multiply(sigma, x, out=x), out=x)
-        return x_cv()
+    def exact_cv(sigma: float) -> float:
+        got = _exact_cv(sigma, z, x, dev)
+        if settles and got < low and sigma > anchors[0][0]:
+            anchors[0] = (sigma, got)
+        if settles and got > high and sigma < anchors[1][0]:
+            anchors[1] = (sigma, got)
+        trail.append((sigma, got))
+        return got
 
     where = f"sample CV calibration to cv = {cv} over {n} flows"
     lo, hi = 0.0, float(np.sqrt(np.log1p(cv * cv)))
-    while sample_cv(hi) < cv:
+    while exact_cv(hi) < cv:
         hi *= 2.0
         if hi > 1e3:
             raise NoConvergence(f"{where} needs sigma > 1e3")
+    for side in (0, 1) if settles else ():
+        aim = cv * (1 + _ANCHOR_AIM) if side else cv * (1 - _ANCHOR_AIM)
+        for _ in range(_ANCHOR_STEPS):
+            if abs(anchors[side][1] - cv) <= _ANCHOR_CLOSE * cv:
+                break
+            sigma = _secant_sigma(trail, aim, anchors[0][0], min(anchors[1][0], hi))
+            if sigma is None:
+                break
+            exact_cv(sigma)
     for _ in range(100):
         sigma = 0.5 * (lo + hi)
-        got = sample_cv(sigma)
-        if abs(got - cv) <= 1e-6 * cv:
-            break
-        if got < cv:
+        if sigma <= anchors[0][0]:
             lo = sigma
-        else:
+        elif sigma >= anchors[1][0]:
             hi = sigma
+        else:
+            got = exact_cv(sigma)
+            if abs(got - cv) <= 1e-6 * cv:
+                break
+            if got < cv:
+                lo = sigma
+            else:
+                hi = sigma
     else:
+        # the last step may have been settled; its residual is computed
+        got = _exact_cv(sigma, z, x, dev)
         raise NoConvergence(f"{where} did not converge", residual=abs(got - cv))
     return x
+
+
+def _secant_sigma(trail: list, aim: float, below: float, above: float) -> float | None:
+    """The sigma where the line through the last two (sigma, CV) points
+    of ``trail``, in log-log, reaches CV = ``aim``; with one point, the
+    line of slope 1. None where a CV is not positive and finite, the
+    slope is not positive, or that sigma is not between ``below`` and
+    ``above``."""
+    s2, c2 = trail[-1]
+    s1, c1 = trail[-2] if len(trail) > 1 else (s2 / 2, c2 / 2)
+    if not (0 < c1 < math.inf and 0 < c2 < math.inf):
+        return None
+    rise, run = math.log(c2 / c1), math.log(s2 / s1)
+    if not rise * run > 0:
+        return None
+    step = math.log(aim / c2) * run / rise
+    if not step < math.log(above / s2):
+        return None
+    sigma = s2 * math.exp(step)
+    return sigma if sigma > below else None
+
+
+def _exact_cv(sigma: float, z: np.ndarray, x: np.ndarray, dev: np.ndarray) -> float:
+    """The sample CV of exp(sigma*z), or of exp(sigma*(z - max z)) where
+    that overflows, with the draw left in ``x``; ``dev`` is scratch of
+    the same size."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(np.multiply(sigma, z, out=x), out=x)
+        got = _buffer_cv(x, dev)
+    if math.isfinite(got):
+        return got
+    np.subtract(z, z.max(), out=x)
+    np.exp(np.multiply(sigma, x, out=x), out=x)
+    return _buffer_cv(x, dev)
+
+
+def _buffer_cv(x: np.ndarray, dev: np.ndarray) -> float:
+    """x.std() / x.mean(), in numpy's arithmetic, with ``dev`` as scratch."""
+    mean = np.add.reduce(x) / x.size
+    np.subtract(x, mean, out=dev)
+    np.multiply(dev, dev, out=dev)
+    return float(np.sqrt(np.add.reduce(dev) / x.size) / mean)
 
 
 def synth_generate(moments: DatasetMoments) -> FlowTable:
@@ -472,14 +570,23 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
 def _synth_ids(n: int) -> np.ndarray:
     """Ids ``synth-<i>`` for i in 0..n-1, the index zero-padded to the
     width of n-1: one code point per column of a ``uint32`` matrix,
-    viewed as a unicode array."""
+    viewed as a unicode array.
+
+    The digit column of 10**k counts runs of 10**k equal digits through
+    0-9 and again: each whole cycle of 10**(k+1) rows, then the rows
+    left over, is written as one block through a reshaped view of the
+    matrix's rows."""
     prefix = "synth-"
     width = len(str(n - 1))
     codes = np.empty((n, len(prefix) + width), dtype=np.uint32)
     codes[:, :len(prefix)] = [ord(ch) for ch in prefix]
-    index = np.arange(n, dtype=np.uint32)
-    digit = np.empty_like(index)
-    for col in range(codes.shape[1] - 1, len(prefix) - 1, -1):
-        np.divmod(index, 10, out=(index, digit))
-        np.add(digit, ord("0"), out=codes[:, col])
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+    for k in range(width):
+        col, run = codes.shape[1] - 1 - k, 10 ** k
+        whole = n - n % (10 * run)
+        codes[:whole].reshape(-1, 10, run, codes.shape[1])[..., col] = digits[:, None]
+        tail = codes[whole:]
+        runs = len(tail) // run
+        tail[:runs * run].reshape(runs, run, codes.shape[1])[..., col] = digits[:runs, None]
+        tail[runs * run:, col] = digits[runs]
     return codes.view(np.dtype(("U", codes.shape[1]))).reshape(n)

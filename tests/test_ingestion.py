@@ -3,6 +3,7 @@
 import collections
 import csv
 import dataclasses
+import hashlib
 import logging
 import math
 import re
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from tierpricing import ingestion
 from tierpricing.bundling import ModelContext
+from tierpricing.cli import main
 from tierpricing.domain import (
     DemandModel,
     DomainError,
@@ -589,6 +591,45 @@ class TestSynth:
                                    "did not converge"}, outcomes
         # the draw that CI writes twice through the console script
         assert ("internet2", 22, 113) in shifted
+
+    def test_calibration_equals_reference_where_rounding_sets_the_cv(self):
+        # near this target the computed CV of these two flows moves in
+        # rounding steps wider than the tolerance, and falls in places as
+        # sigma rises, so no step may be settled from another step's CV
+        z = np.array([1.2, 0.7])
+        assert assert_calibrates_like_reference(z, 2.2382840188368513e-12) == "did not converge"
+
+    @pytest.mark.parametrize("n", [20_000, 200_000])
+    @pytest.mark.parametrize("preset", sorted(SYNTH_PRESETS))
+    def test_calibration_computes_few_cvs(self, preset, n, monkeypatch):
+        # the draws of synth at seed 7; an exact CV at every bisection
+        # step takes about 20 per target
+        sigmas = []
+        exact_cv = ingestion._exact_cv
+        monkeypatch.setattr(ingestion, "_exact_cv",
+                            lambda sigma, *rest: sigmas.append(sigma) or exact_cv(sigma, *rest))
+        moments = preset_moments(preset, n_flows=n)
+        rng = np.random.default_rng(7)
+        z_q, z_d = rng.standard_normal(n), rng.standard_normal(n)
+        for z, cv in ((z_q, moments.cv_demand), (z_d, moments.cv_distance)):
+            sigmas.clear()
+            assert assert_calibrates_like_reference(z, cv) == "drawn"
+            assert len(sigmas) <= 10, (cv, sigmas)
+
+    # sha256 of ``synth --synth-preset P --n-flows 5000 --seed 7 --out F``,
+    # as written with an exact CV at every bisection step
+    SYNTH_5K_SHA256 = {
+        "cdn": "e2afa4579fbe75d268c0cc773fe1644847c3ad7de2f3d51340ac51faaf45522f",
+        "eu-isp": "32d0ba1a82e2359ffb9fa058784e162488a006aeae705a6400b6cbe706826891",
+        "internet2": "8cb2818f58dd73f5735b0dc3b6ae4b3c137166d28950098293786a7b7f451dd6",
+    }
+
+    @pytest.mark.parametrize("preset", sorted(SYNTH_5K_SHA256))
+    def test_synth_csv_bytes_are_pinned(self, preset, tmp_path):
+        out = tmp_path / "flows.csv"
+        assert main(["synth", "--synth-preset", preset, "--n-flows", "5000",
+                     "--seed", "7", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SYNTH_5K_SHA256[preset]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 500).flatmap(lambda n: st.lists(
