@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import math
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -102,11 +101,10 @@ class ModelContext:
 
     * ``cost_order``, the order of index-division and of the optimal
       search, and the search's DP;
-    * the visiting orders of the weights the context fits, 1/c and,
-      under CED, the potential profits, with the prefix sums of the
-      weights in that order and their sum (``visiting_order``);
-      class-profit-weighted restricts the profit order to each class
-      (``class_visits``);
+    * the token-bucket visiting orders of the weights the context
+      fits, ``cost_visit`` (1/c) and ``profit_visit`` (the potential
+      profits; under logit the flow set's demand order), and the profit
+      order restricted to each class (``class_visits``);
     * ``potential_profits``;
     * the per-flow terms w and x = c*w of the bundle sums (``terms``).
 
@@ -294,35 +292,18 @@ class ModelContext:
         return weights
 
     @cached_property
-    def _visits(self) -> dict:
-        return {}
+    def cost_visit(self) -> "_Visit":
+        """The cost-weighted visiting order, of the weights 1/c."""
+        return _visit(1.0 / self.c, self.orders.id_order)
 
-    def visiting_order(self, strategy: Strategy) -> "_Visit":
-        """The token-bucket visiting order of the demand-, cost- or
-        profit-weighted strategy (class-profit-weighted shares the
-        profit order): the flow set's demand order (``orders``), which
-        under logit is also the profit order, or one computed once per
-        context for the weights the context fits."""
-        strategy = _weighting(strategy, self.model)
-        if strategy is Strategy.DEMAND_WEIGHTED:
+    @cached_property
+    def profit_visit(self) -> "_Visit":
+        """The profit-weighted visiting order, of ``potential_profits``;
+        under logit those are q, whose order the flow set has
+        (``FlowOrders.demand_visit``)."""
+        if self.model is DemandModel.LOGIT:
             return self.orders.demand_visit
-        if strategy not in self._visits:
-            if strategy is Strategy.COST_WEIGHTED:
-                weights = 1.0 / self.c
-            elif strategy is Strategy.PROFIT_WEIGHTED:
-                weights = self.potential_profits
-            else:
-                raise DomainError(f"{strategy.value} is not a token-bucket strategy")
-            self._visits[strategy] = _visit(weights, self.orders.id_order)
-        return self._visits[strategy]
-
-    def token_buckets(self, strategy: Strategy, num_bundles: int) -> Bundling:
-        """The demand-, cost- or profit-weighted token-bucket bundling
-        into ``num_bundles``; demand-only tiers are the flow set's
-        (``FlowOrders.demand_tiers``)."""
-        if _weighting(strategy, self.model) is Strategy.DEMAND_WEIGHTED:
-            return self.orders.demand_tiers(num_bundles)
-        return _bucket_bundling(self.visiting_order(strategy), num_bundles)
+        return _visit(self.potential_profits, self.orders.id_order)
 
     @cached_property
     def class_visits(self) -> dict:
@@ -334,7 +315,7 @@ class ModelContext:
         if class_of is None or np.equal(class_of, None).any():
             raise MissingClassLabels("class-constrained bundling requires class labels")
         weights = self.potential_profits
-        order = self.visiting_order(Strategy.PROFIT_WEIGHTED).order
+        order = self.profit_visit.order
         visited = weights[order]
         out = {}
         for lab in dict.fromkeys(class_of.tolist()):
@@ -374,45 +355,31 @@ def _visit(weights, id_order: np.ndarray) -> _Visit:
 
 
 def tiers_of(strategy: Strategy, model: DemandModel) -> Strategy:
-    """The strategy whose tiers ``strategy`` builds under ``model``:
-    under logit profit is a constant times demand
-    (``ModelContext.potential_profits``), so profit-weighted builds the
-    demand-weighted tiers; every other strategy builds its own."""
+    """The strategy whose tiers ``strategy`` builds under ``model``
+    (``build_bundles`` dispatches on it): under logit profit is a
+    constant times demand (``ModelContext.potential_profits``), so
+    profit-weighted builds the demand-weighted tiers; every other
+    strategy builds its own. Strategies of one ``tiers_of`` share one
+    bundling, and a grid point builds and evaluates it once."""
     if strategy is Strategy.PROFIT_WEIGHTED and model is DemandModel.LOGIT:
         return Strategy.DEMAND_WEIGHTED
     return strategy
-
-
-def _weighting(strategy: Strategy, model: DemandModel) -> Strategy:
-    """The token-bucket strategy whose weights ``strategy`` visits by:
-    class-profit-weighted visits by profit (``tiers_of`` the rest)."""
-    if strategy is Strategy.CLASS_PROFIT_WEIGHTED:
-        strategy = Strategy.PROFIT_WEIGHTED
-    return tiers_of(strategy, model)
 
 
 class FlowOrders:
     """What the token buckets read of a flow set alone, its ``ids`` and
     demands ``q``, computed on first use and kept, so that every context
     fitted on that flow set shares it (``ModelContext.orders``): the id
-    order, the demand visiting order and the demand-weighted tiers of
-    each tier count. With ``keep_tiers`` the tiers are kept; a sweep
-    keeps them when several grid points read them. Otherwise they are
-    held only while a reader holds them (a weak reference), so a lone
-    point builds them once for the strategies that read them back to
-    back (``tiers_of``) and does not hold their memory after. Visits
-    whose weights a context fits (1/c, the CED potential profits) stay
-    with the context: their bits can differ between fits."""
+    order and the demand visiting order. With ``keep_tiers`` (a sweep
+    whose grid points all read them) the demand-weighted tiers of each
+    tier count are kept too; otherwise each call builds its tiers and
+    none are kept. Visits whose weights a context fits (1/c, the CED
+    potential profits) stay with the context: their bits can differ
+    between fits."""
 
     def __init__(self, ids: np.ndarray, q: np.ndarray, keep_tiers: bool = False):
         self.ids, self.q = ids, q
-        self._keep_tiers = keep_tiers
-        self._tiers = {} if keep_tiers else weakref.WeakValueDictionary()
-
-    def __reduce__(self):
-        # a copy (a worker's) computes its orders again on first use, and
-        # weak references do not pickle
-        return FlowOrders, (self.ids, self.q, self._keep_tiers)
+        self._tiers = {} if keep_tiers else None
 
     @cached_property
     def id_order(self) -> np.ndarray:
@@ -427,11 +394,12 @@ class FlowOrders:
 
     def demand_tiers(self, num_bundles: int) -> Bundling:
         """The demand-weighted token-bucket bundling into ``num_bundles``."""
-        tiers = self._tiers.get(num_bundles)
-        if tiers is None:
-            tiers = self._tiers[num_bundles] = _bucket_bundling(
-                self.demand_visit, num_bundles, compact=self._keep_tiers)
-        return tiers
+        if self._tiers is None:
+            return _bucket_bundling(self.demand_visit, num_bundles)
+        if num_bundles not in self._tiers:
+            self._tiers[num_bundles] = _bucket_bundling(
+                self.demand_visit, num_bundles, compact=True)
+        return self._tiers[num_bundles]
 
 
 # relative slack within which a prefix sum reaches a bundle's target, so
@@ -497,7 +465,7 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
             "class-constrained bundling needs >= %d bundles, got %d; "
             "falling back to profit-weighted", len(classes), num_bundles,
         )
-        return ctx.token_buckets(Strategy.PROFIT_WEIGHTED, num_bundles)
+        return build_bundles(Strategy.PROFIT_WEIGHTED, ctx, num_bundles)
     total = sum(mass.values())
     alloc = {lab: 1 for lab in classes}
     for _ in range(num_bundles - len(classes)):
@@ -514,14 +482,19 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
 
 
 def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bundling:
-    """Construct a tier partition with the given strategy."""
+    """Construct a tier partition with the given strategy: the tiers of
+    ``tiers_of(strategy, ctx.model)``."""
     if len(ctx.ids) == 0:
         raise DomainError("cannot bundle an empty flow set")
+    strategy = tiers_of(strategy, ctx.model)
     if strategy is Strategy.OPTIMAL:
         return optimal_bundles(ctx, num_bundles)
-    if strategy in (Strategy.DEMAND_WEIGHTED, Strategy.COST_WEIGHTED,
-                    Strategy.PROFIT_WEIGHTED):
-        return ctx.token_buckets(strategy, num_bundles)
+    if strategy is Strategy.DEMAND_WEIGHTED:
+        return ctx.orders.demand_tiers(num_bundles)
+    if strategy is Strategy.COST_WEIGHTED:
+        return _bucket_bundling(ctx.cost_visit, num_bundles)
+    if strategy is Strategy.PROFIT_WEIGHTED:
+        return _bucket_bundling(ctx.profit_visit, num_bundles)
     if strategy is Strategy.COST_DIVISION:
         return _cost_division(ctx, num_bundles)
     if strategy is Strategy.INDEX_DIVISION:

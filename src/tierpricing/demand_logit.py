@@ -12,7 +12,8 @@ a Lambert-W root, prices the market.
 
 Every flow carries the same optimal markup, so a flow's standalone
 profit is a constant times its demand: profit-weighted bundling is
-demand-weighted bundling (``ModelContext.visiting_order``).
+demand-weighted bundling, and a run builds and evaluates their one
+tier set once per tier count (``bundling.tiers_of``).
 
 Bundles aggregate exactly: a bundle behaves like a single flow with
 valuation log-sum-exp(alpha*v)/alpha and valuation-weighted mean cost,

@@ -12,15 +12,18 @@ Three table-producing runs mirror the headline questions:
 
 All three walk one engine: ``_sweep`` loads the flows once and maps
 each distinct grid point, the configuration with one field replaced,
-through ``_grid_point``, which fits one context and evaluates every
-(strategy, tier count) on it. Once per flow set (and once per worker
-process) the engine computes what depends on the flows alone
-(``FlowOrders``: the id order, the demand visiting order and the
-demand-weighted tiers of each tier count), and every grid point shares
-it; a split flow set (``split_dest_type``, one per theta) has its own.
-Once per grid point it fits the valuations and costs and what follows from
-them: the baselines, the cost order and the optimal search, and the
-cost- and (under CED) profit-weighted visiting orders. A capture curve
+through ``_grid_point``, which fits one context and, at every tier
+count, builds and evaluates each distinct tier set once: strategies
+that build the same tiers (``tiers_of``; under logit, demand- and
+profit-weighted) share one bundling and one evaluation. Once per flow
+set (and once per worker process) the engine computes what depends on
+the flows alone (``FlowOrders``: the id order, the demand visiting
+order and, for a sweep of several points, the demand-weighted tiers of
+each tier count), and every grid point shares it; a split flow set
+(``split_dest_type``, one per theta) has its own. Once per grid point
+it fits the valuations and costs and what follows from them: the
+baselines, the cost order and the optimal search, and the cost- and
+(under CED) profit-weighted visiting orders. A capture curve
 is a one-point sweep; the theta sweep normalizes the profits of its
 points and the sensitivity sweep picks the extreme point per tier
 count.
@@ -227,7 +230,9 @@ def _grid_point(config: ExperimentConfig, flows: FlowTable,
                 strategies: tuple[Strategy, ...], degenerate_ok: bool = False,
                 orders: FlowOrders | None = None) -> tuple[list[dict], dict]:
     """Fit one context at ``config`` (sharing ``orders``, as
-    ``fit_context``) and evaluate every (strategy, B).
+    ``fit_context``) and evaluate every (strategy, B): the strategies
+    that build the same tiers (``tiers_of``) share, at each B, one
+    bundling, built by the first of them, and one evaluation.
 
     Returns the rows, not yet tagged with a sweep parameter, and the
     point's baselines and fitted cost model. A market whose per-flow
@@ -235,18 +240,15 @@ def _grid_point(config: ExperimentConfig, flows: FlowTable,
     ``degenerate_ok``, gives rows with NaN captures.
     """
     ctx = fit_context(flows, config, orders)
-    # strategies that build the same tiers (``tiers_of``) run back to back
-    # at each B, so the second reads the tiers that the first still holds
-    # (``FlowOrders.demand_tiers``)
     groups: dict[Strategy, list[Strategy]] = {}
     for strategy in strategies:
         groups.setdefault(tiers_of(strategy, ctx.model), []).append(strategy)
     rows = {}
     for group in groups.values():
         for num_bundles in config.bundles:
+            bundling = build_bundles(group[0], ctx, num_bundles)
+            outcome = evaluate_bundling(ctx, bundling, degenerate_ok=degenerate_ok)
             for strategy in group:
-                bundling = build_bundles(strategy, ctx, num_bundles)
-                outcome = evaluate_bundling(ctx, bundling, degenerate_ok=degenerate_ok)
                 rows[strategy, num_bundles] = _row(strategy, num_bundles, outcome)
     point = {
         "baselines": {"pi_orig": ctx.pi_orig, "pi_max": ctx.pi_max,

@@ -310,6 +310,46 @@ class TestSharedOrders:
                 {k: v for k, v in row.items() if k != "strategy"})
         assert by_strategy["profit-weighted"] == by_strategy["demand-weighted"]
 
+    @pytest.mark.parametrize("model, strategies, builders", [
+        # under logit demand- and profit-weighted are one tier set, built
+        # by whichever of the two is listed first
+        (DemandModel.LOGIT, ExperimentConfig.strategies,
+         [s for s in ExperimentConfig.strategies if s is not Strategy.PROFIT_WEIGHTED]),
+        (DemandModel.LOGIT, (Strategy.PROFIT_WEIGHTED, Strategy.DEMAND_WEIGHTED),
+         [Strategy.PROFIT_WEIGHTED]),
+        (DemandModel.CED, ExperimentConfig.strategies, list(ExperimentConfig.strategies)),
+    ])
+    def test_a_tier_set_is_built_and_evaluated_once(self, monkeypatch, model, strategies,
+                                                     builders):
+        # one build and one evaluation per tier set and tier count (40, not
+        # 48, for the default strategies under logit), and every row is
+        # the row of a run of its strategy alone (compared by repr: an
+        # empty bundle's price is NaN)
+        from tierpricing import experiments
+
+        built, evaluated = [], []
+        build, evaluate = experiments.build_bundles, experiments.evaluate_bundling
+
+        def counting_build(strategy, *args):
+            built.append(strategy)
+            return build(strategy, *args)
+
+        def counting_evaluate(*args, **kwargs):
+            evaluated.append(args[1])
+            return evaluate(*args, **kwargs)
+
+        cfg = small_config(demand_model=model, bundles=tuple(range(1, 9)),
+                           strategies=strategies, n_flows=300)
+        monkeypatch.setattr(experiments, "build_bundles", counting_build)
+        monkeypatch.setattr(experiments, "evaluate_bundling", counting_evaluate)
+        rows, _ = run_capture_curve(cfg)
+        assert sorted(built) == sorted(8 * builders)
+        assert len(evaluated) == 8 * len(builders)
+        monkeypatch.undo()
+        for strategy in strategies:
+            alone, _ = run_capture_curve(dataclasses.replace(cfg, strategies=(strategy,)))
+            assert repr([r for r in rows if r["strategy"] == strategy.value]) == repr(alone)
+
     @pytest.mark.parametrize("protocol", [4, pickle.HIGHEST_PROTOCOL])
     def test_a_worker_fits_on_the_flows_it_receives(self, protocol):
         # pickle restores arrays writable; the flow table makes its columns

@@ -185,6 +185,39 @@ def test_tripled_logit_demand_keeps_captures():
     assert_captures_agree(after, before, condition)
 
 
+@pytest.mark.xfail(strict=True, reason="the damped logit price loop stops at a point "
+                                       "that depends on the cost scale")
+def test_scaled_logit_distances_keep_captures():
+    # a market test_distance_scaling_keeps_captures found: 26 flows,
+    # logit, concave costs, every distance times 0.3; at index-division
+    # B = 5 the surplus capture moves from 0.6264188003584423 to
+    # 0.6264188035672839, by 3.2e-9 against that property's 1e-9; priced
+    # by c + logit_markup, no capture of any strategy and B moves by more
+    # than 4.7e-15
+    q = [2.90770257603224, 7.8572468982124555, 7.600532416479252, 1.42078830256968,
+         2.737717137232194, 3.193641202073613, 2.61894231773361, 2.087831504619266,
+         1.182668074662416, 2.1207627092621846, 10.552101683070093, 0.4212835226301446,
+         2.0503940093015185, 4.041150930209433, 8.230512309326052, 10.650704573768348,
+         2.2509588085520567, 2.4965102959169063, 1.2340842897267656, 10.87266609675514,
+         0.27521778771597544, 0.6787875606353903, 3.913257510418361, 4.5447755660139375,
+         10.598567571247093, 6.524265697794498]
+    d = [41.42280331991396, 27.733565084767722, 54.08043474873888, 57.64173849764098,
+         97.20664028553959, 95.29426149360542, 31.3930552118692, 92.3916705231506,
+         63.2329232358206, 16.66082053570223, 84.23339718615064, 41.87067625741575,
+         26.963174999937372, 26.694507881977987, 46.34760762474443, 6.927395762063956,
+         45.70033583285209, 93.8930203222907, 81.84873067837923, 65.55037214663092,
+         99.1909481488647, 15.538260917739565, 59.47298462617427, 58.48071596577002,
+         23.941288896589754, 54.467176039424544]
+    flows = FlowTable([f"f{i:02d}" for i in range(len(q))], q, d)
+    config = ExperimentConfig(demand_model=DemandModel.LOGIT, cost_kind=CostKind.CONCAVE)
+    scaled = FlowTable(flows.ids, flows.demand, flows.distance * 0.3)
+    (before, _), (after, _) = run(flows, config), run(scaled, config)
+    for key, (_, outcome, _) in before.items():
+        for name in ("profit_capture", "surplus_capture"):
+            assert getattr(after[key][1], name) == pytest.approx(
+                getattr(outcome, name), rel=0, abs=1e-9, nan_ok=True), (key, name)
+
+
 def test_cost_division_edge_is_scale_free():
     # f04's cost is exactly a third of the maximum, on the edge of the
     # first two of three ranges; rounding leaves c*B/c_max a hair below
