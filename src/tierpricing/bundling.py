@@ -51,7 +51,6 @@ from .demand_logit import (
 )
 from .domain import (
     Bundling,
-    DegenerateBaseline,
     DemandModel,
     DomainError,
     MissingClassLabels,
@@ -156,7 +155,7 @@ class ModelContext:
         if self.orders is None:
             set_(self, "orders", FlowOrders(ids, self.q))
         if self.model is DemandModel.CED:
-            _, pi_orig, cs_orig, _ = self.price(Bundling(np.zeros(len(ids), dtype=np.intp), 1))
+            _, pi_orig, cs_orig = self.price(Bundling(np.zeros(len(ids), dtype=np.intp), 1))
             # each flow a one-flow bundle, priced as ``price`` prices it, so
             # that one tier per flow captures exactly 1
             _, pi_max, cs_max = self._ced_value(*self.terms, 1)
@@ -170,6 +169,8 @@ class ModelContext:
         for name, value in (("pi_orig", pi_orig), ("pi_max", pi_max),
                             ("cs_orig", cs_orig), ("cs_max", cs_max)):
             set_(self, name, value)
+        if _coincide(cs_orig, cs_max) and not _coincide(pi_orig, pi_max):
+            log.warning("surplus baseline degenerate; surplus capture undefined")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -218,9 +219,8 @@ class ModelContext:
             w = np.exp(self.alpha * (self.v - self.v.max()))
         return w, self.c * w
 
-    def price(self, bundling: Bundling) -> tuple[np.ndarray, float, float, int]:
-        """Optimal price of each bundle of ``bundling`` (NaN if empty),
-        their profit and surplus, and the number of non-empty bundles.
+    def price(self, bundling: Bundling) -> tuple[np.ndarray, float, float]:
+        """Each bundle's optimal price (NaN if empty), their profit and surplus.
 
         Each bundle's sums W and X are taken over its run of the
         bundling's ``members``, which lists a bundle's flows in flow
@@ -248,11 +248,11 @@ class ModelContext:
         W, X = (np.array([np.add.reduce(term[a:b]) for a, b in bounds]) for term in terms)
         if self.model is DemandModel.CED:
             prices[occupied], profit, surplus = self._ced_value(W, X, sizes)
-            return prices, profit, surplus, len(sizes)
+            return prices, profit, surplus
         v_b, c_b = (shift + np.log(W)) / self.alpha, X / W
         prices[occupied] = p_b = logit_solve_prices(v_b, c_b, self.alpha)
         profit, surplus = logit_value(v_b, p_b, c_b, self.alpha, self.consumer_mass)
-        return prices, profit, surplus, len(sizes)
+        return prices, profit, surplus
 
     def _ced_value(self, W, X, counts) -> tuple[np.ndarray, float, float]:
         """CED prices of bundles with sums ``W``, ``X`` and ``counts``
@@ -696,45 +696,34 @@ def optimal_bundles(ctx: ModelContext, num_bundles: int) -> Bundling:
 # ---------------------------------------------------------------------------
 
 
+def _coincide(orig: float, top: float) -> bool:
+    """Whether two capture baselines coincide, within 1e-12 relative."""
+    return abs(top - orig) < 1e-12 * abs(top)
+
+
 def profit_capture(pi_new: float, pi_orig: float, pi_max: float) -> float:
     """Fraction of the blended-to-per-flow profit gap a bundling
     recovers: (pi_new - pi_orig) / (pi_max - pi_orig). May leave [0, 1]
-    for pathological bundlings; reported as-is."""
-    if abs(pi_max - pi_orig) < 1e-12 * abs(pi_max):
-        raise DegenerateBaseline(
-            f"per-flow and blended profit coincide ({pi_max!r}); capture undefined"
-        )
+    for pathological bundlings; reported as-is. NaN where pi_orig and
+    pi_max coincide."""
+    if _coincide(pi_orig, pi_max):
+        return math.nan
     return (pi_new - pi_orig) / (pi_max - pi_orig)
 
 
-def evaluate_bundling(ctx: ModelContext, bundling: Bundling, *,
-                      degenerate_ok: bool = False) -> TierOutcome:
+def evaluate_bundling(ctx: ModelContext, bundling: Bundling) -> TierOutcome:
     """Price each bundle optimally (``ModelContext.price``; NaN for an
-    empty one) and measure the captures against the context's baselines.
-
-    A degenerate surplus baseline yields NaN surplus capture rather than
-    failing the profit-side result. A degenerate profit baseline raises
-    DegenerateBaseline or, with ``degenerate_ok``, yields NaN for both.
-    """
+    empty one) and measure the captures against the context's baselines
+    (``profit_capture``); the surplus capture is NaN with the profit one."""
     if bundling.members.size != len(ctx.ids):
         raise DomainError(f"bundling of {bundling.members.size} flows for a market "
                           f"of {len(ctx.ids)}")
-    prices, profit, surplus, effective = ctx.price(bundling)
-    try:
-        capture = profit_capture(profit, ctx.pi_orig, ctx.pi_max)
-    except DegenerateBaseline:
-        if not degenerate_ok:
-            raise
-        capture = s_capture = float("nan")
-    else:
-        try:
-            s_capture = profit_capture(surplus, ctx.cs_orig, ctx.cs_max)
-        except DegenerateBaseline:
-            log.warning("surplus baseline degenerate; surplus capture undefined")
-            s_capture = float("nan")
+    prices, profit, surplus = ctx.price(bundling)
+    capture = profit_capture(profit, ctx.pi_orig, ctx.pi_max)
+    s_capture = (math.nan if math.isnan(capture)
+                 else profit_capture(surplus, ctx.cs_orig, ctx.cs_max))
     return TierOutcome(
-        bundling=bundling,
-        effective_bundles=effective,
+        effective_bundles=bundling.effective_bundles,
         prices=tuple(float(p) for p in prices),
         profit=profit,
         consumer_surplus=surplus,

@@ -42,7 +42,6 @@ from .experiments import (
     run_capture_curve,
     run_sensitivity_sweep,
     run_theta_sweep,
-    validate_config,
     write_results,
 )
 from .ingestion import SYNTH_PRESETS, write_fitted_csv, write_flows_csv, write_params_csv
@@ -236,7 +235,6 @@ def _cmd_synth(config: ExperimentConfig) -> None:
 
 
 def _cmd_fit(config: ExperimentConfig) -> None:
-    validate_config(config)
     flows = load_flows(config)
     ctx = fit_context(flows, config)
     write_fitted_csv(config.out, ctx)

@@ -316,7 +316,6 @@ class TierOutcome:
     prices, profit, surplus and the two capture metrics (normalized
     against the blended-rate original and the per-flow maximum)."""
 
-    bundling: Bundling
     effective_bundles: int
     prices: tuple[float, ...]
     profit: float

@@ -60,6 +60,7 @@ from .domain import (
     ConfigError,
     CostKind,
     CostModelSpec,
+    DegenerateBaseline,
     DemandModel,
     DomainError,
     FlowTable,
@@ -98,7 +99,14 @@ S0_SWEEP_FLOOR = 0.01
 class ExperimentConfig:
     """Everything one experiment run needs; defaults follow the
     reference evaluation settings (alpha 1.1, p0 $20, theta 0.2,
-    s0 0.2)."""
+    s0 0.2).
+
+    A config checks itself when made (by ``dataclasses.replace`` too)
+    and raises ConfigError on any inconsistent setting: a non-finite
+    alpha, p0 or theta, alpha or s0 outside its demand model's domain,
+    p0 <= 0, a theta the cost model refuses (``CostModelSpec``), a
+    switch of another model, or a repeated value.
+    """
 
     demand_model: DemandModel = DemandModel.CED
     cost_kind: CostKind = CostKind.LINEAR
@@ -121,57 +129,48 @@ class ExperimentConfig:
     split_dest_type: bool = False
     cs_unit_price_offset: bool = False
 
-
-def validate_config(config: ExperimentConfig) -> None:
-    """Raise ConfigError on any inconsistent setting.
-
-    Alpha, p0 and theta must be finite. CED requires alpha > 1, logit
-    alpha > 0; p0 must be positive and a logit s0 must lie strictly
-    inside (0, 1). Theta must suit the cost model (see
-    ``CostModelSpec``), only the dest-type cost model splits flows by
-    destination type, and only CED has the unit-price surplus offset.
-    """
-    for name in ("alpha", "p0", "theta"):
-        if not math.isfinite(getattr(config, name)):
-            raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
-    if config.demand_model is DemandModel.CED:
-        if not config.alpha > 1.0:
-            raise ConfigError(f"CED requires alpha > 1, got {config.alpha}")
-    elif not config.alpha > 0.0:
-        raise ConfigError(f"logit requires alpha > 0, got {config.alpha}")
-    if not config.p0 > 0.0:
-        raise ConfigError(f"p0 must be positive, got {config.p0}")
-    if config.demand_model is DemandModel.LOGIT and (
-            config.s0 is None or not 0.0 < config.s0 < 1.0):
-        raise ConfigError(f"logit requires s0 in (0,1), got {config.s0}")
-    if config.input_csv is None and config.preset is None:
-        raise ConfigError("either an input CSV or a synthetic preset is required")
-    try:
-        CostModelSpec(kind=config.cost_kind, theta=config.theta)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    if config.split_dest_type and config.cost_kind is not CostKind.DEST_TYPE:
-        raise ConfigError("split_dest_type applies to the dest-type cost model "
-                          f"only, got {config.cost_kind.value}")
-    if config.cs_unit_price_offset and config.demand_model is not DemandModel.CED:
-        raise ConfigError("cs_unit_price_offset applies to the CED demand model "
-                          f"only, got {config.demand_model.value}")
-    if not config.bundles or any(b < 1 for b in config.bundles):
-        raise ConfigError(f"bundle counts must be >= 1, got {config.bundles}")
-    if config.n_flows < 1:
-        raise ConfigError(f"n_flows must be >= 1, got {config.n_flows}")
-    if config.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    # a repeated value would give repeated rows under one sidecar key
-    for name, values in (("bundle counts", config.bundles),
-                         ("strategies", config.strategies),
-                         ("theta grid", config.theta_grid),
-                         ("alpha grid", config.alpha_grid),
-                         ("p0 grid", config.p0_grid),
-                         ("s0 grid", config.s0_grid)):
-        if len(set(values)) != len(values):
-            shown = ", ".join(str(getattr(v, "value", v)) for v in values)
-            raise ConfigError(f"{name} must not repeat, got {shown}")
+    def __post_init__(self):
+        for name in ("alpha", "p0", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.demand_model is DemandModel.CED:
+            if not self.alpha > 1.0:
+                raise ConfigError(f"CED requires alpha > 1, got {self.alpha}")
+        elif not self.alpha > 0.0:
+            raise ConfigError(f"logit requires alpha > 0, got {self.alpha}")
+        if not self.p0 > 0.0:
+            raise ConfigError(f"p0 must be positive, got {self.p0}")
+        if self.demand_model is DemandModel.LOGIT and (
+                self.s0 is None or not 0.0 < self.s0 < 1.0):
+            raise ConfigError(f"logit requires s0 in (0,1), got {self.s0}")
+        if self.input_csv is None and self.preset is None:
+            raise ConfigError("either an input CSV or a synthetic preset is required")
+        try:
+            CostModelSpec(kind=self.cost_kind, theta=self.theta)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.split_dest_type and self.cost_kind is not CostKind.DEST_TYPE:
+            raise ConfigError("split_dest_type applies to the dest-type cost model "
+                              f"only, got {self.cost_kind.value}")
+        if self.cs_unit_price_offset and self.demand_model is not DemandModel.CED:
+            raise ConfigError("cs_unit_price_offset applies to the CED demand model "
+                              f"only, got {self.demand_model.value}")
+        if not self.bundles or any(b < 1 for b in self.bundles):
+            raise ConfigError(f"bundle counts must be >= 1, got {self.bundles}")
+        if self.n_flows < 1:
+            raise ConfigError(f"n_flows must be >= 1, got {self.n_flows}")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        # a repeated value would give repeated rows under one sidecar key
+        for name, values in (("bundle counts", self.bundles),
+                             ("strategies", self.strategies),
+                             ("theta grid", self.theta_grid),
+                             ("alpha grid", self.alpha_grid),
+                             ("p0 grid", self.p0_grid),
+                             ("s0 grid", self.s0_grid)):
+            if len(set(values)) != len(values):
+                shown = ", ".join(str(getattr(v, "value", v)) for v in values)
+                raise ConfigError(f"{name} must not repeat, got {shown}")
 
 
 def load_flows(config: ExperimentConfig) -> FlowTable:
@@ -191,7 +190,7 @@ def fit_context(flows: FlowTable, config: ExperimentConfig,
                 orders: FlowOrders | None = None) -> ModelContext:
     """Fit the configured demand model on the flows, first split into
     customer/peer subflows at the configured theta when asked to (a
-    validated config asks only under the dest-type cost model).
+    config asks only under the dest-type cost model).
     ``orders`` are the shared orders of the flow set the context is
     fitted on, or None to compute them for this context alone."""
     if config.split_dest_type:
@@ -227,27 +226,24 @@ def _row(strategy: Strategy, num_bundles: int, outcome) -> dict:
 
 
 def _grid_point(config: ExperimentConfig, flows: FlowTable,
-                strategies: tuple[Strategy, ...], degenerate_ok: bool = False,
                 orders: FlowOrders | None = None) -> tuple[list[dict], dict]:
     """Fit one context at ``config`` (sharing ``orders``, as
-    ``fit_context``) and evaluate every (strategy, B): the strategies
+    ``fit_context``) and evaluate each of its (strategy, B): strategies
     that build the same tiers (``tiers_of``) share, at each B, one
     bundling, built by the first of them, and one evaluation.
 
     Returns the rows, not yet tagged with a sweep parameter, and the
     point's baselines and fitted cost model. A market whose per-flow
-    and blended profits coincide raises DegenerateBaseline or, with
-    ``degenerate_ok``, gives rows with NaN captures.
+    and blended profits coincide gives rows with NaN captures.
     """
     ctx = fit_context(flows, config, orders)
     groups: dict[Strategy, list[Strategy]] = {}
-    for strategy in strategies:
+    for strategy in config.strategies:
         groups.setdefault(tiers_of(strategy, ctx.model), []).append(strategy)
     rows = {}
     for group in groups.values():
         for num_bundles in config.bundles:
-            bundling = build_bundles(group[0], ctx, num_bundles)
-            outcome = evaluate_bundling(ctx, bundling, degenerate_ok=degenerate_ok)
+            outcome = evaluate_bundling(ctx, build_bundles(group[0], ctx, num_bundles))
             for strategy in group:
                 rows[strategy, num_bundles] = _row(strategy, num_bundles, outcome)
     point = {
@@ -255,18 +251,17 @@ def _grid_point(config: ExperimentConfig, flows: FlowTable,
                       "cs_orig": ctx.cs_orig, "cs_max": ctx.cs_max},
         "cost_model": _cost_meta(config, flows, ctx),
     }
-    return [rows[key] for key in itertools.product(strategies, config.bundles)], point
+    return [rows[key] for key in itertools.product(config.strategies, config.bundles)], point
 
 
-def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],
-           strategies: tuple[Strategy, ...],
-           degenerate_ok: bool = False) -> list[tuple[list[dict], dict]]:
+def _sweep(config: ExperimentConfig,
+           points: list[tuple[str, object]]) -> list[tuple[list[dict], dict]]:
     """Load the flows once and evaluate every grid point, in order.
 
-    A point (param, value) is ``config`` with that field replaced. Each
-    distinct replaced config is validated before the flows are loaded
-    and evaluated once (the base market recurs in every grid that holds
-    its own value), and all of them form one job list, so
+    A point (param, value) is ``config`` with that field replaced, and
+    so checked, before the flows are loaded. Each distinct point is
+    evaluated once (the base market recurs in every grid that holds its
+    own value), and all of them form one job list, so
     ``config.workers`` processes share them. Every point is fitted on
     the loaded flows and shares their orders (``FlowOrders``), computed
     at the first point that reads them; each worker process receives
@@ -278,15 +273,11 @@ def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],
     """
     configs = [dataclasses.replace(config, **{param: value}) for param, value in points]
     distinct = list(dict.fromkeys(configs))
-    for point in distinct:
-        validate_config(point)
     flows = load_flows(config)
     orders = None if config.split_dest_type else FlowOrders(
         flows.ids, flows.demand, keep_tiers=len(distinct) > 1)
     results = dict(zip(distinct, _map_jobs(
-        _grid_point,
-        [(point, flows, strategies, degenerate_ok, orders) for point in distinct],
-        config.workers)))
+        _grid_point, [(point, flows, orders) for point in distinct], config.workers)))
     tagged = []
     for (param, value), point in zip(points, configs):
         rows, meta = results[point]
@@ -304,7 +295,9 @@ def _sweep(config: ExperimentConfig, points: list[tuple[str, object]],
 
 def run_capture_curve(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Capture-vs-tier-count table for every configured strategy."""
-    [(rows, point)] = _sweep(config, [("bundles", config.bundles)], config.strategies)
+    results = _sweep(config, [("bundles", config.bundles)])
+    _require_captures(results)
+    [(rows, point)] = results
     rows.sort(key=_sort_key)
     meta = _meta(config, rows)
     meta.update(point)
@@ -319,13 +312,15 @@ def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     for different theta are directly comparable. A theta at which
     per-flow pricing earns no more than the blended rate (regional
     costs at theta 0 are all equal) has NaN captures and a note in the
-    metadata.
+    metadata; if no theta has a capture, DegenerateBaseline is raised.
     """
-    validate_config(config)
     if not config.theta_grid:
         raise ConfigError("theta grid must be nonempty")
-    results = _sweep(config, [("theta", t) for t in config.theta_grid],
-                     config.strategies, degenerate_ok=True)
+    results = _sweep(config, [("theta", t) for t in config.theta_grid])
+    undefined = [theta for theta, (point_rows, _) in zip(config.theta_grid, results)
+                 if any(math.isnan(r["profit_capture"]) for r in point_rows)]
+    if len(undefined) == len(results):
+        _require_captures(results)
     rows = [r for point_rows, _ in results for r in point_rows]
     norm = max(r["profit"] for r in rows)
     for r in rows:
@@ -335,8 +330,7 @@ def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     meta["notes"] += [
         f"theta={theta!r}: per-flow and blended profit coincide; "
         "profit_capture and surplus_capture undefined (NaN)"
-        for theta, (point_rows, _) in zip(config.theta_grid, results)
-        if any(math.isnan(r["profit_capture"]) for r in point_rows)
+        for theta in undefined
     ]
     meta["profit_norm_constant"] = norm
     meta["theta_points"] = [
@@ -355,10 +349,10 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     share (reporting the maximum). Each emitted row is the full
     evaluation of the grid point attaining the extremum, tagged
     ``alpha-min`` / ``p0-min`` / ``s0-max``; bundling is always
-    profit-weighted, and the configuration echo says so.
+    profit-weighted, and the configuration echo says so. Any grid point
+    without a capture raises DegenerateBaseline.
     """
     config = dataclasses.replace(config, strategies=(Strategy.PROFIT_WEIGHTED,))
-    validate_config(config)
     sweeps: list[tuple[str, str, tuple[float, ...], bool]] = []
     if config.alpha_grid:
         sweeps.append(("alpha-min", "alpha", config.alpha_grid, False))
@@ -375,9 +369,9 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     if not sweeps:
         raise ConfigError("no sweep grids specified")
     points = [(param, value) for _, param, grid, _ in sweeps for value in grid]
-    evaluated = [r for point_rows, _ in
-                 _sweep(config, points, config.strategies)
-                 for r in point_rows]
+    results = _sweep(config, points)
+    _require_captures(results)
+    evaluated = [r for point_rows, _ in results for r in point_rows]
     rows = []
     for tag, param, _, take_max in sweeps:
         for num_bundles in config.bundles:
@@ -389,6 +383,14 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
             rows.append({**pick, "sweep_param": tag})
     rows.sort(key=_sort_key)
     return rows, _meta(config)
+
+
+def _require_captures(results: list[tuple[list[dict], dict]]) -> None:
+    """Raise DegenerateBaseline at the first point without a capture."""
+    for rows, point in results:
+        if any(math.isnan(r["profit_capture"]) for r in rows):
+            raise DegenerateBaseline("per-flow and blended profit coincide "
+                                     f"({point['baselines']['pi_max']!r}); capture undefined")
 
 
 def _cost_meta(config: ExperimentConfig, flows: FlowTable,

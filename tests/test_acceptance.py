@@ -80,7 +80,7 @@ def test_a1_closed_form_worked_example():
     price = float(ced_optimal_price(1.0, 2.0))
     profit = ced_profit([1.0], [price], [1.0], 2.0)
     unit = ModelContext(["f"], [1.0], [1.0], [1.0], [1.0], None, DemandModel.CED, 2.0, 2.0)
-    prices, bundle_profit, _, _ = unit.price(Bundling(np.zeros(1, dtype=np.intp), 1))
+    prices, bundle_profit, _ = unit.price(Bundling(np.zeros(1, dtype=np.intp), 1))
     ok = (abs(price - 2.0) < 1e-9 and abs(profit - 0.25) < 1e-9
           and prices[0] == price and bundle_profit == profit)
     report("A1", ok, f"unit CED flow prices at {price} for profit {profit}")

@@ -3,6 +3,7 @@
 metric arithmetic."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from tierpricing.demand_logit import logit_markup, logit_solve_prices
 from tierpricing.domain import (
     Bundling,
     CostKind,
-    DegenerateBaseline,
     DemandModel,
     DomainError,
     MissingClassLabels,
@@ -610,8 +610,7 @@ class TestMetamorphic:
                          Strategy.COST_WEIGHTED, Strategy.PROFIT_WEIGHTED,
                          Strategy.COST_DIVISION, Strategy.INDEX_DIVISION):
             for num_bundles in range(1, 5):
-                outcomes = [evaluate_bundling(ctx, build_bundles(strategy, ctx, num_bundles),
-                                              degenerate_ok=True)
+                outcomes = [evaluate_bundling(ctx, build_bundles(strategy, ctx, num_bundles))
                             for ctx in contexts]
                 for out in outcomes[1:]:
                     assert out.profit_capture == pytest.approx(
@@ -633,8 +632,7 @@ class TestProfitCapture:
         assert profit_capture(5.0, 10.0, 30.0) == pytest.approx(-0.25)
 
     def test_degenerate_baseline(self):
-        with pytest.raises(DegenerateBaseline):
-            profit_capture(10.0, 20.0, 20.0 + 1e-13)
+        assert math.isnan(profit_capture(10.0, 20.0, 20.0 + 1e-13))
 
 
 class TestBundlingTotality:
@@ -860,7 +858,7 @@ class TestEvaluateOracle:
         ctx = ModelContext(ctx.ids, ctx.q, ctx.d, ctx.v, ctx.c, None, DemandModel.CED,
                            alpha, ctx.p0, cs_unit_price_offset=ctx.cs_unit_price_offset)
         labels = np.asarray(labels)
-        prices, profit, surplus, _ = ctx.price(Bundling(labels, num_bundles))
+        prices, profit, surplus = ctx.price(Bundling(labels, num_bundles))
         per_flow = np.empty(len(labels))
         for b in np.unique(labels):
             members = np.flatnonzero(labels == b)
@@ -1079,7 +1077,7 @@ class TestSurplusFollowsProfit:
         ctx = logit_context(np.random.default_rng(seed), n, tied=tied)
         slack = 2.0 * ctx.consumer_mass * SOLVER_TOL
         outcomes = {(strategy, num_bundles): evaluate_bundling(
-                        ctx, build_bundles(strategy, ctx, num_bundles), degenerate_ok=True)
+                        ctx, build_bundles(strategy, ctx, num_bundles))
                     for strategy in (Strategy.OPTIMAL, *HEURISTICS)
                     for num_bundles in range(1, 7)}
         profit = np.array([out.profit for out in outcomes.values()])

@@ -16,55 +16,65 @@ from tierpricing.domain import (
     DomainError,
     FlowTable,
 )
-from tierpricing.experiments import ExperimentConfig, validate_config
+from tierpricing.experiments import ExperimentConfig
 
 
 def _market(model, **kw):
     return ExperimentConfig(demand_model=model, **kw)
 
 
-def _rejected(config, message):
+def _rejected(message, make, *args, **kw):
     with pytest.raises(ConfigError) as info:
-        validate_config(config)
+        make(*args, **kw)
     assert str(info.value) == message
 
 
 class TestValidateParams:
-    """The market-parameter checks of ``validate_config``."""
+    """The market-parameter checks an ``ExperimentConfig`` makes of itself."""
 
     def test_ced_reference_settings_ok(self):
-        validate_config(_market(DemandModel.CED, alpha=1.1, p0=20.0))
+        _market(DemandModel.CED, alpha=1.1, p0=20.0)
 
     def test_ced_alpha_boundary_rejected(self):
-        _rejected(_market(DemandModel.CED, alpha=1.0, p0=20.0),
-                  "CED requires alpha > 1, got 1.0")
+        _rejected("CED requires alpha > 1, got 1.0",
+                  _market, DemandModel.CED, alpha=1.0, p0=20.0)
 
     def test_logit_reference_settings_ok(self):
-        validate_config(_market(DemandModel.LOGIT, alpha=1.1, p0=20.0, s0=0.2))
+        _market(DemandModel.LOGIT, alpha=1.1, p0=20.0, s0=0.2)
 
     def test_logit_alpha_positive_required(self):
-        _rejected(_market(DemandModel.LOGIT, alpha=0.0, p0=20.0, s0=0.2),
-                  "logit requires alpha > 0, got 0.0")
+        _rejected("logit requires alpha > 0, got 0.0",
+                  _market, DemandModel.LOGIT, alpha=0.0, p0=20.0, s0=0.2)
 
     def test_logit_small_alpha_ok(self):
         # logit admits the 0 < alpha <= 1 range CED excludes
-        validate_config(_market(DemandModel.LOGIT, alpha=0.5, p0=20.0, s0=0.2))
+        _market(DemandModel.LOGIT, alpha=0.5, p0=20.0, s0=0.2)
 
     @pytest.mark.parametrize("s0", [0.0, 1.0, -0.1, 1.5, None])
     def test_logit_share_domain(self, s0):
-        _rejected(_market(DemandModel.LOGIT, alpha=1.1, p0=20.0, s0=s0),
-                  f"logit requires s0 in (0,1), got {s0}")
+        _rejected(f"logit requires s0 in (0,1), got {s0}",
+                  _market, DemandModel.LOGIT, alpha=1.1, p0=20.0, s0=s0)
 
     @pytest.mark.parametrize("p0", [0.0, -5.0])
     def test_price_positive_required(self, p0):
-        _rejected(_market(DemandModel.CED, alpha=2.0, p0=p0),
-                  f"p0 must be positive, got {p0}")
+        _rejected(f"p0 must be positive, got {p0}",
+                  _market, DemandModel.CED, alpha=2.0, p0=p0)
 
     def test_unit_price_offset_is_ced_only(self):
         # logit surplus has one convention; the switch would be ignored
-        validate_config(_market(DemandModel.CED, cs_unit_price_offset=True))
-        _rejected(_market(DemandModel.LOGIT, cs_unit_price_offset=True),
-                  "cs_unit_price_offset applies to the CED demand model only, got logit")
+        _market(DemandModel.CED, cs_unit_price_offset=True)
+        _rejected("cs_unit_price_offset applies to the CED demand model only, got logit",
+                  _market, DemandModel.LOGIT, cs_unit_price_offset=True)
+
+    def test_split_is_dest_type_only(self):
+        # split flows fitted under linear costs would double the flow set
+        _rejected("split_dest_type applies to the dest-type cost model only, got linear",
+                  ExperimentConfig, split_dest_type=True)
+
+    def test_a_replaced_field_is_checked(self):
+        logit = _market(DemandModel.LOGIT)
+        _rejected("logit requires s0 in (0,1), got 1.5",
+                  dataclasses.replace, logit, s0=1.5)
 
 
 def _table(demand=(1.0, 2.0, 3.0), distance=(10.0, 20.0, 30.0), **kw):

@@ -128,26 +128,53 @@ class TestThetaSweep:
         with pytest.raises(ConfigError):
             run_theta_sweep(small_config(theta_grid=()))
 
-    def test_regional_theta_zero_uniform_costs_flat(self):
-        # symmetric fixture: equal demands, uniform costs leave nothing
-        # for tiering to recover, so the capture baseline is degenerate
-        # and per-bundle pricing reproduces the blended profit exactly
-        from tierpricing.bundling import build_bundles, evaluate_bundling
-        from demand_oracles import ced_bundle_price
-        from tierpricing.domain import DegenerateBaseline, FlowTable
+    @staticmethod
+    def uniform_costs(model):
+        """Equal demands under regional costs at theta 0: every cost is
+        equal, so nothing is left for tiering to recover."""
+        from tierpricing.domain import FlowTable
 
         flows = FlowTable([f"f{i}" for i in range(8)], np.full(8, 10.0),
                           [float(5 + 10 * i) for i in range(8)])
-        cfg = small_config(cost_kind=CostKind.REGIONAL, theta=0.0)
-        ctx = fit_context(flows, cfg)
+        cfg = small_config(demand_model=model, cost_kind=CostKind.REGIONAL, theta=0.0)
+        return fit_context(flows, cfg)
+
+    def test_regional_theta_zero_uniform_costs_flat(self):
+        # the capture baseline is degenerate and per-bundle pricing
+        # reproduces the blended profit exactly
+        from tierpricing.bundling import build_bundles, evaluate_bundling
+        from demand_oracles import ced_bundle_price
+
+        ctx = self.uniform_costs(DemandModel.CED)
         assert ctx.pi_max == pytest.approx(ctx.pi_orig, rel=1e-12)
         bundling = build_bundles(Strategy.PROFIT_WEIGHTED, ctx, 2)
-        with pytest.raises(DegenerateBaseline):
-            evaluate_bundling(ctx, bundling)
+        outcome = evaluate_bundling(ctx, bundling)
+        assert math.isnan(outcome.profit_capture) and math.isnan(outcome.surplus_capture)
         for b in range(2):
             members = np.flatnonzero(bundling.labels == b)
             price = ced_bundle_price(ctx.v[members], ctx.c[members], ctx.alpha)
             assert price == pytest.approx(ctx.p0, rel=1e-12)
+
+    @pytest.mark.parametrize("model, prices, profit, surplus", [
+        (DemandModel.CED, (20.0, 20.0), 1454.5454545454547, 15999.999999999989),
+        # the surplus baselines differ by 8e-10 relative, yet the surplus
+        # capture is NaN with the profit capture
+        (DemandModel.LOGIT, (19.99999999808391, 19.99999999808391), 363.6363636363643,
+         198.7866890019811),
+    ])
+    def test_degenerate_market_evaluates_to_nan_captures(self, model, prices, profit,
+                                                         surplus):
+        # evaluation computes the prices, profit and surplus as ever and
+        # leaves the undefined captures NaN; whether that fails is the
+        # run's to decide
+        from tierpricing.bundling import build_bundles, evaluate_bundling
+
+        ctx = self.uniform_costs(model)
+        outcome = evaluate_bundling(ctx, build_bundles(Strategy.PROFIT_WEIGHTED, ctx, 2))
+        assert (outcome.prices, outcome.profit, outcome.consumer_surplus) == \
+            (prices, profit, surplus)
+        assert outcome.effective_bundles == 2
+        assert math.isnan(outcome.profit_capture) and math.isnan(outcome.surplus_capture)
 
     @pytest.mark.parametrize("model", list(DemandModel))
     def test_degenerate_point_has_nan_captures_and_a_note(self, model):
@@ -246,8 +273,7 @@ class TestSharedOrders:
         shared = self.written(tmp_path, run, cfg)
 
         def alone(fn, jobs, workers):
-            return [fn(point, experiments.load_flows(point), strategies, ok)
-                    for point, _, strategies, ok, _ in jobs]
+            return [fn(point, experiments.load_flows(point)) for point, _, _ in jobs]
 
         monkeypatch.setattr(experiments, "_map_jobs", alone)
         assert shared == self.written(tmp_path, run, cfg)
@@ -419,13 +445,14 @@ class TestSensitivity:
     def test_min_not_above_any_grid_point(self):
         from tierpricing.experiments import _grid_point, load_flows
 
-        cfg = small_config(alpha_grid=(1.3, 2.0, 4.0), p0_grid=(), s0_grid=())
+        cfg = small_config(strategies=(Strategy.PROFIT_WEIGHTED,),
+                           alpha_grid=(1.3, 2.0, 4.0), p0_grid=(), s0_grid=())
         rows, _ = run_sensitivity_sweep(cfg)
         mins = {r["num_bundles"]: r["profit_capture"] for r in rows}
         flows = load_flows(cfg)
         for value in cfg.alpha_grid:
             point = dataclasses.replace(cfg, alpha=value)
-            point_rows, _ = _grid_point(point, flows, (Strategy.PROFIT_WEIGHTED,))
+            point_rows, _ = _grid_point(point, flows)
             for row in point_rows:
                 assert mins[row["num_bundles"]] <= row["profit_capture"] + 1e-12
 
@@ -433,6 +460,7 @@ class TestSensitivity:
         from tierpricing.experiments import _grid_point, load_flows
 
         cfg = small_config(demand_model=DemandModel.LOGIT, n_flows=40,
+                           strategies=(Strategy.PROFIT_WEIGHTED,),
                            alpha_grid=(0.8, 2.0), p0_grid=(15.0, 30.0),
                            s0_grid=(0.1, 0.3, 0.6))
         rows, _ = run_sensitivity_sweep(cfg)
@@ -441,7 +469,7 @@ class TestSensitivity:
                                        ("p0-min", "p0", cfg.p0_grid, min),
                                        ("s0-max", "s0", cfg.s0_grid, max)):
             points = [(value, _grid_point(dataclasses.replace(cfg, **{param: value}),
-                                          flows, (Strategy.PROFIT_WEIGHTED,))[0])
+                                          flows)[0])
                       for value in grid]
             for num_bundles in cfg.bundles:
                 [row] = [r for r in rows if r["sweep_param"] == tag
@@ -520,9 +548,10 @@ class TestSensitivity:
             return fit(flows, config, orders)
 
         monkeypatch.setattr(experiments, "fit_context", counting)
-        cfg = small_config(demand_model=DemandModel.LOGIT, n_flows=40)
+        cfg = small_config(demand_model=DemandModel.LOGIT, n_flows=40,
+                           strategies=(Strategy.PROFIT_WEIGHTED,))
         points = [("alpha", 2.0), ("p0", 20.0), ("s0", 0.2), ("bundles", cfg.bundles)]
-        results = experiments._sweep(cfg, points, (Strategy.PROFIT_WEIGHTED,))
+        results = experiments._sweep(cfg, points)
         assert fits == [dataclasses.replace(cfg, alpha=2.0), cfg]
         (_, alpha), (p0_rows, p0), (s0_rows, s0), (b_rows, b) = results
         assert p0 == s0 == b != alpha
@@ -812,6 +841,25 @@ class TestCli:
             rows = [r for r in csv.DictReader(fh) if r["sweep_value"] == "0.0"]
         assert rows and all(r["profit_capture"] == r["surplus_capture"] == "nan"
                             for r in rows)
+
+    @pytest.mark.parametrize("command", ["capture", "sensitivity", "theta-sweep"])
+    @pytest.mark.parametrize("model", [m.value for m in DemandModel])
+    @pytest.mark.parametrize("rows", [["a,5,100"], ["a,5,100", "b,7,100", "c,2,100"]],
+                             ids=["one-flow", "equal-distances"])
+    def test_market_without_any_capture_fails(self, tmp_path, capsys, command, model,
+                                              rows):
+        # one flow, or flows whose costs all tie at every theta: no grid
+        # point has a capture, so a theta sweep fails like the others
+        from tierpricing import cli
+
+        flows = tmp_path / "flows.csv"
+        flows.write_text("\n".join(["flow_id,demand_mbps,distance_miles", *rows, ""]))
+        code = cli.main([command, "--input", str(flows), "--demand-model", model,
+                         "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("numerical failure: per-flow and blended profit coincide")
+        assert list(tmp_path.iterdir()) == [flows]
 
     @pytest.mark.parametrize("seed", [286, 1009, 1657])
     def test_market_the_price_fixed_point_leaves_unsolved(self, tmp_path, seed):

@@ -54,7 +54,7 @@ def run(flows, config):
             # every split of a group of equal costs earns the same
             tied = strategy is Strategy.OPTIMAL and num_bundles > distinct
             out[strategy, num_bundles] = (
-                bundling.labels, evaluate_bundling(ctx, bundling, degenerate_ok=True), tied)
+                bundling.labels, evaluate_bundling(ctx, bundling), tied)
     return out, condition
 
 
