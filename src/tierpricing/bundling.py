@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .cost_models import realize_costs
-from .demand_ced import ced_bundle, ced_fit_gamma, ced_fit_valuations
+from .demand_ced import _HUGE, _TINY, ced_bundle, ced_fit_gamma, ced_fit_valuations
 from .demand_logit import (
     logit_fit_gamma,
     logit_fit_valuations,
@@ -270,9 +270,12 @@ class ModelContext:
 
     @cached_property
     def cost_order(self) -> np.ndarray:
-        """Flow indices by ascending cost, ties by flow id; the order
-        of index-division and of the optimal search."""
-        return np.lexsort((self.ids, self.c))
+        """Flow indices by ascending cost, ties by flow id (and index):
+        the permutation of ``np.lexsort((ids, c))``, sorted by
+        ``_stable_argsort`` with ties by the id order, which it reads
+        only where costs tie. The order of index-division and of the
+        optimal search, whose tiers are runs of it."""
+        return _stable_argsort(self.c, lambda: self.orders.id_order)
 
     @cached_property
     def _optimum(self) -> "_ContiguousOptimum":
@@ -342,6 +345,37 @@ class _Visit(NamedTuple):
     total: float
 
 
+def _stable_argsort(keys: np.ndarray, tie_order=None) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of keys without NaN, from
+    numpy's default sort, several times faster, which leaves the groups
+    of equal keys in no set order: those groups are put back in index
+    order or, given ``tie_order`` (a function, called only when keys tie,
+    that returns a permutation of the indices), in the order of their
+    positions in it. With the stable id order that gives the permutation
+    of ``np.lexsort((ids, keys))``."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tied = ranked[1:] == ranked[:-1]
+    if not tied.any():
+        return order
+    n = len(order)
+    inside = np.zeros(n, dtype=bool)
+    inside[1:] = tied
+    inside[:-1] |= tied
+    at = np.flatnonzero(inside)
+    group = np.cumsum(np.concatenate(([True], ~tied)))[at]
+    index = order[at]
+    if tie_order is None:
+        then = index
+    else:
+        rank = np.empty(n, dtype=np.intp)
+        rank[tie_order()] = np.arange(n)
+        then = rank[index]
+    # one key per tied position, unique: the group, then the tie-break
+    order[at] = index[np.argsort(group * n + then)]
+    return order
+
+
 def _visit(weights, id_order: np.ndarray) -> _Visit:
     """The visiting order of ``weights``, ties by the stable id order
     ``id_order`` (the permutation of ``np.lexsort((ids, -weights))``)."""
@@ -350,7 +384,7 @@ def _visit(weights, id_order: np.ndarray) -> _Visit:
         raise DomainError("token-bucket weights must be finite")
     if np.any(weights <= 0):
         raise DomainError("token-bucket weights must be positive")
-    order = id_order[np.argsort(-weights[id_order], kind="stable")]
+    order = id_order[_stable_argsort(-weights[id_order])]
     return _Visit(order, np.cumsum(weights[order]), weights.sum())
 
 
@@ -408,17 +442,19 @@ class FlowOrders:
 _TIE = 1e-12
 
 
-def _drain(prefix: np.ndarray, share: float, num_bundles: int) -> np.ndarray:
-    """Bundle index of each position of a visiting order whose weights
-    have prefix sums ``prefix``, with a budget of ``share`` per bundle:
-    bundle j takes at least one flow and closes at the first prefix sum
-    that reaches (j+1)*share within relative slack _TIE."""
+def _drain(prefix: np.ndarray, share: float, num_bundles: int) -> list[int]:
+    """Run bounds of the bundles of a visiting order whose weights have
+    prefix sums ``prefix``, with a budget of ``share`` per bundle: bundle
+    j, the positions bounds[j] .. bounds[j+1]-1, takes at least one flow
+    and closes at the first prefix sum that reaches (j+1)*share within
+    relative slack _TIE."""
     n = len(prefix)
     firsts = np.searchsorted(prefix, np.arange(1, num_bundles) * share * (1.0 - _TIE))
-    stops = [0]
+    bounds = [0]
     for first in firsts.tolist():
-        stops.append(min(max(stops[-1], first) + 1, n))
-    return np.repeat(np.arange(num_bundles), np.diff([*stops, n]))
+        bounds.append(min(max(bounds[-1], first) + 1, n))
+    bounds.append(n)
+    return bounds
 
 
 def token_bucket_bundles(weights, flow_ids: Sequence[str], num_bundles: int) -> Bundling:
@@ -436,9 +472,8 @@ def token_bucket_bundles(weights, flow_ids: Sequence[str], num_bundles: int) -> 
 def _bucket_bundling(visit: _Visit, num_bundles: int, compact: bool = False) -> Bundling:
     if num_bundles < 1:
         raise DomainError("num_bundles must be >= 1")
-    labels = np.empty(len(visit.order), dtype=np.intp)
-    labels[visit.order] = _drain(visit.prefix, visit.total / num_bundles, num_bundles)
-    return Bundling(labels, num_bundles, compact)
+    bounds = _drain(visit.prefix, visit.total / num_bundles, num_bundles)
+    return Bundling.from_runs(visit.order, bounds, compact)
 
 
 def _cost_division(ctx: ModelContext, num_bundles: int) -> Bundling:
@@ -450,9 +485,9 @@ def _cost_division(ctx: ModelContext, num_bundles: int) -> Bundling:
 
 def _index_division(ctx: ModelContext, num_bundles: int) -> Bundling:
     n = len(ctx.ids)
-    labels = np.empty(n, dtype=np.intp)
-    labels[ctx.cost_order] = np.arange(n) // math.ceil(n / num_bundles)
-    return Bundling(labels, num_bundles)
+    size = math.ceil(n / num_bundles)
+    return Bundling.from_runs(ctx.cost_order,
+                              np.minimum(np.arange(num_bundles + 1) * size, n))
 
 
 def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
@@ -471,14 +506,16 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
     for _ in range(num_bundles - len(classes)):
         lab = max(classes, key=lambda l: num_bundles * mass[l] / total - alloc[l])
         alloc[lab] += 1
-    out = np.empty(len(ctx.ids), dtype=np.intp)
-    offset = 0
+    # each class's bundles are runs of its visit, the classes' visits
+    # concatenated in class order
+    runs, bounds = [], [0]
     for lab in classes:
         _, visit = visits[lab]
-        out[visit.order] = offset + _drain(visit.prefix, visit.total / alloc[lab],
-                                           alloc[lab])
-        offset += alloc[lab]
-    return Bundling(out, num_bundles)
+        start = bounds[-1]
+        runs.append(visit.order)
+        bounds += [start + stop for stop in
+                   _drain(visit.prefix, visit.total / alloc[lab], alloc[lab])[1:]]
+    return Bundling.from_runs(np.concatenate(runs), bounds)
 
 
 def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bundling:
@@ -542,25 +579,27 @@ class _ContiguousOptimum:
     blocks, B = 1, 2, ....
 
     Layer k of the DP holds, for every prefix of the cost order, the
-    best score in k blocks and where its last block starts. ``labels(B)``
+    best score in k blocks and where its last block starts. ``cuts(B)``
     builds the layers up to B-1 (layer 1 in closed form, each further one
     by divide and conquer) and finds the start of the last of the B
     blocks by one scan over layer B-1; the layers' starts give the other
     cuts. Layers and scans are computed once and kept, so every block
     count of a run shares one DP, and the answer for B does not depend
-    on the order in which block counts are asked for.
+    on the order in which block counts are asked for. Whether any range
+    can trip a check of ``_score`` is settled once (``in_place``); where
+    none can, the depth passes score their candidates in place.
 
     A non-finite best score (a CED price power p**(1-alpha) past
     float64) raises OverflowGuard."""
 
     def __init__(self, ctx: ModelContext):
-        self.order = ctx.cost_order
-        w, x = (term[self.order] for term in ctx.terms)
+        w, x = (term[ctx.cost_order] for term in ctx.terms)
         self.model, self.alpha = ctx.model, ctx.alpha
         self.w_pre = np.concatenate(([0.0], np.cumsum(w)))
         self.x_pre = np.concatenate(([0.0], np.cumsum(x)))
         n = len(w)
         del w, x
+        self.in_place = self._no_check_can_fire()
         # value[j]: best score of the cost-ordered prefix [0, j) in as many
         # blocks as there are layers; starts[k-1][j]: where the last block
         # of that prefix's best k-block partition starts; last_starts[B-1]:
@@ -585,6 +624,51 @@ class _ContiguousOptimum:
             else:
                 score = W * np.exp(-self.alpha * X / W)
         return np.where(ok, score, 0.0) if guard else score
+
+    def _no_check_can_fire(self) -> bool:
+        """Whether no range of flows can trip a check of ``_score``, so
+        that ``_best_starts`` may score in place (``_score_in_place``).
+
+        Rounding is monotone, so the W of every range lies between the
+        smallest step of ``w_pre`` and its total, and its X likewise.
+        Steps all positive give every range W > 0: the zero-weight guard
+        cannot fire. Under CED, the price alpha*X / ((alpha-1)*W) of
+        every range then lies between the prices of those extreme sums;
+        when their price powers p**(1-alpha) are normal and finite, with
+        a margin of 4 for the few ulp of ``pow``, so is every range's,
+        and ``ced_bundle``'s out-of-range repair cannot fire."""
+        w_low = np.diff(self.w_pre).min()
+        if not w_low > 0:
+            return False
+        if self.model is not DemandModel.CED:
+            return True
+        alpha = self.alpha
+        x_low = np.diff(self.x_pre).min()
+        with np.errstate(all="ignore"):
+            p_low = alpha * x_low / ((alpha - 1.0) * self.w_pre[-1])
+            p_high = alpha * self.x_pre[-1] / ((alpha - 1.0) * w_low)
+            powers = np.power((p_low, p_high), 1.0 - alpha)
+        return bool(powers[0] <= _HUGE / 4 and powers[1] >= 4 * _TINY)
+
+    def _score_in_place(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """``_score`` of ranges that trip none of its checks (``in_place``),
+        computed in the buffers of ``W`` and ``X`` by the operations of
+        ``ced_bundle``, or of the logit score, in their order, so the
+        scores are the same bits; returns the buffer that holds them."""
+        alpha = self.alpha
+        with np.errstate(all="ignore"):
+            if self.model is DemandModel.CED:
+                X *= alpha              # price = alpha * X
+                X /= (alpha - 1.0) * W  # price /= (alpha - 1) * W
+                X **= 1.0 - alpha       # power = price ** (1 - alpha)
+                W *= X                  # profit = W * power
+                W /= alpha
+                return W
+            X *= -alpha
+            X /= W
+            np.exp(X, out=X)
+            X *= W
+            return X
 
     def _check(self, best) -> None:
         if not np.all(np.isfinite(best)):
@@ -635,7 +719,7 @@ class _ContiguousOptimum:
         W -= self.w_pre[i]
         X = np.repeat(self.x_pre[ends], sizes)
         X -= self.x_pre[i]
-        cand = self._score(W, X)
+        cand = self._score_in_place(W, X) if self.in_place else self._score(W, X)
         del W, X
         cand += self.value[i]
         del i
@@ -658,20 +742,19 @@ class _ContiguousOptimum:
         self._check(cand[best])
         return k + best
 
-    def labels(self, num_blocks: int) -> np.ndarray:
-        """Flow labels of the best partition into ``num_blocks`` (at most
-        the flow count) blocks, numbered in cost order."""
+    def cuts(self, num_blocks: int) -> list[int]:
+        """Bounds of the best partition into ``num_blocks`` (at most the
+        flow count) blocks: block b is the run cuts[b] .. cuts[b+1]-1 of
+        the cost order."""
         while len(self.last_starts) < num_blocks:
             # the last of B blocks is found over the (B-1)-block layer
             if len(self.starts) < len(self.last_starts):
                 self._add_layer()
             self.last_starts.append(self._last_start())
-        cuts = [len(self.order), self.last_starts[num_blocks - 1]]
+        cuts = [len(self.value) - 1, self.last_starts[num_blocks - 1]]
         for start in reversed(self.starts[:num_blocks - 1]):
             cuts.append(int(start[cuts[-1]]))
-        labels = np.empty(len(self.order), dtype=np.intp)
-        labels[self.order] = np.repeat(np.arange(num_blocks), -np.diff(cuts)[::-1])
-        return labels
+        return cuts[::-1]
 
 
 def optimal_bundles(ctx: ModelContext, num_bundles: int) -> Bundling:
@@ -688,7 +771,8 @@ def optimal_bundles(ctx: ModelContext, num_bundles: int) -> Bundling:
         raise DomainError("cannot bundle an empty flow set")
     if num_bundles < 1:
         raise DomainError("num_bundles must be >= 1")
-    return Bundling(ctx._optimum.labels(min(num_bundles, n)), num_bundles)
+    cuts = ctx._optimum.cuts(min(num_bundles, n))
+    return Bundling.from_runs(ctx.cost_order, cuts + [n] * (num_bundles + 1 - len(cuts)))
 
 
 # ---------------------------------------------------------------------------

@@ -250,14 +250,18 @@ class Bundling:
     was built from: ``ModelContext.ids`` for the strategies, or the ids
     passed to ``token_bucket_bundles``. It groups them once, by one
     stable argsort (of ``uint8`` keys up to 256 bundles, which numpy
-    radix-sorts to the same permutation) and one count, and keeps only
-    the grouping:
+    radix-sorts to the same permutation) and one count. A strategy that
+    cuts an order it walks into runs (the token buckets, index-division,
+    class-profit-weighted and optimal) builds its tiers by
+    ``Bundling.from_runs(order, bounds)`` instead, which sorts each run
+    into flow order and so gives the same grouping without labels. Only
+    the grouping is kept:
 
     * ``members``, the flow indices by bundle and, within a bundle, in
-      flow order (the stable argsort of the labels): ``intp`` or, with
-      ``compact``, the smallest unsigned type that holds the flow count,
-      which halves the memory of a bundling that is kept for reuse at
-      the cost of a cast at every gather from it;
+      flow order (the stable argsort of the labels): ``intp`` or, from
+      runs with ``compact``, the smallest unsigned type that holds the
+      flow count, which halves the memory of a bundling that is kept for
+      reuse at the cost of a cast at every gather from it;
     * ``sizes``, the member count of each of the ``num_bundles``
       bundles (``intp``). Empty bundles are permitted, so the effective
       tier count can be smaller than ``num_bundles``.
@@ -272,7 +276,7 @@ class Bundling:
     sizes: np.ndarray
     num_bundles: int
 
-    def __init__(self, labels, num_bundles: int, compact: bool = False):
+    def __init__(self, labels, num_bundles: int):
         if num_bundles < 1:
             raise DomainError(f"num_bundles must be >= 1, got {num_bundles}")
         labels = np.asarray(labels, dtype=np.intp)
@@ -284,15 +288,40 @@ class Bundling:
                 f"flow {bad}: bundle index {labels[bad]} outside [0, {num_bundles})"
             )
         keys = labels.astype(np.uint8) if num_bundles <= 256 else labels
-        members = np.argsort(keys, kind="stable")
-        if compact:
-            members = members.astype(np.min_scalar_type(labels.size))
-        sizes = np.bincount(labels, minlength=num_bundles)
+        self._hold(np.argsort(keys, kind="stable"),
+                   np.bincount(labels, minlength=num_bundles))
+
+    @classmethod
+    def from_runs(cls, order, bounds, compact: bool = False) -> "Bundling":
+        """The bundling whose bundle j is the run order[bounds[j]:bounds[j+1]]
+        of ``order``, a permutation of the flow indices; ``bounds`` rise
+        from 0 to the flow count, one more than the bundles. The runs are
+        sorted into flow order in place, on one copy of the order in the
+        smallest unsigned type that holds the flow count (which numpy
+        sorts about twice as fast as ``intp``), so ``members``, widened to
+        ``intp`` unless ``compact``, equals that of the labels the runs
+        give."""
+        bounds = np.asarray(bounds, dtype=np.intp)
+        n = len(order)
+        if (bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n
+                or np.any(np.diff(bounds) < 0)):
+            raise DomainError(f"run bounds must rise from 0 to {n}, got {bounds.tolist()}")
+        members = np.array(order, dtype=np.min_scalar_type(n))
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if b - a > 1:
+                members[a:b].sort()
+        if not compact:
+            members = members.astype(np.intp)
+        self = object.__new__(cls)
+        self._hold(members, np.diff(bounds))
+        return self
+
+    def _hold(self, members: np.ndarray, sizes: np.ndarray) -> None:
         members.flags.writeable = sizes.flags.writeable = False
         set_ = object.__setattr__
         set_(self, "members", members)
         set_(self, "sizes", sizes)
-        set_(self, "num_bundles", num_bundles)
+        set_(self, "num_bundles", sizes.size)
 
     __setstate__ = _setstate_read_only
 

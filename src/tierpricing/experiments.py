@@ -102,10 +102,13 @@ class ExperimentConfig:
     s0 0.2).
 
     A config checks itself when made (by ``dataclasses.replace`` too)
-    and raises ConfigError on any inconsistent setting: a non-finite
-    alpha, p0 or theta, alpha or s0 outside its demand model's domain,
-    p0 <= 0, a theta the cost model refuses (``CostModelSpec``), a
-    switch of another model, or a repeated value.
+    and raises ConfigError on any inconsistent setting. It first converts
+    ``demand_model``, ``cost_kind`` and each of ``strategies`` (a
+    sequence, kept as a tuple) to their enums, so each may be given by
+    its value ("ced"), and refuses an unknown value by field name. Then
+    it refuses a non-finite alpha, p0 or theta, alpha or s0 outside its
+    demand model's domain, p0 <= 0, a theta the cost model refuses
+    (``CostModelSpec``), a switch of another model, or a repeated value.
     """
 
     demand_model: DemandModel = DemandModel.CED
@@ -130,6 +133,11 @@ class ExperimentConfig:
     cs_unit_price_offset: bool = False
 
     def __post_init__(self):
+        set_ = object.__setattr__
+        set_(self, "demand_model", _member(DemandModel, "demand_model", self.demand_model))
+        set_(self, "cost_kind", _member(CostKind, "cost_kind", self.cost_kind))
+        set_(self, "strategies",
+             tuple(_member(Strategy, "strategies", s) for s in self.strategies))
         for name in ("alpha", "p0", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -171,6 +179,14 @@ class ExperimentConfig:
             if len(set(values)) != len(values):
                 shown = ", ".join(str(getattr(v, "value", v)) for v in values)
                 raise ConfigError(f"{name} must not repeat, got {shown}")
+
+
+def _member(enum, name: str, value):
+    """``value`` as a member of ``enum``, which it is or is the value of."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(f"{name}: unknown value {value!r}") from None
 
 
 def load_flows(config: ExperimentConfig) -> FlowTable:

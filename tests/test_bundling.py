@@ -18,6 +18,7 @@ from tierpricing.bundling import (
     evaluate_bundling,
     optimal_bundles,
     profit_capture,
+    tiers_of,
     token_bucket_bundles,
 )
 from demand_oracles import (
@@ -1351,3 +1352,195 @@ class TestOptimalOracle:
         assume(distinct >= 2)
         out = evaluate_bundling(ctx, optimal_bundles(ctx, distinct))
         assert out.profit_capture == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Stable orders from the default sort, tiers as runs, and the DP's checks
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tied_keys(draw):
+    """1 to 300 keys from a few distinct values, -0.0 and 0.0 among them
+    (heavy ties), and shuffled flow ids, distinct or tied."""
+    n = draw(st.integers(1, 300))
+    values = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 1e-300, 7e9]),
+                           min_size=1, max_size=4))
+    keys = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        ids = [f"f{i:03d}" for i in draw(st.permutations(range(n)))]
+    else:
+        ids = [f"f{i}" for i in draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))]
+    return keys, np.array(ids)
+
+
+class TestStableArgsort:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_keys())
+    def test_equals_the_stable_sorts(self, case):
+        keys, ids = case
+        assert np.array_equal(bundling._stable_argsort(keys),
+                              np.argsort(keys, kind="stable"))
+        id_order = np.argsort(ids, kind="stable")
+        assert np.array_equal(bundling._stable_argsort(keys, lambda: id_order),
+                              np.lexsort((ids, keys)))
+
+    def test_tie_order_read_only_when_keys_tie(self):
+        def unread():
+            raise AssertionError("the tie order was read")
+
+        keys = np.array([3.0, -1.0, 2.0, 0.0])
+        assert bundling._stable_argsort(keys, unread).tolist() == [1, 3, 2, 0]
+
+    @pytest.mark.parametrize("make_ctx", [ced_context, tied_ced_context])
+    def test_cost_order_is_the_lexsort_of_ids_and_costs(self, make_ctx):
+        ctx = make_ctx(np.random.default_rng(35), 2000)
+        assert np.array_equal(ctx.cost_order, np.lexsort((ctx.ids, ctx.c)))
+
+
+def scattered_labels(ctx, strategy, num_bundles):
+    """The labels each strategy wrote before its tiers were built as runs
+    of the order it walks: each position's run index, scattered to the
+    flow at that position."""
+    n = len(ctx.ids)
+    if strategy is Strategy.CLASS_PROFIT_WEIGHTED:
+        return reference_class_constrained(ctx, num_bundles)
+    if strategy is Strategy.COST_DIVISION:
+        return build_bundles(strategy, ctx, num_bundles).labels
+    labels = np.empty(n, dtype=np.intp)
+    if strategy is Strategy.INDEX_DIVISION:
+        labels[np.lexsort((ctx.ids, ctx.c))] = np.arange(n) // math.ceil(n / num_bundles)
+    elif strategy is Strategy.OPTIMAL:
+        blocks = min(num_bundles, n)
+        cuts = ctx._optimum.cuts(blocks)
+        labels[ctx.cost_order] = np.repeat(np.arange(blocks), np.diff(cuts))
+    else:
+        visit = {Strategy.DEMAND_WEIGHTED: ctx.orders.demand_visit,
+                 Strategy.COST_WEIGHTED: ctx.cost_visit,
+                 Strategy.PROFIT_WEIGHTED: ctx.profit_visit}[tiers_of(strategy, ctx.model)]
+        bounds = bundling._drain(visit.prefix, visit.total / num_bundles, num_bundles)
+        labels[visit.order] = np.repeat(np.arange(num_bundles), np.diff(bounds))
+    return labels
+
+
+@st.composite
+def run_markets(draw):
+    """A class-labelled market of 1 to 40 flows, CED or logit, with or
+    without tied demands and costs."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q = rng.choice((1.0, 2.0, 5.0), n)
+        d = rng.choice(TIED_DISTANCES, n)
+    else:
+        q = rng.lognormal(1.0, 1.2, size=n)
+        d = rng.uniform(1.0, 100.0, size=n)
+    rel = d + 0.1 * d.max()
+    labels = rng.choice(("peer", "customer", "metro"), n).tolist()
+    ids = [f"f{i:02d}" for i in rng.permutation(n)]
+    if draw(st.booleans()):
+        return ModelContext.from_ced(ids, q, d, rel, 20.0, 1.5, labels)
+    return ModelContext.from_logit(ids, q, d, rel, 20.0, 1.1, 0.2, labels)
+
+
+def assert_same_grouping(got, expected, members_type=np.intp):
+    assert got.num_bundles == expected.num_bundles
+    assert got.members.dtype == members_type
+    for name in ("members", "sizes", "labels"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert np.array_equal(a, b), name
+        assert name == "members" or a.dtype == b.dtype, name
+        assert not a.flags.writeable, name
+
+
+class TestRunBuiltBundling:
+    """Every strategy's tiers, built as runs of the order it walks, group
+    the flows as the labels it scattered before did, empty bundles and
+    more bundles than flows included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(run_markets())
+    def test_equals_the_scattered_labels(self, ctx):
+        for num_bundles in range(1, len(ctx.ids) + 3):
+            for strategy in Strategy:
+                expected = Bundling(scattered_labels(ctx, strategy, num_bundles), num_bundles)
+                assert_same_grouping(build_bundles(strategy, ctx, num_bundles), expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(run_markets())
+    def test_kept_demand_tiers_are_compact(self, ctx):
+        orders = bundling.FlowOrders(ctx.ids, ctx.q, keep_tiers=True)
+        for num_bundles in range(1, len(ctx.ids) + 3):
+            labels = scattered_labels(ctx, Strategy.DEMAND_WEIGHTED, num_bundles)
+            assert_same_grouping(orders.demand_tiers(num_bundles),
+                                 Bundling(labels, num_bundles),
+                                 np.min_scalar_type(len(ctx.ids)))
+
+    @pytest.mark.parametrize("bounds", [[1, 3], [0, 2], [0, 2, 1, 3], [0]])
+    def test_bounds_must_rise_from_zero_to_the_flow_count(self, bounds):
+        with pytest.raises(DomainError, match="run bounds must rise from 0 to 3"):
+            Bundling.from_runs(np.array([2, 0, 1]), bounds)
+
+
+def underflowing_ced_context(rng, n):
+    """A CED market at alpha 400 whose ranges are priced at 5 to 7, where
+    the price power p**(1-alpha) underflows float64 for many of them,
+    while v**alpha and the profits stay in range (the case of
+    ``ced_bundle``'s half powers)."""
+    alpha = 400.0
+    v = rng.uniform(3.0, 5.0, n)
+    c = rng.uniform(5.0, 7.0, n) * (alpha - 1.0) / alpha
+    return ModelContext([f"f{i:02d}" for i in range(n)], demands(rng, n),
+                        rng.uniform(1.0, 100.0, n), v, c, None, DemandModel.CED, alpha, 20.0)
+
+
+class TestCheckedScores:
+    """The depth passes score candidates in place only where no range
+    can trip a check of ``_score``; elsewhere they take the checked path
+    and still agree with the oracles."""
+
+    @pytest.mark.parametrize("make_ctx", [ced_context, logit_context,
+                                          tied_ced_context, tied_logit_context])
+    def test_ordinary_markets_score_in_place(self, make_ctx):
+        assert make_ctx(np.random.default_rng(36), 300)._optimum.in_place
+
+    @pytest.mark.parametrize("make_ctx", [underflowing_ced_context, spread_logit_context,
+                                          tiny_logit_context])
+    def test_markets_that_trip_a_check_take_the_checked_path(self, make_ctx):
+        ctx = make_ctx(np.random.default_rng(37), 300)
+        assert not ctx._optimum.in_place
+        for num_bundles in (6, 1, 3):
+            assert_same_as_divide_and_conquer(ctx, num_bundles)
+
+    @pytest.mark.parametrize("make_ctx", [spread_logit_context, tiny_logit_context])
+    def test_underflowed_logit_weights_equal_quadratic_dp(self, make_ctx):
+        ctx = make_ctx(np.random.default_rng(38), 120)
+        assert not ctx._optimum.in_place
+        for num_bundles in (1, 4, 7):
+            got = partition_profit(ctx, optimal_bundles(ctx, num_bundles).labels)
+            ref = partition_profit(ctx, reference_contiguous_optimal(ctx, num_bundles))
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_out_of_range_ced_powers_equal_contiguous_enumeration(self):
+        # the closed form of the quadratic DP overflows at this alpha, so
+        # every partition of the cost order into at most B blocks is
+        # priced by the per-flow oracles, as for the large alphas above
+        n = 12
+        ctx = underflowing_ced_context(np.random.default_rng(39), n)
+        assert not ctx._optimum.in_place
+        order = sorted(range(n), key=lambda i: (ctx.c[i], ctx.ids[i]))
+
+        def oracle_profit(blocks):
+            p = np.empty(n)
+            for block in blocks:
+                p[block] = ced_bundle_price(ctx.v[block], ctx.c[block], ctx.alpha)
+            return ced_profit(ctx.v, p, ctx.c, ctx.alpha)
+
+        for num_bundles in range(1, 6):
+            best = max(
+                oracle_profit([order[lo:hi] for lo, hi in zip((0, *cuts), (*cuts, n))])
+                for k in range(num_bundles)
+                for cuts in itertools.combinations(range(1, n), k))
+            labels = optimal_bundles(ctx, num_bundles).labels
+            got = oracle_profit([np.flatnonzero(labels == b) for b in range(num_bundles)])
+            assert got == pytest.approx(best, rel=1e-12, abs=0)

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tierpricing.bundling import ModelContext
+from tierpricing.bundling import ModelContext, Strategy
 from tierpricing.domain import (
     Bundling,
     ConfigError,
+    CostKind,
     DemandModel,
     DomainError,
     FlowTable,
 )
-from tierpricing.experiments import ExperimentConfig
+from tierpricing.experiments import ExperimentConfig, fit_context, load_flows
 
 
 def _market(model, **kw):
@@ -75,6 +76,46 @@ class TestValidateParams:
         logit = _market(DemandModel.LOGIT)
         _rejected("logit requires s0 in (0,1), got 1.5",
                   dataclasses.replace, logit, s0=1.5)
+
+
+class TestEnumFields:
+    """An ``ExperimentConfig`` takes its enum fields by value too, and
+    checks and fits them as the enums."""
+
+    def test_demand_model_by_value_fits_its_model(self):
+        config = ExperimentConfig(demand_model="ced", n_flows=50)
+        assert config.demand_model is DemandModel.CED
+        assert fit_context(load_flows(config), config).model is DemandModel.CED
+
+    def test_demand_model_by_value_is_checked(self):
+        _rejected("CED requires alpha > 1, got 0.5",
+                  ExperimentConfig, demand_model="ced", alpha=0.5)
+
+    def test_cost_kind_by_value_fits_its_costs(self):
+        # regional costs at theta 0.5 take one value per region
+        by_value, by_enum = (
+            ExperimentConfig(cost_kind=kind, theta=0.5, n_flows=200)
+            for kind in ("regional", CostKind.REGIONAL))
+        assert by_value.cost_kind is CostKind.REGIONAL
+        costs = [fit_context(load_flows(config), config).c
+                 for config in (by_value, by_enum)]
+        assert len(np.unique(costs[0])) == 3
+        assert np.array_equal(costs[0], costs[1])
+
+    def test_strategies_by_value(self):
+        from tierpricing.experiments import run_capture_curve
+
+        config = ExperimentConfig(strategies=["optimal"], bundles=(1, 2), n_flows=50)
+        assert config.strategies == (Strategy.OPTIMAL,)
+        rows, _ = run_capture_curve(config)
+        assert [row["strategy"] for row in rows] == ["optimal", "optimal"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("demand_model", "cde"), ("cost_kind", "flat"), ("strategies", ("optimal", "best")),
+    ])
+    def test_unknown_value_named(self, field, value):
+        shown = value[-1] if field == "strategies" else value
+        _rejected(f"{field}: unknown value {shown!r}", ExperimentConfig, **{field: value})
 
 
 def _table(demand=(1.0, 2.0, 3.0), distance=(10.0, 20.0, 30.0), **kw):
@@ -222,13 +263,12 @@ class TestBundling:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 300).flatmap(lambda num_bundles: st.tuples(
         st.just(num_bundles),
-        st.lists(st.integers(0, num_bundles - 1), max_size=400))),
-        st.booleans())
-    def test_grouping_is_the_stable_argsort_and_the_counts(self, case, compact):
+        st.lists(st.integers(0, num_bundles - 1), max_size=400))))
+    def test_grouping_is_the_stable_argsort_and_the_counts(self, case):
         num_bundles, labels = case
-        b = Bundling(labels, num_bundles, compact)
+        b = Bundling(labels, num_bundles)
         keys = np.array(labels, dtype=np.intp)
-        assert b.members.dtype == (np.min_scalar_type(len(labels)) if compact else np.intp)
+        assert b.members.dtype == np.intp
         assert np.array_equal(b.members, np.argsort(keys, kind="stable"))
         assert np.array_equal(b.sizes, np.bincount(keys, minlength=num_bundles))
         assert not b.members.flags.writeable and not b.sizes.flags.writeable

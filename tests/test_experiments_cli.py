@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -79,6 +80,23 @@ class TestCaptureCurve:
         rows, meta = run_capture_curve(cfg)
         assert len(rows) == 6
         assert "notes" in meta
+
+
+class TestPinnedCapture:
+    # sha256 of the results CSV of this capture, as written before the
+    # cost order and the tiers were built from the default sort and runs:
+    # its 3 distinct regional costs tie every flow of the cost order
+    REGIONAL_CED_SHA256 = "1240c8ffb23bca837bbb143c045220fe5dfb561bac3cdb1a4074f2db0104b832"
+
+    def test_regional_ced_capture_bytes_are_pinned(self, tmp_path):
+        from tierpricing.cli import main
+
+        out = tmp_path / "regional.csv"
+        assert main(["capture", "--cost-model", "regional", "--theta", "0.5",
+                     "--synth-preset", "eu-isp", "--n-flows", "2000", "--seed", "7",
+                     "--bundles", "1..8", "--strategy",
+                     ",".join(s.value for s in Strategy), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.REGIONAL_CED_SHA256
 
 
 class TestThetaSweep:
