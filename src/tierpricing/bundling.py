@@ -59,6 +59,7 @@ from .domain import (
     _first,
     _frozen_array,
     _labels_column,
+    _member,
 )
 
 log = logging.getLogger(__name__)
@@ -86,10 +87,10 @@ class ModelContext:
     distance, ``v`` the valuation coefficient and ``c`` the realized
     unit cost (float64, q and c positive). ``class_labels`` is None
     when no flow has a bundling class, else an object array holding a
-    class name or None per flow. Every array is read-only (a writable
-    input is copied, a read-only one of the right type shared), and
-    every strategy and ``Bundling`` follows their flow order. Instances
-    compare by identity.
+    class name or None per flow; ``model`` is a ``DemandModel`` or its
+    value. Every array is read-only (a writable input is copied, a
+    read-only one of the right type shared), and every strategy and
+    ``Bundling`` follows their flow order. Instances compare by identity.
 
     What depends on the flow set alone, its ids and demands, is kept in
     ``orders``, a ``FlowOrders`` that the contexts fitted on one flow set
@@ -134,6 +135,7 @@ class ModelContext:
 
     def __post_init__(self):
         set_ = object.__setattr__
+        set_(self, "model", _member(DemandModel, "model", self.model))
         # shared orders are keyed to the arrays the context is built from
         # (a copy that freezing makes holds the same values)
         if self.orders is not None and (self.orders.ids is not self.ids
@@ -389,12 +391,14 @@ def _visit(weights, id_order: np.ndarray) -> _Visit:
 
 
 def tiers_of(strategy: Strategy, model: DemandModel) -> Strategy:
-    """The strategy whose tiers ``strategy`` builds under ``model``
-    (``build_bundles`` dispatches on it): under logit profit is a
-    constant times demand (``ModelContext.potential_profits``), so
+    """The ``Strategy`` whose tiers ``strategy`` builds under ``model``,
+    each a member or its value (``build_bundles`` dispatches on it): under
+    logit profit is a constant times demand (``potential_profits``), so
     profit-weighted builds the demand-weighted tiers; every other
     strategy builds its own. Strategies of one ``tiers_of`` share one
     bundling, and a grid point builds and evaluates it once."""
+    model = _member(DemandModel, "model", model)
+    strategy = _member(Strategy, "strategy", strategy)
     if strategy is Strategy.PROFIT_WEIGHTED and model is DemandModel.LOGIT:
         return Strategy.DEMAND_WEIGHTED
     return strategy
@@ -465,13 +469,13 @@ def token_bucket_bundles(weights, flow_ids: Sequence[str], num_bundles: int) -> 
     drain the same way from their context's cached prefix sums."""
     if len(flow_ids) != len(weights):
         raise DomainError(f"{len(flow_ids)} flow ids for {len(weights)} weights")
+    if num_bundles < 1:
+        raise DomainError(f"num_bundles must be >= 1, got {num_bundles}")
     return _bucket_bundling(
         _visit(weights, np.argsort(np.asarray(flow_ids), kind="stable")), num_bundles)
 
 
 def _bucket_bundling(visit: _Visit, num_bundles: int, compact: bool = False) -> Bundling:
-    if num_bundles < 1:
-        raise DomainError("num_bundles must be >= 1")
     bounds = _drain(visit.prefix, visit.total / num_bundles, num_bundles)
     return Bundling.from_runs(visit.order, bounds, compact)
 
@@ -519,10 +523,12 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
 
 
 def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bundling:
-    """Construct a tier partition with the given strategy: the tiers of
-    ``tiers_of(strategy, ctx.model)``."""
+    """Construct a tier partition into ``num_bundles`` >= 1 bundles with
+    the given strategy or its value: the tiers of ``tiers_of``."""
     if len(ctx.ids) == 0:
         raise DomainError("cannot bundle an empty flow set")
+    if num_bundles < 1:
+        raise DomainError(f"num_bundles must be >= 1, got {num_bundles}")
     strategy = tiers_of(strategy, ctx.model)
     if strategy is Strategy.OPTIMAL:
         return optimal_bundles(ctx, num_bundles)
@@ -536,9 +542,7 @@ def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bu
         return _cost_division(ctx, num_bundles)
     if strategy is Strategy.INDEX_DIVISION:
         return _index_division(ctx, num_bundles)
-    if strategy is Strategy.CLASS_PROFIT_WEIGHTED:
-        return _class_constrained(ctx, num_bundles)
-    raise DomainError(f"unknown strategy {strategy!r}")
+    return _class_constrained(ctx, num_bundles)
 
 
 # ---------------------------------------------------------------------------

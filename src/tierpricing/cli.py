@@ -63,8 +63,6 @@ def _parse_bundles(text: str) -> tuple[int, ...]:
             values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse bundle counts {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("bundle list is empty")
     return values
 
 
@@ -75,22 +73,9 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"cannot parse number list {text!r}")
 
 
-def _parse_strategies(text: str) -> tuple[Strategy, ...]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(Strategy(part))
-        except ValueError:
-            choices = ", ".join(s.value for s in Strategy)
-            raise argparse.ArgumentTypeError(
-                f"unknown strategy {part!r}; choose from {choices}"
-            )
-    if not out:
-        raise argparse.ArgumentTypeError("strategy list is empty")
-    return tuple(out)
+def _parse_names(text: str) -> tuple[str, ...]:
+    """A comma list of names, stripped; ``ExperimentConfig`` checks them."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 COMMANDS = {
@@ -123,9 +108,8 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     if command == "synth":
         return
     model = parser.add_argument_group("model")
-    model.add_argument("--demand-model", type=DemandModel,
-                       choices=[m.value for m in DemandModel])
-    model.add_argument("--cost-model", dest="cost_kind", type=CostKind,
+    model.add_argument("--demand-model", choices=[m.value for m in DemandModel])
+    model.add_argument("--cost-model", dest="cost_kind",
                        choices=[k.value for k in CostKind])
     model.add_argument("--alpha", type=float)
     model.add_argument("--p0", type=float)
@@ -144,9 +128,10 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     run.add_argument("--bundles", type=_parse_bundles,
                      help="tier counts: comma list or range like 1..8")
     if command != "sensitivity":        # a sensitivity sweep is profit-weighted
-        run.add_argument("--strategy", dest="strategies", type=_parse_strategies,
-                         help="comma list of bundling strategies; optimal is "
-                              "the exact cost-contiguous optimum")
+        run.add_argument("--strategy", dest="strategies", type=_parse_names,
+                         help="comma list of bundling strategies ("
+                              + ", ".join(s.value for s in Strategy)
+                              + "); optimal is the exact cost-contiguous optimum")
     run.add_argument("--workers", type=int)
     if command == "theta-sweep":
         run.add_argument("--theta-grid", type=_parse_floats)

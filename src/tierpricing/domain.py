@@ -107,6 +107,17 @@ class CostKind(str, Enum):
     DEST_TYPE = "dest-type"
 
 
+def _member(enum, name: str, value, error: type[PricingError] = DomainError):
+    """``value`` as a member of ``enum``, which it is or is the value of;
+    an unknown value raises ``error`` naming the holder's field ``name``.
+    Every holder of an enum converts by it, so that code downstream may
+    compare members by identity."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise error(f"{name}: unknown value {value!r}") from None
+
+
 REGIONS = ("metro", "national", "international")
 DEST_TYPES = ("customer", "peer")
 
@@ -227,12 +238,14 @@ class FlowTable:
 @dataclass(frozen=True)
 class CostModelSpec:
     """Cost-model selection plus its tuning knob ``theta``; the fitted
-    scaling gamma lives on the fitted ``ModelContext``."""
+    scaling gamma lives on the fitted ``ModelContext``. ``kind`` may be
+    given by its value ("regional"), and is kept as the ``CostKind``."""
 
     kind: CostKind
     theta: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", _member(CostKind, "kind", self.kind))
         if self.theta < 0:
             raise DomainError(f"theta must be >= 0, got {self.theta}")
         if self.kind is CostKind.DEST_TYPE and self.theta > 1.0:

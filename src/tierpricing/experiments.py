@@ -64,6 +64,7 @@ from .domain import (
     DemandModel,
     DomainError,
     FlowTable,
+    _member,
 )
 from .ingestion import (
     atomic_output,
@@ -105,10 +106,11 @@ class ExperimentConfig:
     and raises ConfigError on any inconsistent setting. It first converts
     ``demand_model``, ``cost_kind`` and each of ``strategies`` (a
     sequence, kept as a tuple) to their enums, so each may be given by
-    its value ("ced"), and refuses an unknown value by field name. Then
-    it refuses a non-finite alpha, p0 or theta, alpha or s0 outside its
-    demand model's domain, p0 <= 0, a theta the cost model refuses
-    (``CostModelSpec``), a switch of another model, or a repeated value.
+    its value ("ced"), and refuses an unknown value by field name and an
+    empty strategy list. Then it refuses a non-finite alpha, p0 or theta,
+    alpha or s0 outside its demand model's domain, p0 <= 0, a theta the
+    cost model refuses (``CostModelSpec``), a switch of another model, or
+    a repeated value.
     """
 
     demand_model: DemandModel = DemandModel.CED
@@ -134,10 +136,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         set_ = object.__setattr__
-        set_(self, "demand_model", _member(DemandModel, "demand_model", self.demand_model))
-        set_(self, "cost_kind", _member(CostKind, "cost_kind", self.cost_kind))
-        set_(self, "strategies",
-             tuple(_member(Strategy, "strategies", s) for s in self.strategies))
+        set_(self, "demand_model",
+             _member(DemandModel, "demand_model", self.demand_model, ConfigError))
+        set_(self, "cost_kind", _member(CostKind, "cost_kind", self.cost_kind, ConfigError))
+        set_(self, "strategies", tuple(_member(Strategy, "strategies", s, ConfigError)
+                                       for s in self.strategies))
+        if not self.strategies:
+            raise ConfigError("strategies must not be empty")
         for name in ("alpha", "p0", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -179,14 +184,6 @@ class ExperimentConfig:
             if len(set(values)) != len(values):
                 shown = ", ".join(str(getattr(v, "value", v)) for v in values)
                 raise ConfigError(f"{name} must not repeat, got {shown}")
-
-
-def _member(enum, name: str, value):
-    """``value`` as a member of ``enum``, which it is or is the value of."""
-    try:
-        return enum(value)
-    except ValueError:
-        raise ConfigError(f"{name}: unknown value {value!r}") from None
 
 
 def load_flows(config: ExperimentConfig) -> FlowTable:

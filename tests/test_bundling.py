@@ -647,6 +647,55 @@ class TestBundlingTotality:
                 assert b.labels.shape == (len(ctx.ids),)
                 assert all(0 <= i < num_bundles for i in b.labels.tolist())
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_no_bundles_is_a_domain_error(self, strategy):
+        # index-division divided by the tier count before any check did
+        for ctx in labelled_markets():
+            with pytest.raises(DomainError, match="num_bundles must be >= 1, got 0"):
+                build_bundles(strategy, ctx, 0)
+
+    def test_token_buckets_refuse_no_bundles(self):
+        with pytest.raises(DomainError, match="num_bundles must be >= 1, got 0"):
+            token_bucket_bundles([1.0, 2.0], ["a", "b"], 0)
+
+
+def labelled_markets():
+    """A class-labelled CED and logit market, for every strategy."""
+    rng = np.random.default_rng(26)
+    n = 15
+    q = rng.lognormal(1.0, 1.0, size=n)
+    d = rng.uniform(1.0, 100.0, size=n)
+    labels = ["customer" if i % 3 else "peer" for i in range(n)]
+    rel = d * np.where(np.array(labels) == "peer", 2.0, 1.0)
+    ids = [f"f{i:02d}" for i in range(n)]
+    return (ModelContext.from_ced(ids, q, d, rel, 20.0, 1.5, labels=labels),
+            ModelContext.from_logit(ids, q, d, rel, 20.0, 1.1, 0.2, labels=labels))
+
+
+class TestStrategyNames:
+    """A strategy or model may be given by its value wherever it is held."""
+
+    @pytest.mark.parametrize("model", list(DemandModel))
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_tiers_of_a_name_are_the_members(self, strategy, model):
+        assert tiers_of(strategy.value, model.value) is tiers_of(strategy, model)
+        assert tiers_of(strategy.value, model) is tiers_of(strategy, model.value)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_name_builds_the_members_tiers(self, strategy):
+        for ctx in labelled_markets():
+            for num_bundles in (1, 2, 4):
+                by_name = build_bundles(strategy.value, ctx, num_bundles)
+                by_member = build_bundles(strategy, ctx, num_bundles)
+                assert np.array_equal(by_name.members, by_member.members)
+                assert np.array_equal(by_name.sizes, by_member.sizes)
+
+    def test_unknown_names_are_domain_errors(self):
+        with pytest.raises(DomainError, match="strategy: unknown value 'best'"):
+            tiers_of("best", DemandModel.CED)
+        with pytest.raises(DomainError, match="model: unknown value 'probit'"):
+            tiers_of(Strategy.OPTIMAL, "probit")
+
 
 # ---------------------------------------------------------------------------
 # Per-flow reference implementations and properties against them

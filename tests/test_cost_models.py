@@ -298,6 +298,23 @@ class TestClassLabels:
         assert class_labels(spec, _flows([1.0, 2.0])) is None
 
 
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_kind_by_name_acts_as_its_member(kind):
+    # the functions compare kinds by identity: a name kept as given fell
+    # through to the destination-type formula and lost its classes
+    flows = table([Flow("a", 1.0, 5.0, dest_type="peer"),
+                   Flow("b", 2.0, 50.0, region="international"),
+                   Flow("c", 3.0, 500.0, dest_type="customer")])
+    by_name, by_member = CostModelSpec(kind.value, 0.5), CostModelSpec(kind, 0.5)
+    assert by_name.kind is kind
+    assert np.array_equal(relative_costs(by_name, flows), relative_costs(by_member, flows))
+    assert base_cost(by_name, flows, 2.0) == base_cost(by_member, flows, 2.0)
+    name_labels, member_labels = (class_labels(spec, flows) for spec in (by_name, by_member))
+    assert (name_labels is None) == (member_labels is None)
+    if member_labels is not None:
+        assert name_labels.tolist() == member_labels.tolist()
+
+
 # ---------------------------------------------------------------------------
 # The array layer against the per-flow reference
 # ---------------------------------------------------------------------------

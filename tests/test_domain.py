@@ -13,6 +13,7 @@ from tierpricing.domain import (
     Bundling,
     ConfigError,
     CostKind,
+    CostModelSpec,
     DemandModel,
     DomainError,
     FlowTable,
@@ -116,6 +117,48 @@ class TestEnumFields:
     def test_unknown_value_named(self, field, value):
         shown = value[-1] if field == "strategies" else value
         _rejected(f"{field}: unknown value {shown!r}", ExperimentConfig, **{field: value})
+
+    def test_empty_strategy_list_refused(self):
+        # a run of no strategy would write no rows
+        _rejected("strategies must not be empty", ExperimentConfig, strategies=())
+
+
+class TestEnumNames:
+    """A cost-model spec and a context take their enum by value too."""
+
+    def test_spec_kind_by_value(self):
+        assert CostModelSpec("dest-type", 0.5) == CostModelSpec(CostKind.DEST_TYPE, 0.5)
+        assert CostModelSpec("regional").kind is CostKind.REGIONAL
+
+    @pytest.mark.parametrize("kind, theta, message", [
+        ("dest-type", 2.0, "destination-type theta is a traffic fraction in [0,1], "
+                           "got 2.0"),
+        ("flat", 0.2, "kind: unknown value 'flat'"),
+    ])
+    def test_spec_refuses_by_value(self, kind, theta, message):
+        with pytest.raises(DomainError) as info:
+            CostModelSpec(kind, theta)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("model", list(DemandModel))
+    def test_context_model_by_value(self, model):
+        config = ExperimentConfig(demand_model=model, n_flows=50)
+        fitted = fit_context(load_flows(config), config)
+        by_value, by_member = (
+            ModelContext(fitted.ids, fitted.q, fitted.d, fitted.v, fitted.c, None, m,
+                         fitted.alpha, fitted.p0, fitted.s0, fitted.consumer_mass,
+                         fitted.gamma)
+            for m in (model.value, model))
+        assert by_value.model is model
+        for name in ("pi_orig", "pi_max", "cs_orig", "cs_max"):
+            assert getattr(by_value, name) == getattr(by_member, name), name
+
+    def test_context_refuses_an_unknown_model(self):
+        config = ExperimentConfig(n_flows=20)
+        fitted = fit_context(load_flows(config), config)
+        with pytest.raises(DomainError, match="model: unknown value 'probit'"):
+            ModelContext(fitted.ids, fitted.q, fitted.d, fitted.v, fitted.c, None,
+                         "probit", fitted.alpha, fitted.p0)
 
 
 def _table(demand=(1.0, 2.0, 3.0), distance=(10.0, 20.0, 30.0), **kw):

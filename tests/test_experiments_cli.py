@@ -1135,6 +1135,42 @@ class TestCli:
             assert res.stderr.startswith(message)
             assert not out.exists()
 
+    @pytest.mark.parametrize("args, line, message", [
+        (["--strategy", "nope"], "", "strategies: unknown value 'nope'"),
+        (["--strategy", ","], "", "strategies must not be empty"),
+        (["--bundles", ","], "", "bundle counts must be >= 1, got ()"),
+        ([], "demand_model = x", "demand_model: unknown value 'x'"),
+        ([], "cost-model = flat", "cost_kind: unknown value 'flat'"),
+        ([], "strategy = optimal, best", "strategies: unknown value 'best'"),
+    ])
+    def test_the_config_checks_the_names(self, tmp_path, args, line, message):
+        # the CLI passes names and lists on as given; the config refuses them
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[tierpricing]\nn_flows = 30\n{line}\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        res = run_cli("capture", "--config", str(ini), *args, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_names_from_a_config_file_run_as_flags(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[tierpricing]\ndemand_model = logit\ncost_model = regional\n"
+                       "theta = 0.5\nstrategy = class-profit-weighted, optimal,"
+                       "profit-weighted\nbundles = 1..4\nn_flows = 300\n",
+                       encoding="utf-8")
+        flags = ["--demand-model", "logit", "--cost-model", "regional", "--theta", "0.5",
+                 "--strategy", "class-profit-weighted,optimal,profit-weighted",
+                 "--bundles", "1..4", "--n-flows", "300"]
+        for name, args in (("ini", ["--config", str(ini)]), ("flags", flags)):
+            (tmp_path / name).mkdir()
+            res = run_python("-m", "tierpricing.cli", "capture", *args, "--out", "out.csv",
+                             cwd=tmp_path / name)
+            assert res.returncode == 0, res.stderr
+        for suffix in ("", ".meta.json"):
+            assert (tmp_path / "ini" / f"out.csv{suffix}").read_bytes() == \
+                (tmp_path / "flags" / f"out.csv{suffix}").read_bytes()
+
     @pytest.mark.parametrize("command, args", [
         ("capture", ["--bundles", "2,1,2"]),
         ("capture", ["--strategy", "cost-division,profit-weighted,cost-division"]),
