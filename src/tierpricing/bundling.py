@@ -56,6 +56,7 @@ from .domain import (
     MissingClassLabels,
     OverflowGuard,
     TierOutcome,
+    _check_market,
     _first,
     _frozen_array,
     _labels_column,
@@ -85,10 +86,13 @@ class ModelContext:
     ``from_ced`` and ``from_logit`` fit a market and build its context.
     ``ids`` are the flow ids, ``q`` the observed demand, ``d`` the
     distance, ``v`` the valuation coefficient and ``c`` the realized
-    unit cost (float64, q and c positive). ``class_labels`` is None
-    when no flow has a bundling class, else an object array holding a
-    class name or None per flow; ``model`` is a ``DemandModel`` or its
-    value. Every array is read-only (a writable input is copied, a
+    unit cost (float64; q positive, v finite, c finite and positive).
+    ``class_labels`` is None when no flow has a bundling class, else an
+    object array holding a class name or None per flow; ``model`` is a
+    ``DemandModel`` or its value. ``alpha``, ``p0`` and ``s0`` must lie
+    in the model's domain (``_check_market``), and under logit
+    ``consumer_mass`` must be finite and positive; any other value raises
+    DomainError. Every array is read-only (a writable input is copied, a
     read-only one of the right type shared), and every strategy and
     ``Bundling`` follows their flow order. Instances compare by identity.
 
@@ -136,6 +140,7 @@ class ModelContext:
     def __post_init__(self):
         set_ = object.__setattr__
         set_(self, "model", _member(DemandModel, "model", self.model))
+        _check_market(self.model, self.alpha, self.p0, self.s0)
         # shared orders are keyed to the arrays the context is built from
         # (a copy that freezing makes holds the same values)
         if self.orders is not None and (self.orders.ids is not self.ids
@@ -150,10 +155,12 @@ class ModelContext:
             set_(self, name, values)
         set_(self, "class_labels",
              _labels_column(ids, self.class_labels, None, "class"))
-        for name, values in (("demand", self.q), ("cost", self.c)):
-            bad = _first(~(values > 0))
+        for name, rule, ok in (
+                ("demand", "> 0", self.q > 0), ("valuation", "finite", np.isfinite(self.v)),
+                ("cost", "finite and > 0", np.isfinite(self.c) & (self.c > 0))):
+            bad = _first(~ok)
             if bad is not None:
-                raise DomainError(f"flow {ids[bad]}: fitted {name} must be > 0")
+                raise DomainError(f"flow {ids[bad]}: fitted {name} must be {rule}")
         if self.orders is None:
             set_(self, "orders", FlowOrders(ids, self.q))
         if self.model is DemandModel.CED:
@@ -162,10 +169,10 @@ class ModelContext:
             # that one tier per flow captures exactly 1
             _, pi_max, cs_max = self._ced_value(*self.terms, 1)
         else:
-            if self.s0 is None or self.consumer_mass is None:
-                raise DomainError("logit context requires s0 and consumer_mass")
-            per_flow = logit_solve_prices(self.v, self.c, self.alpha)
             k = self.consumer_mass
+            if k is None or not 0.0 < k < math.inf:
+                raise DomainError(f"logit requires consumer_mass > 0, got {k}")
+            per_flow = logit_solve_prices(self.v, self.c, self.alpha)
             pi_orig, cs_orig = logit_value(self.v, self.p0, self.c, self.alpha, k)
             pi_max, cs_max = logit_value(self.v, per_flow, self.c, self.alpha, k)
         for name, value in (("pi_orig", pi_orig), ("pi_max", pi_max),
@@ -186,8 +193,6 @@ class ModelContext:
         the cost model, aligned with ``q`` and ``d``; ``labels`` are the
         flows' bundling classes (None when the cost model has none);
         ``orders`` are the shared orders of ``flow_ids`` and ``q``."""
-        if not alpha > 1.0:
-            raise DomainError(f"CED requires alpha > 1, got {alpha}")
         v = ced_fit_valuations(q, p0, alpha)
         gamma = ced_fit_gamma(v, rel_costs, p0, alpha)
         c = realize_costs(rel_costs, gamma)
@@ -201,8 +206,6 @@ class ModelContext:
         """Fit the valuations, cost scaling and consumer mass
         K = sum(q)/(1-s0) of one logit market whose non-buying share at
         p0 is s0 (arguments as ``from_ced``)."""
-        if not alpha > 0.0:
-            raise DomainError(f"logit requires alpha > 0, got {alpha}")
         v = logit_fit_valuations(q, p0, alpha, s0, flow_ids)
         gamma = logit_fit_gamma(v, rel_costs, p0, alpha)
         c = realize_costs(rel_costs, gamma)

@@ -15,8 +15,9 @@ over the flows in cost order, which some optimal partition follows
 
 Options may also come from an INI config file (section
 ``[tierpricing]``); explicit flags win. A key is a long option or its
-dest, with dashes or underscores, and its value is converted by that
-option's own type; switches follow configparser's boolean rule
+dest, with dashes or underscores, and its value, read as UTF-8 and
+taken as written (no '%' interpolation), is converted by that option's
+own type; switches follow configparser's boolean rule
 (1/yes/true/on, 0/no/false/off). A key of another subcommand's option
 is left out, so one file can serve every subcommand; a key that names
 no option of any subcommand, or a value that does not convert, is a
@@ -167,9 +168,13 @@ def _apply_config_file(argv: list[str], args: argparse.Namespace,
         return args
     import configparser
 
-    ini = configparser.ConfigParser()
-    if not ini.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    # no interpolation: a value is taken as written, '%' too
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        if not ini.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not ini.has_section("tierpricing"):
         raise ConfigError(f"{path} has no [tierpricing] section")
     # every key resolves through the subcommands' own options: a long

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import DomainError, NonPositiveGamma, OverflowGuard
+from .domain import DemandModel, DomainError, NonPositiveGamma, OverflowGuard, _check_market
 
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
@@ -46,12 +46,12 @@ def ced_bundle(W, X, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 def ced_fit_valuations(q, p0: float, alpha: float) -> np.ndarray:
     """Valuations v_i = p0 * q_i**(1/alpha) that reproduce demand q at
-    the uniform price p0."""
+    the uniform price p0; outside the CED domain (``_check_market``),
+    DomainError."""
+    _check_market(DemandModel.CED, alpha, p0)
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0):
         raise DomainError("observed demand must be positive")
-    if p0 <= 0:
-        raise DomainError("p0 must be positive")
     return p0 * q ** (1.0 / alpha)
 
 

@@ -32,10 +32,12 @@ import math
 import numpy as np
 
 from .domain import (
+    DemandModel,
     DomainError,
     NoConvergence,
     NonPositiveGamma,
     OverflowGuard,
+    _check_market,
     _first,
 )
 
@@ -176,15 +178,13 @@ def logit_fit_valuations(q, p0: float, alpha: float, s0: float,
     s_i/s0 gives v_i = (ln s_i - ln s0)/alpha + p0. A demand total past
     float64 raises OverflowGuard, and so does a share that underflows to
     zero, which has no log, naming the flow (by its id in ``ids``, else
-    by its position).
+    by its position). Outside the logit domain (``_check_market``),
+    DomainError.
     """
+    _check_market(DemandModel.LOGIT, alpha, p0, s0)
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0):
         raise DomainError("observed demand must be positive")
-    if p0 <= 0:
-        raise DomainError("p0 must be positive")
-    if not 0.0 < s0 < 1.0:
-        raise DomainError(f"s0 must be in (0,1), got {s0}")
     with np.errstate(over="ignore"):
         total = np.sum(q)
     if not np.isfinite(total):

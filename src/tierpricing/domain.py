@@ -107,15 +107,33 @@ class CostKind(str, Enum):
     DEST_TYPE = "dest-type"
 
 
-def _member(enum, name: str, value, error: type[PricingError] = DomainError):
+def _member(enum, name: str, value):
     """``value`` as a member of ``enum``, which it is or is the value of;
-    an unknown value raises ``error`` naming the holder's field ``name``.
-    Every holder of an enum converts by it, so that code downstream may
-    compare members by identity."""
+    an unknown value raises DomainError naming the holder's field
+    ``name``. Every holder of an enum converts by it, so that code
+    downstream may compare members by identity."""
     try:
         return enum(value)
     except ValueError:
-        raise error(f"{name}: unknown value {value!r}") from None
+        raise DomainError(f"{name}: unknown value {value!r}") from None
+
+
+def _check_market(model: DemandModel, alpha: float, p0: float, s0: float | None = None):
+    """Raise DomainError unless ``model`` (a member) is defined at
+    ``alpha``, ``p0`` and, under logit, ``s0``: alpha and p0 finite,
+    alpha > 1 under CED and > 0 under logit, p0 > 0 and, under logit,
+    0 < s0 < 1 (CED reads no s0). The one statement of the markets'
+    domain: the config, both fits and ``ModelContext`` call it."""
+    for name, value in (("alpha", alpha), ("p0", p0)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    label, floor = ("CED", 1) if model is DemandModel.CED else ("logit", 0)
+    if not alpha > floor:
+        raise DomainError(f"{label} requires alpha > {floor}, got {alpha}")
+    if not p0 > 0.0:
+        raise DomainError(f"p0 must be positive, got {p0}")
+    if model is DemandModel.LOGIT and (s0 is None or not 0.0 < s0 < 1.0):
+        raise DomainError(f"logit requires s0 in (0,1), got {s0}")
 
 
 REGIONS = ("metro", "national", "international")
@@ -237,15 +255,18 @@ class FlowTable:
 
 @dataclass(frozen=True)
 class CostModelSpec:
-    """Cost-model selection plus its tuning knob ``theta``; the fitted
-    scaling gamma lives on the fitted ``ModelContext``. ``kind`` may be
-    given by its value ("regional"), and is kept as the ``CostKind``."""
+    """Cost-model selection plus its tuning knob ``theta``, a finite
+    number >= 0 (at most 1 under dest-type); the fitted scaling gamma
+    lives on the fitted ``ModelContext``. ``kind`` may be given by its
+    value ("regional"), and is kept as the ``CostKind``."""
 
     kind: CostKind
     theta: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _member(CostKind, "kind", self.kind))
+        if not np.isfinite(self.theta):
+            raise DomainError(f"theta must be finite, got {self.theta}")
         if self.theta < 0:
             raise DomainError(f"theta must be >= 0, got {self.theta}")
         if self.kind is CostKind.DEST_TYPE and self.theta > 1.0:

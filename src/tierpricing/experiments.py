@@ -41,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -64,6 +63,7 @@ from .domain import (
     DemandModel,
     DomainError,
     FlowTable,
+    _check_market,
     _member,
 )
 from .ingestion import (
@@ -73,8 +73,6 @@ from .ingestion import (
     synth_generate,
     write_csv,
 )
-
-log = logging.getLogger(__name__)
 
 OUTPUT_COLUMNS = (
     "sweep_param", "sweep_value", "strategy", "num_bundles",
@@ -91,10 +89,6 @@ DEFAULT_STRATEGIES = (
     Strategy.INDEX_DIVISION,
 )
 
-# The non-buying share sweep cannot start at zero (outside the model
-# domain); grid values below this are clamped.
-S0_SWEEP_FLOOR = 0.01
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -103,14 +97,14 @@ class ExperimentConfig:
     s0 0.2).
 
     A config checks itself when made (by ``dataclasses.replace`` too)
-    and raises ConfigError on any inconsistent setting. It first converts
+    and raises ConfigError on any inconsistent setting, with the text of
+    the DomainError of a check it shares. It first converts
     ``demand_model``, ``cost_kind`` and each of ``strategies`` (a
     sequence, kept as a tuple) to their enums, so each may be given by
     its value ("ced"), and refuses an unknown value by field name and an
-    empty strategy list. Then it refuses a non-finite alpha, p0 or theta,
-    alpha or s0 outside its demand model's domain, p0 <= 0, a theta the
-    cost model refuses (``CostModelSpec``), a switch of another model, or
-    a repeated value.
+    empty strategy list. Then it refuses a market outside its demand
+    model's domain (``_check_market``), a theta the cost model refuses
+    (``CostModelSpec``), a switch of another model, or a repeated value.
     """
 
     demand_model: DemandModel = DemandModel.CED
@@ -136,32 +130,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         set_ = object.__setattr__
-        set_(self, "demand_model",
-             _member(DemandModel, "demand_model", self.demand_model, ConfigError))
-        set_(self, "cost_kind", _member(CostKind, "cost_kind", self.cost_kind, ConfigError))
-        set_(self, "strategies", tuple(_member(Strategy, "strategies", s, ConfigError)
-                                       for s in self.strategies))
-        if not self.strategies:
-            raise ConfigError("strategies must not be empty")
-        for name in ("alpha", "p0", "theta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.demand_model is DemandModel.CED:
-            if not self.alpha > 1.0:
-                raise ConfigError(f"CED requires alpha > 1, got {self.alpha}")
-        elif not self.alpha > 0.0:
-            raise ConfigError(f"logit requires alpha > 0, got {self.alpha}")
-        if not self.p0 > 0.0:
-            raise ConfigError(f"p0 must be positive, got {self.p0}")
-        if self.demand_model is DemandModel.LOGIT and (
-                self.s0 is None or not 0.0 < self.s0 < 1.0):
-            raise ConfigError(f"logit requires s0 in (0,1), got {self.s0}")
-        if self.input_csv is None and self.preset is None:
-            raise ConfigError("either an input CSV or a synthetic preset is required")
         try:
+            set_(self, "demand_model", _member(DemandModel, "demand_model", self.demand_model))
+            set_(self, "cost_kind", _member(CostKind, "cost_kind", self.cost_kind))
+            set_(self, "strategies", tuple(_member(Strategy, "strategies", s)
+                                           for s in self.strategies))
+            if not self.strategies:
+                raise ConfigError("strategies must not be empty")
+            _check_market(self.demand_model, self.alpha, self.p0, self.s0)
             CostModelSpec(kind=self.cost_kind, theta=self.theta)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.input_csv is None and self.preset is None:
+            raise ConfigError("either an input CSV or a synthetic preset is required")
         if self.split_dest_type and self.cost_kind is not CostKind.DEST_TYPE:
             raise ConfigError("split_dest_type applies to the dest-type cost model "
                               f"only, got {self.cost_kind.value}")
@@ -366,19 +347,14 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     without a capture raises DegenerateBaseline.
     """
     config = dataclasses.replace(config, strategies=(Strategy.PROFIT_WEIGHTED,))
-    sweeps: list[tuple[str, str, tuple[float, ...], bool]] = []
-    if config.alpha_grid:
-        sweeps.append(("alpha-min", "alpha", config.alpha_grid, False))
-    if config.p0_grid:
-        sweeps.append(("p0-min", "p0", config.p0_grid, False))
-    if config.s0_grid:
-        if config.demand_model is DemandModel.LOGIT:
-            grid = tuple(max(v, S0_SWEEP_FLOOR) for v in config.s0_grid)
-            if grid != tuple(config.s0_grid):
-                log.warning("s0 grid values below %.2f clamped", S0_SWEEP_FLOOR)
-            sweeps.append(("s0-max", "s0", grid, True))
-        elif config.s0_grid != ExperimentConfig.s0_grid:
-            raise ConfigError("s0 sweep applies to the logit model only")
+    logit = config.demand_model is DemandModel.LOGIT
+    if not logit and config.s0_grid and config.s0_grid != ExperimentConfig.s0_grid:
+        raise ConfigError("s0 sweep applies to the logit model only")
+    # (tag, swept field, its grid, the extreme each row reports)
+    sweeps = [sweep for sweep in (("alpha-min", "alpha", config.alpha_grid, min),
+                                  ("p0-min", "p0", config.p0_grid, min),
+                                  ("s0-max", "s0", config.s0_grid if logit else (), max))
+              if sweep[2]]
     if not sweeps:
         raise ConfigError("no sweep grids specified")
     points = [(param, value) for _, param, grid, _ in sweeps for value in grid]
@@ -386,13 +362,11 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     _require_captures(results)
     evaluated = [r for point_rows, _ in results for r in point_rows]
     rows = []
-    for tag, param, _, take_max in sweeps:
+    for tag, param, _, extreme in sweeps:
         for num_bundles in config.bundles:
             candidates = [r for r in evaluated if r["sweep_param"] == param
                           and r["num_bundles"] == num_bundles]
-            pick = (max if take_max else min)(
-                candidates, key=lambda r: r["profit_capture"]
-            )
+            pick = extreme(candidates, key=lambda r: r["profit_capture"])
             rows.append({**pick, "sweep_param": tag})
     rows.sort(key=_sort_key)
     return rows, _meta(config)
@@ -425,8 +399,9 @@ def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     # one chunk of jobs per worker: the jobs share their large arguments
-    # (the flows and their orders), which a chunk pickles once
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # (the flows and their orders), which a chunk pickles once; a pool
+    # forks all its workers at the first submit, so it has none idle
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, *zip(*jobs), chunksize=-(-len(jobs) // workers)))
 
 

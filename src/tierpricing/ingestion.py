@@ -286,6 +286,17 @@ def _parse_float(text: str | None, column: str, line: int) -> float:
     return value
 
 
+def _utf8_text(path) -> str:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line count csv keeps: a line ends at \n, \r or \r\n
+        line = len((raw[:exc.start] + b"?").splitlines())
+        raise ParseError(f"line {line}: invalid UTF-8 ({exc.reason})", line=line) from None
+
+
 def _read_rows(path) -> FlowTable:
     """``read_flows_csv`` one row at a time: the reader of the files the
     columnar pass refuses, which names the line of the first bad row.
@@ -294,9 +305,10 @@ def _read_rows(path) -> FlowTable:
     read, so blank lines count and a row whose quoted field spans
     several lines is named by its last line. A field longer than
     ``csv`` allows is a ParseError naming the reader's line count where
-    it stops, which is 1 for the header.
+    it stops, which is 1 for the header. A byte that is not UTF-8 is a
+    ParseError naming the line that holds it.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(_utf8_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             _require_columns(reader.fieldnames or [], path)

@@ -169,6 +169,17 @@ class TestFitting:
         assert ced_fit_valuations([4.0], 2.0, 2.0)[0] == pytest.approx(4.0)
         assert ced_fit_valuations([1.0], 17.3, 4.2)[0] == pytest.approx(17.3)
 
+    @pytest.mark.parametrize("p0, alpha, message", [
+        (20.0, 1.0, "CED requires alpha > 1, got 1.0"),
+        (20.0, float("nan"), "alpha must be finite, got nan"),
+        (0.0, 2.0, "p0 must be positive, got 0.0"),
+        (float("inf"), 2.0, "p0 must be finite, got inf"),
+    ])
+    def test_valuations_refuse_outside_the_domain(self, p0, alpha, message):
+        with pytest.raises(DomainError) as info:
+            ced_fit_valuations([1.0, 2.0], p0, alpha)
+        assert str(info.value) == message
+
     def test_demand_inversion_identity(self):
         rng = np.random.default_rng(1)
         q = rng.lognormal(2.0, 1.5, size=100)

@@ -476,6 +476,18 @@ class TestConsumerSurplus:
 
 
 class TestFitting:
+    @pytest.mark.parametrize("p0, alpha, s0, message", [
+        (20.0, 0.0, 0.2, "logit requires alpha > 0, got 0.0"),
+        (float("nan"), 1.1, 0.2, "p0 must be finite, got nan"),
+        (-1.0, 1.1, 0.2, "p0 must be positive, got -1.0"),
+        (20.0, 1.1, 0.0, "logit requires s0 in (0,1), got 0.0"),
+        (20.0, 1.1, 1.0, "logit requires s0 in (0,1), got 1.0"),
+    ])
+    def test_valuations_refuse_outside_the_domain(self, p0, alpha, s0, message):
+        with pytest.raises(DomainError) as info:
+            logit_fit_valuations([1.0, 2.0], p0, alpha, s0)
+        assert str(info.value) == message
+
     def test_share_round_trip(self):
         rng = np.random.default_rng(14)
         q = rng.lognormal(1.0, 1.4, size=60)

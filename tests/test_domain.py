@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -134,7 +135,8 @@ class TestEnumNames:
         ("dest-type", 2.0, "destination-type theta is a traffic fraction in [0,1], "
                            "got 2.0"),
         ("flat", 0.2, "kind: unknown value 'flat'"),
-    ])
+    ] + [(kind.value, theta, f"theta must be finite, got {theta}")
+         for kind in CostKind for theta in (float("nan"), float("inf"))])
     def test_spec_refuses_by_value(self, kind, theta, message):
         with pytest.raises(DomainError) as info:
             CostModelSpec(kind, theta)
@@ -159,6 +161,66 @@ class TestEnumNames:
         with pytest.raises(DomainError, match="model: unknown value 'probit'"):
             ModelContext(fitted.ids, fitted.q, fitted.d, fitted.v, fitted.c, None,
                          "probit", fitted.alpha, fitted.p0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _market_context(model, **change):
+    """A three-flow context of ``model``, valid unless ``change`` says
+    otherwise."""
+    fields = dict(v=[25.0, 26.0, 27.0], c=[5.0, 6.0, 7.0], alpha=1.5, p0=20.0)
+    if model is DemandModel.LOGIT:
+        fields.update(s0=0.2, consumer_mass=10.0)
+    fields.update(change)
+    v, c = fields.pop("v"), fields.pop("c")
+    return ModelContext(["a", "b", "c"], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], v, c, None,
+                        model, **fields)
+
+
+class TestMarketDomain:
+    """A context, built directly or fitted, refuses a market outside its
+    model's domain with the config's text."""
+
+    @pytest.mark.parametrize("model, change, message", [
+        (DemandModel.LOGIT, dict(alpha=-1.0), "logit requires alpha > 0, got -1.0"),
+        (DemandModel.LOGIT, dict(p0=-5.0), "p0 must be positive, got -5.0"),
+        (DemandModel.LOGIT, dict(s0=5.0), "logit requires s0 in (0,1), got 5.0"),
+        (DemandModel.LOGIT, dict(s0=None), "logit requires s0 in (0,1), got None"),
+        (DemandModel.LOGIT, dict(consumer_mass=-1.0),
+         "logit requires consumer_mass > 0, got -1.0"),
+        (DemandModel.LOGIT, dict(consumer_mass=INF),
+         "logit requires consumer_mass > 0, got inf"),
+        (DemandModel.LOGIT, dict(consumer_mass=None),
+         "logit requires consumer_mass > 0, got None"),
+        (DemandModel.LOGIT, dict(v=[25.0, INF, 27.0]), "flow b: fitted valuation must be finite"),
+        (DemandModel.LOGIT, dict(c=[5.0, 6.0, INF]),
+         "flow c: fitted cost must be finite and > 0"),
+        (DemandModel.CED, dict(alpha=0.5), "CED requires alpha > 1, got 0.5"),
+        (DemandModel.CED, dict(alpha=NAN), "alpha must be finite, got nan"),
+        (DemandModel.CED, dict(alpha=1.0), "CED requires alpha > 1, got 1.0"),
+        (DemandModel.CED, dict(p0=NAN), "p0 must be finite, got nan"),
+        (DemandModel.CED, dict(v=[NAN, 26.0, 27.0]), "flow a: fitted valuation must be finite"),
+        (DemandModel.CED, dict(c=[INF, 6.0, 7.0]), "flow a: fitted cost must be finite and > 0"),
+    ])
+    def test_context_refuses(self, model, change, message):
+        with pytest.raises(DomainError) as info:
+            _market_context(model, **change)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("p0", [NAN, INF])
+    @pytest.mark.parametrize("model", list(DemandModel))
+    def test_fit_refuses_a_non_finite_p0_first(self, model, p0):
+        # before any arithmetic: no warning, no numerical failure
+        args = (["a", "b"], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], p0, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                if model is DemandModel.CED:
+                    ModelContext.from_ced(*args)
+                else:
+                    ModelContext.from_logit(*args, 0.2)
+        assert str(info.value) == f"p0 must be finite, got {p0}"
 
 
 def _table(demand=(1.0, 2.0, 3.0), distance=(10.0, 20.0, 30.0), **kw):

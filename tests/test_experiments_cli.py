@@ -535,6 +535,8 @@ class TestSensitivity:
         (run_sensitivity_sweep, dict(p0_grid=(0.0, 10.0)), "p0 must be positive, got 0.0"),
         (run_sensitivity_sweep, dict(demand_model=DemandModel.LOGIT, s0_grid=(0.2, 1.5)),
          "logit requires s0 in (0,1), got 1.5"),
+        (run_sensitivity_sweep, dict(demand_model=DemandModel.LOGIT, s0_grid=(0.0, 0.2)),
+         "logit requires s0 in (0,1), got 0.0"),
         (run_sensitivity_sweep, dict(alpha_grid=(1.0,)), "CED requires alpha > 1, got 1.0"),
         (run_sensitivity_sweep, dict(demand_model=DemandModel.LOGIT, alpha_grid=(1.1, 0.0)),
          "logit requires alpha > 0, got 0.0"),
@@ -553,6 +555,53 @@ class TestSensitivity:
         with pytest.raises(ConfigError) as info:
             run(small_config(**overrides))
         assert str(info.value) == message
+
+    def test_s0_grid_is_evaluated_as_given(self):
+        # s0 = 0.005 is a feasible market at alpha*p0 = 250; its rows are
+        # tagged with it and are a capture run's rows at that s0
+        market = dict(demand_model=DemandModel.LOGIT, alpha=0.05, p0=5000.0)
+        rows, _ = run_sensitivity_sweep(small_config(
+            **market, alpha_grid=(), p0_grid=(), s0_grid=(0.005, 0.2)))
+        assert {r["sweep_value"] for r in rows} <= {0.005, 0.2}
+        assert any(r["sweep_value"] == 0.005 for r in rows)
+        for s0 in (0.005, 0.2):
+            captured, _ = run_capture_curve(small_config(
+                **market, s0=s0, strategies=(Strategy.PROFIT_WEIGHTED,)))
+            by_bundles = {r["num_bundles"]: r for r in captured}
+            for row in rows:
+                if row["sweep_value"] == s0:
+                    assert row == {**by_bundles[row["num_bundles"]],
+                                   "sweep_param": "s0-max", "sweep_value": s0}
+
+    @pytest.mark.parametrize("workers, pool, chunk", [(64, 4, 1), (3, 3, 2)])
+    def test_pool_is_no_larger_than_the_job_list(self, monkeypatch, workers, pool,
+                                                 chunk):
+        # a pool forks all its workers at once: 64 asked for 4 grid points
+        # start 4; an in-process stand-in records the pool, starting none
+        import concurrent.futures
+
+        made = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                made.append(chunksize)
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = small_config(theta_grid=(0.0, 0.2, 0.5, 1.0),
+                           strategies=(Strategy.PROFIT_WEIGHTED,))
+        rows, _ = run_theta_sweep(dataclasses.replace(cfg, workers=workers))
+        assert made == [pool, chunk]
+        assert rows == run_theta_sweep(cfg)[0]
 
     def test_duplicated_point_fitted_once_and_tagged_per_point(self, monkeypatch):
         # p0 = 20 and s0 = 0.2 are both the base logit market
@@ -781,6 +830,8 @@ class TestCli:
         # every grid point is checked like the base market
         ("sensitivity", ["--alpha-grid", "2,inf"], "alpha must be finite, got inf"),
         ("theta-sweep", ["--theta-grid", "0.2,nan"], "theta must be finite, got nan"),
+        ("sensitivity", ["--demand-model", "logit", "--s0-grid", "0,0.2"],
+         "logit requires s0 in (0,1), got 0.0"),
     ] + [
         # logit surplus has one convention (fit takes no surplus option)
         (command, ["--demand-model", "logit", "--cs-unit-price-offset"],
@@ -1050,6 +1101,15 @@ class TestCli:
         assert "Warning:" not in res.stderr and "Traceback" not in res.stderr
         assert list(tmp_path.iterdir()) == [flows]
 
+    def test_input_not_utf8_is_a_config_error(self, tmp_path):
+        flows = tmp_path / "flows.csv"
+        flows.write_bytes(b"flow_id,demand_mbps,distance_miles\na\xff,1,2\n")
+        out = tmp_path / "x.csv"
+        res = run_cli("capture", "--input", str(flows), "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == "error: line 2: invalid UTF-8 (invalid start byte)\n"
+        assert list(tmp_path.iterdir()) == [flows]
+
     def test_theta_sweep_cli(self, tmp_path):
         out = tmp_path / "theta.csv"
         res = run_cli("theta-sweep", "--n-flows", "40", "--bundles", "1,2",
@@ -1108,6 +1168,37 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         assert repr(line.split(" = ")[0]) in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (b"out = r.csv\n", "File contains no section headers."),
+        (b"[tierpricing]\nn_flows = 20\nn_flows = 30\n",
+         "While reading from '{ini}' [line  3]: option 'n_flows' in section "
+         "'tierpricing' already exists"),
+        (b"[tierpricing]\n# r\xe9sum\xe9\nn_flows = 20\n",
+         "'utf-8' codec can't decode byte 0xe9 in position 17: invalid continuation byte"),
+    ])
+    def test_malformed_config_file_is_a_config_error(self, tmp_path, text, message):
+        # no section header, a repeated key, and Latin-1 text
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(text)
+        out = tmp_path / "x.csv"
+        res = run_cli("capture", "--config", str(ini), "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"error: cannot parse config file {ini}: "
+                                     + message.format(ini=ini))
+        assert "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == [ini]
+
+    def test_config_value_is_taken_as_written(self, tmp_path):
+        # no '%' interpolation: the output path is the one written
+        ini = tmp_path / "run.ini"
+        ini.write_text("[tierpricing]\nout = r%.csv\nn_flows = 30\nbundles = 1\n",
+                       encoding="utf-8")
+        res = run_python("-m", "tierpricing.cli", "capture", "--config", str(ini),
+                         "--strategy", "cost-division", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "r%.csv", "r%.csv.meta.json", "run.ini"]
 
     @pytest.mark.parametrize("command, line, message", [
         # a key of another subcommand's option is left out

@@ -206,6 +206,25 @@ class TestLineNumbers:
         assert str(err.value) == f"line {line}: bad demand_mbps value 'x'"
 
 
+    @pytest.mark.parametrize("raw, line, reason", [
+        (b"flow_id,demand_mbps,distance_miles\na\xff,1,2\n", 2, "invalid start byte"),
+        (b"flow_id\xe9,demand_mbps,distance_miles\na,1,2\n", 1,
+         "invalid continuation byte"),
+        (b"flow_id,demand_mbps,distance_miles\r\na,1,2\r\n\r\nb,1,2\r\nc\xe2\x82", 5,
+         "unexpected end of data"),
+        (b"flow_id,demand_mbps,distance_miles\ra,1,2\r\xff", 3, "invalid start byte"),
+    ])
+    def test_byte_not_utf8_names_its_line(self, tmp_path, raw, line, reason):
+        # the decoder reads ahead of the rows, so the line is counted in
+        # the bytes, line endings as csv counts them
+        path = tmp_path / "flows.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as err:
+            read_flows_csv(path)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: invalid UTF-8 ({reason})"
+
+
 # flow files that the columnar pass must read itself
 COLUMNAR_FILES = {
     "duplicate ids": "flow_id,demand_mbps,distance_miles\na,1,0\nb,2,5\na,3,40\na,0.5,7\n",
