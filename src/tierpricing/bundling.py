@@ -53,7 +53,6 @@ from .domain import (
     Bundling,
     DemandModel,
     DomainError,
-    MissingClassLabels,
     OverflowGuard,
     TierOutcome,
     _check_market,
@@ -321,7 +320,7 @@ class ModelContext:
         the prefix sums and sum of the class's own weights."""
         class_of = self.class_labels
         if class_of is None or np.equal(class_of, None).any():
-            raise MissingClassLabels("class-constrained bundling requires class labels")
+            raise DomainError("class-constrained bundling requires class labels")
         weights = self.potential_profits
         order = self.profit_visit.order
         visited = weights[order]

@@ -22,7 +22,7 @@ own type; switches follow configparser's boolean rule
 is left out, so one file can serve every subcommand; a key that names
 no option of any subcommand, or a value that does not convert, is a
 configuration error.
-Exit codes: 0 success, 2 configuration error (any ``PricingError`` or
+Exit codes: 0 success, 2 configuration error (a ``DomainError`` or an
 ``OSError``), 3 numerical failure (a ``NumericalFailure``).
 """
 
@@ -35,7 +35,7 @@ import logging
 import sys
 
 from .bundling import Strategy
-from .domain import ConfigError, CostKind, DemandModel, NumericalFailure, PricingError
+from .domain import CostKind, DemandModel, DomainError, NumericalFailure, PricingError
 from .experiments import (
     ExperimentConfig,
     fit_context,
@@ -172,11 +172,11 @@ def _apply_config_file(argv: list[str], args: argparse.Namespace,
     ini = configparser.ConfigParser(interpolation=None)
     try:
         if not ini.read(path, encoding="utf-8"):
-            raise ConfigError(f"cannot read config file {path}")
+            raise DomainError(f"cannot read config file {path}")
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+        raise DomainError(f"cannot parse config file {path}: {exc}") from exc
     if not ini.has_section("tierpricing"):
-        raise ConfigError(f"{path} has no [tierpricing] section")
+        raise DomainError(f"{path} has no [tierpricing] section")
     # every key resolves through the subcommands' own options: a long
     # option or a dest, with dashes or underscores; a key of another
     # subcommand is accepted and left out, so one file can serve all
@@ -195,14 +195,14 @@ def _apply_config_file(argv: list[str], args: argparse.Namespace,
         if action is None:
             if any(key in known for known in actions.values()):
                 continue
-            raise ConfigError(f"{path}: unknown config key {key!r}")
+            raise DomainError(f"{path}: unknown config key {key!r}")
         try:
             if isinstance(action, argparse._StoreTrueAction):
                 value = ini.getboolean("tierpricing", name)
             else:
                 value = (action.type or str)(raw)
         except (argparse.ArgumentTypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key}: {exc}") from exc
+            raise DomainError(f"config key {key}: {exc}") from exc
         defaults[action.dest] = value
     parser.sub_map[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)

@@ -32,6 +32,7 @@ from .domain import (
     DomainError,
     FlowTable,
     NonPositiveCost,
+    OverflowGuard,
 )
 
 # Fitted concave shape a*log_b(d/d_max) + c; c is also the pre-base
@@ -89,29 +90,43 @@ def _dest_type_multipliers(flows: FlowTable, theta: float) -> np.ndarray:
     return mult
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent`` as Python computes it, or inf where Python
+    raises OverflowError."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def relative_costs(spec: CostModelSpec, flows: FlowTable) -> np.ndarray:
     """Pre-gamma relative cost of each flow, including the base term,
     floored at 1e-6 of the maximum.
 
     The maximum distance over the flow set anchors the concave
     normalization and the linear/concave base cost. Raises
-    NonPositiveCost when the configuration yields no positive cost at
-    all (e.g. all distances zero with theta = 0).
+    OverflowGuard, naming the kind and theta, when a relative cost
+    leaves float64, and NonPositiveCost when the configuration yields
+    no positive cost at all (e.g. all distances zero with theta = 0).
     """
     if len(flows) == 0:
         return np.empty(0)
     d = flows.distance
     d_max = float(d.max())
-    if spec.kind is CostKind.LINEAR:
-        rel = d + spec.theta * d_max
-    elif spec.kind is CostKind.CONCAVE:
-        rel = _concave_pre_base(d, d_max) + spec.theta * CONCAVE_C
-    elif spec.kind is CostKind.REGIONAL:
-        steps = np.array([1.0, 2.0 ** spec.theta, 3.0 ** spec.theta])
-        rel = steps[_region_codes(flows)]
-    else:
-        rel = d * _dest_type_multipliers(flows, spec.theta)
+    with np.errstate(over="ignore"):
+        if spec.kind is CostKind.LINEAR:
+            rel = d + spec.theta * d_max
+        elif spec.kind is CostKind.CONCAVE:
+            rel = _concave_pre_base(d, d_max) + spec.theta * CONCAVE_C
+        elif spec.kind is CostKind.REGIONAL:
+            steps = np.array([1.0, _power(2.0, spec.theta), _power(3.0, spec.theta)])
+            rel = steps[_region_codes(flows)]
+        else:
+            rel = d * _dest_type_multipliers(flows, spec.theta)
     top = rel.max()
+    if not np.isfinite(top):
+        raise OverflowGuard(
+            f"{spec.kind.value} relative costs overflow float64 at theta={spec.theta}")
     if not top > 0:
         raise NonPositiveCost(f"{spec.kind.value} cost model produced no positive cost")
     return np.maximum(rel, COST_FLOOR_REL * top)

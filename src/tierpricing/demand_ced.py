@@ -60,7 +60,8 @@ def ced_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
 
     gamma = p0*(alpha-1)*sum(v**alpha) / (alpha*sum(f_d * v**alpha)),
     so that with costs gamma*f_d the single-bundle optimum lands
-    exactly on p0; either product past float64 raises OverflowGuard.
+    exactly on p0; either product past float64 raises OverflowGuard,
+    naming v**alpha or the relative costs.
     """
     v = np.asarray(v, dtype=float)
     f_d = np.asarray(f_d, dtype=float)
@@ -69,8 +70,11 @@ def ced_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     with np.errstate(over="ignore"):
         w = v ** alpha
         top, bottom = p0 * (alpha - 1.0) * np.sum(w), alpha * np.sum(f_d * w)
-    if not np.all(np.isfinite((top, bottom))):
+    if not np.isfinite(top):
         raise OverflowGuard(f"v**alpha overflows float64 at alpha={alpha!r}")
+    if not np.isfinite(bottom):
+        raise OverflowGuard("relative cost times v**alpha overflows float64 "
+                            f"(largest relative cost {f_d.max():.3g})")
     gamma = top / bottom
     if not gamma > 0:
         raise NonPositiveGamma(f"fitted gamma = {gamma}")

@@ -207,7 +207,7 @@ def logit_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     gamma = D*(alpha*p0 - 1 - D) / (alpha * sum(f_d * E)). A nonpositive
     numerator means no positive cost scale can rationalize p0 as the
     uniform optimum (markup 1/(alpha*s0) already exceeds p0) and raises
-    NonPositiveGamma.
+    NonPositiveGamma; a sum(f_d * E) past float64 raises OverflowGuard.
     """
     v = np.asarray(v, dtype=float)
     f_d = np.asarray(f_d, dtype=float)
@@ -218,7 +218,13 @@ def logit_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     _guard_exponent(shift)
     e = np.exp(x - shift)
     d_sum = np.exp(shift) * np.sum(e)  # sum of E_i
-    gamma = d_sum * (alpha * p0 - 1.0 - d_sum) / (alpha * np.exp(shift) * np.sum(f_d * e))
+    with np.errstate(over="ignore"):
+        bottom = alpha * np.exp(shift) * np.sum(f_d * e)
+        if not np.isfinite(bottom):
+            raise OverflowGuard("relative cost times exp(alpha*(v - p0)) overflows "
+                                f"float64 (largest relative cost {f_d.max():.3g})")
+        # past float64 only where d_sum far exceeds alpha*p0: gamma is then -inf
+        gamma = d_sum * (alpha * p0 - 1.0 - d_sum) / bottom
     if not gamma > 0:
         raise NonPositiveGamma(
             f"fitted gamma = {gamma:.3g}: p0 = {p0} cannot be the rational "

@@ -31,7 +31,8 @@ class PricingError(Exception):
 
 
 class DomainError(PricingError):
-    """Numeric argument outside a formula's domain."""
+    """A setting, argument or input the package refuses (CLI exit code
+    2)."""
 
 
 class NumericalFailure(PricingError):
@@ -62,32 +63,13 @@ class NoConvergence(NumericalFailure):
 
 class OverflowGuard(NumericalFailure):
     """A quantity leaves float64: an exponent past the safe range even
-    with max-shift stabilization, a demand total, v**alpha, or a score
-    of the optimal search."""
-
-
-class MissingClassLabels(PricingError):
-    """Class-constrained bundling requested on unlabeled flows."""
+    with max-shift stabilization, a demand total, a relative cost,
+    v**alpha or a gamma fit's sum over relative costs, or a score of the
+    optimal search."""
 
 
 class DegenerateBaseline(NumericalFailure):
     """Capture metric undefined: maximum and original profit coincide."""
-
-
-class ParseError(PricingError):
-    """Malformed row in an input CSV."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
-
-
-class MissingColumn(PricingError):
-    """Required CSV column absent from the header."""
-
-
-class ConfigError(PricingError):
-    """Invalid experiment configuration (maps to CLI exit code 2)."""
 
 
 # ---------------------------------------------------------------------------

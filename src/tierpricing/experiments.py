@@ -56,7 +56,6 @@ from .bundling import (
 from .bundling import optimal_bundles  # noqa: F401  bench/traced_cli.py patches this name
 from .cost_models import base_cost, class_labels, relative_costs, split_by_dest_type
 from .domain import (
-    ConfigError,
     CostKind,
     CostModelSpec,
     DegenerateBaseline,
@@ -97,8 +96,8 @@ class ExperimentConfig:
     s0 0.2).
 
     A config checks itself when made (by ``dataclasses.replace`` too)
-    and raises ConfigError on any inconsistent setting, with the text of
-    the DomainError of a check it shares. It first converts
+    and raises DomainError on any inconsistent setting; the error of a
+    check it shares passes on as that check raised it. It first converts
     ``demand_model``, ``cost_kind`` and each of ``strategies`` (a
     sequence, kept as a tuple) to their enums, so each may be given by
     its value ("ced"), and refuses an unknown value by field name and an
@@ -130,31 +129,28 @@ class ExperimentConfig:
 
     def __post_init__(self):
         set_ = object.__setattr__
-        try:
-            set_(self, "demand_model", _member(DemandModel, "demand_model", self.demand_model))
-            set_(self, "cost_kind", _member(CostKind, "cost_kind", self.cost_kind))
-            set_(self, "strategies", tuple(_member(Strategy, "strategies", s)
-                                           for s in self.strategies))
-            if not self.strategies:
-                raise ConfigError("strategies must not be empty")
-            _check_market(self.demand_model, self.alpha, self.p0, self.s0)
-            CostModelSpec(kind=self.cost_kind, theta=self.theta)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        set_(self, "demand_model", _member(DemandModel, "demand_model", self.demand_model))
+        set_(self, "cost_kind", _member(CostKind, "cost_kind", self.cost_kind))
+        set_(self, "strategies", tuple(_member(Strategy, "strategies", s)
+                                       for s in self.strategies))
+        if not self.strategies:
+            raise DomainError("strategies must not be empty")
+        _check_market(self.demand_model, self.alpha, self.p0, self.s0)
+        CostModelSpec(kind=self.cost_kind, theta=self.theta)
         if self.input_csv is None and self.preset is None:
-            raise ConfigError("either an input CSV or a synthetic preset is required")
+            raise DomainError("either an input CSV or a synthetic preset is required")
         if self.split_dest_type and self.cost_kind is not CostKind.DEST_TYPE:
-            raise ConfigError("split_dest_type applies to the dest-type cost model "
+            raise DomainError("split_dest_type applies to the dest-type cost model "
                               f"only, got {self.cost_kind.value}")
         if self.cs_unit_price_offset and self.demand_model is not DemandModel.CED:
-            raise ConfigError("cs_unit_price_offset applies to the CED demand model "
+            raise DomainError("cs_unit_price_offset applies to the CED demand model "
                               f"only, got {self.demand_model.value}")
         if not self.bundles or any(b < 1 for b in self.bundles):
-            raise ConfigError(f"bundle counts must be >= 1, got {self.bundles}")
+            raise DomainError(f"bundle counts must be >= 1, got {self.bundles}")
         if self.n_flows < 1:
-            raise ConfigError(f"n_flows must be >= 1, got {self.n_flows}")
+            raise DomainError(f"n_flows must be >= 1, got {self.n_flows}")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise DomainError("workers must be >= 1")
         # a repeated value would give repeated rows under one sidecar key
         for name, values in (("bundle counts", self.bundles),
                              ("strategies", self.strategies),
@@ -164,7 +160,7 @@ class ExperimentConfig:
                              ("s0 grid", self.s0_grid)):
             if len(set(values)) != len(values):
                 shown = ", ".join(str(getattr(v, "value", v)) for v in values)
-                raise ConfigError(f"{name} must not repeat, got {shown}")
+                raise DomainError(f"{name} must not repeat, got {shown}")
 
 
 def load_flows(config: ExperimentConfig) -> FlowTable:
@@ -176,7 +172,7 @@ def load_flows(config: ExperimentConfig) -> FlowTable:
             preset_moments(config.preset, n_flows=config.n_flows, seed=config.seed)
         )
     if len(flows) == 0:
-        raise ConfigError("flow set is empty after ingestion")
+        raise DomainError("flow set is empty after ingestion")
     return flows
 
 
@@ -309,7 +305,7 @@ def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     metadata; if no theta has a capture, DegenerateBaseline is raised.
     """
     if not config.theta_grid:
-        raise ConfigError("theta grid must be nonempty")
+        raise DomainError("theta grid must be nonempty")
     results = _sweep(config, [("theta", t) for t in config.theta_grid])
     undefined = [theta for theta, (point_rows, _) in zip(config.theta_grid, results)
                  if any(math.isnan(r["profit_capture"]) for r in point_rows)]
@@ -349,14 +345,14 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     config = dataclasses.replace(config, strategies=(Strategy.PROFIT_WEIGHTED,))
     logit = config.demand_model is DemandModel.LOGIT
     if not logit and config.s0_grid and config.s0_grid != ExperimentConfig.s0_grid:
-        raise ConfigError("s0 sweep applies to the logit model only")
+        raise DomainError("s0 sweep applies to the logit model only")
     # (tag, swept field, its grid, the extreme each row reports)
     sweeps = [sweep for sweep in (("alpha-min", "alpha", config.alpha_grid, min),
                                   ("p0-min", "p0", config.p0_grid, min),
                                   ("s0-max", "s0", config.s0_grid if logit else (), max))
               if sweep[2]]
     if not sweeps:
-        raise ConfigError("no sweep grids specified")
+        raise DomainError("no sweep grids specified")
     points = [(param, value) for _, param, grid, _ in sweeps for value in grid]
     results = _sweep(config, points)
     _require_captures(results)

@@ -8,7 +8,7 @@ The input format is a UTF-8 CSV whose header names the columns
 ('.' decimal separator; the last two may be blank or absent, other
 columns are ignored). Fields may be quoted with '"' and are stripped;
 blank lines are skipped. A missing or non-numeric field, a non-finite
-or a negative value, or an empty id is a ParseError naming the line.
+or a negative value, or an empty id is a DomainError naming the line.
 Rows sharing a flow_id are aggregated (demands summed, distance
 demand-weighted); zero-demand rows are dropped with a counted warning.
 numpy's C reader parses the columns; per-row code runs only on a file
@@ -39,9 +39,7 @@ import numpy as np
 from .domain import (
     DomainError,
     FlowTable,
-    MissingColumn,
     NoConvergence,
-    ParseError,
 )
 
 if TYPE_CHECKING:
@@ -271,18 +269,18 @@ def _merge_duplicates(id_list: list[str], demand: np.ndarray, distance: np.ndarr
 def _require_columns(header: list[str], path) -> None:
     for col in ("flow_id", *NUMBER_COLUMNS):
         if col not in header:
-            raise MissingColumn(f"missing column {col!r} in {path}")
+            raise DomainError(f"missing column {col!r} in {path}")
 
 
 def _parse_float(text: str | None, column: str, line: int) -> float:
     if text is None:
-        raise ParseError(f"line {line}: missing {column} value", line=line)
+        raise DomainError(f"line {line}: missing {column} value")
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"line {line}: bad {column} value {text!r}", line=line)
+        raise DomainError(f"line {line}: bad {column} value {text!r}")
     if not math.isfinite(value):
-        raise ParseError(f"line {line}: non-finite {column} value {text!r}", line=line)
+        raise DomainError(f"line {line}: non-finite {column} value {text!r}")
     return value
 
 
@@ -294,7 +292,7 @@ def _utf8_text(path) -> str:
     except UnicodeDecodeError as exc:
         # the line count csv keeps: a line ends at \n, \r or \r\n
         line = len((raw[:exc.start] + b"?").splitlines())
-        raise ParseError(f"line {line}: invalid UTF-8 ({exc.reason})", line=line) from None
+        raise DomainError(f"line {line}: invalid UTF-8 ({exc.reason})") from None
 
 
 def _read_rows(path) -> FlowTable:
@@ -304,9 +302,9 @@ def _read_rows(path) -> FlowTable:
     A row's line is the ``csv`` reader's line count once the row is
     read, so blank lines count and a row whose quoted field spans
     several lines is named by its last line. A field longer than
-    ``csv`` allows is a ParseError naming the reader's line count where
+    ``csv`` allows is a DomainError naming the reader's line count where
     it stops, which is 1 for the header. A byte that is not UTF-8 is a
-    ParseError naming the line that holds it.
+    DomainError naming the line that holds it.
     """
     with io.StringIO(_utf8_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
@@ -318,11 +316,11 @@ def _read_rows(path) -> FlowTable:
                 line = reader.line_num
                 fid = (row.get("flow_id") or "").strip()
                 if not fid:
-                    raise ParseError(f"line {line}: empty flow_id", line=line)
+                    raise DomainError(f"line {line}: empty flow_id")
                 demand = _parse_float(row["demand_mbps"], "demand_mbps", line)
                 distance = _parse_float(row["distance_miles"], "distance_miles", line)
                 if demand < 0 or distance < 0:
-                    raise ParseError(f"line {line}: negative value", line=line)
+                    raise DomainError(f"line {line}: negative value")
                 if demand == 0:
                     dropped += 1
                     continue
@@ -345,8 +343,7 @@ def _read_rows(path) -> FlowTable:
                     slot["region"] = slot["region"] or region
                     slot["dest_type"] = slot["dest_type"] or dest_type
         except csv.Error as exc:        # a field past csv's length limit
-            line = reader.reader.line_num
-            raise ParseError(f"line {line}: {exc}", line=line) from exc
+            raise DomainError(f"line {reader.reader.line_num}: {exc}") from exc
     if dropped:
         log.warning("%s: dropped %d zero-demand rows", path, dropped)
     slots = acc.values()

@@ -38,7 +38,6 @@ from tierpricing.domain import (
     CostKind,
     DemandModel,
     DomainError,
-    MissingClassLabels,
     OverflowGuard,
 )
 
@@ -251,7 +250,8 @@ class TestClassConstrained:
     def test_missing_labels_rejected(self):
         rng = np.random.default_rng(7)
         ctx = ced_context(rng, 5)
-        with pytest.raises(MissingClassLabels):
+        with pytest.raises(DomainError,
+                           match="^class-constrained bundling requires class labels$"):
             build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, 2)
 
     def test_fewer_bundles_than_classes_falls_back(self):

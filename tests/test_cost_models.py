@@ -31,6 +31,7 @@ from tierpricing.domain import (
     CostModelSpec,
     FlowTable,
     NonPositiveCost,
+    OverflowGuard,
 )
 
 
@@ -259,6 +260,34 @@ class TestRealizeAndFloor:
         spec = CostModelSpec(CostKind.LINEAR, theta=0.0)
         with pytest.raises(NonPositiveCost):
             relative_costs(spec, _flows([0.0, 0.0]))
+
+
+class TestOverflow:
+    """A relative cost past float64 is refused by kind and theta, without
+    a warning."""
+
+    @pytest.mark.parametrize("kind, theta, distances", [
+        (CostKind.LINEAR, 1e306, [1.0, 1000.0]),      # theta * d_max
+        (CostKind.LINEAR, 1.0, [1e308, 1.7e308]),     # d + theta * d_max
+        (CostKind.REGIONAL, 700.0, [5.0, 50.0, 500.0]),   # 3**theta
+        (CostKind.REGIONAL, 1100.0, [5.0, 50.0]),     # 2**theta
+        (CostKind.DEST_TYPE, 0.5, [1e308, 5.0]),      # d * 2 (unlabeled mixture 1.5)
+    ])
+    def test_non_finite_cost_is_refused(self, kind, theta, distances):
+        spec = CostModelSpec(kind, theta=theta)
+        with pytest.raises(OverflowGuard) as info:
+            relative_costs(spec, _flows(distances, dest_type="peer"))
+        assert str(info.value) == \
+            f"{kind.value} relative costs overflow float64 at theta={theta}"
+
+    def test_concave_cost_stays_finite_at_the_largest_theta(self):
+        spec = CostModelSpec(CostKind.CONCAVE, theta=float(np.finfo(float).max))
+        assert np.all(np.isfinite(relative_costs(spec, _flows([1.0, 50.0]))))
+
+    def test_regional_power_unused_by_any_flow_may_overflow(self):
+        spec = CostModelSpec(CostKind.REGIONAL, theta=700.0)
+        assert relative_costs(spec, _flows([1.0, 50.0])).tolist() == \
+            [COST_FLOOR_REL * 2.0 ** 700.0, 2.0 ** 700.0]
 
 
 class TestBaseCost:

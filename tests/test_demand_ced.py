@@ -234,6 +234,13 @@ class TestFitting:
             ced_fit_gamma(v, np.ones(len(q)), 20.0, alpha)
 
 
+    def test_gamma_names_overflowing_relative_costs(self):
+        # sum(v**alpha) is ordinary; f_d * v**alpha is not
+        v = ced_fit_valuations([3.0, 7.0], 20.0, 1.1)
+        with pytest.raises(OverflowGuard, match=r"^relative cost times v\*\*alpha overflows "
+                                                r"float64 \(largest relative cost 1e\+308\)$"):
+            ced_fit_gamma(v, np.array([1e308, 5.0]), 20.0, 1.1)
+
 class TestBundle:
     def test_worked_values(self):
         # v = c = 1, alpha = 2: price 2 and profit 1/4, exactly

@@ -557,6 +557,22 @@ class TestFitting:
         with pytest.raises(NonPositiveGamma):
             logit_fit_gamma(v, np.array([1.0, 2.0]), 1.0, 1.0)
 
+    def test_gamma_names_overflowing_relative_costs(self):
+        # equal shares put every E at exp(shift); each f_d * E is finite
+        # and their sum is not
+        v = logit_fit_valuations(np.ones(3), 20.0, 1.1, 0.2)
+        with pytest.raises(OverflowGuard, match=r"^relative cost times exp\(alpha\*\(v - p0\)\) "
+                                                r"overflows float64 \(largest relative cost "
+                                                r"1e\+308\)$"):
+            logit_fit_gamma(v, np.array([1e308, 1e308, 5.0]), 20.0, 1.1)
+
+    def test_gamma_past_float64_is_nonpositive(self):
+        # at s0 = 1e-200 the sum of E is about 1e200, so D*(alpha*p0 - 1 - D)
+        # is about -1e400: the markup exceeds p0, reported as such
+        v = logit_fit_valuations(np.array([5.0, 3.0]), 20.0, 1.1, 1e-200)
+        with pytest.raises(NonPositiveGamma, match=r"^fitted gamma = -inf: p0 = 20.0 "):
+            logit_fit_gamma(v, np.array([1.0, 2.0]), 20.0, 1.1)
+
     def test_fit_consumer_mass_reproduces_demand(self):
         rng = np.random.default_rng(17)
         q = rng.lognormal(0.5, 1.0, size=30)

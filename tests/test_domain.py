@@ -9,17 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tierpricing.bundling import ModelContext, Strategy
+from tierpricing import cli
+from tierpricing.bundling import ModelContext, Strategy, build_bundles
 from tierpricing.domain import (
     Bundling,
-    ConfigError,
     CostKind,
     CostModelSpec,
     DemandModel,
     DomainError,
     FlowTable,
 )
-from tierpricing.experiments import ExperimentConfig, fit_context, load_flows
+from tierpricing.experiments import ExperimentConfig, fit_context, load_flows, run_theta_sweep
+from tierpricing.ingestion import read_flows_csv
 
 
 def _market(model, **kw):
@@ -27,7 +28,7 @@ def _market(model, **kw):
 
 
 def _rejected(message, make, *args, **kw):
-    with pytest.raises(ConfigError) as info:
+    with pytest.raises(DomainError) as info:
         make(*args, **kw)
     assert str(info.value) == message
 
@@ -379,3 +380,70 @@ class TestBundling:
         assert not b.members.flags.writeable and not b.sizes.flags.writeable
         assert np.array_equal(b.labels, keys)
         assert b.effective_bundles == len(set(labels))
+
+
+def _load_header_only(tmp_path):
+    path = tmp_path / "flows.csv"
+    path.write_text("flow_id,demand_mbps,distance_miles\n", encoding="utf-8")
+    load_flows(ExperimentConfig(input_csv=str(path)))
+
+
+def _read_ini_without_section(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[other]\nout = r.csv\n", encoding="utf-8")
+    argv = ["capture", "--config", str(path)]
+    parser = cli.build_parser()
+    cli._apply_config_file(argv, parser.parse_args(argv), parser)
+
+
+def _read_csv(text):
+    def read(tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text(text, encoding="utf-8")
+        read_flows_csv(path)
+    return read
+
+
+def _bundle_unlabeled_classes(tmp_path):
+    config = ExperimentConfig(n_flows=20)
+    ctx = fit_context(load_flows(config), config)
+    build_bundles(Strategy.CLASS_PROFIT_WEIGHTED, ctx, 2)
+
+
+class TestOneRefusalType:
+    """Every refusal of a setting, argument or input is a DomainError
+    itself, not a subclass, with the message it has always had."""
+
+    @pytest.mark.parametrize("fail, message", [
+        (lambda tmp_path: ExperimentConfig(workers=0), "workers must be >= 1"),
+        (lambda tmp_path: ExperimentConfig(alpha=0.5), "CED requires alpha > 1, got 0.5"),
+        (_load_header_only, "flow set is empty after ingestion"),
+        (lambda tmp_path: run_theta_sweep(ExperimentConfig(theta_grid=())),
+         "theta grid must be nonempty"),
+        (_read_ini_without_section, "{tmp_path}/run.ini has no [tierpricing] section"),
+        (_read_csv("flow_id,demand_mbps,distance_miles\na,5,10\nb,oops,10\n"),
+         "line 3: bad demand_mbps value 'oops'"),
+        (_read_csv("flow_id,demand_mbps\na,5\n"),
+         "missing column 'distance_miles' in {tmp_path}/flows.csv"),
+        (_bundle_unlabeled_classes, "class-constrained bundling requires class labels"),
+    ], ids=["config", "config-shared-check", "load_flows", "run", "ini", "csv-row",
+            "csv-column", "class-labels"])
+    def test_refusal_is_a_domain_error(self, tmp_path, fail, message):
+        with pytest.raises(DomainError) as info:
+            fail(tmp_path)
+        assert type(info.value) is DomainError
+        assert str(info.value) == message.format(tmp_path=tmp_path)
+
+    @pytest.mark.parametrize("field, value, check", [
+        ("alpha", 0.5, "_check_market"),
+        ("p0", NAN, "_check_market"),
+        ("theta", -1.0, "CostModelSpec.__post_init__"),
+        ("cost_kind", "flat", "_member"),
+    ])
+    def test_config_passes_a_shared_check_on_as_raised(self, field, value, check):
+        # raised by the check the config shares, and caught by nothing
+        # on its way out of the config
+        with pytest.raises(DomainError) as info:
+            ExperimentConfig(**{field: value})
+        assert info.value.__cause__ is None
+        assert info.traceback[-1].frame.code.raw.co_qualname == check

@@ -15,7 +15,7 @@ import pytest
 
 import tierpricing
 from tierpricing.bundling import Strategy
-from tierpricing.domain import ConfigError, CostKind, DemandModel, DomainError
+from tierpricing.domain import CostKind, DemandModel, DomainError
 from tierpricing.experiments import (
     ExperimentConfig,
     OUTPUT_COLUMNS,
@@ -143,7 +143,7 @@ class TestThetaSweep:
         assert captures[0.2] != captures[0.8]
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             run_theta_sweep(small_config(theta_grid=()))
 
     @staticmethod
@@ -506,11 +506,11 @@ class TestSensitivity:
 
     def test_custom_s0_grid_with_ced_rejected(self):
         cfg = small_config(alpha_grid=(), p0_grid=(), s0_grid=(0.1, 0.2))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             run_sensitivity_sweep(cfg)
 
     def test_ced_alpha_grid_validated(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             run_sensitivity_sweep(small_config(alpha_grid=(0.9, 2.0)))
 
     def test_flows_loaded_once_per_sweep(self, monkeypatch):
@@ -552,7 +552,7 @@ class TestSensitivity:
             raise AssertionError("flows loaded before every grid point was checked")
 
         monkeypatch.setattr(experiments, "load_flows", unexpected)
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(DomainError) as info:
             run(small_config(**overrides))
         assert str(info.value) == message
 
@@ -1072,6 +1072,29 @@ class TestCli:
         assert res.returncode == 3, res.stderr
         assert "numerical failure: v**alpha overflows float64 at alpha=240.0" in res.stderr
         assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, cause", [
+        (["--cost-model", "regional", "--theta", "700"],
+         "regional relative costs overflow float64 at theta=700.0"),
+        (["--theta", "1e306"], "linear relative costs overflow float64 at theta=1e+306"),
+        (["--theta", "1e300"],
+         "relative cost times v**alpha overflows float64 (largest relative cost 2.67e+302)"),
+        (["--demand-model", "logit", "--theta", "1e305"],
+         "relative cost times exp(alpha*(v - p0)) overflows float64 "
+         "(largest relative cost 2.67e+307)"),
+        (["--demand-model", "logit", "--s0", "1e-200"],
+         "fitted gamma = -inf: p0 = 20.0 cannot be the rational uniform price at "
+         "alpha = 1.1 with these shares"),
+    ], ids=["regional", "linear", "ced-sum", "logit-sum", "logit-gamma"])
+    def test_fit_past_float64_names_its_cause(self, tmp_path, args, cause):
+        # these used to end in an OverflowError traceback (regional), a
+        # RuntimeWarning (logit), or a message blaming alpha or reporting
+        # "fitted gamma = 0"
+        res = run_python("-W", "error::RuntimeWarning", "-m", "tierpricing.cli", "capture",
+                         "--n-flows", "200", "--bundles", "1..2", *args,
+                         "--out", str(tmp_path / "x.csv"))
+        assert (res.returncode, res.stderr) == (3, f"numerical failure: {cause}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("row", ["c,5", "c,nan,10", "c,3,inf"])

@@ -21,9 +21,7 @@ from tierpricing.domain import (
     DemandModel,
     DomainError,
     FlowTable,
-    MissingColumn,
     NoConvergence,
-    ParseError,
 )
 from tierpricing.experiments import ExperimentConfig, fit_context
 from tierpricing.ingestion import (
@@ -120,7 +118,7 @@ class TestReadFlows:
 
     def test_missing_required_column(self, tmp_path):
         path = self._write(tmp_path, "flow_id,demand_mbps\na,5\n")
-        with pytest.raises(MissingColumn):
+        with pytest.raises(DomainError, match="missing column 'distance_miles'"):
             read_flows_csv(path)
 
     def test_bad_number_reports_line(self, tmp_path):
@@ -129,23 +127,20 @@ class TestReadFlows:
             "a,5,10\n"
             "b,oops,10\n"
         ))
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DomainError, match="^line 3: bad demand_mbps value 'oops'$"):
             read_flows_csv(path)
-        assert err.value.line == 3
 
     @pytest.mark.parametrize("row", ["b,5", "b", "b,,10", "b,5,"])
     def test_missing_field_reports_line(self, tmp_path, row):
         path = self._write(tmp_path, f"flow_id,demand_mbps,distance_miles\na,5,10\n{row}\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DomainError, match="^line 3: "):
             read_flows_csv(path)
-        assert err.value.line == 3
 
     @pytest.mark.parametrize("row", ["b,nan,10", "b,3,inf", "b,-inf,10", "b,3,NaN"])
     def test_non_finite_value_reports_line(self, tmp_path, row):
         path = self._write(tmp_path, f"flow_id,demand_mbps,distance_miles\na,5,10\n{row}\n")
-        with pytest.raises(ParseError, match="line 3: non-finite") as err:
+        with pytest.raises(DomainError, match="^line 3: non-finite"):
             read_flows_csv(path)
-        assert err.value.line == 3
 
     def test_flows_keep_first_row_order(self, tmp_path):
         path = self._write(tmp_path, (
@@ -172,8 +167,8 @@ def exact(flows: FlowTable) -> dict:
 
 def outcome(read, path):
     """What ``read`` makes of the CSV at ``path``: the exact columns of
-    its table and the warnings it logged, or the type, message and line
-    of the error it raised."""
+    its table and the warnings it logged, or the type and message of the
+    error it raised."""
     logger = logging.getLogger(ingestion.__name__)
     records = []
     handler = logging.Handler(logging.WARNING)
@@ -182,7 +177,7 @@ def outcome(read, path):
     try:
         return exact(read(path)), [record.getMessage() for record in records]
     except Exception as err:
-        return type(err), str(err), getattr(err, "line", None)
+        return type(err), str(err)
     finally:
         logger.removeHandler(handler)
 
@@ -200,9 +195,8 @@ class TestLineNumbers:
     def test_bad_row_names_its_own_line(self, tmp_path, text, line):
         path = tmp_path / "flows.csv"
         path.write_bytes(text.encode())
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DomainError) as err:
             read_flows_csv(path)
-        assert err.value.line == line
         assert str(err.value) == f"line {line}: bad demand_mbps value 'x'"
 
 
@@ -219,9 +213,8 @@ class TestLineNumbers:
         # the bytes, line endings as csv counts them
         path = tmp_path / "flows.csv"
         path.write_bytes(raw)
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DomainError) as err:
             read_flows_csv(path)
-        assert err.value.line == line
         assert str(err.value) == f"line {line}: invalid UTF-8 ({reason})"
 
 
