@@ -53,7 +53,7 @@ from .domain import (
     Bundling,
     DemandModel,
     DomainError,
-    OverflowGuard,
+    NumericalFailure,
     TierOutcome,
     _check_market,
     _first,
@@ -83,9 +83,10 @@ class ModelContext:
     (maximum).
 
     ``from_ced`` and ``from_logit`` fit a market and build its context.
-    ``ids`` are the flow ids, ``q`` the observed demand, ``d`` the
-    distance, ``v`` the valuation coefficient and ``c`` the realized
-    unit cost (float64; q positive, v finite, c finite and positive).
+    ``ids`` are the flow ids, at least one, ``q`` the observed demand,
+    ``d`` the distance, ``v`` the valuation coefficient and ``c`` the
+    realized unit cost (float64; q positive, v finite, c finite and
+    positive).
     ``class_labels`` is None when no flow has a bundling class, else an
     object array holding a class name or None per flow; ``model`` is a
     ``DemandModel`` or its value. ``alpha``, ``p0`` and ``s0`` must lie
@@ -146,6 +147,8 @@ class ModelContext:
                                         or self.orders.q is not self.q):
             raise DomainError("the shared orders belong to another flow set")
         ids = _frozen_array(self.ids, np.str_)
+        if ids.size == 0:
+            raise DomainError("a market needs at least one flow")
         set_(self, "ids", ids)
         for name in ("q", "d", "v", "c"):
             values = _frozen_array(getattr(self, name), np.float64)
@@ -527,8 +530,6 @@ def _class_constrained(ctx: ModelContext, num_bundles: int) -> Bundling:
 def build_bundles(strategy: Strategy, ctx: ModelContext, num_bundles: int) -> Bundling:
     """Construct a tier partition into ``num_bundles`` >= 1 bundles with
     the given strategy or its value: the tiers of ``tiers_of``."""
-    if len(ctx.ids) == 0:
-        raise DomainError("cannot bundle an empty flow set")
     if num_bundles < 1:
         raise DomainError(f"num_bundles must be >= 1, got {num_bundles}")
     strategy = tiers_of(strategy, ctx.model)
@@ -596,7 +597,7 @@ class _ContiguousOptimum:
     none can, the depth passes score their candidates in place.
 
     A non-finite best score (a CED price power p**(1-alpha) past
-    float64) raises OverflowGuard."""
+    float64) raises NumericalFailure."""
 
     def __init__(self, ctx: ModelContext):
         w, x = (term[ctx.cost_order] for term in ctx.terms)
@@ -678,7 +679,7 @@ class _ContiguousOptimum:
 
     def _check(self, best) -> None:
         if not np.all(np.isfinite(best)):
-            raise OverflowGuard(
+            raise NumericalFailure(
                 f"optimal search: bundle scores overflow float64 at alpha={self.alpha!r}")
 
     def _add_layer(self) -> None:
@@ -773,10 +774,8 @@ def optimal_bundles(ctx: ModelContext, num_bundles: int) -> Bundling:
     order.
     """
     n = len(ctx.ids)
-    if n == 0:
-        raise DomainError("cannot bundle an empty flow set")
     if num_bundles < 1:
-        raise DomainError("num_bundles must be >= 1")
+        raise DomainError(f"num_bundles must be >= 1, got {num_bundles}")
     cuts = ctx._optimum.cuts(min(num_bundles, n))
     return Bundling.from_runs(ctx.cost_order, cuts + [n] * (num_bundles + 1 - len(cuts)))
 

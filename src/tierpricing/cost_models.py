@@ -31,8 +31,7 @@ from .domain import (
     CostModelSpec,
     DomainError,
     FlowTable,
-    NonPositiveCost,
-    OverflowGuard,
+    NumericalFailure,
 )
 
 # Fitted concave shape a*log_b(d/d_max) + c; c is also the pre-base
@@ -105,9 +104,9 @@ def relative_costs(spec: CostModelSpec, flows: FlowTable) -> np.ndarray:
 
     The maximum distance over the flow set anchors the concave
     normalization and the linear/concave base cost. Raises
-    OverflowGuard, naming the kind and theta, when a relative cost
-    leaves float64, and NonPositiveCost when the configuration yields
-    no positive cost at all (e.g. all distances zero with theta = 0).
+    NumericalFailure, naming the kind and theta, when a relative cost
+    leaves float64, or when the configuration yields no positive cost
+    at all (e.g. all distances zero with theta = 0).
     """
     if len(flows) == 0:
         return np.empty(0)
@@ -125,10 +124,10 @@ def relative_costs(spec: CostModelSpec, flows: FlowTable) -> np.ndarray:
             rel = d * _dest_type_multipliers(flows, spec.theta)
     top = rel.max()
     if not np.isfinite(top):
-        raise OverflowGuard(
+        raise NumericalFailure(
             f"{spec.kind.value} relative costs overflow float64 at theta={spec.theta}")
     if not top > 0:
-        raise NonPositiveCost(f"{spec.kind.value} cost model produced no positive cost")
+        raise NumericalFailure(f"{spec.kind.value} cost model produced no positive cost")
     return np.maximum(rel, COST_FLOOR_REL * top)
 
 
@@ -139,7 +138,7 @@ def realize_costs(rel, gamma: float) -> np.ndarray:
         return c
     top = c.max()
     if not top > 0:
-        raise NonPositiveCost("realized costs are not positive")
+        raise NumericalFailure("realized costs are not positive")
     return np.maximum(c, COST_FLOOR_REL * top)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import DemandModel, DomainError, NonPositiveGamma, OverflowGuard, _check_market
+from .domain import DemandModel, DomainError, NumericalFailure, _check_market
 
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
@@ -60,8 +60,9 @@ def ced_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
 
     gamma = p0*(alpha-1)*sum(v**alpha) / (alpha*sum(f_d * v**alpha)),
     so that with costs gamma*f_d the single-bundle optimum lands
-    exactly on p0; either product past float64 raises OverflowGuard,
-    naming v**alpha or the relative costs.
+    exactly on p0. Either product past float64 raises NumericalFailure,
+    naming v**alpha or the relative costs, and so does either one that
+    underflows to 0 (tiny p0), naming it, p0 and alpha.
     """
     v = np.asarray(v, dtype=float)
     f_d = np.asarray(f_d, dtype=float)
@@ -71,11 +72,16 @@ def ced_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
         w = v ** alpha
         top, bottom = p0 * (alpha - 1.0) * np.sum(w), alpha * np.sum(f_d * w)
     if not np.isfinite(top):
-        raise OverflowGuard(f"v**alpha overflows float64 at alpha={alpha!r}")
+        raise NumericalFailure(f"v**alpha overflows float64 at alpha={alpha!r}")
     if not np.isfinite(bottom):
-        raise OverflowGuard("relative cost times v**alpha overflows float64 "
-                            f"(largest relative cost {f_d.max():.3g})")
+        raise NumericalFailure("relative cost times v**alpha overflows float64 "
+                               f"(largest relative cost {f_d.max():.3g})")
+    for name, value in (("p0*(alpha-1)*sum(v**alpha)", top),
+                        ("alpha*sum(relative cost times v**alpha)", bottom)):
+        if value == 0.0:
+            raise NumericalFailure(f"{name} underflows float64 to 0 at p0={p0!r}, "
+                                   f"alpha={alpha!r}")
     gamma = top / bottom
     if not gamma > 0:
-        raise NonPositiveGamma(f"fitted gamma = {gamma}")
+        raise NumericalFailure(f"fitted gamma = {gamma}")
     return float(gamma)

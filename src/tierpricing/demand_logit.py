@@ -21,8 +21,8 @@ leaving total profit and surplus identical at shared within-bundle
 prices; ``ModelContext.price`` takes both from per-bundle sums, and
 ``logit_value`` values the priced bundles in one pass.
 
-All exponentials are max-shift stabilized; inputs whose exponents would
-overflow even then raise OverflowGuard.
+All exponentials are max-shift stabilized; a quantity that leaves
+float64 even then raises NumericalFailure, whose message names it.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .domain import (
     DemandModel,
     DomainError,
     NoConvergence,
-    NonPositiveGamma,
-    OverflowGuard,
+    NumericalFailure,
     _check_market,
     _first,
 )
@@ -50,7 +49,7 @@ MAX_SAFE_EXPONENT = 700.0
 
 def _guard_exponent(x_max) -> None:
     if x_max > MAX_SAFE_EXPONENT:
-        raise OverflowGuard(
+        raise NumericalFailure(
             f"max exponent alpha*(v-p) = {x_max:.3g} exceeds safe range"
         )
 
@@ -176,7 +175,7 @@ def logit_fit_valuations(q, p0: float, alpha: float, s0: float,
 
     Shares are s_i = q_i*(1-s0)/sum(q); inverting the share ratio
     s_i/s0 gives v_i = (ln s_i - ln s0)/alpha + p0. A demand total past
-    float64 raises OverflowGuard, and so does a share that underflows to
+    float64 raises NumericalFailure, and so does a share that underflows to
     zero, which has no log, naming the flow (by its id in ``ids``, else
     by its position). Outside the logit domain (``_check_market``),
     DomainError.
@@ -188,11 +187,11 @@ def logit_fit_valuations(q, p0: float, alpha: float, s0: float,
     with np.errstate(over="ignore"):
         total = np.sum(q)
     if not np.isfinite(total):
-        raise OverflowGuard("the demand total overflows float64: no share is defined")
+        raise NumericalFailure("the demand total overflows float64: no share is defined")
     s = q * (1.0 - s0) / total
     bad = _first(s == 0.0)
     if bad is not None:
-        raise OverflowGuard(
+        raise NumericalFailure(
             f"flow {bad if ids is None else ids[bad]}: market share of demand "
             f"{q[bad]:.3g} in total {total:.3g} underflows float64, so its "
             "valuation ln(share) is undefined")
@@ -207,7 +206,7 @@ def logit_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     gamma = D*(alpha*p0 - 1 - D) / (alpha * sum(f_d * E)). A nonpositive
     numerator means no positive cost scale can rationalize p0 as the
     uniform optimum (markup 1/(alpha*s0) already exceeds p0) and raises
-    NonPositiveGamma; a sum(f_d * E) past float64 raises OverflowGuard.
+    NumericalFailure, as does a sum(f_d * E) past float64.
     """
     v = np.asarray(v, dtype=float)
     f_d = np.asarray(f_d, dtype=float)
@@ -221,12 +220,12 @@ def logit_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     with np.errstate(over="ignore"):
         bottom = alpha * np.exp(shift) * np.sum(f_d * e)
         if not np.isfinite(bottom):
-            raise OverflowGuard("relative cost times exp(alpha*(v - p0)) overflows "
-                                f"float64 (largest relative cost {f_d.max():.3g})")
+            raise NumericalFailure("relative cost times exp(alpha*(v - p0)) overflows "
+                                   f"float64 (largest relative cost {f_d.max():.3g})")
         # past float64 only where d_sum far exceeds alpha*p0: gamma is then -inf
         gamma = d_sum * (alpha * p0 - 1.0 - d_sum) / bottom
     if not gamma > 0:
-        raise NonPositiveGamma(
+        raise NumericalFailure(
             f"fitted gamma = {gamma:.3g}: p0 = {p0} cannot be the rational "
             f"uniform price at alpha = {alpha} with these shares"
         )

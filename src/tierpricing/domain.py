@@ -8,6 +8,10 @@ There is no per-flow object. All types are immutable after
 construction (their arrays are read-only; writable inputs are copied)
 and safe to share between concurrent workers. Units are fixed throughout the package:
 demand in Mbit/s, distance in miles, money in $/Mbps/month.
+
+Every error is a ``DomainError`` (exit 2) or a ``NumericalFailure``
+(exit 3), whose message names its cause; ``NoConvergence``, the one
+subclass, keeps the residual of a procedure that stopped.
 """
 
 from __future__ import annotations
@@ -37,39 +41,20 @@ class DomainError(PricingError):
 
 class NumericalFailure(PricingError):
     """A computation failed on settings that passed validation (CLI exit
-    code 3)."""
-
-
-class NonPositiveCost(NumericalFailure):
-    """Relative-cost configuration produced no positive costs."""
-
-
-class NonPositiveGamma(NumericalFailure):
-    """Cost-scaling fit produced gamma <= 0 (parameters inconsistent
-    with rational uniform pricing)."""
+    code 3): a quantity left float64, a cost or gamma fit came out not
+    positive, or a capture has no baseline; the message names the
+    quantity."""
 
 
 class NoConvergence(NumericalFailure):
-    """An iterative procedure exhausted its budget.
-
-    Carries the last residual so callers can decide whether the result
-    is still usable.
+    """An iterative procedure exhausted its budget: the one subclass of
+    NumericalFailure, because it carries data, the last residual, so
+    callers can decide whether the result is still usable.
     """
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class OverflowGuard(NumericalFailure):
-    """A quantity leaves float64: an exponent past the safe range even
-    with max-shift stabilization, a demand total, a relative cost,
-    v**alpha or a gamma fit's sum over relative costs, or a score of the
-    optimal search."""
-
-
-class DegenerateBaseline(NumericalFailure):
-    """Capture metric undefined: maximum and original profit coincide."""
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,10 @@ from .cost_models import base_cost, class_labels, relative_costs, split_by_dest_
 from .domain import (
     CostKind,
     CostModelSpec,
-    DegenerateBaseline,
     DemandModel,
     DomainError,
     FlowTable,
+    NumericalFailure,
     _check_market,
     _member,
 )
@@ -302,7 +302,7 @@ def run_theta_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     for different theta are directly comparable. A theta at which
     per-flow pricing earns no more than the blended rate (regional
     costs at theta 0 are all equal) has NaN captures and a note in the
-    metadata; if no theta has a capture, DegenerateBaseline is raised.
+    metadata; if no theta has a capture, NumericalFailure is raised.
     """
     if not config.theta_grid:
         raise DomainError("theta grid must be nonempty")
@@ -340,7 +340,7 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
     evaluation of the grid point attaining the extremum, tagged
     ``alpha-min`` / ``p0-min`` / ``s0-max``; bundling is always
     profit-weighted, and the configuration echo says so. Any grid point
-    without a capture raises DegenerateBaseline.
+    without a capture raises NumericalFailure.
     """
     config = dataclasses.replace(config, strategies=(Strategy.PROFIT_WEIGHTED,))
     logit = config.demand_model is DemandModel.LOGIT
@@ -369,11 +369,11 @@ def run_sensitivity_sweep(config: ExperimentConfig) -> tuple[list[dict], dict]:
 
 
 def _require_captures(results: list[tuple[list[dict], dict]]) -> None:
-    """Raise DegenerateBaseline at the first point without a capture."""
+    """Raise NumericalFailure at the first point without a capture."""
     for rows, point in results:
         if any(math.isnan(r["profit_capture"]) for r in rows):
-            raise DegenerateBaseline("per-flow and blended profit coincide "
-                                     f"({point['baselines']['pi_max']!r}); capture undefined")
+            raise NumericalFailure("per-flow and blended profit coincide "
+                                   f"({point['baselines']['pi_max']!r}); capture undefined")
 
 
 def _cost_meta(config: ExperimentConfig, flows: FlowTable,

@@ -40,6 +40,7 @@ from .domain import (
     DomainError,
     FlowTable,
     NoConvergence,
+    NumericalFailure,
 )
 
 if TYPE_CHECKING:
@@ -553,7 +554,8 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
     distances are rescaled once onto the demand-weighted mean unless it
     is already within 1% of it. Bit-identical output for identical
     (moments, seed). NoConvergence, naming the CV and the flow count,
-    when no draw reaches a CV or the one that does leaves flows at 0.
+    when no draw reaches a CV; NumericalFailure when the one that does
+    leaves flows at 0.
     """
     rng = np.random.default_rng(moments.seed)
     n = moments.n_flows
@@ -571,8 +573,8 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
         d *= target / got
     for name, values in (("cv_demand", q), ("cv_distance", d)):
         if not values.min() > 0:
-            raise NoConvergence(f"{name} = {getattr(moments, name)} over {n} flows needs "
-                                f"a draw whose smallest flows underflow to 0")
+            raise NumericalFailure(f"{name} = {getattr(moments, name)} over {n} flows "
+                                   "needs a draw whose smallest flows underflow to 0")
     return FlowTable(_synth_ids(n), q, d)
 
 

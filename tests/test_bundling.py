@@ -38,7 +38,7 @@ from tierpricing.domain import (
     CostKind,
     DemandModel,
     DomainError,
-    OverflowGuard,
+    NumericalFailure,
 )
 
 
@@ -412,8 +412,10 @@ class TestOptimal:
         ctx = ced_context(np.random.default_rng(32), 60)
         optimal_bundles(ctx, 2)
         ctx._optimum.value[30] = bad
-        with pytest.raises(OverflowGuard):
+        with pytest.raises(NumericalFailure) as info:
             optimal_bundles(ctx, 3)
+        assert str(info.value) == \
+            f"optimal search: bundle scores overflow float64 at alpha={ctx.alpha!r}"
 
     def test_answers_do_not_depend_on_request_order(self):
         # the DP's layers are cached on the context and grown on demand
@@ -657,6 +659,11 @@ class TestBundlingTotality:
     def test_token_buckets_refuse_no_bundles(self):
         with pytest.raises(DomainError, match="num_bundles must be >= 1, got 0"):
             token_bucket_bundles([1.0, 2.0], ["a", "b"], 0)
+
+    def test_optimal_refuses_no_bundles(self):
+        ctx = ced_context(np.random.default_rng(24), 5)
+        with pytest.raises(DomainError, match="^num_bundles must be >= 1, got 0$"):
+            optimal_bundles(ctx, 0)
 
 
 def labelled_markets():

@@ -30,8 +30,7 @@ from tierpricing.domain import (
     CostKind,
     CostModelSpec,
     FlowTable,
-    NonPositiveCost,
-    OverflowGuard,
+    NumericalFailure,
 )
 
 
@@ -119,7 +118,7 @@ def reference_relative_costs(spec: CostModelSpec, flows: Sequence[Flow]) -> np.n
     rel = np.array([reference_relative_cost(spec, f, d_max) for f in flows])
     top = rel.max()
     if not top > 0:
-        raise NonPositiveCost("no positive cost")
+        raise NumericalFailure(f"{spec.kind.value} cost model produced no positive cost")
     return np.maximum(rel, COST_FLOOR_REL * top)
 
 
@@ -258,7 +257,8 @@ class TestRealizeAndFloor:
 
     def test_all_zero_costs_rejected(self):
         spec = CostModelSpec(CostKind.LINEAR, theta=0.0)
-        with pytest.raises(NonPositiveCost):
+        with pytest.raises(NumericalFailure,
+                           match="^linear cost model produced no positive cost$"):
             relative_costs(spec, _flows([0.0, 0.0]))
 
 
@@ -275,7 +275,7 @@ class TestOverflow:
     ])
     def test_non_finite_cost_is_refused(self, kind, theta, distances):
         spec = CostModelSpec(kind, theta=theta)
-        with pytest.raises(OverflowGuard) as info:
+        with pytest.raises(NumericalFailure) as info:
             relative_costs(spec, _flows(distances, dest_type="peer"))
         assert str(info.value) == \
             f"{kind.value} relative costs overflow float64 at theta={theta}"
@@ -387,10 +387,11 @@ def specs(draw):
 
 
 def _outcome(fn):
+    """The costs ``fn`` returns, or the type and message of its failure."""
     try:
         return fn()
-    except NonPositiveCost:
-        return NonPositiveCost
+    except NumericalFailure as exc:
+        return type(exc), str(exc)
 
 
 class TestArraysMatchReference:
@@ -399,8 +400,8 @@ class TestArraysMatchReference:
     def test_relative_costs(self, flows, spec):
         got = _outcome(lambda: relative_costs(spec, table(flows)))
         want = _outcome(lambda: reference_relative_costs(spec, flows))
-        if want is NonPositiveCost:
-            assert got is NonPositiveCost
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and got == want
         else:
             assert np.array_equal(got, want)
 

@@ -2,6 +2,8 @@
 and the per-flow oracles of ``demand_oracles``) vs numeric oracles, and
 fit self-consistency."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from demand_oracles import (
 )
 from tierpricing.bundling import ModelContext
 from tierpricing.demand_ced import ced_bundle, ced_fit_gamma, ced_fit_valuations
-from tierpricing.domain import DomainError, OverflowGuard
+from tierpricing.domain import DomainError, NumericalFailure
 
 
 def numeric_best_price(profit_of_price, lo, hi, rel_tol=1e-12):
@@ -229,17 +231,35 @@ class TestFitting:
     def test_gamma_names_an_overflowing_power(self, q, alpha):
         # 20**alpha * q or its sum passes float64
         v = ced_fit_valuations(q, 20.0, alpha)
-        with pytest.raises(OverflowGuard, match=rf"^v\*\*alpha overflows float64 "
-                                                rf"at alpha={alpha!r}$"):
+        with pytest.raises(NumericalFailure, match=rf"^v\*\*alpha overflows float64 "
+                                                   rf"at alpha={alpha!r}$"):
             ced_fit_gamma(v, np.ones(len(q)), 20.0, alpha)
 
 
     def test_gamma_names_overflowing_relative_costs(self):
         # sum(v**alpha) is ordinary; f_d * v**alpha is not
         v = ced_fit_valuations([3.0, 7.0], 20.0, 1.1)
-        with pytest.raises(OverflowGuard, match=r"^relative cost times v\*\*alpha overflows "
-                                                r"float64 \(largest relative cost 1e\+308\)$"):
+        with pytest.raises(NumericalFailure, match=r"^relative cost times v\*\*alpha overflows "
+                                                   r"float64 \(largest relative cost 1e\+308\)$"):
             ced_fit_gamma(v, np.array([1e308, 5.0]), 20.0, 1.1)
+
+    @pytest.mark.parametrize("p0, f_d, term", [
+        (1e-300, [1.0, 2.0], r"p0\*\(alpha-1\)\*sum\(v\*\*alpha\)"),   # v**alpha is 0
+        (1e-200, [1.0, 2.0], r"p0\*\(alpha-1\)\*sum\(v\*\*alpha\)"),   # the product is
+        (1e-100, [1e-300, 1e-300], r"alpha\*sum\(relative cost times v\*\*alpha\)"),
+    ], ids=["v-alpha", "product", "relative-costs"])
+    def test_gamma_names_an_underflowing_sum(self, p0, f_d, term):
+        # refused before the division, so 0/0 warns of nothing
+        v = ced_fit_valuations([3.0, 7.0], p0, 1.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=rf"^{term} underflows float64 to 0 "
+                                                       rf"at p0={p0!r}, alpha=1.1$"):
+                ced_fit_gamma(v, np.array(f_d), p0, 1.1)
+
+    def test_gamma_at_a_tiny_ordinary_p0_is_positive(self):
+        v = ced_fit_valuations([3.0, 7.0], 1e-100, 1.1)
+        assert ced_fit_gamma(v, np.array([1.0, 2.0]), 1e-100, 1.1) > 0
 
 class TestBundle:
     def test_worked_values(self):

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tierpricing import cli
-from tierpricing.bundling import ModelContext, Strategy, build_bundles
+from tierpricing.bundling import ModelContext, Strategy, build_bundles, optimal_bundles
+from tierpricing.cost_models import realize_costs, relative_costs
+from tierpricing.demand_ced import ced_fit_gamma, ced_fit_valuations
+from tierpricing.demand_logit import logit_fit_gamma, logit_fit_valuations, logit_solve_prices
 from tierpricing.domain import (
     Bundling,
     CostKind,
@@ -18,9 +21,10 @@ from tierpricing.domain import (
     DemandModel,
     DomainError,
     FlowTable,
+    NumericalFailure,
 )
 from tierpricing.experiments import ExperimentConfig, fit_context, load_flows, run_theta_sweep
-from tierpricing.ingestion import read_flows_csv
+from tierpricing.ingestion import preset_moments, read_flows_csv, synth_generate
 
 
 def _market(model, **kw):
@@ -447,3 +451,99 @@ class TestOneRefusalType:
             ExperimentConfig(**{field: value})
         assert info.value.__cause__ is None
         assert info.traceback[-1].frame.code.raw.co_qualname == check
+
+
+def _ced_gamma(q, f_d, p0, alpha):
+    ced_fit_gamma(ced_fit_valuations(q, p0, alpha), np.array(f_d), p0, alpha)
+
+
+def _logit_gamma(q, f_d, p0, alpha, s0=0.2):
+    logit_fit_gamma(logit_fit_valuations(q, p0, alpha, s0), np.array(f_d), p0, alpha)
+
+
+def _plant_in_the_dp():
+    # a non-finite score, planted in a layer the next depth pass reads
+    ctx = ModelContext.from_ced([f"f{i}" for i in range(60)], np.arange(1.0, 61.0),
+                                np.ones(60), np.arange(1.0, 61.0), 20.0, 1.5)
+    optimal_bundles(ctx, 2)
+    ctx._optimum.value[30] = np.nan
+    optimal_bundles(ctx, 3)
+
+
+def _sweep_equal_costs():
+    # regional costs at theta 0 are all equal: no capture is defined
+    run_theta_sweep(ExperimentConfig(n_flows=20, cost_kind="regional", theta_grid=(0.0,)))
+
+
+def _regional_baseline():
+    config = ExperimentConfig(n_flows=20, cost_kind="regional", theta=0.0)
+    return fit_context(load_flows(config), config).pi_max
+
+
+class TestOneFailureType:
+    """Every numerical failure but a stalled procedure is a
+    NumericalFailure itself, not a subclass, with the message it has
+    always had, and raises before any warning."""
+
+    @pytest.mark.parametrize("fail, message", [
+        (lambda: relative_costs(CostModelSpec(CostKind.REGIONAL, 700.0),
+                                _table(distance=(5.0, 50.0, 500.0))),
+         "regional relative costs overflow float64 at theta=700.0"),
+        (lambda: relative_costs(CostModelSpec(CostKind.LINEAR, 0.0),
+                                _table(distance=(0.0, 0.0, 0.0))),
+         "linear cost model produced no positive cost"),
+        (lambda: realize_costs([1.0, 2.0], 0.0), "realized costs are not positive"),
+        (lambda: _ced_gamma([3.0, 7.0], [1.0, 1.0], 20.0, 240.0),
+         "v**alpha overflows float64 at alpha=240.0"),
+        (lambda: _ced_gamma([3.0, 7.0], [1e308, 5.0], 20.0, 1.1),
+         "relative cost times v**alpha overflows float64 (largest relative cost 1e+308)"),
+        (lambda: _ced_gamma([3.0, 7.0], [1e250, 1e250], 1e-100, 1.1),
+         "fitted gamma = 0.0"),
+        (lambda: _ced_gamma([3.0, 7.0], [1.0, 2.0], 1e-300, 1.1),
+         "p0*(alpha-1)*sum(v**alpha) underflows float64 to 0 at p0=1e-300, alpha=1.1"),
+        (lambda: _ced_gamma([3.0, 7.0], [1.0, 2.0], 1e-200, 1.1),
+         "p0*(alpha-1)*sum(v**alpha) underflows float64 to 0 at p0=1e-200, alpha=1.1"),
+        (lambda: _ced_gamma([3.0, 7.0], [1e-300, 1e-300], 1e-100, 1.1),
+         "alpha*sum(relative cost times v**alpha) underflows float64 to 0 at p0=1e-100, "
+         "alpha=1.1"),
+        (lambda: logit_solve_prices([750.0, 1.0], [1.0, 2.0], 1.0),
+         "max exponent alpha*(v-p) = 748 exceeds safe range"),
+        (lambda: logit_fit_valuations([1e308, 1e308, 5.0], 20.0, 1.1, 0.2),
+         "the demand total overflows float64: no share is defined"),
+        (lambda: logit_fit_valuations([5.0, 1e-300, 1e30], 20.0, 1.1, 0.2),
+         "flow 1: market share of demand 1e-300 in total 1e+30 underflows float64, so its "
+         "valuation ln(share) is undefined"),
+        (lambda: _logit_gamma([1.0, 1.0, 1.0], [1e308, 1e308, 5.0], 20.0, 1.1),
+         "relative cost times exp(alpha*(v - p0)) overflows float64 (largest relative cost "
+         "1e+308)"),
+        (lambda: _logit_gamma([5.0, 3.0], [1.0, 2.0], 1.0, 1.0),
+         "fitted gamma = -2.91: p0 = 1.0 cannot be the rational uniform price at alpha = 1.0 "
+         "with these shares"),
+        (_plant_in_the_dp, "optimal search: bundle scores overflow float64 at alpha=1.5"),
+        (_sweep_equal_costs, "per-flow and blended profit coincide ({baseline!r}); "
+                             "capture undefined"),
+        (lambda: synth_generate(preset_moments("eu-isp", n_flows=4, seed=16)),
+         "cv_demand = 1.71 over 4 flows needs a draw whose smallest flows underflow to 0"),
+    ], ids=["relative-costs-overflow", "relative-costs-not-positive", "realized-costs",
+            "ced-v-alpha", "ced-relative-costs", "ced-gamma", "ced-v-alpha-underflow",
+            "ced-top-underflow", "ced-bottom-underflow", "logit-exponent",
+            "logit-demand-total", "logit-share", "logit-relative-costs", "logit-gamma",
+            "optimal-search", "require-captures", "synth-underflow"])
+    def test_failure_is_a_numerical_failure(self, fail, message):
+        if "{baseline" in message:
+            message = message.format(baseline=_regional_baseline())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure) as info:
+                fail()
+        assert type(info.value) is NumericalFailure
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("model", list(DemandModel))
+    def test_an_empty_market_is_refused(self, model):
+        # before any baseline is priced (both were 0.0, and logit logged
+        # a degenerate surplus baseline)
+        fields = dict(s0=0.2, consumer_mass=10.0) if model is DemandModel.LOGIT else {}
+        with pytest.raises(DomainError) as info:
+            ModelContext([], [], [], [], [], None, model, 1.5, 20.0, **fields)
+        assert str(info.value) == "a market needs at least one flow"

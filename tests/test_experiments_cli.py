@@ -957,23 +957,21 @@ class TestCli:
 
     def test_exit_code_follows_the_error_class(self, tmp_path, monkeypatch, capsys):
         # every PricingError of the package, raised by the run itself:
-        # the five numerical failures (and their base) exit 3, the
-        # others 2, like an OSError
+        # the numerical failure and its one subclass exit 3, the others
+        # 2, like an OSError
         from tierpricing import cli, domain
 
-        numerical = {domain.NoConvergence, domain.NonPositiveGamma,
-                     domain.OverflowGuard, domain.DegenerateBaseline,
-                     domain.NonPositiveCost}
+        numerical = {domain.NumericalFailure, domain.NoConvergence}
         errors = [cls for cls in vars(domain).values()
                   if isinstance(cls, type) and issubclass(cls, domain.PricingError)]
-        assert numerical < set(errors)
+        assert set(errors) == numerical | {domain.PricingError, domain.DomainError}
         for cls in [*errors, OSError]:
             def fail(config, cls=cls):
                 raise cls("boom")
 
             monkeypatch.setattr(cli, "run_capture_curve", fail)
             code = cli.main(["capture", "--out", str(tmp_path / "x.csv")])
-            if cls in numerical or cls is domain.NumericalFailure:
+            if cls in numerical:
                 assert (code, capsys.readouterr().err) == (3, "numerical failure: boom\n")
             else:
                 assert (code, capsys.readouterr().err) == (2, "error: boom\n"), cls

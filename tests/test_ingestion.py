@@ -22,6 +22,7 @@ from tierpricing.domain import (
     DomainError,
     FlowTable,
     NoConvergence,
+    NumericalFailure,
 )
 from tierpricing.experiments import ExperimentConfig, fit_context
 from tierpricing.ingestion import (
@@ -568,11 +569,15 @@ class TestSynth:
                 warnings.simplefilter("error")
                 try:
                     flows = synth_generate(dataclasses.replace(moments, seed=seed))
-                except NoConvergence as err:
-                    assert re.fullmatch(rf"(sample CV calibration to cv|cv_demand|cv_distance) = "
-                                        rf"({cvs[0]}|{cvs[1]}) over {n} flows needs (sigma > "
-                                        rf"1e3|a draw whose smallest flows underflow to 0)",
-                                        str(err)), err
+                except NumericalFailure as err:
+                    # the calibration stops short of a CV; a draw that
+                    # reaches it with flows at 0 is a plain failure
+                    want = (r"sample CV calibration to cv = ({}|{}) over {} flows needs sigma "
+                            r"> 1e3" if type(err) is NoConvergence else
+                            r"(cv_demand|cv_distance) = ({}|{}) over {} flows needs a draw "
+                            r"whose smallest flows underflow to 0")
+                    assert type(err) in (NoConvergence, NumericalFailure)
+                    assert re.fullmatch(want.format(*cvs, n), str(err)), err
                     continue
             for values, cv in zip((flows.demand, flows.distance), cvs):
                 assert values.min() > 0 and np.isfinite(values).all()
