@@ -194,10 +194,18 @@ class ModelContext:
         market. ``rel_costs`` are the pre-gamma relative costs f(d) of
         the cost model, aligned with ``q`` and ``d``; ``labels`` are the
         flows' bundling classes (None when the cost model has none);
-        ``orders`` are the shared orders of ``flow_ids`` and ``q``."""
+        ``orders`` are the shared orders of ``flow_ids`` and ``q``.
+
+        The fitted ``v`` and ``c`` are new arrays, handed to the context
+        read-only so that it holds them without a copy; the arguments'
+        arrays are never frozen. The fit lets go of ``rel_costs`` once
+        the costs are realized, so relative costs that only the caller's
+        call holds are freed before the baselines are priced."""
         v = ced_fit_valuations(q, p0, alpha)
         gamma = ced_fit_gamma(v, rel_costs, p0, alpha)
         c = realize_costs(rel_costs, gamma)
+        del rel_costs
+        v.flags.writeable = c.flags.writeable = False
         return cls(flow_ids, q, d, v, c, labels, DemandModel.CED, alpha, p0,
                    gamma=gamma, cs_unit_price_offset=cs_unit_price_offset, orders=orders)
 
@@ -207,10 +215,13 @@ class ModelContext:
                    orders: Optional["FlowOrders"] = None) -> "ModelContext":
         """Fit the valuations, cost scaling and consumer mass
         K = sum(q)/(1-s0) of one logit market whose non-buying share at
-        p0 is s0 (arguments as ``from_ced``)."""
+        p0 is s0 (arguments, and the read-only hand-over of ``v`` and
+        ``c``, as ``from_ced``)."""
         v = logit_fit_valuations(q, p0, alpha, s0, flow_ids)
         gamma = logit_fit_gamma(v, rel_costs, p0, alpha)
         c = realize_costs(rel_costs, gamma)
+        del rel_costs
+        v.flags.writeable = c.flags.writeable = False
         return cls(flow_ids, q, d, v, c, labels, DemandModel.LOGIT, alpha, p0,
                    s0=s0, consumer_mass=float(np.sum(q) / (1.0 - s0)), gamma=gamma,
                    orders=orders)

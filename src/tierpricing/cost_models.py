@@ -132,14 +132,15 @@ def relative_costs(spec: CostModelSpec, flows: FlowTable) -> np.ndarray:
 
 
 def realize_costs(rel, gamma: float) -> np.ndarray:
-    """Unit costs c_i = gamma * rel_i, floored at 1e-6 of the maximum."""
+    """Unit costs c_i = gamma * rel_i, floored at 1e-6 of the maximum,
+    as a new array (the floor is applied in place)."""
     c = gamma * np.asarray(rel, dtype=float)
     if c.size == 0:
         return c
     top = c.max()
     if not top > 0:
         raise NumericalFailure("realized costs are not positive")
-    return np.maximum(c, COST_FLOOR_REL * top)
+    return np.maximum(c, COST_FLOOR_REL * top, out=c)
 
 
 def base_cost(spec: CostModelSpec, flows: FlowTable, gamma: float) -> float:

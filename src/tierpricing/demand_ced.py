@@ -62,7 +62,8 @@ def ced_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     so that with costs gamma*f_d the single-bundle optimum lands
     exactly on p0. Either product past float64 raises NumericalFailure,
     naming v**alpha or the relative costs, and so does either one that
-    underflows to 0 (tiny p0), naming it, p0 and alpha.
+    underflows to 0 (tiny p0), naming it, p0 and alpha, and a quotient
+    past float64 (subnormal relative costs), naming the relative costs.
     """
     v = np.asarray(v, dtype=float)
     f_d = np.asarray(f_d, dtype=float)
@@ -81,7 +82,11 @@ def ced_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
         if value == 0.0:
             raise NumericalFailure(f"{name} underflows float64 to 0 at p0={p0!r}, "
                                    f"alpha={alpha!r}")
-    gamma = top / bottom
+    with np.errstate(over="ignore"):
+        gamma = top / bottom
+    if gamma == np.inf:
+        raise NumericalFailure("fitted gamma overflows float64 "
+                               f"(largest relative cost {f_d.max():.3g})")
     if not gamma > 0:
         raise NumericalFailure(f"fitted gamma = {gamma}")
     return float(gamma)

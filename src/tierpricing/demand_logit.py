@@ -206,7 +206,8 @@ def logit_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     gamma = D*(alpha*p0 - 1 - D) / (alpha * sum(f_d * E)). A nonpositive
     numerator means no positive cost scale can rationalize p0 as the
     uniform optimum (markup 1/(alpha*s0) already exceeds p0) and raises
-    NumericalFailure, as does a sum(f_d * E) past float64.
+    NumericalFailure, as do a sum(f_d * E) past float64 and a quotient
+    past float64 (subnormal relative costs), naming the relative costs.
     """
     v = np.asarray(v, dtype=float)
     f_d = np.asarray(f_d, dtype=float)
@@ -217,13 +218,16 @@ def logit_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     _guard_exponent(shift)
     e = np.exp(x - shift)
     d_sum = np.exp(shift) * np.sum(e)  # sum of E_i
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         bottom = alpha * np.exp(shift) * np.sum(f_d * e)
         if not np.isfinite(bottom):
             raise NumericalFailure("relative cost times exp(alpha*(v - p0)) overflows "
                                    f"float64 (largest relative cost {f_d.max():.3g})")
-        # past float64 only where d_sum far exceeds alpha*p0: gamma is then -inf
+        # -inf where d_sum far exceeds alpha*p0; +inf where bottom is subnormal or 0
         gamma = d_sum * (alpha * p0 - 1.0 - d_sum) / bottom
+    if gamma == np.inf:
+        raise NumericalFailure("fitted gamma overflows float64 "
+                               f"(largest relative cost {f_d.max():.3g})")
     if not gamma > 0:
         raise NumericalFailure(
             f"fitted gamma = {gamma:.3g}: p0 = {p0} cannot be the rational "

@@ -186,15 +186,16 @@ def fit_context(flows: FlowTable, config: ExperimentConfig,
     if config.split_dest_type:
         flows = split_by_dest_type(flows, config.theta)
     spec = CostModelSpec(kind=config.cost_kind, theta=config.theta)
-    rel = relative_costs(spec, flows)
     labels = class_labels(spec, flows)
     ids, q, d = flows.ids, flows.demand, flows.distance
+    # the relative costs are held by the fit's call alone, which frees
+    # them once the costs are realized
     if config.demand_model is DemandModel.CED:
         return ModelContext.from_ced(
-            ids, q, d, rel, config.p0, config.alpha, labels,
+            ids, q, d, relative_costs(spec, flows), config.p0, config.alpha, labels,
             cs_unit_price_offset=config.cs_unit_price_offset, orders=orders)
-    return ModelContext.from_logit(ids, q, d, rel, config.p0, config.alpha, config.s0,
-                                   labels, orders=orders)
+    return ModelContext.from_logit(ids, q, d, relative_costs(spec, flows), config.p0,
+                                   config.alpha, config.s0, labels, orders=orders)
 
 
 def _row(strategy: Strategy, num_bundles: int, outcome) -> dict:

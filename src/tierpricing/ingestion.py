@@ -556,16 +556,18 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
     (moments, seed). NoConvergence, naming the CV and the flow count,
     when no draw reaches a CV; NumericalFailure when the one that does
     leaves flows at 0.
+
+    The demand and distance arrays are handed over read-only, so the
+    returned ``FlowTable`` holds them without a copy.
     """
     rng = np.random.default_rng(moments.seed)
     n = moments.n_flows
-    z_q = rng.standard_normal(n)
-    z_d = rng.standard_normal(n)
-
-    q = _calibrated_lognormal(z_q, moments.cv_demand)
+    # the distance draw follows the demand draw in the stream, and is
+    # taken only once the demand draw and its calibration buffers are freed
+    q = _calibrated_lognormal(rng.standard_normal(n), moments.cv_demand)
     q *= moments.aggregate_gbps * 1000.0 / q.sum()
 
-    d = _calibrated_lognormal(z_d, moments.cv_distance)
+    d = _calibrated_lognormal(rng.standard_normal(n), moments.cv_distance)
     target = moments.weighted_avg_distance_miles
     got = float(np.sum(q * d) / q.sum())
     if abs(got - target) > 1e-2 * target:
@@ -575,6 +577,11 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
         if not values.min() > 0:
             raise NumericalFailure(f"{name} = {getattr(moments, name)} over {n} flows "
                                    "needs a draw whose smallest flows underflow to 0")
+    q.flags.writeable = d.flags.writeable = False
+    # the ids stay writable, so FlowTable copies them: freeing the matrix
+    # they view raises glibc's mmap threshold to its size, and the later
+    # column-sized temporaries then reuse the heap instead of faulting in
+    # fresh pages (sharing the ids doubles a 200k run's minor faults)
     return FlowTable(_synth_ids(n), q, d)
 
 

@@ -310,6 +310,17 @@ class TestModelContextColumns:
         assert not fitted.v.flags.writeable
         assert len(fitted) == 3
 
+    @pytest.mark.parametrize("model", list(DemandModel))
+    def test_fitted_columns_are_the_flow_tables(self, model):
+        # synth hands its columns over read-only, so the table and every
+        # context fitted on it hold one array of each
+        flows = synth_generate(preset_moments("eu-isp", n_flows=500, seed=3))
+        fitted = fit_context(flows, _market(model, n_flows=500))
+        assert fitted.ids is flows.ids
+        assert fitted.q is flows.demand
+        assert fitted.d is flows.distance
+        assert not (fitted.v.flags.writeable or fitted.c.flags.writeable)
+
     def test_rejects_nonpositive_demand_and_cost(self):
         ones = np.ones(3)
         with pytest.raises(DomainError, match="flow g: fitted demand"):
@@ -506,6 +517,8 @@ class TestOneFailureType:
         (lambda: _ced_gamma([3.0, 7.0], [1e-300, 1e-300], 1e-100, 1.1),
          "alpha*sum(relative cost times v**alpha) underflows float64 to 0 at p0=1e-100, "
          "alpha=1.1"),
+        (lambda: _ced_gamma([5.0, 7.0], [1e-310, 2e-310], 20.0, 1.1),
+         "fitted gamma overflows float64 (largest relative cost 2e-310)"),
         (lambda: logit_solve_prices([750.0, 1.0], [1.0, 2.0], 1.0),
          "max exponent alpha*(v-p) = 748 exceeds safe range"),
         (lambda: logit_fit_valuations([1e308, 1e308, 5.0], 20.0, 1.1, 0.2),
@@ -519,6 +532,8 @@ class TestOneFailureType:
         (lambda: _logit_gamma([5.0, 3.0], [1.0, 2.0], 1.0, 1.0),
          "fitted gamma = -2.91: p0 = 1.0 cannot be the rational uniform price at alpha = 1.0 "
          "with these shares"),
+        (lambda: _logit_gamma([5.0, 7.0], [1e-310, 2e-310], 20.0, 1.1),
+         "fitted gamma overflows float64 (largest relative cost 2e-310)"),
         (_plant_in_the_dp, "optimal search: bundle scores overflow float64 at alpha=1.5"),
         (_sweep_equal_costs, "per-flow and blended profit coincide ({baseline!r}); "
                              "capture undefined"),
@@ -526,9 +541,10 @@ class TestOneFailureType:
          "cv_demand = 1.71 over 4 flows needs a draw whose smallest flows underflow to 0"),
     ], ids=["relative-costs-overflow", "relative-costs-not-positive", "realized-costs",
             "ced-v-alpha", "ced-relative-costs", "ced-gamma", "ced-v-alpha-underflow",
-            "ced-top-underflow", "ced-bottom-underflow", "logit-exponent",
-            "logit-demand-total", "logit-share", "logit-relative-costs", "logit-gamma",
-            "optimal-search", "require-captures", "synth-underflow"])
+            "ced-top-underflow", "ced-bottom-underflow", "ced-gamma-overflow",
+            "logit-exponent", "logit-demand-total", "logit-share", "logit-relative-costs",
+            "logit-gamma", "logit-gamma-overflow", "optimal-search", "require-captures",
+            "synth-underflow"])
     def test_failure_is_a_numerical_failure(self, fail, message):
         if "{baseline" in message:
             message = message.format(baseline=_regional_baseline())

@@ -1095,6 +1095,22 @@ class TestCli:
         assert (res.returncode, res.stderr) == (3, f"numerical failure: {cause}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("model", ["ced", "logit"])
+    def test_subnormal_relative_costs_are_named_at_fit(self, tmp_path, model):
+        # the gamma quotient passes float64 when the relative costs are
+        # subnormal; gamma = inf used to reach the context, which blamed
+        # flow a's cost (exit 2), and CED warned of the division first
+        flows = tmp_path / "flows.csv"
+        flows.write_text("flow_id,demand_mbps,distance_miles\na,5,1e-310\nb,7,2e-310\n",
+                         encoding="utf-8")
+        res = run_python("-W", "error::RuntimeWarning", "-m", "tierpricing.cli", "capture",
+                         "--input", str(flows), "--demand-model", model, "--bundles", "1..2",
+                         "--out", str(tmp_path / "x.csv"))
+        assert (res.returncode, res.stderr) == (
+            3, "numerical failure: fitted gamma overflows float64 "
+               "(largest relative cost 2.4e-310)\n")
+        assert list(tmp_path.iterdir()) == [flows]
+
     @pytest.mark.parametrize("row", ["c,5", "c,nan,10", "c,3,inf"])
     def test_malformed_input_row_is_a_config_error(self, tmp_path, row):
         # a short row, or a non-finite value the fit would turn into
