@@ -174,9 +174,12 @@ class ModelContext:
             k = self.consumer_mass
             if k is None or not 0.0 < k < math.inf:
                 raise DomainError(f"logit requires consumer_mass > 0, got {k}")
-            per_flow = logit_solve_prices(self.v, self.c, self.alpha)
+            # the per-flow prices are solved once the blended baseline is
+            # valued, and their pass takes its margins in their buffer
             pi_orig, cs_orig = logit_value(self.v, self.p0, self.c, self.alpha, k)
-            pi_max, cs_max = logit_value(self.v, per_flow, self.c, self.alpha, k)
+            per_flow = logit_solve_prices(self.v, self.c, self.alpha)
+            pi_max, cs_max = logit_value(self.v, per_flow, self.c, self.alpha, k,
+                                         overwrite_p=True)
         for name, value in (("pi_orig", pi_orig), ("pi_max", pi_max),
                             ("cs_orig", cs_orig), ("cs_max", cs_max)):
             set_(self, name, value)
@@ -248,21 +251,27 @@ class ModelContext:
         logit they are e = exp(alpha*v - shift) and c*e, shift the
         bundle's own maximum of alpha*v (the market's would underflow a
         bundle far below it): the bundle is one flow of valuation
-        (shift + ln W)/alpha and cost X/W."""
+        (shift + ln W)/alpha and cost X/W. Both take one gather each, and
+        each later step runs in place (a bundle's shift subtracted from
+        its own run), so that pricing holds two column-sized arrays."""
         members = bundling.members
         occupied = np.flatnonzero(bundling.sizes)
         sizes = bundling.sizes[occupied]
         ends = np.cumsum(sizes)
         starts = ends - sizes
         prices = np.full(bundling.num_bundles, np.nan)
+        bounds = list(zip(starts.tolist(), ends.tolist()))
         if self.model is DemandModel.CED:
             terms = (term[members] for term in self.terms)
         else:
-            y = self.alpha * self.v[members]
-            shift = np.maximum.reduceat(y, starts)
-            e = np.exp(y - np.repeat(shift, sizes))
-            terms = (e, self.c[members] * e)
-        bounds = list(zip(starts.tolist(), ends.tolist()))
+            e = self.v[members]
+            e *= self.alpha
+            shift = np.maximum.reduceat(e, starts)
+            for (a, b), top in zip(bounds, shift.tolist()):
+                e[a:b] -= top
+            np.exp(e, out=e)
+            x = self.c[members]
+            terms = (e, np.multiply(x, e, out=x))
         W, X = (np.array([np.add.reduce(term[a:b]) for a, b in bounds]) for term in terms)
         if self.model is DemandModel.CED:
             prices[occupied], profit, surplus = self._ced_value(W, X, sizes)
@@ -498,9 +507,12 @@ def _bucket_bundling(visit: _Visit, num_bundles: int, compact: bool = False) -> 
 
 def _cost_division(ctx: ModelContext, num_bundles: int) -> Bundling:
     c_max = float(ctx.c.max())
+    # floored and clipped in place, and freed before the labels are grouped
     ranks = ctx.c * num_bundles / c_max * (1.0 + _TIE)
-    idx = np.minimum(ranks.astype(np.intp), num_bundles - 1)
-    return Bundling(idx, num_bundles)
+    np.minimum(np.floor(ranks, out=ranks), num_bundles - 1, out=ranks)
+    labels = ranks.astype(np.intp)
+    del ranks
+    return Bundling(labels, num_bundles)
 
 
 def _index_division(ctx: ModelContext, num_bundles: int) -> Bundling:

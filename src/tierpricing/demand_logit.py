@@ -54,41 +54,65 @@ def _guard_exponent(x_max) -> None:
         )
 
 
+def _scaled_gap(v, p, alpha: float) -> np.ndarray:
+    """alpha*(v - p), taken in one new array: v - p, then scaled in place."""
+    v, p = np.asarray(v, dtype=float), np.asarray(p, dtype=float)
+    x = np.subtract(v, p, out=np.empty(np.broadcast_shapes(v.shape, p.shape)))
+    return np.multiply(alpha, x, out=x)
+
+
 def _shifted_exp(v, p, alpha: float):
     """For x = alpha*(v - p): shift = max(0, max x), e = exp(x - shift)
-    and the shares' denominator sum(e) + exp(-shift)."""
-    x = alpha * (np.asarray(v, dtype=float) - np.asarray(p, dtype=float))
+    and the shares' denominator sum(e) + exp(-shift).
+
+    x, x - shift and e share one array, each step taken in place with
+    the operands above, so e has the bits of those expressions in one
+    column-sized array instead of three.
+    """
+    x = _scaled_gap(v, p, alpha)
     shift = float(np.max(x, initial=0.0))
     _guard_exponent(shift)
-    e = np.exp(x - shift)
+    e = np.exp(np.subtract(x, shift, out=x), out=x)
     return shift, e, np.sum(e) + np.exp(-shift)
 
 
-def logit_value(v, p, c, alpha: float, consumer_mass: float) -> tuple[float, float]:
+def logit_value(v, p, c, alpha: float, consumer_mass: float,
+                overwrite_p: bool = False) -> tuple[float, float]:
     """Total profit K * sum_i s_i * (p_i - c_i) at prices p, s_i the
     shares, and the expected consumer surplus
-    K * (euler_gamma + ln(sum_i exp(alpha*(v_i - p_i)) + 1)) / alpha."""
+    K * (euler_gamma + ln(sum_i exp(alpha*(v_i - p_i)) + 1)) / alpha.
+
+    The shares are scaled to s_i * (p_i - c_i) in place, so the pass
+    holds two column-sized arrays, the shares and the margins p - c;
+    with ``overwrite_p`` (prices the caller no longer reads) the margins
+    are taken in the array ``p`` itself, and the pass holds one."""
     shift, e, den = _shifted_exp(v, p, alpha)
-    margin = np.asarray(p, dtype=float) - np.asarray(c, dtype=float)
-    profit = float(consumer_mass * np.sum(e / den * margin))
+    p = np.asarray(p, dtype=float)
+    margin = np.subtract(p, np.asarray(c, dtype=float), out=p if overwrite_p else None)
+    np.multiply(np.divide(e, den, out=e), margin, out=e)
+    profit = float(consumer_mass * np.sum(e))
     lse = shift + np.log(den)
     return profit, float(consumer_mass * (EULER_GAMMA + lse) / alpha)
 
 
 def _markup_residual(p, v, c, alpha):
     """The residual max|p - c - 1/(alpha*s0(p))| of the optimality
-    condition, s0 = exp(-shift)/den the non-buying share."""
-    shift, _, den = _shifted_exp(v, p, alpha)
+    condition, s0 = exp(-shift)/den the non-buying share; the shares
+    are freed before the residual takes its one buffer."""
+    shift, e, den = _shifted_exp(v, p, alpha)
+    del e
     s0 = float(np.exp(-shift) / den)
-    return float(np.max(np.abs(p - (c + 1.0 / (alpha * s0)))))
+    r = np.add(c, 1.0 / (alpha * s0))
+    return float(np.max(np.abs(np.subtract(p, r, out=r), out=r)))
 
 
 def _shifted_sum(v, c, alpha):
     """max(y) and sum(exp(y - max(y))) for y = alpha*(v - c): the
-    max-shifted S = sum(exp(alpha*(v - c))) of the equal markup."""
-    y = alpha * (np.asarray(v, dtype=float) - np.asarray(c, dtype=float))
+    max-shifted S = sum(exp(alpha*(v - c))) of the equal markup, taken
+    in one buffer as ``_shifted_exp`` takes its exponentials."""
+    y = _scaled_gap(v, c, alpha)
     y_max = float(np.max(y))
-    return y_max, float(np.sum(np.exp(y - y_max)))
+    return y_max, float(np.sum(np.exp(np.subtract(y, y_max, out=y), out=y)))
 
 
 def logit_markup(v, c, alpha: float) -> float:
@@ -213,10 +237,11 @@ def logit_fit_gamma(v, f_d, p0: float, alpha: float) -> float:
     f_d = np.asarray(f_d, dtype=float)
     if v.size == 0 or v.size != f_d.size:
         raise DomainError("valuations and relative costs must align and be nonempty")
-    x = alpha * (v - p0)
-    shift = float(np.max(x))
+    # x = alpha*(v - p0), x - shift and e are one buffer
+    e = _scaled_gap(v, p0, alpha)
+    shift = float(np.max(e))
     _guard_exponent(shift)
-    e = np.exp(x - shift)
+    np.exp(np.subtract(e, shift, out=e), out=e)
     d_sum = np.exp(shift) * np.sum(e)  # sum of E_i
     with np.errstate(over="ignore", divide="ignore"):
         bottom = alpha * np.exp(shift) * np.sum(f_d * e)

@@ -557,11 +557,19 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
     when no draw reaches a CV; NumericalFailure when the one that does
     leaves flows at 0.
 
-    The demand and distance arrays are handed over read-only, so the
-    returned ``FlowTable`` holds them without a copy.
+    The ids, demand and distance arrays are handed over read-only, so
+    the returned ``FlowTable`` holds them without a copy. The ids are
+    copied out of the code-point matrix they are built in before either
+    normal draw, so the matrix is freed before the calibrations run.
     """
     rng = np.random.default_rng(moments.seed)
     n = moments.n_flows
+    # the ids are copied out of the matrix they view, and the copy shared,
+    # before the draws: freeing the matrix raises glibc's mmap threshold to
+    # its size (up to 32 MiB, about 700k flows), so the calibrations' column-
+    # sized temporaries reuse the heap instead of faulting in fresh pages
+    ids = _synth_ids(n).copy()
+    ids.flags.writeable = False
     # the distance draw follows the demand draw in the stream, and is
     # taken only once the demand draw and its calibration buffers are freed
     q = _calibrated_lognormal(rng.standard_normal(n), moments.cv_demand)
@@ -578,11 +586,7 @@ def synth_generate(moments: DatasetMoments) -> FlowTable:
             raise NumericalFailure(f"{name} = {getattr(moments, name)} over {n} flows "
                                    "needs a draw whose smallest flows underflow to 0")
     q.flags.writeable = d.flags.writeable = False
-    # the ids stay writable, so FlowTable copies them: freeing the matrix
-    # they view raises glibc's mmap threshold to its size, and the later
-    # column-sized temporaries then reuse the heap instead of faulting in
-    # fresh pages (sharing the ids doubles a 200k run's minor faults)
-    return FlowTable(_synth_ids(n), q, d)
+    return FlowTable(ids, q, d)
 
 
 def _synth_ids(n: int) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Logit demand: shares, solver optimality, surplus vs Gumbel
 simulation, fitting round trips, bundle aggregation identities."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +17,14 @@ from demand_oracles import (
     logit_profit,
     logit_shares,
 )
+from tierpricing import demand_logit
 from tierpricing.bundling import ModelContext
 from tierpricing.demand_logit import (
     EULER_GAMMA,
     MAX_SAFE_EXPONENT,
+    _guard_exponent,
+    _markup_residual,
+    _shifted_sum,
     logit_fit_gamma,
     logit_fit_valuations,
     logit_markup,
@@ -25,6 +32,7 @@ from tierpricing.demand_logit import (
     logit_value,
 )
 from tierpricing.domain import (
+    Bundling,
     DomainError,
     NoConvergence,
     NumericalFailure,
@@ -657,3 +665,158 @@ class TestBundleAggregates:
             options={"xatol": 1e-10},
         )
         assert p_bundle == pytest.approx(res.x, abs=1e-6)
+
+
+# The logit kernels as they were written before they took their steps in
+# place (one new array per operation), kept to pin the in-place kernels
+# to the same bits.
+def expression_shifted_exp(v, p, alpha):
+    x = alpha * (np.asarray(v, dtype=float) - np.asarray(p, dtype=float))
+    shift = float(np.max(x, initial=0.0))
+    _guard_exponent(shift)
+    e = np.exp(x - shift)
+    return shift, e, np.sum(e) + np.exp(-shift)
+
+
+def expression_value(v, p, c, alpha, consumer_mass):
+    shift, e, den = expression_shifted_exp(v, p, alpha)
+    margin = np.asarray(p, dtype=float) - np.asarray(c, dtype=float)
+    profit = float(consumer_mass * np.sum(e / den * margin))
+    lse = shift + np.log(den)
+    return profit, float(consumer_mass * (EULER_GAMMA + lse) / alpha)
+
+
+def expression_markup_residual(p, v, c, alpha):
+    shift, _, den = expression_shifted_exp(v, p, alpha)
+    s0 = float(np.exp(-shift) / den)
+    return float(np.max(np.abs(p - (c + 1.0 / (alpha * s0)))))
+
+
+def expression_shifted_sum(v, c, alpha):
+    y = alpha * (np.asarray(v, dtype=float) - np.asarray(c, dtype=float))
+    y_max = float(np.max(y))
+    return y_max, float(np.sum(np.exp(y - y_max)))
+
+
+def expression_solve_prices(v, c, alpha):
+    """``logit_solve_prices`` with the expression kernels in place of
+    the in-place ones."""
+    with mock.patch.multiple(demand_logit, _shifted_sum=expression_shifted_sum,
+                             _markup_residual=expression_markup_residual):
+        return logit_solve_prices(v, c, alpha)
+
+
+def expression_baselines(ctx):
+    """(pi_orig, cs_orig, pi_max, cs_max) of a logit market: the blended
+    baseline first, so that its failure is the one raised where the
+    per-flow prices would fail too."""
+    k = ctx.consumer_mass
+    blended = expression_value(ctx.v, ctx.p0, ctx.c, ctx.alpha, k)
+    per_flow = expression_solve_prices(ctx.v, ctx.c, ctx.alpha)
+    return (*blended, *expression_value(ctx.v, per_flow, ctx.c, ctx.alpha, k))
+
+
+def expression_price(ctx, bundling):
+    """The logit branch of ``ModelContext.price`` in expressions."""
+    members = bundling.members
+    occupied = np.flatnonzero(bundling.sizes)
+    sizes = bundling.sizes[occupied]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    prices = np.full(bundling.num_bundles, np.nan)
+    y = ctx.alpha * ctx.v[members]
+    shift = np.maximum.reduceat(y, starts)
+    e = np.exp(y - np.repeat(shift, sizes))
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    W, X = (np.array([np.add.reduce(term[a:b]) for a, b in bounds])
+            for term in (e, ctx.c[members] * e))
+    v_b, c_b = (shift + np.log(W)) / ctx.alpha, X / W
+    prices[occupied] = p_b = expression_solve_prices(v_b, c_b, ctx.alpha)
+    return (prices, *expression_value(v_b, p_b, c_b, ctx.alpha, ctx.consumer_mass))
+
+
+def bits(compute):
+    """The bytes of every number ``compute()`` returns, or the type and
+    message of the NumericalFailure it raises."""
+    try:
+        got = compute()
+    except NumericalFailure as exc:
+        return type(exc), str(exc)
+    return [np.asarray(x, dtype=float).tobytes() for x in got]
+
+
+def exponents(rng, n, alpha, offset, spread):
+    """v and per-flow prices p with alpha*(v - p) spread by ``spread``
+    about ``offset``, and a uniform price p0 at ``offset``."""
+    p0 = float(rng.uniform(1.0, 50.0))
+    v = p0 + (offset + rng.uniform(-spread, spread, n)) / alpha
+    return v, v - (offset + rng.uniform(-spread, spread, n)) / alpha, p0
+
+
+# exponents anywhere, and close to either side of the overflow guard;
+# equal, close, spread and mostly underflowing exponentials
+OFFSETS = st.one_of(st.floats(-900.0, 800.0),
+                    st.floats(MAX_SAFE_EXPONENT - 5.0, MAX_SAFE_EXPONENT + 5.0))
+SPREADS = st.sampled_from([0.0, 0.5, 2.0, 10.0, 100.0])
+
+
+class TestInPlaceKernels:
+    """The in-place logit kernels and the logit ``ModelContext`` give the
+    bits of the expressions they replaced, or raise the same failure."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.floats(0.05, 120.0),
+           OFFSETS, SPREADS, st.booleans())
+    def test_kernels_match_expressions(self, seed, n, alpha, offset, spread, uniform):
+        # a scalar p0 or per-flow prices
+        rng = np.random.default_rng(seed)
+        v, p, p0 = exponents(rng, n, alpha, offset, spread)
+        if uniform:
+            p = p0
+        c = np.abs(p) * rng.uniform(0.1, 1.2, n)
+        k = float(rng.uniform(0.1, 100.0))
+        assert bits(lambda: logit_value(v, p, c, alpha, k)) == bits(
+            lambda: expression_value(v, p, c, alpha, k))
+        if n:
+            assert bits(lambda: [_markup_residual(p, v, c, alpha)]) == bits(
+                lambda: [expression_markup_residual(p, v, c, alpha)])
+            assert bits(lambda: _shifted_sum(v, c, alpha)) == bits(
+                lambda: expression_shifted_sum(v, c, alpha))
+
+    def test_overwrite_p_leaves_the_margins(self):
+        v, p, c = np.array([3.0, 4.0]), np.array([2.0, 2.5]), np.array([1.0, 2.0])
+        expected = expression_value(v, p, c, 1.1, 50.0)
+        assert logit_value(v, p, c, 1.1, 50.0, overwrite_p=True) == expected
+        assert p.tolist() == [1.0, 0.5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.05, 120.0),
+           OFFSETS, SPREADS,
+           st.sampled_from(["random", "one-flow", "runs"]))
+    def test_price_matches_expressions(self, seed, n, alpha, offset, spread, tiers):
+        # one-flow bundles, and members of a compact bundling (the
+        # smallest unsigned type) as well as intp ones
+        rng = np.random.default_rng(seed)
+        v, _, p0 = exponents(rng, n, alpha, offset, spread)
+        c = p0 * rng.uniform(0.05, 1.5, n)
+        market = SimpleNamespace(v=v, c=c, alpha=alpha, p0=p0,
+                                 consumer_mass=float(rng.uniform(0.1, 100.0)))
+        try:
+            ctx = ModelContext([f"f{i}" for i in range(n)], rng.uniform(1.0, 9.0, n),
+                               np.ones(n), v, c, None, "logit", alpha, p0, s0=0.2,
+                               consumer_mass=market.consumer_mass)
+        except NumericalFailure as exc:
+            assert bits(lambda: expression_baselines(market)) == (type(exc), str(exc))
+            return
+        assert bits(lambda: (ctx.pi_orig, ctx.cs_orig, ctx.pi_max, ctx.cs_max)) == bits(
+            lambda: expression_baselines(ctx))
+        num_bundles = int(rng.integers(1, n + 3))
+        if tiers == "one-flow":
+            bundling = Bundling(rng.permutation(n) % num_bundles, max(num_bundles, n))
+        elif tiers == "runs":
+            cuts = np.sort(rng.integers(0, n + 1, num_bundles - 1))
+            bundling = Bundling.from_runs(rng.permutation(n), [0, *cuts, n], compact=True)
+        else:
+            bundling = Bundling(rng.integers(0, num_bundles, n), num_bundles)
+        assert bits(lambda: ctx.price(bundling)) == bits(
+            lambda: expression_price(ctx, bundling))
